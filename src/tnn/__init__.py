@@ -43,23 +43,21 @@ from .subspace import (
     format_selector,
     lower_u,
     operator_norm_chain,
+    order_ge2_sum,
     parse_selector,
     project,
     support_project,
     upper_u,
 )
 from .norms import (
-    NetSpec,
     NuclearSandwich,
     SpectralResult,
-    build_net,
     duality_gap_check,
     nuclear_sandwich,
     restricted_norm_check,
     spectral_certified_upper,
+    spectral_flattening_upper,
     spectral_hopm,
-    spectral_net_bounds,
-    spectral_symmetric_banach,
 )
 from .decomp import (
     DecompReport,

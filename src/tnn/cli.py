@@ -5,14 +5,15 @@ loads tensors (from files or the built-in ``gallery:`` scheme), calls one
 library operation, and prints a structured JSON report.  Exit codes:
 0 success, 1 a mathematical check produced a ``fail`` verdict, 2 invalid
 input, 3 convergence failure.  Mode indices on the command line are
-1-based.  Set ``TNN_THREADS`` to cap BLAS/OpenMP parallelism.
+1-based.  To cap BLAS/OpenMP threads, set the standard variables
+(``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS``) in the
+environment before the process starts: numpy reads them when it is imported.
 """
 
 from __future__ import annotations
 
 import functools
 import json
-import os
 import sys
 from pathlib import Path
 from urllib.parse import parse_qs, urlparse
@@ -28,24 +29,6 @@ from .tensor_core import (
     read_tensor_file,
     write_tensor_file,
 )
-
-_THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS",
-                "MKL_NUM_THREADS", "NUMEXPR_NUM_THREADS")
-
-
-def _apply_thread_cap():
-    cap = os.environ.get("TNN_THREADS")
-    if not cap:
-        return
-    for var in _THREAD_VARS:
-        os.environ.setdefault(var, cap)
-    try:
-        import threadpoolctl
-
-        threadpoolctl.threadpool_limits(int(cap))
-    except (ImportError, ValueError):
-        pass
-
 
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
@@ -121,7 +104,6 @@ def load_tensor(source):
 @click.group()
 def main():
     """Certified tensor norm, decomposability, and robust PCA toolkit."""
-    _apply_thread_cap()
 
 
 # ---------------------------------------------------------------------------
@@ -286,11 +268,6 @@ def check_lower_bound(source, index_set, tol, pretty):
 @click.option("--pretty", is_flag=True)
 @adapter
 def check_weak(dims, trials, seed, alpha, tol, pretty):
-    import itertools
-
-    d = len(dims)
-    sets = [frozenset(c) for r in range(2, d + 1)
-            for c in itertools.combinations(range(d), r)]
     reports = []
     for i in range(trials):
         rng = np.random.default_rng(
@@ -304,7 +281,8 @@ def check_weak(dims, trials, seed, alpha, tol, pretty):
         family = subspace.family_from_tensor(atom)
         T = subspace.project(subspace.basic(()), family, base)
         S = subspace.project(
-            subspace.direct_sum(sets), family, rng.standard_normal(dims)
+            subspace.order_ge2_sum(len(dims)), family,
+            rng.standard_normal(dims)
         )
         reports.append(
             decomp.check_weak_decomp(T, S, family, alpha=alpha, tol=tol)
@@ -378,14 +356,8 @@ def check_zmember(name, t, z_source, t_source, tol, pretty):
 @click.option("--pretty", is_flag=True)
 @adapter
 def check_tau_probe(selector, dims, trials, seed, bisect_tol, pretty):
-    import itertools
-
     if selector == "sum:ge2":
-        d = len(dims)
-        sel = subspace.direct_sum(
-            [frozenset(c) for r in range(2, d + 1)
-             for c in itertools.combinations(range(d), r)]
-        )
+        sel = subspace.order_ge2_sum(len(dims))
     else:
         sel = subspace.parse_selector(selector)
     sel.validate(len(dims))

@@ -34,8 +34,8 @@ from .subspace import (
     ModeSubspace,
     Selector,
     basic,
-    direct_sum,
     lower_u,
+    order_ge2_sum,
     project,
     upper_u,
 )
@@ -225,18 +225,6 @@ def check_nuclear_lower_bound(T, family, index_set, tol=1e-6, **sandwich_kw):
     )
 
 
-def _weak_selector(d):
-    sets = [frozenset(c) for c in _subsets_at_least(d, 2)]
-    return direct_sum(sets)
-
-
-def _subsets_at_least(d, m):
-    import itertools
-
-    for r in range(m, d + 1):
-        yield from itertools.combinations(range(d), r)
-
-
 def check_weak_decomp(T, S, family, alpha=None, tol=1e-6, **sandwich_kw):
     """Certify the weak additivity
     ``||T + S||_* >= ||T||_* + alpha ||S||_*`` for ``T`` inside the family's
@@ -245,7 +233,7 @@ def check_weak_decomp(T, S, family, alpha=None, tol=1e-6, **sandwich_kw):
     sharper constants."""
     d = family.order
     T = _require_membership("T", T, basic(()), family)
-    S = _require_membership("S", S, _weak_selector(d), family)
+    S = _require_membership("S", S, order_ge2_sum(d), family)
     if alpha is None:
         alpha = weak_decomposability_constant(d)
     alpha = float(alpha)

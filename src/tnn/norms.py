@@ -2,9 +2,12 @@
 
 The spectral norm ``max <T, x_1 (x) ... (x) x_d>`` over unit vectors is
 estimated from below by multi-start alternating maximization (HOPM) and
-bounded from above either by epsilon-net enumeration (rigorous factor
-``1/(1 - d*eps)``) or by a Lipschitz branch-and-bound over the spheres of all
-modes but two (the remaining bilinear form is an exact matrix spectral norm).
+enclosed by a second-order branch and bound: the two largest modes are
+contracted into an exact matrix spectral norm, and the unit spheres of the
+other modes are searched in cells on cube faces, each bounded by the values
+at its corners projected onto the tangent plane at its centre.  The
+flattening bound ``min_k sigma_max(T_(k))`` is a cruder upper bound that
+holds at any size.
 
 The nuclear norm is enclosed in a sandwich ``[lower, upper]``: the upper
 bound comes from a greedy rank-one decomposition (with a final weight refit
@@ -17,33 +20,32 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.optimize import linprog
 
-from .errors import ConvergenceError, DimensionError, ParameterError, PreconditionError
-from .subspace import basic, family_from_tensor, project
+from .errors import DimensionError, ParameterError, PreconditionError
+from .subspace import basic, project
 from .tensor_core import (
     NuclearDecomposition,
     RankOneAtom,
     asarray,
+    basis_vector,
     holder_norm,
     inner,
     mode_matricize,
     multilinear_contract,
+    normalize,
     outer_atom,
 )
 
 __all__ = [
     "SpectralResult",
     "NuclearSandwich",
-    "NetSpec",
     "spectral_hopm",
     "spectral_certified_upper",
-    "build_net",
-    "spectral_net_bounds",
-    "spectral_symmetric_banach",
+    "spectral_flattening_upper",
     "nuclear_sandwich",
     "duality_gap_check",
     "restricted_norm_check",
@@ -70,11 +72,6 @@ class SpectralResult:
     local_maxima: tuple = ()
 
 
-def _unit(v):
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else v
-
-
 def _hopm_update_strings(d):
     """einsum strings for batched mode updates and batched values."""
     modes = _LETTERS[:d]
@@ -92,7 +89,7 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     A = asarray(T)
     d = A.ndim
     if np.all(A == 0):
-        maxim = tuple(_e1(n) for n in A.shape)
+        maxim = tuple(basis_vector(n) for n in A.shape)
         return SpectralResult(0.0, maxim, 0.0, None, 0, 0)
     if d == 1:
         val = float(np.linalg.norm(A))
@@ -108,7 +105,7 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     value_str, update_strs = _hopm_update_strings(d)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), d]))
     X = [
-        np.apply_along_axis(_unit, 1, rng.standard_normal((starts, n)))
+        np.apply_along_axis(normalize, 1, rng.standard_normal((starts, n)))
         for n in A.shape
     ]
     vals = np.abs(np.einsum(value_str, A, *X))
@@ -141,12 +138,6 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
                           local_maxima=local)
 
 
-def _e1(n):
-    e = np.zeros(n)
-    e[0] = 1.0
-    return e
-
-
 def _distinct_maximizers(A, X, vals, value_str, angle_tol=1e-6):
     """Collect distinct local maximizers (value, vectors) across starts."""
     order = np.argsort(-vals)
@@ -172,138 +163,31 @@ def _distinct_maximizers(A, X, vals, value_str, angle_tol=1e-6):
 
 
 # ---------------------------------------------------------------------------
-# Rigorous upper bounds: Lipschitz branch-and-bound over all but two modes.
+# Rigorous upper bounds: second-order branch and bound on cube faces.
 # ---------------------------------------------------------------------------
 
-def _hypersphere_point(angles, n):
-    """Hyperspherical parametrization of S^{n-1}; n-1 angles.
-
-    Every partial derivative of the map has Euclidean norm <= 1, so the map
-    is 1-Lipschitz in each angle.
-    """
-    x = np.empty(n)
-    s = 1.0
-    for i in range(n - 1):
-        x[i] = s * np.cos(angles[i])
-        s *= np.sin(angles[i])
-    x[n - 1] = s
-    return x
+_BNB_BATCH = 128  # cells evaluated per vectorized round
 
 
-def _angle_box(n):
-    """Angle domain for S^{n-1}: first angles in [0, pi], last in [0, 2*pi]."""
-    if n == 2:
-        return [(0.0, 2.0 * np.pi)]
-    return [(0.0, np.pi)] * (n - 2) + [(0.0, 2.0 * np.pi)]
-
-
-def _hypersphere_points(angles, n):
-    """Vectorized hyperspherical map: (B, n-1) angles -> (B, n) unit vectors."""
-    B = angles.shape[0]
-    x = np.empty((B, n))
-    s = np.ones(B)
-    for i in range(n - 1):
-        x[:, i] = s * np.cos(angles[:, i])
-        s = s * np.sin(angles[:, i])
-    x[:, n - 1] = s
-    return x
-
-
-def _sine_interval_max(lo, hi):
-    """Max of |sin| over [lo, hi], vectorized."""
-    k = np.ceil((lo - 0.5 * np.pi) / np.pi)
-    contains_peak = 0.5 * np.pi + k * np.pi <= hi
-    return np.where(contains_peak, 1.0,
-                    np.maximum(np.abs(np.sin(lo)), np.abs(np.sin(hi))))
-
-
-def _cell_bounds(C, H, L, vals, groups):
-    """Upper bounds and preferred split axes for a batch of angle cells.
-
-    In the hyperspherical map, moving angle j shifts the point by at most
-    ``prod_{i<j in the same chain} max|sin(angle_i)|`` per radian, so each
-    cell gets the bound ``f(center) + L * sum_j w_j * h_j`` with per-cell
-    weights that collapse near the poles.
-    """
-    lo = C - H
-    hi = C + H
-    s = _sine_interval_max(lo, hi)
-    w = np.ones_like(C)
-    for a, b in groups:
-        if b - a > 1:
-            w[:, a + 1:b] = np.cumprod(s[:, a:b - 1], axis=1)
-    wh = w * H
-    return vals + L * wh.sum(axis=1), np.argmax(wh, axis=1)
-
-
-def _bnb_engine(evaluate, lows, highs, L, groups, tol, max_evals, threshold,
-                batch):
-    """Best-first branch and bound over angle boxes; cells are evaluated in
-    vectorized batches.  Returns ``(best, upper)`` with
-    ``best <= max f <= upper``."""
-    center0 = (lows + highs) / 2.0
-    half0 = (highs - lows) / 2.0
-    f0 = evaluate(center0[None])
-    ub0, ax0 = _cell_bounds(center0[None], half0[None], L, f0, groups)
-    best = float(f0[0])
-    heap = [(-float(ub0[0]), 0, center0, half0, int(ax0[0]))]
-    counter = 1
-    evals = 1
-    resolved = best
-    while heap:
-        top_ub = -heap[0][0]
-        if top_ub - best <= tol:
-            break
-        if threshold is not None and (
-            max(top_ub, resolved) <= threshold or best > threshold
-        ):
-            break
-        if evals >= max_evals:
-            break
-        centers, halves = [], []
-        while heap and len(centers) < batch:
-            neg_ub, _, center, half, axis = heapq.heappop(heap)
-            if -neg_ub - best <= tol or (
-                threshold is not None and -neg_ub <= threshold
-            ):
-                resolved = max(resolved, -neg_ub)
-                continue
-            h = half.copy()
-            h[axis] *= 0.5
-            for side in (-0.5, 0.5):
-                c = center.copy()
-                c[axis] += side * half[axis]
-                centers.append(c)
-                halves.append(h)
-        if not centers:
-            continue
-        C = np.array(centers)
-        H = np.array(halves)
-        vals = evaluate(C)
-        evals += len(centers)
-        best = max(best, float(vals.max()))
-        ubs, axes = _cell_bounds(C, H, L, vals, groups)
-        for i in range(len(centers)):
-            heapq.heappush(
-                heap, (-float(ubs[i]), counter, C[i], H[i], int(axes[i]))
-            )
-            counter += 1
-    top = -heap[0][0] if heap else -np.inf
-    upper = max(best, top, resolved)
-    return best, upper
-
-
-def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None,
-                             batch=256):
+def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     """Rigorous enclosure (lower, upper) of the spectral norm.
 
-    Symmetric tensors reduce to a single-vector search over one sphere
-    (the spectral norm of a symmetric tensor is attained at a symmetric
-    rank-one tensor).  Otherwise all modes but the two largest are fixed and
-    searched by branch and bound in hyperspherical angles with the Lipschitz
-    bound ``|f(x) - f(y)| <= L * sum_k ||x_k - y_k||`` where
-    ``L = min_k sigma_max(T_(k)) >= ||T||_sigma``; at each evaluated point
-    the remaining bilinear form is an exact matrix spectral norm.
+    The two largest modes are contracted exactly: for vectors ``x_k`` on the
+    other (fixed) modes, ``f(x) = sigma_max(T x_fixed x)`` is a matrix
+    spectral norm, convex, 1-homogeneous and even in each ``x_k``.  By
+    evenness each fixed unit sphere is covered by the ``+1`` faces of the
+    cube ``[-1, 1]^n`` (a point ``y`` of a face stands for ``y / ||y||``), and
+    a cell is a product of boxes on those faces, split at its widest side.
+    Centrally projecting a box's corners onto the tangent plane at the unit
+    vector ``u`` through its centre (``p -> p / <p, u>``) gives points whose
+    convex hull contains the projection of the whole box, whose values dominate
+    the sphere values, so by per-mode convexity the largest ``f`` over the
+    projected corner products bounds ``f`` on the cell, with an overshoot of
+    order ``theta^2`` in the cell's angular radius.  ``f`` at the cell centre
+    and at the normalized corners are attained values, hence lower bounds.
+    ``max_evals`` counts these small matrix-norm evaluations; each cell costs
+    ``1 + 2^sum(n_k - 1)`` of them, so fixed-mode dimensions above 4 are
+    refused.
 
     If ``threshold`` is given, the search stops as soon as either
     ``upper <= threshold`` or ``lower > threshold`` is established.
@@ -312,219 +196,100 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None,
     d = A.ndim
     if np.all(A == 0):
         return 0.0, 0.0
-    if d == 1:
-        v = float(np.linalg.norm(A))
-        return v, v
-    if d == 2:
+    if d <= 2:
         v = float(np.linalg.norm(A, 2))
         return v, v
 
     dims = A.shape
-    L_mat = min(float(np.linalg.norm(mode_matricize(A, k), 2))
-                for k in range(d))
-
-    if _is_symmetric(A) and dims[0] <= 4:
-        n = dims[0]
-        box = _angle_box(n)
-        lows = np.array([b[0] for b in box])
-        highs = np.array([b[1] for b in box])
-        value_str, _ = _hopm_update_strings(d)
-
-        def evaluate(angles):
-            X = _hypersphere_points(angles, n)
-            return np.abs(np.einsum(value_str, A, *([X] * d)))
-
-        # One angle step moves the point by at most its magnitude in each of
-        # the d (identical) slots of the multilinear form.
-        return _bnb_engine(evaluate, lows, highs, d * L_mat, [(0, n - 1)],
-                           tol, max_evals, threshold, batch)
-
     order = np.argsort(dims, kind="stable")
     fixed = sorted(order[: d - 2])
     if any(dims[k] > 4 for k in fixed):
         raise ParameterError(
             "branch-and-bound certification supports fixed-mode dims <= 4"
         )
+    A = A.transpose(fixed + sorted(order[d - 2:]))
+    ns = [dims[k] for k in fixed]
+    offsets = np.cumsum([0] + [n - 1 for n in ns])
+    D = int(offsets[-1])
+    # Face i of mode k holds the points (1, z) with the 1 moved to index i.
+    scatter = [np.array([np.argsort([i] + [j for j in range(n) if j != i])
+                         for i in range(n)]) for n in ns]
+    # Row 0 picks the cell centre, the other rows its corners.
+    signs = np.array([(0.0,) * D]
+                     + list(itertools.product((-1.0, 1.0), repeat=D)))
+    subs = _LETTERS[:d]
+    m = len(ns)
+    contract = (subs + "," + ",".join("z" + s for s in subs[:m])
+                + "->z" + subs[m:])
+    # Matrices per einsum and SVD call, so that each call stays near 32 MB.
+    chunk = max(1, 2 ** 22 // (A.shape[-2] * A.shape[-1]))
 
-    lows, highs, groups = [], [], []
-    mode_slices = {}
-    pos = 0
-    for k in fixed:
-        for lo, hi in _angle_box(dims[k]):
-            lows.append(lo)
-            highs.append(hi)
-        mode_slices[k] = slice(pos, pos + dims[k] - 1)
-        groups.append((pos, pos + dims[k] - 1))
-        pos += dims[k] - 1
-    lows = np.array(lows)
-    highs = np.array(highs)
+    def bound(faces, zc, zh):
+        """Cell upper bounds and the best attained value over a batch."""
+        Z = zc[:, None, :] + signs[None] * zh[:, None, :]
+        B, C = Z.shape[:2]
+        ws = [np.concatenate([np.ones((B, C, 1)), Z[:, :, a:a + n - 1]], 2)
+              for a, n in zip(offsets, ns)]
+        xs = [np.take_along_axis(w, s[faces[:, k]][:, None], 2).reshape(-1, n)
+              for k, (w, s, n) in enumerate(zip(ws, scatter, ns))]
+        f = np.concatenate([
+            np.linalg.svd(np.einsum(contract, A, *(x[r:r + chunk] for x in xs)),
+                          compute_uv=False)[:, 0]
+            for r in range(0, B * C, chunk)]).reshape(B, C)
+        # f / heights is f at the points projected onto the tangent planes at
+        # the cell centre; f / lengths is f at the normalized points.
+        lengths = np.prod([np.linalg.norm(w, axis=2) for w in ws], axis=0)
+        heights = np.prod([np.einsum("bcn,bn->bc", w, w[:, 0])
+                           / np.linalg.norm(w[:, 0], axis=1)[:, None]
+                           for w in ws], axis=0)
+        upper = (f[:, 1:] / heights[:, 1:]).max(axis=1)
+        return upper, float((f / lengths).max())
 
-    modes = _LETTERS[:d]
-
-    def evaluate(angles):
-        out = A
-        subs = modes
-        first = True
-        for k in sorted(fixed, reverse=True):
-            X = _hypersphere_points(angles[:, mode_slices[k]], dims[k])
-            mk = modes[k]
-            new = subs.replace(mk, "")
-            if first:
-                out = np.einsum(f"{subs},z{mk}->z{new}", out, X)
-                first = False
-            else:
-                out = np.einsum(f"z{subs},z{mk}->z{new}", out, X)
-            subs = new
-        return np.linalg.svd(out, compute_uv=False)[:, 0]
-
-    return _bnb_engine(evaluate, lows, highs, L_mat, groups, tol, max_evals,
-                       threshold, batch)
-
-
-# ---------------------------------------------------------------------------
-# Epsilon nets.
-# ---------------------------------------------------------------------------
-
-@dataclass(frozen=True)
-class NetSpec:
-    """Per-mode point sets on the unit spheres with a certified covering
-    radius ``epsilon`` (chordal distance)."""
-
-    epsilon: float
-    points: tuple  # one (M_k, n_k) array per mode
-    covering_certified: bool
-
-    @property
-    def order(self):
-        return len(self.points)
+    heap, tick = [], itertools.count()
+    best = resolved = 0.0
+    evals = 0
+    # A cell: its face in each fixed mode, box centre, box half-widths, and
+    # its parent's bound, which holds for the cell too.
+    cells = [(f, np.zeros(D), np.ones(D), np.inf)
+             for f in itertools.product(*map(range, ns))]
+    while True:
+        if cells:
+            faces, zc, zh, caps = (np.array(a) for a in zip(*cells))
+            ubs, value = bound(faces, zc, zh)
+            evals += len(cells) * len(signs)
+            best = max(best, value)
+            for u, f, c, h in zip(np.minimum(ubs, caps), faces, zc, zh):
+                heapq.heappush(heap, (-float(u), next(tick), f, c, h))
+        top = -heap[0][0] if heap else -np.inf
+        if not heap or top - best <= tol or evals >= max_evals or (
+            threshold is not None
+            and (max(top, resolved) <= threshold or best > threshold)
+        ):
+            return best, max(best, top, resolved)
+        cells = []
+        while heap and len(cells) < _BNB_BATCH:
+            neg_ub, _, face, c, h = heapq.heappop(heap)
+            if -neg_ub - best <= tol or (
+                threshold is not None and -neg_ub <= threshold
+            ):
+                resolved = max(resolved, -neg_ub)
+                continue
+            j = int(np.argmax(h))
+            half = h.copy()
+            half[j] *= 0.5
+            for side in (-1.0, 1.0):
+                centre = c.copy()
+                centre[j] += side * half[j]
+                cells.append((face, centre, half, -neg_ub))
 
 
-def _sphere_net(n, eps):
-    """Deterministic angular product grid on S^{n-1}, covering radius <= eps.
-
-    The hyperspherical map is 1-Lipschitz per angle, so a grid with per-angle
-    spacing h covers within (number of angles) * h / 2.
-    """
-    if n == 1:
-        return np.array([[1.0], [-1.0]])
-    n_ang = n - 1
-    h = 2.0 * eps / n_ang
-    axes = []
-    for lo, hi in _angle_box(n):
-        m = int(np.ceil((hi - lo) / h)) + 1
-        axes.append(np.linspace(lo, hi, m))
-    pts = np.array(
-        [_hypersphere_point(np.array(ang), n) for ang in itertools.product(*axes)]
+def spectral_flattening_upper(T):
+    """Certified spectral upper bound valid at any size: the smallest
+    flattening operator norm ``min_k sigma_max(T_(k))``."""
+    A = asarray(T)
+    return min(
+        float(np.linalg.norm(mode_matricize(A, k), 2)) for k in range(A.ndim)
     )
-    return pts
-
-
-def build_net(shape, epsilon):
-    """Certified epsilon-net for each mode sphere; refuses dims > 4."""
-    shape = tuple(int(n) for n in shape)
-    d = len(shape)
-    if not 0.0 < epsilon < 1.0 / d:
-        raise ParameterError(f"epsilon must lie in (0, 1/{d})")
-    if any(n > 4 for n in shape):
-        raise ParameterError("certified nets are built only for mode dims <= 4")
-    return NetSpec(float(epsilon), tuple(_sphere_net(n, epsilon) for n in shape),
-                   covering_certified=True)
-
-
-def spectral_net_bounds(T, net):
-    """Rigorous (lower, upper) spectral-norm bounds from net enumeration."""
-    A = asarray(T)
-    d = A.ndim
-    if net.order != d:
-        raise DimensionError("net order does not match tensor order")
-    if not 0.0 < net.epsilon < 1.0 / d:
-        raise ParameterError(f"epsilon must lie in (0, 1/{d})")
-    if not net.covering_certified:
-        raise ParameterError("net is not covering-certified; no upper bound")
-    for k in range(d):
-        if net.points[k].shape[1] != A.shape[k]:
-            raise DimensionError(f"net points for mode {k} have wrong dimension")
-    if np.all(A == 0):
-        return 0.0, 0.0
-
-    sizes = [p.shape[0] for p in net.points]
-    # Contract every net except the largest; finish with a blocked matmul.
-    largest = int(np.argmax(sizes))
-    rest = [k for k in range(d) if k != largest]
-    work_cells = int(np.prod([sizes[k] for k in rest], dtype=np.int64))
-    if work_cells * A.shape[largest] > 2e8:
-        raise ParameterError("net enumeration too large; increase epsilon")
-    out = A
-    remaining = list(range(d))
-    for k in rest:
-        # tensordot appends the net index axis at the end, so the surviving
-        # original axes always lead: mode k sits at its index in `remaining`.
-        out = np.tensordot(out, net.points[k], axes=([remaining.index(k)], [1]))
-        remaining.remove(k)
-    # Axes now: (n_largest, M_{rest[0]}, M_{rest[1]}, ...).
-    flat = out.reshape(A.shape[largest], -1).T
-    big = net.points[largest]
-    lower = -np.inf
-    block = max(1, int(2e7 // max(1, flat.shape[0])))
-    for start in range(0, big.shape[0], block):
-        vals = flat @ big[start:start + block].T
-        lower = max(lower, float(vals.max()))
-    lower = max(lower, 0.0)
-    upper = lower / (1.0 - d * net.epsilon)
-    return lower, upper
-
-
-# ---------------------------------------------------------------------------
-# Symmetric tensors: single-vector reduction.
-# ---------------------------------------------------------------------------
-
-def _is_symmetric(A, tol=1e-12):
-    d = A.ndim
-    if len(set(A.shape)) != 1:
-        return False
-    for k in range(d - 1):
-        perm = list(range(d))
-        perm[k], perm[k + 1] = perm[k + 1], perm[k]
-        if np.max(np.abs(A - A.transpose(perm))) > tol:
-            return False
-    return True
-
-
-def spectral_symmetric_banach(T, grid_points=2048, zoom_rounds=10):
-    """Spectral norm of a symmetric tensor via the single-vector reduction
-    ``max_x |<T, x (x) ... (x) x>|`` (dense angular grid plus local zoom)."""
-    A = asarray(T)
-    if not _is_symmetric(A):
-        raise PreconditionError("tensor is not symmetric under mode permutations")
-    n = A.shape[0]
-    d = A.ndim
-    if np.all(A == 0):
-        return 0.0
-    if n > 4:
-        raise ParameterError("symmetric grid search supports dims <= 4")
-    box = _angle_box(n)
-    value_str, _ = _hopm_update_strings(d)
-
-    def batch_eval(P):
-        return np.abs(np.einsum(value_str, A, *([P] * d)))
-
-    lows = np.array([b[0] for b in box])
-    highs = np.array([b[1] for b in box])
-    n_ang = len(box)
-    m = max(8, int(round(grid_points ** (1.0 / n_ang))))
-    center = None
-    for _ in range(zoom_rounds):
-        axes = [np.linspace(lo, hi, m) for lo, hi in zip(lows, highs)]
-        grid = np.array(list(itertools.product(*axes)))
-        P = np.array([_hypersphere_point(g, n) for g in grid])
-        vals = batch_eval(P)
-        b = int(np.argmax(vals))
-        center = grid[b]
-        span = (highs - lows) / (m - 1)
-        lows = center - 1.5 * span
-        highs = center + 1.5 * span
-    x = _hypersphere_point(center, n)
-    return float(abs(multilinear_contract(A, [x] * d)))
 
 
 # ---------------------------------------------------------------------------
@@ -583,19 +348,21 @@ def _l1_refit(columns, target):
     return res.x[:m]
 
 
-def _witness_bound(Z, net, bnb_tol):
+# Tolerance and budget of every certified bound on a dual witness (also used
+# by find_z_witness).  The bound sets the sandwich's lower end: the relative
+# gap of the `limitation` gallery S is 9.6e-4 at tol 1e-3 and 2e-5 at 1e-5.
+_WITNESS_TOL = 1e-5
+_WITNESS_MAX_EVALS = 80_000
+
+
+def _witness_bound(Z):
     """Certified (when possible) upper bound on ||Z||_sigma."""
     try:
-        _, ub = spectral_certified_upper(Z, tol=bnb_tol, max_evals=80_000)
+        _, ub = spectral_certified_upper(Z, tol=_WITNESS_TOL,
+                                         max_evals=_WITNESS_MAX_EVALS)
         return ub, True, "bnb"
     except ParameterError:
         pass
-    if net is not None:
-        try:
-            _, ub = spectral_net_bounds(Z, net)
-            return ub, True, "net"
-        except ParameterError:
-            pass
     res = spectral_hopm(Z, starts=16, seed=1)
     return 2.0 * res.value if res.value > 0 else 1.0, False, "heuristic"
 
@@ -633,6 +400,17 @@ def _greedy_atoms(A, tol, max_atoms, seed, starts):
         weights, *_ = np.linalg.lstsq(C, t, rcond=None)
         residual = A - (C @ weights).reshape(A.shape)
     return atoms, columns, weights
+
+
+def _hypersphere_point(angles, n):
+    """Hyperspherical parametrization of S^{n-1}; n-1 angles."""
+    x = np.empty(n)
+    s = 1.0
+    for i in range(n - 1):
+        x[i] = s * np.cos(angles[i])
+        s *= np.sin(angles[i])
+    x[n - 1] = s
+    return x
 
 
 def _half_sphere_samples(n, target):
@@ -802,8 +580,8 @@ def _sign_witness(atoms, weights, shape, flags):
     return (C @ coef).reshape(shape)
 
 
-def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0, net=None,
-                     starts=16, bnb_tol=1e-3, escalate=True, gap_goal=1e-6):
+def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0, starts=16,
+                     escalate=True, gap_goal=1e-6):
     """Certified interval ``[lower, upper]`` enclosing the nuclear norm.
 
     A cheap greedy pursuit handles well-separated instances; when its
@@ -886,7 +664,7 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0, net=None,
         return p / max(s, 1e-30)
 
     Z = max(witness_cands, key=heuristic_ratio)
-    w_up, certified, how = _witness_bound(Z, net, bnb_tol)
+    w_up, certified, how = _witness_bound(Z)
     flags.append(f"witness_bound_{how}")
     pairing = inner(A, Z)
     lower = l2
@@ -924,7 +702,7 @@ def duality_gap_check(T, S, spectral_T=None, sandwich_S=None):
         try:
             _, sig_up = spectral_certified_upper(A, tol=1e-5)
         except ParameterError:
-            sig_up = 2.0 * spectral_hopm(A).value
+            sig_up = spectral_flattening_upper(A)
     else:
         sig_up = spectral_T
     if sandwich_S is None:
@@ -956,7 +734,7 @@ def restricted_norm_check(T, family, tol=1e-6):
     for k, x in enumerate(res.maximizers):
         P = family.subspaces[k].projector()
         px = P @ x
-        polished.append(_unit(px) if np.linalg.norm(px) > 0 else x)
+        polished.append(normalize(px) if np.linalg.norm(px) > 0 else x)
     value_polished = abs(multilinear_contract(A, list(polished)))
     residuals = []
     for k, x in enumerate(polished):
@@ -970,7 +748,7 @@ def restricted_norm_check(T, family, tol=1e-6):
     sand = nuclear_sandwich(A)
     Zp = project(sel, family, sand.dual_witness)
     pair = inner(A, Zp)
-    zp_up, _, _ = _witness_bound(Zp, None, 1e-5)
+    zp_up, _, _ = _witness_bound(Zp)
     witness_ok = (
         pair >= sand.lower * (1.0 - tol) * min(1.0, sand.witness_spectral_upper)
         or pair / max(zp_up, 1e-30) >= sand.lower * (1.0 - tol) - 1e-9

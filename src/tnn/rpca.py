@@ -34,8 +34,12 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .norms import spectral_certified_upper, spectral_hopm
-from .subdiff import _matricization_sigma_upper, find_z_witness
+from .norms import (
+    spectral_certified_upper,
+    spectral_flattening_upper,
+    spectral_hopm,
+)
+from .subdiff import find_z_witness
 from .subspace import (
     EntrySupport,
     basic,
@@ -345,7 +349,7 @@ def neumann_certificate(instance, lam=None, tol=1e-12, k_max=200):
 def _certified_sigma(X, tol=1e-3):
     """(lower, upper, certified) bounds on the spectral norm."""
     lo = spectral_hopm(X).value
-    flat = _matricization_sigma_upper(X)
+    flat = spectral_flattening_upper(X)
     try:
         blo, bup = spectral_certified_upper(X, tol=tol)
         return max(lo, blo), min(bup, flat), True

@@ -25,23 +25,27 @@ from scipy.optimize import minimize
 
 from .errors import LookupError_, ParameterError, PreconditionError
 from .norms import (
+    _WITNESS_MAX_EVALS,
+    _WITNESS_TOL,
     nuclear_sandwich,
     spectral_certified_upper,
+    spectral_flattening_upper,
     spectral_hopm,
 )
 from .subspace import (
     Selector,
     basic,
-    direct_sum,
     family_from_tensor,
+    order_ge2_sum,
     project,
     upper_u,
 )
 from .tensor_core import (
     asarray,
+    basis_vector,
     holder_norm,
     inner,
-    mode_matricize,
+    normalize,
     outer_atom,
 )
 
@@ -94,7 +98,7 @@ def _spectral_decision(G, tol, max_evals=600_000):
         return lo_h, np.inf, False
 
 
-def is_subgradient(G, T, tol=1e-3, net=None, sandwich=None):
+def is_subgradient(G, T, tol=1e-3, sandwich=None):
     """Three-way check of ``G`` being a subgradient of the nuclear norm at
     ``T``: requires ``<G, T> = ||T||_*`` and ``||G||_sigma <= 1`` within
     certified bounds."""
@@ -104,7 +108,7 @@ def is_subgradient(G, T, tol=1e-3, net=None, sandwich=None):
     if holder_norm(T, 2) == 0.0:
         raise ParameterError("base point must be nonzero")
     if sandwich is None:
-        sandwich = nuclear_sandwich(T, net=net)
+        sandwich = nuclear_sandwich(T)
     pairing = inner(G, T)
     sig_lo, sig_up, certified = _spectral_decision(G, tol)
     notes = [] if certified else ["spectral_upper_uncertified"]
@@ -126,15 +130,6 @@ def is_subgradient(G, T, tol=1e-3, net=None, sandwich=None):
     )
 
 
-def _matricization_sigma_upper(X):
-    """Certified spectral upper bound valid at any size: the smallest
-    flattening operator norm across modes."""
-    A = asarray(X)
-    return min(
-        float(np.linalg.norm(mode_matricize(A, k), 2)) for k in range(A.ndim)
-    )
-
-
 def find_z_witness(T, sandwich=None, return_info=False):
     """Dual certificate in the span subspace of ``T``: a tensor ``Z`` with
     ``sp_k(Z) <= sp_k(T)``, certified ``||Z||_sigma <= 1``, and
@@ -148,13 +143,14 @@ def find_z_witness(T, sandwich=None, return_info=False):
     Zp = project(basic(()), family, sandwich.dual_witness)
     flags = []
     try:
-        # A loose-but-valid upper bound is fine here: dividing by it keeps
-        # the witness certifiably inside the unit spectral ball, at worst
-        # giving up a little pairing quality.
-        _, up = spectral_certified_upper(Zp, tol=1e-4, max_evals=60_000)
-        up = min(up, _matricization_sigma_upper(Zp))
+        # Any valid upper bound keeps Z inside the unit spectral ball; the
+        # sandwich's own witness tolerance and budget keep <Z, T> up to the
+        # sandwich's lower bound, which the fallback test below compares.
+        _, up = spectral_certified_upper(Zp, tol=_WITNESS_TOL,
+                                         max_evals=_WITNESS_MAX_EVALS)
+        up = min(up, spectral_flattening_upper(Zp))
     except ParameterError:
-        up = _matricization_sigma_upper(Zp)
+        up = spectral_flattening_upper(Zp)
     Z = Zp / up if up > 0 else Zp
     pairing = inner(Z, A)
     if pairing < sandwich.lower * (1.0 - 1e-6):
@@ -162,9 +158,9 @@ def find_z_witness(T, sandwich=None, return_info=False):
         try:
             _, sig_up = spectral_certified_upper(A, tol=1e-6,
                                                  max_evals=60_000)
-            sig_up = min(sig_up, _matricization_sigma_upper(A))
+            sig_up = min(sig_up, spectral_flattening_upper(A))
         except ParameterError:
-            sig_up = _matricization_sigma_upper(A)
+            sig_up = spectral_flattening_upper(A)
         Z = A / sig_up
         flags.append("fallback_scaled_base")
     if return_info:
@@ -231,12 +227,6 @@ def _family_radius(kind, d, index_set):
     raise ParameterError(f"unknown family kind {kind!r}")
 
 
-def _order_ge2_selector(d):
-    sets = [frozenset(c) for r in range(2, d + 1)
-            for c in itertools.combinations(range(d), r)]
-    return direct_sum(sets)
-
-
 def build_inclusion_member(T, family_kind, Z, X, index_set=None, tol=1e-3):
     """Assemble ``G = Z + X`` for one of the subdifferential inclusion
     families and verify it.
@@ -288,7 +278,7 @@ def build_inclusion_member(T, family_kind, Z, X, index_set=None, tol=1e-3):
         Xd = check_piece(X, upper_u(I), radius, f"DI I={sorted(I)}")
     else:
         radius = _family_radius(family_kind, d, index_set)
-        Xd = check_piece(X, _order_ge2_selector(d), radius, family_kind)
+        Xd = check_piece(X, order_ge2_sum(d), radius, family_kind)
 
     G = asarray(Z) + Xd
     report = is_subgradient(G, A, tol=tol)
@@ -336,9 +326,7 @@ def _gallery_directions(selector, shape):
     out = []
     d = len(shape)
     if selector.kind == "sum" and all(n == 2 for n in shape):
-        full = {frozenset(c) for r in range(2, d + 1)
-                for c in itertools.combinations(range(d), r)}
-        if set(selector.sets) == full:
+        if set(selector.sets) == set(order_ge2_sum(d).sets):
             if d == 3:
                 g = gallery("yuan3", t=1.0)
                 for sgn in (-1.0, 1.0):
@@ -354,15 +342,9 @@ def _gallery_directions(selector, shape):
             v = np.zeros(n)
             v[1 if (k in I and n > 1) else 0] = 1.0
             vecs.append(v)
-        T = outer_atom([_e(n, 0) for n in shape])
+        T = outer_atom([basis_vector(n) for n in shape])
         out.append((T, T, outer_atom(vecs)))
     return out
-
-
-def _e(n, i):
-    v = np.zeros(n)
-    v[i] = 1.0
-    return v
 
 
 def probe_tau(selector, shape, trials=8, seed=0, bisect_tol=1e-3, s_max=2.0,
@@ -380,7 +362,7 @@ def probe_tau(selector, shape, trials=8, seed=0, bisect_tol=1e-3, s_max=2.0,
     candidates = list(_gallery_directions(selector, shape))
     notes = []
     while len(candidates) < trials + len(_gallery_directions(selector, shape)):
-        T = outer_atom([_unitv(rng.standard_normal(n)) for n in shape])
+        T = outer_atom([normalize(rng.standard_normal(n)) for n in shape])
         family = family_from_tensor(T)
         U = project(selector, family, rng.standard_normal(shape))
         if holder_norm(U, 2) < 1e-9:
@@ -432,11 +414,6 @@ def probe_tau(selector, shape, trials=8, seed=0, bisect_tol=1e-3, s_max=2.0,
     return TauEstimate(selector, shape, float(feasible_max),
                        float(infeasible_min), len(candidates), feas_wit,
                        infeas_wit, tuple(notes))
-
-
-def _unitv(v):
-    n = np.linalg.norm(v)
-    return v / n if n > 0 else v
 
 
 # ---------------------------------------------------------------------------
@@ -586,7 +563,8 @@ def gallery(name, t=None):
     s3 = np.sqrt(3.0)
     if name == "notsingle":
         T = _diag_tensor(3, (3, 3, 3))
-        X = outer_atom([_e(3, 0), _e(3, 1), _e(3, 2)])
+        X = outer_atom([basis_vector(3, 0), basis_vector(3, 1),
+                        basis_vector(3, 2)])
         Z = T + tval * X
         return {
             "T": T, "Z": Z, "X": X, "t": tval,
@@ -598,8 +576,10 @@ def gallery(name, t=None):
         }
     if name == "oneperp":
         T = _diag_tensor(2, (2, 2, 3))
-        X = tval * outer_atom([_e(2, 0), _e(2, 1), _e(3, 2)])
-        Y = tval * outer_atom([_e(2, 0), _e(2, 0), _e(3, 2)])
+        X = tval * outer_atom([basis_vector(2, 0), basis_vector(2, 1),
+                               basis_vector(3, 2)])
+        Y = tval * outer_atom([basis_vector(2, 0), basis_vector(2, 0),
+                               basis_vector(3, 2)])
         return {
             "T": T, "Z": T, "X": X, "Y": Y, "t": tval,
             "oracles": {
@@ -610,11 +590,14 @@ def gallery(name, t=None):
             },
         }
     if name in ("yuan3", "yuan33"):
-        T = outer_atom([_e(2, 0)] * 3)
+        T = outer_atom([basis_vector(2, 0)] * 3)
         X = tval * (
-            outer_atom([_e(2, 0), _e(2, 1), _e(2, 1)])
-            + outer_atom([_e(2, 1), _e(2, 0), _e(2, 1)])
-            + outer_atom([_e(2, 1), _e(2, 1), _e(2, 0)])
+            outer_atom([basis_vector(2, 0), basis_vector(2, 1),
+                        basis_vector(2, 1)])
+            + outer_atom([basis_vector(2, 1), basis_vector(2, 0),
+                          basis_vector(2, 1)])
+            + outer_atom([basis_vector(2, 1), basis_vector(2, 1),
+                          basis_vector(2, 0)])
         )
         if -1.0 <= tval <= 0.5:
             szx = 1.0
@@ -634,10 +617,10 @@ def gallery(name, t=None):
             out["oracles"]["sigma_X_plus_Y"] = abs(tval)
         return out
     if name == "yuan4":
-        T = outer_atom([_e(2, 0)] * 4)
+        T = outer_atom([basis_vector(2, 0)] * 4)
         X = np.zeros((2, 2, 2, 2))
         for pattern in set(itertools.permutations((0, 0, 1, 1))):
-            X += outer_atom([_e(2, i) for i in pattern])
+            X += outer_atom([basis_vector(2, i) for i in pattern])
         X = tval * X
         return {
             "T": T, "Z": T, "X": X, "t": tval,
@@ -648,12 +631,15 @@ def gallery(name, t=None):
             },
         }
     if name == "limitation":
-        T = outer_atom([_e(2, 0)] * 3)
+        T = outer_atom([basis_vector(2, 0)] * 3)
         S = (
-            outer_atom([_e(2, 0), _e(2, 1), _e(2, 1)])
-            + outer_atom([_e(2, 1), _e(2, 0), _e(2, 1)])
-            + outer_atom([_e(2, 1), _e(2, 1), _e(2, 0)])
-            + outer_atom([_e(2, 1)] * 3)
+            outer_atom([basis_vector(2, 0), basis_vector(2, 1),
+                        basis_vector(2, 1)])
+            + outer_atom([basis_vector(2, 1), basis_vector(2, 0),
+                          basis_vector(2, 1)])
+            + outer_atom([basis_vector(2, 1), basis_vector(2, 1),
+                          basis_vector(2, 0)])
+            + outer_atom([basis_vector(2, 1)] * 3)
         )
         return {
             "T": T, "S": S,

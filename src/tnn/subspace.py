@@ -16,6 +16,7 @@ Entry supports give the coordinate projectors used by the robust-PCA module.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
@@ -37,6 +38,7 @@ __all__ = [
     "upper_u",
     "lower_u",
     "direct_sum",
+    "order_ge2_sum",
     "parse_selector",
     "format_selector",
     "family_from_tensor",
@@ -172,6 +174,12 @@ def lower_u(I):
 
 def direct_sum(sets):
     return Selector("sum", tuple(frozenset(s) for s in sets))
+
+
+def order_ge2_sum(d):
+    """Direct sum of the basic subspaces of every index set of size >= 2."""
+    return direct_sum(c for r in range(2, d + 1)
+                      for c in itertools.combinations(range(d), r))
 
 
 def parse_selector(text):

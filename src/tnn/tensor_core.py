@@ -102,7 +102,7 @@ class RankOneAtom:
         for f in factors:
             nrm = np.linalg.norm(f)
             if nrm == 0.0:
-                return cls(0.0, tuple(_unit_e1(f.size) for f in factors))
+                return cls(0.0, tuple(basis_vector(f.size) for f in factors))
             w *= nrm
             unit.append(f / nrm)
         return cls(w, tuple(unit))
@@ -115,10 +115,17 @@ class RankOneAtom:
         return outer_atom(self.factors, self.weight)
 
 
-def _unit_e1(n):
+def basis_vector(n, i=0):
+    """The standard basis vector ``e_i`` of ``R^n``."""
     e = np.zeros(n)
-    e[0] = 1.0
+    e[i] = 1.0
     return e
+
+
+def normalize(v):
+    """``v / ||v||``, or ``v`` unchanged when it is zero."""
+    n = np.linalg.norm(v)
+    return v / n if n > 0 else v
 
 
 @dataclass(frozen=True)

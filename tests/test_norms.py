@@ -1,24 +1,24 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tnn import (
     ParameterError,
     PreconditionError,
     asarray,
-    build_net,
     decomposition_sum,
     duality_gap_check,
     family_from_tensor,
     holder_norm,
     inner,
+    mode_matricize,
     multilinear_contract,
     nuclear_sandwich,
     outer_atom,
     restricted_norm_check,
     spectral_certified_upper,
     spectral_hopm,
-    spectral_net_bounds,
-    spectral_symmetric_banach,
 )
 from conftest import e
 
@@ -113,64 +113,40 @@ class TestSpectralCertified:
         assert lo <= s <= up
         assert up - lo <= 1e-8
 
+    @pytest.mark.parametrize("T, expected", [
+        (np.zeros((2, 2, 2)), 0.0),
+        (outer_atom([e(2, 0)] * 3) + outer_atom([e(2, 1)] * 3), 1.0),
+        (outer_atom([e(2, 0)] * 3) + perm_sum_tensor(-1.0), 1.0),
+        (outer_atom([e(2, 0)] * 3) + perm_sum_tensor(0.6),
+         2.0 * np.sqrt(0.6 ** 3 / (3.0 * 0.6 - 1.0))),
+    ], ids=["zero_tensor", "diag_identity", "perm_sum_plus_corner_at_boundary",
+            "supercritical_closed_form"])
+    def test_encloses_known_values(self, T, expected):
+        lo, up = spectral_certified_upper(asarray(T), tol=1e-8)
+        assert lo - 1e-12 <= expected <= up + 1e-12
+        assert up - lo <= 1e-8
 
-class TestNetBounds:
-    def test_unit_atom_two_x_bound(self):
-        T = outer_atom([e(2, 0)] * 3)
-        net = build_net((2, 2, 2), 1.0 / 6.0)
-        lo, up = spectral_net_bounds(T, net)
-        assert lo <= 1.0 + 1e-12
-        assert up <= 2.0 + 1e-12
-        assert up >= 1.0 - 1e-12
+    def test_random_444_meets_tolerance_within_default_budget(self):
+        T = np.random.default_rng(0).standard_normal((4, 4, 4))
+        lo, up = spectral_certified_upper(T / np.linalg.norm(T), tol=1e-4)
+        assert up - lo <= 1e-4
 
-    def test_zero_tensor(self):
-        net = build_net((2, 2, 2), 0.05)
-        lo, up = spectral_net_bounds(np.zeros((2, 2, 2)), net)
-        assert (lo, up) == (0.0, 0.0)
+    def test_tiny_budget_still_bounds_hopm(self, rng):
+        T = asarray(rng.standard_normal((3, 4, 4)))
+        lo, up = spectral_certified_upper(T, tol=1e-9, max_evals=1)
+        assert lo <= spectral_hopm(T).value <= up + 1e-12
 
-    def test_perm_sum_interval(self):
-        T = asarray(perm_sum_tensor(1.0))
-        net = build_net((2, 2, 2), 0.02)
-        lo, up = spectral_net_bounds(T, net)
-        assert lo <= 2.0 / SQ3 <= up
-        assert up - lo <= 0.075
-
-    def test_monotone_refinement(self):
-        T = asarray(perm_sum_tensor(0.7))
-        widths = []
-        for eps in (0.1, 0.05, 0.02):
-            lo, up = spectral_net_bounds(T, build_net((2, 2, 2), eps))
-            widths.append(up - lo)
-        assert widths[0] >= widths[1] >= widths[2]
-
-    def test_epsilon_range_enforced(self):
-        with pytest.raises(ParameterError):
-            build_net((2, 2, 2), 0.5)  # >= 1/d
-
-
-class TestSymmetricBanach:
-    def test_diag_identity(self):
-        T = outer_atom([e(2, 0)] * 3) + outer_atom([e(2, 1)] * 3)
-        assert spectral_symmetric_banach(asarray(T)) == pytest.approx(
-            1.0, abs=1e-8
-        )
-
-    def test_perm_sum_plus_corner_at_boundary(self):
-        Z = outer_atom([e(2, 0)] * 3)
-        T = asarray(Z + perm_sum_tensor(-1.0))
-        assert spectral_symmetric_banach(T) == pytest.approx(1.0, abs=1e-8)
-
-    def test_supercritical_closed_form(self):
-        t = 0.6
-        Z = outer_atom([e(2, 0)] * 3)
-        T = asarray(Z + perm_sum_tensor(t))
-        expected = 2.0 * np.sqrt(t ** 3 / (3.0 * t - 1.0))
-        assert spectral_symmetric_banach(T) == pytest.approx(expected,
-                                                             abs=1e-8)
-
-    def test_rejects_asymmetric(self, rng):
-        with pytest.raises(PreconditionError):
-            spectral_symmetric_banach(asarray(rng.standard_normal((2, 2, 2))))
+    @given(shape=st.sampled_from([(2, 2, 2), (1, 3, 2), (3, 3, 3), (2, 3, 4),
+                                  (2, 1, 3, 2), (2, 2, 2, 2)]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           tol=st.sampled_from([1e-3, 1e-5, 1e-7]))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_enclosure_property(self, shape, seed, tol):
+        T = np.random.default_rng(seed).standard_normal(shape)
+        lo, up = spectral_certified_upper(T, tol=tol)
+        hopm = spectral_hopm(T, starts=64).value
+        assert lo <= hopm <= up + 1e-12
+        assert up - lo <= tol
 
 
 class TestNuclearSandwich:
@@ -240,6 +216,15 @@ class TestDualityGap:
         report = duality_gap_check(T, S)
         assert report["holds"]
         assert report["slack"] >= -1e-10
+
+    def test_large_modes_use_flattening_bound(self, rng):
+        T = asarray(rng.standard_normal((5, 6, 7)))
+        S = outer_atom([e(n, 0) for n in (5, 6, 7)])
+        flattening = min(np.linalg.norm(mode_matricize(T, k), 2)
+                         for k in range(3))
+        report = duality_gap_check(T, S)
+        assert report["spectral_upper"] == flattening
+        assert report["holds"]
 
 
 class TestRestrictedNorm:
