@@ -32,7 +32,6 @@ from .norms import nuclear_sandwich, spectral_certified_upper, spectral_hopm
 from .subspace import (
     ModeFamily,
     ModeSubspace,
-    Selector,
     basic,
     lower_u,
     order_ge2_sum,

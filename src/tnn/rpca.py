@@ -20,11 +20,24 @@ corruption support:
 ``D = D1 + D2`` and reports each verdict with its slack; norm bounds that
 cannot be certified at the instance's size are flagged rather than
 asserted.
+
+The span projector is ``p_L = Q Q^T`` with ``Q = U_1 (x) ... (x) U_d`` the
+Kronecker product of the mode factors of ``L``.  Every norm of a
+composition of ``p_L`` with entry projectors is therefore the norm of a
+small ``|I| x R`` gather ``Q_I`` of the rows of ``Q``, ``R = prod r_k``, and
+is computed exactly without forming an operator on the whole space:
+
+* the span/support angle of condition 5, ``||p_L p_I|| = sigma_max(Q_I)``,
+  and the Neumann contraction ``||p_I p_L p_I|| = sigma_max(Q_I)^2``;
+* the leakage ``||p_L p_{I perp}|| = sigma_max(Q_{I perp})``;
+* the sampling deviation
+  ``||p_L (p_full - q^{-1} p_I) p_L|| = ||I_R - q^{-1} Q_I^T Q_I||``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -44,11 +57,10 @@ from .subspace import (
     EntrySupport,
     basic,
     family_from_tensor,
-    operator_norm_chain,
     project,
     support_project,
 )
-from .tensor_core import asarray, holder_norm, inner, outer_atom
+from .tensor_core import asarray, holder_norm, outer_atom
 
 __all__ = [
     "RpcaInstance",
@@ -93,6 +105,17 @@ class RpcaInstance:
         """The observed tensor L + S."""
         return self.L + self.S
 
+    @cached_property
+    def _span(self):
+        """``(p_L, sigma_max(Q_{I(S)}))``, built once per instance and shared
+        by ``certify``, ``golfing_certificate`` and ``neumann_certificate``."""
+        family = family_from_tensor(self.L)
+
+        def p_L(X):
+            return project(basic(()), family, X)
+
+        return p_L, _sigma_max(_factor_rows(family, self.support.mask))
+
 
 @dataclass(frozen=True)
 class IncoherenceProfile:
@@ -120,7 +143,7 @@ class DualCertificate:
     D2: np.ndarray
     m: int
     neumann_terms: int
-    delta: float                 # measured ||p_{I(S)} p_L p_{I(S)}||
+    delta: float                 # exact ||p_{I(S)} p_L p_{I(S)}||
 
     @property
     def D(self):
@@ -272,14 +295,22 @@ def incoherence_profile(L, theta0=1.0, rank_tol=1e-10, rho=0.0, Z=None,
 # Dual certificate construction.
 # ---------------------------------------------------------------------------
 
-def _span_projector(L):
-    family = family_from_tensor(L)
-    sel = basic(())
+def _factor_rows(family, mask):
+    """The rows of ``Q = U_1 (x) ... (x) U_d`` at the multi-indices
+    ``np.argwhere(mask)``: an ``|I| x R`` array with ``R = prod r_k``, built
+    with one broadcast product per mode."""
+    idx = np.argwhere(mask)
+    rows = np.ones((len(idx), 1))
+    for k, sub in enumerate(family.subspaces):
+        rows = (rows[:, :, None] * sub.basis[idx[:, k], None, :]).reshape(
+            len(idx), rows.shape[1] * sub.dim
+        )
+    return rows
 
-    def p_L(X):
-        return project(sel, family, X)
 
-    return p_L, family
+def _sigma_max(A):
+    """Largest singular value; 0 for an array without entries."""
+    return float(np.linalg.norm(A, 2)) if A.size else 0.0
 
 
 def golfing_certificate(instance, Z):
@@ -292,7 +323,7 @@ def golfing_certificate(instance, Z):
     Z = asarray(Z)
     if Z.shape != instance.shape:
         raise PreconditionError("witness shape mismatch")
-    p_L, _ = _span_projector(instance.L)
+    p_L, _ = instance._span
     m = len(instance.batch_masks)
     phi = instance.rho ** (1.0 / m) if instance.rho > 0 else 0.0
     scale = 1.0 / (1.0 - phi)
@@ -316,16 +347,15 @@ def neumann_certificate(instance, lam=None, tol=1e-12, k_max=200):
     ``D2 = lambda p_{L perp} sum_k (p_{I(S)} p_L p_{I(S)})^k (E)``,
     the least-squares solution of ``p_{I(S)}(D2) = lambda E`` orthogonal to
     the span subspace, accumulated term by term.  Returns
-    ``(D2, delta, terms_used)`` where ``delta`` is the measured contraction
-    norm; ``delta >= 1`` aborts (the series diverges)."""
+    ``(D2, delta, terms_used)`` where ``delta = sigma_max(Q_{I(S)})^2`` is
+    the exact contraction norm; ``delta >= 1`` aborts (the series
+    diverges)."""
     if lam is None:
         lam = default_lambda(instance.shape)
     lam = float(lam)
-    p_L, family = _span_projector(instance.L)
+    p_L, angle = instance._span
     sup = instance.support
-    delta = operator_norm_chain(
-        [sup, (basic(()), family), sup], instance.shape
-    )
+    delta = angle ** 2
     if delta >= 1.0:
         raise CertificateInfeasibleError(
             f"support/span contraction norm {delta:.6f} >= 1; "
@@ -368,7 +398,7 @@ def certify(instance, lam=None, m=None, neumann_tol=1e-12, sigma_tol=1e-3):
         lam = default_lambda(instance.shape)
     lam = float(lam)
     notes = []
-    p_L, family = _span_projector(instance.L)
+    p_L, angle = instance._span
     Z, z_flags = find_z_witness(instance.L, return_info=True)
     notes.extend(z_flags)
 
@@ -420,8 +450,8 @@ def certify(instance, lam=None, m=None, neumann_tol=1e-12, sigma_tol=1e-3):
             "certified": True, "ok": off_sup < lam / 2.0,
         },
         "span_support_angle": {
-            "value": float(delta), "threshold": 0.5,
-            "certified": True, "ok": delta < 0.5,
+            "value": angle, "threshold": 0.5,
+            "certified": True, "ok": angle < 0.5,
         },
     }
     overall = all(c["ok"] for c in conditions.values())
@@ -488,6 +518,14 @@ def solve_matrix_rpca(M, lam=None, mu=None, tol=1e-9, max_iter=2000):
 # Concentration experiments.
 # ---------------------------------------------------------------------------
 
+def _sampling_norms(family, mask, q):
+    """``(||p_L (p_full - q^{-1} p_I) p_L||, ||p_L p_{I perp}||)`` for the
+    entry set ``I = mask``, from the row gathers of the Kronecker factor."""
+    Q_I = _factor_rows(family, mask)
+    dev = _sigma_max(np.eye(Q_I.shape[1]) - (Q_I.T @ Q_I) / q)
+    return dev, _sigma_max(_factor_rows(family, ~mask))
+
+
 def concentration_trial(L, q, trials=20, seed=0):
     """Empirical distribution of the three random operator norms driving
     the identifiability analysis, under Bernoulli(``q``) supports.
@@ -502,22 +540,14 @@ def concentration_trial(L, q, trials=20, seed=0):
         raise ParameterError("support probability must lie in (0, 1]")
     if trials < 1:
         raise ParameterError("need at least one trial")
-    p_L, family = _span_projector(A)
+    family = family_from_tensor(A)
     shape = A.shape
     prof = incoherence_profile(A)
     root = np.random.SeedSequence([int(seed), *shape])
     records = []
     for child in root.spawn(int(trials)):
         rng = np.random.default_rng(child)
-        mask = EntrySupport(shape, rng.random(shape) < q)
-
-        def centered(X, mask=mask):
-            return p_L(X) - (1.0 / q) * support_project(mask, p_L(X))
-
-        dev = operator_norm_chain([(basic(()), family), centered], shape)
-        leak = operator_norm_chain(
-            [mask.complemented(), (basic(()), family)], shape
-        )
+        dev, leak = _sampling_norms(family, rng.random(shape) < q, q)
         E = np.where(
             rng.random(shape) < 0.5, -1.0, 1.0
         ) * (rng.random(shape) < q)

@@ -1,13 +1,21 @@
+from functools import reduce
+
 import numpy as np
 import pytest
 
+import tnn
+import tnn.rpca
+import tnn.subspace
 from tnn import (
     CertificateInfeasibleError,
     ConvergenceError,
     EntrySupport,
+    ModeFamily,
+    ModeSubspace,
     ParameterError,
     RpcaInstance,
     asarray,
+    basic,
     certify,
     concentration_trial,
     default_batches,
@@ -18,10 +26,12 @@ from tnn import (
     holder_norm,
     incoherence_profile,
     neumann_certificate,
+    operator_norm_chain,
     outer_atom,
     solve_matrix_rpca,
     support_project,
 )
+from tnn.rpca import _factor_rows, _sampling_norms, _sigma_max
 from conftest import e
 
 
@@ -194,6 +204,133 @@ class TestNeumann:
             neumann_certificate(inst)
 
 
+def _random_family(rng, shape, ranks):
+    return ModeFamily(tuple(
+        ModeSubspace(n, np.linalg.qr(rng.standard_normal((n, r)))[0])
+        for n, r in zip(shape, ranks)
+    ))
+
+
+def _tensor_with_family(family, rng):
+    """A generic tensor whose mode spans are exactly the family's."""
+    out = rng.standard_normal(tuple(s.dim for s in family.subspaces))
+    for k, sub in enumerate(family.subspaces):
+        out = np.moveaxis(np.tensordot(sub.basis, out, axes=(1, k)), 0, k)
+    return out
+
+
+RANKED_FAMILIES = [((3, 4, 5), (2, 1, 2)), ((2, 3, 2, 3), (1, 2, 2, 2))]
+
+
+class TestKroneckerRowNorms:
+    """The closed forms from row gathers of ``Q = U_1 (x) ... (x) U_d``
+    against ``operator_norm_chain``'s dense path."""
+
+    @pytest.mark.parametrize("shape,ranks", RANKED_FAMILIES)
+    def test_rows_are_rows_of_the_kronecker_factor(self, shape, ranks):
+        rng = np.random.default_rng(11)
+        family = _random_family(rng, shape, ranks)
+        mask = rng.random(shape) < 0.4
+        Q = reduce(np.kron, [s.basis for s in family.subspaces])
+        rows = _factor_rows(family, mask)
+        assert rows.shape == (int(mask.sum()), int(np.prod(ranks)))
+        assert np.allclose(rows, Q[np.flatnonzero(mask)], atol=1e-15)
+
+    @pytest.mark.parametrize("shape,ranks", RANKED_FAMILIES)
+    @pytest.mark.parametrize("q", [0.3, 0.8])
+    def test_closed_forms_match_dense_chains(self, shape, ranks, q):
+        rng = np.random.default_rng(12)
+        family = _random_family(rng, shape, ranks)
+        span = (basic(()), family)
+        mask = rng.random(shape) < q
+        sup = EntrySupport(shape, mask)
+
+        angle = _sigma_max(_factor_rows(family, mask))
+        assert angle == pytest.approx(
+            operator_norm_chain([span, sup], shape), abs=1e-12)
+        assert angle ** 2 == pytest.approx(
+            operator_norm_chain([sup, span, sup], shape), abs=1e-12)
+
+        def centered(X):
+            return X - support_project(sup, X) / q
+
+        dev, leak = _sampling_norms(family, mask, q)
+        assert dev == pytest.approx(
+            operator_norm_chain([span, centered, span], shape), abs=1e-12)
+        assert leak == pytest.approx(
+            operator_norm_chain([sup.complemented(), span], shape), abs=1e-12)
+
+    def test_neumann_delta_matches_dense_chain(self):
+        rng = np.random.default_rng(13)
+        shape = (3, 4, 5)
+        family = _random_family(rng, shape, (2, 1, 2))
+        L = _tensor_with_family(family, rng)
+        support = EntrySupport(shape, rng.random(shape) < 0.1)
+        S = np.where(support.mask, 1.0, 0.0)
+        inst = RpcaInstance(L, S, S, support, 0.1, (support,), 0)
+        _, delta, _ = neumann_certificate(inst)
+        dense = operator_norm_chain(
+            [support, (basic(()), family_from_tensor(L)), support], shape)
+        assert 0.0 < delta < 1.0
+        assert delta == pytest.approx(dense, rel=1e-12)
+
+    def test_empty_support(self):
+        rng = np.random.default_rng(14)
+        shape = (3, 4, 5)
+        family = _random_family(rng, shape, (2, 1, 2))
+        empty = np.zeros(shape, dtype=bool)
+        assert _factor_rows(family, empty).shape == (0, 4)
+        assert _sigma_max(_factor_rows(family, empty)) == 0.0
+        support = EntrySupport.empty(shape)
+        inst = RpcaInstance(_tensor_with_family(family, rng),
+                            np.zeros(shape), np.zeros(shape), support, 0.0,
+                            (support,), 0)
+        D2, delta, _ = neumann_certificate(inst)
+        assert delta == 0.0
+        assert np.array_equal(D2, np.zeros(shape))
+
+    def test_full_support(self):
+        rng = np.random.default_rng(15)
+        shape = (3, 4, 5)
+        family = _random_family(rng, shape, (2, 1, 2))
+        full = np.ones(shape, dtype=bool)
+        dev, leak = _sampling_norms(family, full, 1.0)
+        assert dev == pytest.approx(0.0, abs=1e-14)
+        assert leak == 0.0
+        # p_I p_L p_I = p_L on the full support: the series diverges.
+        support = EntrySupport.full(shape)
+        S = np.ones(shape)
+        inst = RpcaInstance(_tensor_with_family(family, rng), S, S, support,
+                            0.5, (support,), 0)
+        with pytest.raises(CertificateInfeasibleError):
+            neumann_certificate(inst)
+
+    def test_single_spiky_entry_has_unit_contraction(self):
+        L = outer_atom([e(2, 0)] * 3)
+        family = family_from_tensor(L)
+        mask = EntrySupport.from_indices((2, 2, 2), [(0, 0, 0)]).mask
+        assert _sigma_max(_factor_rows(family, mask)) == 1.0
+
+    def test_certify_and_concentration_use_no_dense_operator(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("operator_norm_chain was called")
+
+        assert not hasattr(tnn.rpca, "operator_norm_chain")
+        monkeypatch.setattr(tnn.subspace, "operator_norm_chain", refuse)
+        monkeypatch.setattr(tnn, "operator_norm_chain", refuse)
+
+        inst = generate_instance((12, 12, 12), 1, 0.02, m=3, seed=1)
+        report, cert, _ = certify(inst)
+        # The dense path's value on this instance.
+        assert cert.delta == pytest.approx(0.02141203703703706, rel=1e-12)
+        angle = report.conditions["span_support_angle"]
+        assert angle["value"] == pytest.approx(np.sqrt(cert.delta), rel=1e-12)
+
+        L = generate_instance((6, 6, 6), 1, 0.0, seed=0).L
+        out = concentration_trial(L, q=0.8, trials=2, seed=0)
+        assert len(out["records"]) == 2
+
+
 class TestCertify:
     def test_incoherent_instance_construction_conditions(self):
         inst = generate_instance((12, 12, 12), 1, 0.02, m=3, seed=1)
@@ -212,6 +349,24 @@ class TestCertify:
         report, cert, _ = certify(inst)
         assert report.overall
         assert np.allclose(cert.D2, 0.0)
+
+    def test_angle_condition_compares_the_norm_with_one_half(self):
+        # Flat rank one on 2x2x2: every row of Q is 8^{-1/2}, so three
+        # corrupted entries give ||p_L p_I|| = sqrt(3/8) > 1/2 while the
+        # contraction 3/8 stays below both 1/2 and 1.
+        L = outer_atom([np.ones(2) / np.sqrt(2)] * 3)
+        support = EntrySupport.from_indices(
+            (2, 2, 2), [(0, 0, 0), (0, 1, 1), (1, 1, 0)])
+        S = np.asarray(support_project(support, np.ones((2, 2, 2))))
+        inst = RpcaInstance(np.asarray(L), S, np.sign(S), support, 0.375,
+                            (support,), 0)
+        report, cert, _ = certify(inst)
+        angle = report.conditions["span_support_angle"]
+        assert cert.delta == pytest.approx(3.0 / 8.0, rel=1e-12)
+        assert angle["value"] == pytest.approx(np.sqrt(3.0 / 8.0), rel=1e-12)
+        assert angle["threshold"] == 0.5
+        assert not angle["ok"]
+        assert not report.overall
 
     def test_coherent_instance_fails_loudly(self):
         L = outer_atom([e(2, 0)] * 3)
