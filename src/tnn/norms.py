@@ -12,8 +12,11 @@ holds at any size.
 The nuclear norm is enclosed in a sandwich ``[lower, upper]``: the upper
 bound comes from a greedy rank-one decomposition (with a final weight refit
 that minimizes total weight plus l1 residual), the lower bound from a dual
-witness that interpolates the signs of the decomposition's atoms, divided by
-a certified upper bound on the witness's spectral norm.
+witness divided by a certified upper bound on its spectral norm.  The
+candidate witnesses interpolate the signs of a decomposition's atoms or come
+from the dictionary LP; each is certified (branch and bound, or the
+flattening bound where the branch and bound refuses the shape) and the one
+with the best certified ratio ``<T, Z> / ||Z||_sigma`` is kept.
 """
 
 from __future__ import annotations
@@ -23,6 +26,7 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
+from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import DimensionError, ParameterError, PreconditionError
@@ -323,29 +327,26 @@ def _atom_column(factors, weight=1.0):
 
 
 def _l1_refit(columns, target):
-    """min sum|w| + ||target - columns @ w||_1 via a linear program."""
+    """min sum|w| + ||target - columns @ w||_1 via a linear program.
+
+    Equality form ``C w+ - C w- + v+ - v- = target`` over nonnegative
+    variables, minimizing their sum; the constraint matrix is sparse
+    (``[C, -C, I, -I]``), so memory grows with the entry count, not its
+    square.
+    """
     N, m = columns.shape
-    # variables: w (m, free), u (m, >=0), v (N, >=0); minimize 1'u + 1'v
-    c = np.concatenate([np.zeros(m), np.ones(m), np.ones(N)])
-    A_ub = np.zeros((2 * m + 2 * N, m + m + N))
-    b_ub = np.zeros(2 * m + 2 * N)
-    # w - u <= 0 ; -w - u <= 0
-    A_ub[:m, :m] = np.eye(m)
-    A_ub[:m, m:2 * m] = -np.eye(m)
-    A_ub[m:2 * m, :m] = -np.eye(m)
-    A_ub[m:2 * m, m:2 * m] = -np.eye(m)
-    # columns @ w - v <= target ; -columns @ w - v <= -target
-    A_ub[2 * m:2 * m + N, :m] = columns
-    A_ub[2 * m:2 * m + N, 2 * m:] = -np.eye(N)
-    b_ub[2 * m:2 * m + N] = target
-    A_ub[2 * m + N:, :m] = -columns
-    A_ub[2 * m + N:, 2 * m:] = -np.eye(N)
-    b_ub[2 * m + N:] = -target
-    bounds = [(None, None)] * m + [(0, None)] * (m + N)
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub, bounds=bounds, method="highs")
+    col = np.asarray(columns, dtype=float).ravel(order="F")
+    data = np.concatenate([col, -col, np.ones(N), -np.ones(N)])
+    rows = np.arange(N)
+    indices = np.concatenate([np.tile(rows, 2 * m), rows, rows])
+    indptr = np.concatenate([np.arange(0, 2 * m * N + 1, N),
+                             2 * m * N + np.arange(1, 2 * N + 1)])
+    A_eq = sparse.csc_array((data, indices, indptr), shape=(N, 2 * m + 2 * N))
+    res = linprog(np.ones(2 * m + 2 * N), A_eq=A_eq, b_eq=target,
+                  bounds=(0, None), method="highs")
     if not res.success:
         return None
-    return res.x[:m]
+    return res.x[:m] - res.x[m:2 * m]
 
 
 # Tolerance and budget of every certified bound on a dual witness (also used
@@ -356,15 +357,14 @@ _WITNESS_MAX_EVALS = 80_000
 
 
 def _witness_bound(Z):
-    """Certified (when possible) upper bound on ||Z||_sigma."""
+    """Certified upper bound on ||Z||_sigma and how it was found: the
+    branch and bound, or the flattening bound where it refuses the shape."""
     try:
         _, ub = spectral_certified_upper(Z, tol=_WITNESS_TOL,
                                          max_evals=_WITNESS_MAX_EVALS)
-        return ub, True, "bnb"
+        return ub, "bnb"
     except ParameterError:
-        pass
-    res = spectral_hopm(Z, starts=16, seed=1)
-    return 2.0 * res.value if res.value > 0 else 1.0, False, "heuristic"
+        return spectral_flattening_upper(Z), "flattening"
 
 
 def _greedy_atoms(A, tol, max_atoms, seed, starts):
@@ -482,68 +482,63 @@ def _polish_atoms(A, atoms, weights, rounds=(1e2, 1e4, 1e6), eps=1e-12):
     factors and weights (factors renormalized inside the objective)."""
     from scipy.optimize import minimize
 
-    shape = A.shape
-    d = A.ndim
     na = len(atoms)
     if na == 0:
         return atoms, weights
-    sizes = list(shape)
-    flen = sum(sizes)
-
-    def split(x):
-        w = x[:na]
-        fs = []
-        off = na
-        for i in range(na):
-            row = []
-            for n in sizes:
-                row.append(x[off:off + n])
-                off += n
-            fs.append(row)
-        return w, fs
-
-    def value_grad(x, C):
-        w, fs = split(x)
-        units = [[f / np.linalg.norm(f) for f in row] for row in fs]
-        dense = np.zeros(shape)
-        atom_dense = []
-        for i in range(na):
-            Ai = outer_atom(units[i])
-            atom_dense.append(Ai)
-            dense = dense + w[i] * Ai
-        R = dense - A
-        val = float(np.sum(np.sqrt(w * w + eps)) + C * np.sum(R * R))
-        g = np.zeros_like(x)
-        g[:na] = w / np.sqrt(w * w + eps)
-        off = na
-        for i in range(na):
-            g[i] += 2.0 * C * inner(R, atom_dense[i])
-            for k in range(d):
-                slots = [units[i][j] for j in range(d)]
-                slots[k] = None
-                du = 2.0 * C * w[i] * multilinear_contract(R, slots)
-                u = units[i][k]
-                nf = np.linalg.norm(fs[i][k])
-                g[off:off + sizes[k]] = (du - np.dot(du, u) * u) / nf
-                off += sizes[k]
-        return val, g
-
-    x0 = np.concatenate([np.asarray(weights, dtype=float)]
-                        + [np.asarray(f, dtype=float)
-                           for row in atoms for f in row])
-    x = x0
+    value_grad = _polish_objective(A, na, eps)
+    x = np.concatenate([np.asarray(weights, dtype=float)]
+                       + [np.asarray(f, dtype=float)
+                          for row in atoms for f in row])
     for C in rounds:
         res = minimize(value_grad, x, args=(C,), jac=True, method="L-BFGS-B",
                        options={"maxiter": 500})
         x = res.x
-    w, fs = split(x)
-    out_atoms, out_w = [], []
-    for i in range(na):
-        if abs(w[i]) < 1e-9:
-            continue
-        out_atoms.append(tuple(f / np.linalg.norm(f) for f in fs[i]))
-        out_w.append(w[i])
-    return out_atoms, np.array(out_w)
+    w, fs = _split_factors(x, na, A.shape)
+    keep = np.abs(w) >= 1e-9
+    units = [f[keep] / np.linalg.norm(f[keep], axis=1, keepdims=True)
+             for f in fs]
+    return list(zip(*units)), w[keep]
+
+
+def _split_factors(x, na, shape):
+    """Weights ``(na,)`` and per-mode ``(na, n_k)`` factor views of the
+    polish variables (``na`` weights, then each atom's factors in mode
+    order)."""
+    rows = x[na:].reshape(na, sum(shape))
+    cuts = np.cumsum(shape)[:-1]
+    return x[:na], np.split(rows, cuts, axis=1)
+
+
+def _polish_objective(A, na, eps):
+    """``value_grad(x, C)`` of ``sum_i sqrt(w_i^2 + eps) + C ||R||_F^2`` with
+    ``R = sum_i w_i u_i^1 (x) ... (x) u_i^d - A`` and ``u_i^k`` the unit
+    factors, and its exact gradient, all atoms at once."""
+    shape = A.shape
+    d = A.ndim
+    modes = _LETTERS[:d]
+    # The weighted atom sum; HOPM's batched updates contract R with every
+    # mode but k, per atom.
+    build = "z," + ",".join("z" + m for m in modes) + "->" + modes
+    _, contract = _hopm_update_strings(d)
+
+    def value_grad(x, C):
+        w, fs = _split_factors(x, na, shape)
+        nfs = [np.linalg.norm(f, axis=1, keepdims=True) for f in fs]
+        units = [f / nf for f, nf in zip(fs, nfs)]
+        R = np.einsum(build, w, *units) - A
+        val = float(np.sum(np.sqrt(w * w + eps)) + C * np.sum(R * R))
+        Gs = [np.einsum(contract[k], R, *(units[:k] + units[k + 1:]))
+              for k in range(d)]
+        pair = np.einsum("zi,zi->z", Gs[0], units[0])  # <R, atom_i>
+        g_factors = []
+        for G, u, nf in zip(Gs, units, nfs):
+            du = 2.0 * C * w[:, None] * G
+            g_factors.append((du - np.einsum("zi,zi->z", du, u)[:, None] * u)
+                             / nf)
+        g_w = w / np.sqrt(w * w + eps) + 2.0 * C * pair
+        return val, np.concatenate([g_w, np.hstack(g_factors).ravel()])
+
+    return value_grad
 
 
 def _best_weights(A, atoms):
@@ -628,7 +623,7 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0, starts=16,
             lp_atoms, lp_w, lp_dual = lp
             try:
                 p_atoms, p_w = _polish_atoms(A, lp_atoms, lp_w)
-            except Exception:
+            except (ValueError, FloatingPointError):
                 p_atoms, p_w = lp_atoms, lp_w
                 flags.append("polish_failed")
             if p_atoms:
@@ -655,24 +650,18 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0, starts=16,
         A.shape,
     )
 
-    # Pick the witness with the best heuristic ratio, then certify it.
-    def heuristic_ratio(Z):
-        p = inner(A, Z)
-        if p <= 0:
-            return -np.inf
-        s = spectral_hopm(Z, starts=8, seed=seed + 13).value
-        return p / max(s, 1e-30)
-
-    Z = max(witness_cands, key=heuristic_ratio)
-    w_up, certified, how = _witness_bound(Z)
+    # Certify every witness candidate and keep the best certified ratio.
+    scored = []
+    for Z in witness_cands:
+        w_up, how = _witness_bound(Z)
+        pairing = inner(A, Z)
+        ratio = pairing / w_up if w_up > 0 and pairing > 0 else -np.inf
+        scored.append((ratio, Z, w_up, how))
+    ratio, Z, w_up, how = max(scored, key=lambda s: s[0])
     flags.append(f"witness_bound_{how}")
-    pairing = inner(A, Z)
-    lower = l2
-    if w_up > 0 and pairing > 0:
-        lower = max(lower, pairing / w_up)
-    lower = min(lower, upper)
+    lower = min(max(l2, ratio), upper)
     return NuclearSandwich(float(lower), float(upper), decomposition, Z,
-                           float(w_up), certified, tuple(flags))
+                           float(w_up), True, tuple(flags))
 
 
 def _matrix_sandwich(A):
@@ -748,7 +737,7 @@ def restricted_norm_check(T, family, tol=1e-6):
     sand = nuclear_sandwich(A)
     Zp = project(sel, family, sand.dual_witness)
     pair = inner(A, Zp)
-    zp_up, _, _ = _witness_bound(Zp)
+    zp_up, _ = _witness_bound(Zp)
     witness_ok = (
         pair >= sand.lower * (1.0 - tol) * min(1.0, sand.witness_spectral_upper)
         or pair / max(zp_up, 1e-30) >= sand.lower * (1.0 - tol) - 1e-9

@@ -387,12 +387,14 @@ def _certified_sigma(X, tol=1e-3):
         return lo, flat, True
 
 
-def certify(instance, lam=None, m=None, neumann_tol=1e-12, sigma_tol=1e-3):
+def certify(instance, lam=None, neumann_tol=1e-12, sigma_tol=1e-3):
     """Build ``D = D1 + D2`` and evaluate the five optimality conditions.
 
-    The spectral condition uses certified bounds when every mode dimension
-    is at most 4; larger instances fall back to the best multi-start value
-    and the report flags the condition as uncertified.
+    The spectral condition's upper bound is certified at every size: the
+    smaller of the branch-and-bound enclosure (when it accepts the shape)
+    and the flattening bound ``min_k sigma_max(D_(k))``.  Only when the
+    bounds straddle the 1/2 threshold is the condition decided on the lower
+    bound (the best value attained) and flagged as uncertified.
     """
     if lam is None:
         lam = default_lambda(instance.shape)

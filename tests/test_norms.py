@@ -1,8 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linprog
 
+import tnn.norms
 from tnn import (
     ParameterError,
     PreconditionError,
@@ -10,6 +14,7 @@ from tnn import (
     decomposition_sum,
     duality_gap_check,
     family_from_tensor,
+    generate_instance,
     holder_norm,
     inner,
     mode_matricize,
@@ -18,8 +23,10 @@ from tnn import (
     outer_atom,
     restricted_norm_check,
     spectral_certified_upper,
+    spectral_flattening_upper,
     spectral_hopm,
 )
+from tnn.norms import _l1_refit, _polish_objective
 from conftest import e
 
 SQ3 = np.sqrt(3.0)
@@ -196,6 +203,133 @@ class TestNuclearSandwich:
         s2 = nuclear_sandwich(asarray(2.0 * T))
         assert s2.lower == pytest.approx(2.0 * s1.lower, rel=1e-3)
         assert s2.upper == pytest.approx(2.0 * s1.upper, rel=1e-3)
+
+
+    def test_lower_dominates_every_certified_candidate(self, rng, monkeypatch):
+        bounds = []
+        original = tnn.norms._witness_bound
+
+        def recording(Z):
+            out = original(Z)
+            bounds.append((Z, out[0]))
+            return out
+
+        monkeypatch.setattr(tnn.norms, "_witness_bound", recording)
+        T = asarray(rng.standard_normal((2, 2, 2)))
+        sw = nuclear_sandwich(T)
+        assert len(bounds) >= 2  # the greedy, polished and LP witnesses
+        for Z, ub in bounds:
+            assert sw.lower >= inner(T, Z) / ub - 1e-12
+        assert sw.witness_certified
+
+    def test_large_modes_certify_with_flattening_bound(self):
+        L = generate_instance((12, 12, 12), 1, 0.02, m=3, seed=1).L
+        sw = nuclear_sandwich(L)
+        assert sw.witness_certified
+        assert "witness_bound_flattening" in sw.flags
+        assert sw.witness_spectral_upper == spectral_flattening_upper(
+            sw.dual_witness)
+        # L has rank one, so its nuclear norm is its Frobenius norm.
+        fro = holder_norm(L, 2)
+        assert sw.lower - 1e-9 <= fro <= sw.upper + 1e-9
+
+    @pytest.mark.parametrize("error, caught", [(ValueError, True),
+                                               (FloatingPointError, True),
+                                               (KeyError, False)])
+    def test_polish_failure_handling(self, rng, monkeypatch, error, caught):
+        def failing(*args):
+            raise error("polish")
+
+        monkeypatch.setattr(tnn.norms, "_polish_atoms", failing)
+        T = asarray(rng.standard_normal((2, 2, 2)))
+        if caught:
+            sw = nuclear_sandwich(T)
+            assert "polish_failed" in sw.flags
+            assert sw.lower <= sw.upper
+        else:
+            with pytest.raises(error):
+                nuclear_sandwich(T)
+
+
+class TestPolishObjective:
+    @pytest.mark.parametrize("shape, na", [((2, 3, 4), 3), ((2, 3, 2, 4), 2)])
+    def test_gradient_matches_finite_differences(self, rng, shape, na):
+        A = rng.standard_normal(shape)
+        value_grad = _polish_objective(A, na, 1e-12)
+        x = rng.standard_normal(na + na * sum(shape))
+        x[:na] = np.abs(x[:na]) + 0.5  # keep the weights away from the kink
+        val, grad = value_grad(x, 10.0)
+        h = 1e-6
+        fd = np.array([(value_grad(x + h * ei, 10.0)[0]
+                        - value_grad(x - h * ei, 10.0)[0]) / (2 * h)
+                       for ei in np.eye(x.size)])
+        np.testing.assert_allclose(grad, fd, rtol=1e-6,
+                                   atol=1e-6 * np.max(np.abs(fd)))
+
+    def test_value_matches_atom_sum(self, rng):
+        shape, na = (3, 2, 4), 2
+        A = rng.standard_normal(shape)
+        x = rng.standard_normal(na + na * sum(shape))
+        w, rows = x[:na], x[na:].reshape(na, sum(shape))
+        atoms = [np.split(r, np.cumsum(shape)[:-1]) for r in rows]
+        R = sum(wi * outer_atom([f / np.linalg.norm(f) for f in fs])
+                for wi, fs in zip(w, atoms)) - A
+        expected = np.sum(np.sqrt(w * w + 1e-12)) + 3.0 * np.sum(R * R)
+        val, _ = _polish_objective(A, na, 1e-12)(x, 3.0)
+        assert val == pytest.approx(expected, rel=1e-12)
+
+
+def _dense_l1_refit_value(columns, target):
+    """Reference: the inequality-form LP over (w free, u >= |w|, v >= |r|)."""
+    N, m = columns.shape
+    I_m, I_N = np.eye(m), np.eye(N)
+    Z = np.zeros
+    A_ub = np.block([
+        [I_m, -I_m, Z((m, N))],
+        [-I_m, -I_m, Z((m, N))],
+        [columns, Z((N, m)), -I_N],
+        [-columns, Z((N, m)), -I_N],
+    ])
+    b_ub = np.concatenate([Z(2 * m), target, -target])
+    c = np.concatenate([Z(m), np.ones(m + N)])
+    res = linprog(c, A_ub=A_ub, b_ub=b_ub,
+                  bounds=[(None, None)] * m + [(0, None)] * (m + N),
+                  method="highs")
+    assert res.success
+    return res.fun
+
+
+def _l1_value(columns, target, w):
+    return np.sum(np.abs(w)) + np.sum(np.abs(target - columns @ w))
+
+
+class TestL1Refit:
+    @pytest.mark.parametrize("N, m", [(8, 1), (8, 3), (27, 5), (64, 12)])
+    def test_matches_dense_reference(self, rng, N, m):
+        for _ in range(3):
+            C = rng.standard_normal((N, m))
+            t = C @ rng.standard_normal(m) + 0.3 * rng.standard_normal(N)
+            w = _l1_refit(C, t)
+            assert _l1_value(C, t, w) == pytest.approx(
+                _dense_l1_refit_value(C, t), abs=1e-9)
+
+    def test_memory_stays_linear_in_entries(self, rng):
+        shape = (16, 16, 17)  # N = 4352
+        C = np.column_stack([
+            outer_atom([v / np.linalg.norm(v)
+                        for v in map(rng.standard_normal, shape)]).ravel()
+            for _ in range(3)])
+        t = C @ np.array([3.0, -1.0, 0.5])
+        t[rng.choice(t.size, 80, replace=False)] += rng.standard_normal(80)
+        tracemalloc.start()
+        try:
+            w = _l1_refit(C, t)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 100e6
+        planted = _l1_value(C, t, np.array([3.0, -1.0, 0.5]))
+        assert _l1_value(C, t, w) <= planted + 1e-9
 
 
 class TestDualityGap:
