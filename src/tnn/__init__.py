@@ -56,6 +56,7 @@ from .norms import (
     nuclear_sandwich,
     restricted_norm_check,
     spectral_certified_upper,
+    spectral_enclosure,
     spectral_flattening_upper,
     spectral_hopm,
 )

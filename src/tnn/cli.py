@@ -129,12 +129,9 @@ def norms_spectral(source, tol, seed, starts, certify, pretty):
     doc = {"kind": "spectral", "source": source, "value": result.value,
            "starts_used": result.starts_used}
     if certify:
-        try:
-            lo, up = norms.spectral_certified_upper(T, tol=tol)
-            doc["certified"] = {"lower": max(lo, result.value), "upper": up,
-                                "tol": tol}
-        except TnnError as exc:
-            doc["certified"] = {"unavailable": str(exc)}
+        lo, up, method = norms.spectral_enclosure(T, tol=tol)
+        doc["certified"] = {"lower": max(lo, result.value), "upper": up,
+                            "tol": tol, "method": method}
     emit(doc, pretty)
     return 0
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
-from .norms import nuclear_sandwich, spectral_certified_upper, spectral_hopm
+from .norms import nuclear_sandwich, spectral_enclosure, spectral_hopm
 from .subspace import (
     ModeFamily,
     ModeSubspace,
@@ -133,30 +133,27 @@ def sample_pair(shape, ranks, index_set, seed):
 
 
 def _spectral_value(T, want_certified, tol):
-    """Best-of-starts spectral value plus a certified interval when the
-    branch-and-bound applies to the shape."""
+    """Best-of-starts spectral value plus, if wanted, a certified interval
+    from ``spectral_enclosure``."""
     A = asarray(T)
     v = spectral_hopm(A).value
     if not want_certified:
         return v, (v, np.inf)
-    try:
-        lo, up = spectral_certified_upper(A, tol=tol)
-        return max(v, lo), (max(v, lo), up)
-    except ParameterError:
-        return v, (v, np.inf)
+    lo, up, _ = spectral_enclosure(A, tol=tol)
+    return max(v, lo), (max(v, lo), up)
 
 
 def check_spectral_decomp(T, S, family, index_set, tol=1e-6, certify=False):
     """Check ``||T + S||_sigma = max(||T||_sigma, ||S||_sigma)``.
 
     The discrepancy compares best-of-starts values; pass ``certify=True`` to
-    also report certified intervals (slower, small dims only).
+    also report intervals from ``spectral_enclosure`` (slower; certified at
+    every size).
     """
     d = family.order
     I = _normalize_index_set(index_set, d, minimum=2)
     T = _require_membership("T", T, lower_u(I), family)
     S = _require_membership("S", S, upper_u(I), family)
-    certify = certify and all(n <= 4 for n in family.shape)
     v_sum, i_sum = _spectral_value(T + S, certify, 1e-4)
     v_t, i_t = _spectral_value(T, certify, 1e-4)
     v_s, i_s = _spectral_value(S, certify, 1e-4)
@@ -180,15 +177,15 @@ def _nuclear_three_way(lhs, rhs, disc, tol, gap_cap=1e-2):
     return "inconclusive", gap_total
 
 
-def check_nuclear_decomp(T, S, family, index_set, tol=1e-3, **sandwich_kw):
+def check_nuclear_decomp(T, S, family, index_set, tol=1e-3):
     """Certify ``||T + S||_* = ||T||_* + ||S||_*`` up to sandwich width."""
     d = family.order
     I = _normalize_index_set(index_set, d, minimum=2)
     T = _require_membership("T", T, lower_u(I), family)
     S = _require_membership("S", S, upper_u(I), family)
-    s_sum = nuclear_sandwich(T + S, **sandwich_kw)
-    s_t = nuclear_sandwich(T, **sandwich_kw)
-    s_s = nuclear_sandwich(S, **sandwich_kw)
+    s_sum = nuclear_sandwich(T + S)
+    s_t = nuclear_sandwich(T)
+    s_s = nuclear_sandwich(S)
     lhs = (s_sum.lower, s_sum.upper)
     rhs = (s_t.lower + s_s.lower, s_t.upper + s_s.upper)
     disc = abs(s_sum.mid - (s_t.mid + s_s.mid))
@@ -200,7 +197,7 @@ def check_nuclear_decomp(T, S, family, index_set, tol=1e-3, **sandwich_kw):
     )
 
 
-def check_nuclear_lower_bound(T, family, index_set, tol=1e-6, **sandwich_kw):
+def check_nuclear_lower_bound(T, family, index_set, tol=1e-6):
     """Check the one-sided bound
     ``||T||_* >= ||p_{U_I} T||_* + ||p_{U^I} T||_*`` for arbitrary ``T``
     through its certifiable consequence
@@ -209,9 +206,9 @@ def check_nuclear_lower_bound(T, family, index_set, tol=1e-6, **sandwich_kw):
     I = _normalize_index_set(index_set, family.order, minimum=2)
     PA = project(lower_u(I), family, A)
     PB = project(upper_u(I), family, A)
-    s_t = nuclear_sandwich(A, **sandwich_kw)
-    s_a = nuclear_sandwich(PA, **sandwich_kw)
-    s_b = nuclear_sandwich(PB, **sandwich_kw)
+    s_t = nuclear_sandwich(A)
+    s_a = nuclear_sandwich(PA)
+    s_b = nuclear_sandwich(PB)
     lhs = (s_t.lower, s_t.upper)
     rhs = (s_a.lower + s_b.lower, s_a.upper + s_b.upper)
     disc = s_t.mid - (s_a.mid + s_b.mid)
@@ -224,7 +221,7 @@ def check_nuclear_lower_bound(T, family, index_set, tol=1e-6, **sandwich_kw):
     )
 
 
-def check_weak_decomp(T, S, family, alpha=None, tol=1e-6, **sandwich_kw):
+def check_weak_decomp(T, S, family, alpha=None, tol=1e-6):
     """Certify the weak additivity
     ``||T + S||_* >= ||T||_* + alpha ||S||_*`` for ``T`` inside the family's
     subspaces and ``S`` in the direct sum of the order->=2 basic subspaces.
@@ -236,9 +233,9 @@ def check_weak_decomp(T, S, family, alpha=None, tol=1e-6, **sandwich_kw):
     if alpha is None:
         alpha = weak_decomposability_constant(d)
     alpha = float(alpha)
-    s_sum = nuclear_sandwich(T + S, **sandwich_kw)
-    s_t = nuclear_sandwich(T, **sandwich_kw)
-    s_s = nuclear_sandwich(S, **sandwich_kw)
+    s_sum = nuclear_sandwich(T + S)
+    s_t = nuclear_sandwich(T)
+    s_s = nuclear_sandwich(S)
     lhs = (s_sum.lower, s_sum.upper)
     rhs = (s_t.lower + alpha * s_s.lower, s_t.upper + alpha * s_s.upper)
     disc = s_sum.mid - (s_t.mid + alpha * s_s.mid)

@@ -7,16 +7,17 @@ contracted into an exact matrix spectral norm, and the unit spheres of the
 other modes are searched in cells on cube faces, each bounded by the values
 at its corners projected onto the tangent plane at its centre.  The
 flattening bound ``min_k sigma_max(T_(k))`` is a cruder upper bound that
-holds at any size.
+holds at any size.  ``spectral_enclosure`` is the one place that chooses
+between them: the branch and bound, capped by the flattening bound, where
+the branch and bound accepts the shape, and the flattening bound elsewhere.
 
 The nuclear norm is enclosed in a sandwich ``[lower, upper]``: the upper
 bound comes from a greedy rank-one decomposition (with a final weight refit
 that minimizes total weight plus l1 residual), the lower bound from a dual
 witness divided by a certified upper bound on its spectral norm.  The
 candidate witnesses interpolate the signs of a decomposition's atoms or come
-from the dictionary LP; each is certified (branch and bound, or the
-flattening bound where the branch and bound refuses the shape) and the one
-with the best certified ratio ``<T, Z> / ||Z||_sigma`` is kept.
+from the dictionary LP; each is certified by ``spectral_enclosure`` and the
+one with the best certified ratio ``<T, Z> / ||Z||_sigma`` is kept.
 """
 
 from __future__ import annotations
@@ -50,6 +51,7 @@ __all__ = [
     "spectral_hopm",
     "spectral_certified_upper",
     "spectral_flattening_upper",
+    "spectral_enclosure",
     "nuclear_sandwich",
     "duality_gap_check",
     "restricted_norm_check",
@@ -62,15 +64,12 @@ _LETTERS = "abcdefgh"
 class SpectralResult:
     """Best value found for the spectral norm, with its maximizers.
 
-    ``value`` is always a valid lower bound of the true norm (it is attained
-    by the returned unit vectors).  ``certified_upper`` is filled in only when
-    a rigorous upper bound was computed.
+    ``value`` is a lower bound of the true norm, attained by the returned
+    unit vectors (exact for vectors and matrices).
     """
 
     value: float
     maximizers: tuple
-    certified_lower: float
-    certified_upper: float | None
     starts_used: int
     iterations: int
     local_maxima: tuple = ()
@@ -94,15 +93,13 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     d = A.ndim
     if np.all(A == 0):
         maxim = tuple(basis_vector(n) for n in A.shape)
-        return SpectralResult(0.0, maxim, 0.0, None, 0, 0)
+        return SpectralResult(0.0, maxim, 0, 0)
     if d == 1:
         val = float(np.linalg.norm(A))
-        return SpectralResult(val, (A / val,), val, val, 1, 1)
+        return SpectralResult(val, (A / val,), 1, 1)
     if d == 2:
         U, s, Vt = np.linalg.svd(A)
-        return SpectralResult(
-            float(s[0]), (U[:, 0], Vt[0]), float(s[0]), float(s[0]), 1, 1
-        )
+        return SpectralResult(float(s[0]), (U[:, 0], Vt[0]), 1, 1)
     if starts < 1:
         raise ParameterError("starts must be >= 1")
 
@@ -138,7 +135,7 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     maxim = tuple(vecs)
     value = float(abs(signed))
     local = _distinct_maximizers(A, X, vals, value_str)
-    return SpectralResult(value, maxim, value, None, starts, total_iters,
+    return SpectralResult(value, maxim, starts, total_iters,
                           local_maxima=local)
 
 
@@ -296,6 +293,26 @@ def spectral_flattening_upper(T):
     )
 
 
+def spectral_enclosure(T, tol=1e-4, max_evals=2_000_000, threshold=None):
+    """Certified ``(lower, upper, method)`` for the spectral norm, at any size.
+
+    Where the branch and bound accepts the shape (``method == "bnb"``),
+    ``lower`` is its attained value and ``upper`` the smaller of its bound
+    and the flattening bound; ``tol``, ``max_evals`` and ``threshold`` are
+    passed to ``spectral_certified_upper``.  Where it refuses the shape
+    (``method == "flattening"``), ``lower`` is the largest entry magnitude,
+    attained by basis vectors, and ``upper`` the flattening bound.
+    """
+    A = asarray(T)
+    flat = spectral_flattening_upper(A)
+    try:
+        lo, up = spectral_certified_upper(A, tol=tol, max_evals=max_evals,
+                                          threshold=threshold)
+    except ParameterError:
+        return holder_norm(A, np.inf), flat, "flattening"
+    return lo, min(up, flat), "bnb"
+
+
 # ---------------------------------------------------------------------------
 # Nuclear sandwich.
 # ---------------------------------------------------------------------------
@@ -357,17 +374,19 @@ _WITNESS_MAX_EVALS = 80_000
 
 
 def _witness_bound(Z):
-    """Certified upper bound on ||Z||_sigma and how it was found: the
-    branch and bound, or the flattening bound where it refuses the shape."""
-    try:
-        _, ub = spectral_certified_upper(Z, tol=_WITNESS_TOL,
-                                         max_evals=_WITNESS_MAX_EVALS)
-        return ub, "bnb"
-    except ParameterError:
-        return spectral_flattening_upper(Z), "flattening"
+    """Certified ``(upper, method)`` for ||Z||_sigma (``spectral_enclosure``
+    at the witness tolerance and budget)."""
+    return spectral_enclosure(Z, tol=_WITNESS_TOL,
+                              max_evals=_WITNESS_MAX_EVALS)[1:]
 
 
-def _greedy_atoms(A, tol, max_atoms, seed, starts):
+_GREEDY_STARTS = 16  # HOPM starts per greedy step
+# Relative greedy gap (lower end from a HOPM estimate of the witness norm)
+# above which the sandwich escalates to the dictionary LP.
+_GAP_GOAL = 1e-6
+
+
+def _greedy_atoms(A, tol, max_atoms, seed):
     """Greedy rank-one pursuit with fully corrective least-squares refit."""
     l2 = holder_norm(A, 2)
     t = A.ravel()
@@ -377,7 +396,7 @@ def _greedy_atoms(A, tol, max_atoms, seed, starts):
     for it in range(max_atoms):
         if holder_norm(residual, 1) <= tol * l2:
             break
-        res = spectral_hopm(residual, starts=starts, tol=1e-13,
+        res = spectral_hopm(residual, starts=_GREEDY_STARTS, tol=1e-13,
                             seed=seed + 1000 * it)
         if res.value <= 1e-14 * l2:
             break
@@ -431,20 +450,25 @@ def _half_sphere_samples(n, target):
     return pts
 
 
-def _dictionary_lp(A, cap=100_000):
+# Dictionary LP: half-sphere samples per mode, by mode dimension (no others
+# are escalated), and the cap on the dictionary's size.
+_LP_SAMPLES = {1: 1, 2: 25, 3: 150, 4: 340}
+_LP_CAP = 100_000
+
+
+def _dictionary_lp(A):
     """Atomic-norm LP over a sampled rank-one dictionary.
 
     Returns ``(atoms, weights, dual_witness)`` where the dual witness has a
     spectral norm close to one by LP feasibility over the grid.  ``None`` if
-    the problem is too large or the LP fails.
+    a mode dimension exceeds 4 or the LP fails.
     """
     shape = A.shape
     d = A.ndim
-    base = {1: 1, 2: 25, 3: 150, 4: 340}
-    targets = [base.get(n, 0) for n in shape]
-    if any(tg == 0 for tg in targets):
+    if any(n not in _LP_SAMPLES for n in shape):
         return None
-    while int(np.prod([max(1, tg) for tg in targets])) > cap:
+    targets = [_LP_SAMPLES[n] for n in shape]
+    while int(np.prod([max(1, tg) for tg in targets])) > _LP_CAP:
         targets = [max(1, int(tg * 0.85)) if n > 1 else 1
                    for tg, n in zip(targets, shape)]
         if all(tg <= 4 for tg, n in zip(targets, shape) if n > 1):
@@ -575,14 +599,14 @@ def _sign_witness(atoms, weights, shape, flags):
     return (C @ coef).reshape(shape)
 
 
-def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0, starts=16,
-                     escalate=True, gap_goal=1e-6):
+def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
     """Certified interval ``[lower, upper]`` enclosing the nuclear norm.
 
     A cheap greedy pursuit handles well-separated instances; when its
-    sandwich stays wider than ``gap_goal`` (relative) and the tensor is small,
-    the routine escalates to an atomic-norm LP over a sampled rank-one
-    dictionary followed by a nonlinear polish of the active atoms.
+    sandwich stays wider than ``_GAP_GOAL`` (relative) and every mode
+    dimension is at most 4, the routine escalates to an atomic-norm LP over
+    a sampled rank-one dictionary followed by a nonlinear polish of the
+    active atoms.
     """
     A = asarray(T)
     d = A.ndim
@@ -594,7 +618,7 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0, starts=16,
         return _matrix_sandwich(A)
 
     flags = []
-    atoms, columns, weights = _greedy_atoms(A, tol, max_atoms, seed, starts)
+    atoms, columns, weights = _greedy_atoms(A, tol, max_atoms, seed)
     witness_cands = []
     if atoms:
         w_best, upper = _best_weights(A, atoms)
@@ -617,30 +641,29 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0, starts=16,
     prelim_lower = max(l2, prelim_pair / max(prelim_sigma, 1e-30))
     gap_rel = (upper - min(prelim_lower, upper)) / max(1.0, l2)
 
-    if escalate and gap_rel > gap_goal and all(n <= 4 for n in A.shape):
-        lp = _dictionary_lp(A)
-        if lp is not None:
-            lp_atoms, lp_w, lp_dual = lp
-            try:
-                p_atoms, p_w = _polish_atoms(A, lp_atoms, lp_w)
-            except (ValueError, FloatingPointError):
-                p_atoms, p_w = lp_atoms, lp_w
-                flags.append("polish_failed")
-            if p_atoms:
-                w2, up2 = _best_weights(A, p_atoms)
-                if up2 < upper:
-                    upper = up2
-                    atoms, weights = p_atoms, w2
-                    keep = np.abs(weights) > 1e-12
-                    atoms = [a for a, k in zip(atoms, keep) if k]
-                    weights = weights[keep]
-                    flags.append("escalated")
-                if atoms:
-                    witness_cands.append(
-                        _sign_witness(atoms, weights, A.shape, flags)
-                    )
-            if lp_dual is not None:
-                witness_cands.append(lp_dual)
+    lp = _dictionary_lp(A) if gap_rel > _GAP_GOAL else None
+    if lp is not None:
+        lp_atoms, lp_w, lp_dual = lp
+        try:
+            p_atoms, p_w = _polish_atoms(A, lp_atoms, lp_w)
+        except (ValueError, FloatingPointError):
+            p_atoms, p_w = lp_atoms, lp_w
+            flags.append("polish_failed")
+        if p_atoms:
+            w2, up2 = _best_weights(A, p_atoms)
+            if up2 < upper:
+                upper = up2
+                atoms, weights = p_atoms, w2
+                keep = np.abs(weights) > 1e-12
+                atoms = [a for a, k in zip(atoms, keep) if k]
+                weights = weights[keep]
+                flags.append("escalated")
+            if atoms:
+                witness_cands.append(
+                    _sign_witness(atoms, weights, A.shape, flags)
+                )
+        if lp_dual is not None:
+            witness_cands.append(lp_dual)
 
     decomposition = NuclearDecomposition(
         tuple(
@@ -688,10 +711,7 @@ def duality_gap_check(T, S, spectral_T=None, sandwich_S=None):
     if A.shape != B.shape:
         raise DimensionError("shape mismatch")
     if spectral_T is None:
-        try:
-            _, sig_up = spectral_certified_upper(A, tol=1e-5)
-        except ParameterError:
-            sig_up = spectral_flattening_upper(A)
+        _, sig_up, _ = spectral_enclosure(A, tol=1e-5)
     else:
         sig_up = spectral_T
     if sandwich_S is None:

@@ -47,11 +47,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .norms import (
-    spectral_certified_upper,
-    spectral_flattening_upper,
-    spectral_hopm,
-)
+from .norms import spectral_enclosure, spectral_hopm
 from .subdiff import find_z_witness
 from .subspace import (
     EntrySupport,
@@ -376,25 +372,14 @@ def neumann_certificate(instance, lam=None, tol=1e-12, k_max=200):
     return D2, float(delta), terms
 
 
-def _certified_sigma(X, tol=1e-3):
-    """(lower, upper, certified) bounds on the spectral norm."""
-    lo = spectral_hopm(X).value
-    flat = spectral_flattening_upper(X)
-    try:
-        blo, bup = spectral_certified_upper(X, tol=tol)
-        return max(lo, blo), min(bup, flat), True
-    except ParameterError:
-        return lo, flat, True
-
-
 def certify(instance, lam=None, neumann_tol=1e-12, sigma_tol=1e-3):
     """Build ``D = D1 + D2`` and evaluate the five optimality conditions.
 
-    The spectral condition's upper bound is certified at every size: the
-    smaller of the branch-and-bound enclosure (when it accepts the shape)
-    and the flattening bound ``min_k sigma_max(D_(k))``.  Only when the
-    bounds straddle the 1/2 threshold is the condition decided on the lower
-    bound (the best value attained) and flagged as uncertified.
+    The spectral condition's upper bound is certified at every size by
+    ``spectral_enclosure``; its lower bound is the larger of the enclosure's
+    and the multi-start value.  Only when the bounds straddle the 1/2
+    threshold is the condition decided on the lower bound (the best value
+    attained) and flagged as uncertified.
     """
     if lam is None:
         lam = default_lambda(instance.shape)
@@ -417,7 +402,8 @@ def certify(instance, lam=None, neumann_tol=1e-12, sigma_tol=1e-3):
     PD = p_L(D)
     dist_span = holder_norm(PD - Z, 2)
     off = D - PD
-    sig_lo, sig_up, _ = _certified_sigma(off, tol=sigma_tol)
+    sig_lo, sig_up, _ = spectral_enclosure(off, tol=sigma_tol)
+    sig_lo = max(sig_lo, spectral_hopm(off).value)
     # Decide against the 1/2 threshold with certified bounds when they are
     # sharp enough; otherwise fall back to the multi-start value and flag
     # the condition as uncertified rather than pretending.

@@ -12,7 +12,8 @@ direct sum of the remaining basic subspaces.  The admissible stretch
 ``||X||_sigma`` depends on which basic subspaces ``X`` occupies; the
 ``tau`` probes below collect numerical evidence for those stretch
 constants.  Both norms involved are NP-hard, so every verdict here is
-three-way (pass / fail / inconclusive) and is backed by certified bounds.
+three-way (pass / fail / inconclusive) and is backed by certified bounds;
+spectral bounds come from ``norms.spectral_enclosure``, at every size.
 """
 
 from __future__ import annotations
@@ -25,11 +26,10 @@ from scipy.optimize import minimize
 
 from .errors import LookupError_, ParameterError, PreconditionError
 from .norms import (
-    _WITNESS_MAX_EVALS,
-    _WITNESS_TOL,
+    _witness_bound,
     nuclear_sandwich,
     spectral_certified_upper,
-    spectral_flattening_upper,
+    spectral_enclosure,
     spectral_hopm,
 )
 from .subspace import (
@@ -87,21 +87,21 @@ class SubgradientReport:
 
 
 def _spectral_decision(G, tol, max_evals=600_000):
-    """Bounds for ||G||_sigma sharp enough to compare against 1 + tol."""
+    """Bounds for ||G||_sigma sharp enough to compare against 1 + tol, and
+    the method of the certified upper bound ("bnb" or "flattening")."""
     lo_h = spectral_hopm(G).value
-    try:
-        lo, up = spectral_certified_upper(
-            G, tol=tol / 2, threshold=1.0 + tol / 2, max_evals=max_evals
-        )
-        return max(lo, lo_h), up, True
-    except ParameterError:
-        return lo_h, np.inf, False
+    lo, up, method = spectral_enclosure(
+        G, tol=tol / 2, threshold=1.0 + tol / 2, max_evals=max_evals
+    )
+    return max(lo, lo_h), up, method
 
 
 def is_subgradient(G, T, tol=1e-3, sandwich=None):
     """Three-way check of ``G`` being a subgradient of the nuclear norm at
     ``T``: requires ``<G, T> = ||T||_*`` and ``||G||_sigma <= 1`` within
-    certified bounds."""
+    certified bounds.  The note ``spectral_upper_flattening`` marks a shape
+    the branch and bound refuses, where the upper bound on ``||G||_sigma``
+    is the flattening bound."""
     G, T = asarray(G), asarray(T)
     if G.shape != T.shape:
         raise ParameterError("shape mismatch between candidate and base point")
@@ -110,8 +110,8 @@ def is_subgradient(G, T, tol=1e-3, sandwich=None):
     if sandwich is None:
         sandwich = nuclear_sandwich(T)
     pairing = inner(G, T)
-    sig_lo, sig_up, certified = _spectral_decision(G, tol)
-    notes = [] if certified else ["spectral_upper_uncertified"]
+    sig_lo, sig_up, method = _spectral_decision(G, tol)
+    notes = ["spectral_upper_flattening"] if method == "flattening" else []
 
     pairing_ok = pairing >= sandwich.lower - tol
     pairing_bad = pairing < sandwich.lower - sandwich.gap - tol
@@ -142,25 +142,14 @@ def find_z_witness(T, sandwich=None, return_info=False):
     family = family_from_tensor(A)
     Zp = project(basic(()), family, sandwich.dual_witness)
     flags = []
-    try:
-        # Any valid upper bound keeps Z inside the unit spectral ball; the
-        # sandwich's own witness tolerance and budget keep <Z, T> up to the
-        # sandwich's lower bound, which the fallback test below compares.
-        _, up = spectral_certified_upper(Zp, tol=_WITNESS_TOL,
-                                         max_evals=_WITNESS_MAX_EVALS)
-        up = min(up, spectral_flattening_upper(Zp))
-    except ParameterError:
-        up = spectral_flattening_upper(Zp)
+    # Any valid upper bound keeps Z inside the unit spectral ball; the
+    # sandwich's own witness bound keeps <Z, T> up to the sandwich's lower
+    # bound, which the fallback test below compares.
+    up, _ = _witness_bound(Zp)
     Z = Zp / up if up > 0 else Zp
     pairing = inner(Z, A)
     if pairing < sandwich.lower * (1.0 - 1e-6):
-        sig = spectral_hopm(A).value
-        try:
-            _, sig_up = spectral_certified_upper(A, tol=1e-6,
-                                                 max_evals=60_000)
-            sig_up = min(sig_up, spectral_flattening_upper(A))
-        except ParameterError:
-            sig_up = spectral_flattening_upper(A)
+        _, sig_up, _ = spectral_enclosure(A, tol=1e-6, max_evals=60_000)
         Z = A / sig_up
         flags.append("fallback_scaled_base")
     if return_info:
@@ -172,7 +161,8 @@ def z_membership(Z, T, tol=1e-3, sandwich=None):
     """Check that ``Z`` is an extreme dual certificate for ``T``: it lies in
     the span subspace, pairs to the nuclear norm, and has unit spectral norm
     (all within ``tol`` and certified bounds).  Returns a report dict with a
-    three-way verdict."""
+    three-way verdict; ``spectral_method`` names how the spectral upper
+    bound was certified ("bnb" or "flattening")."""
     Z, T = asarray(Z), asarray(T)
     if Z.shape != T.shape:
         raise ParameterError("shape mismatch")
@@ -188,7 +178,7 @@ def z_membership(Z, T, tol=1e-3, sandwich=None):
     pairing_bad = (pairing < sandwich.lower - sandwich.gap - tol
                    or pairing > sandwich.upper + sandwich.gap + tol)
 
-    sig_lo, sig_up, certified = _spectral_decision(Z, tol)
+    sig_lo, sig_up, method = _spectral_decision(Z, tol)
     sigma_ok = sig_up <= 1.0 + tol and sig_lo >= 1.0 - tol
     sigma_bad = sig_lo > 1.0 + tol or sig_up < 1.0 - tol
 
@@ -204,7 +194,7 @@ def z_membership(Z, T, tol=1e-3, sandwich=None):
         "pairing": pairing,
         "nuclear_interval": (sandwich.lower, sandwich.upper),
         "spectral_interval": (sig_lo, sig_up),
-        "certified": certified,
+        "spectral_method": method,
         "tol": tol,
     }
 
@@ -359,9 +349,10 @@ def probe_tau(selector, shape, trials=8, seed=0, bisect_tol=1e-3, s_max=2.0,
     if any(len(I) == 0 for I in selector.sets):
         raise ParameterError("selector must be orthogonal to the span part")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), *shape]))
-    candidates = list(_gallery_directions(selector, shape))
+    candidates = _gallery_directions(selector, shape)
+    wanted = len(candidates) + trials
     notes = []
-    while len(candidates) < trials + len(_gallery_directions(selector, shape)):
+    while len(candidates) < wanted:
         T = outer_atom([normalize(rng.standard_normal(n)) for n in shape])
         family = family_from_tensor(T)
         U = project(selector, family, rng.standard_normal(shape))

@@ -27,6 +27,19 @@ class TestNormsCommands:
         assert doc["value"] == pytest.approx(direct, abs=1e-12)
         assert doc["certified"]["lower"] <= 2.0 / np.sqrt(3) + 1e-8
         assert doc["certified"]["upper"] >= 2.0 / np.sqrt(3) - 1e-8
+        assert doc["certified"]["method"] == "bnb"
+
+    def test_spectral_past_branch_and_bound_limit(self, runner, tmp_path):
+        path = tmp_path / "large.tensor"
+        T = np.random.default_rng(0).standard_normal((5, 6, 7))
+        write_tensor_file(path, T)
+        res = run(runner, ["norms", "spectral", str(path)])
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        cert = doc["certified"]
+        assert cert["method"] == "flattening"
+        assert np.isfinite(cert["upper"])
+        assert doc["value"] <= cert["lower"] <= cert["upper"]
 
     def test_deterministic_output(self, runner):
         args = ["norms", "spectral", "gallery:notsingle?t=0.5"]

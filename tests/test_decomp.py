@@ -102,6 +102,15 @@ class TestSpectralDecomp:
         assert report.ok
         assert report.discrepancy <= 1e-6
 
+    @pytest.mark.parametrize("shape", [(3, 5, 6), (5, 5, 6)])
+    def test_certified_intervals_at_any_size(self, shape):
+        family, T, S = sample_pair(shape, (1, 1, 2), (0, 1), seed=0)
+        report = check_spectral_decomp(T, S, family, (0, 1), certify=True)
+        assert report.ok
+        for lo, up in (report.lhs, report.rhs):
+            assert np.isfinite(up)
+            assert lo <= up + 1e-12
+
     def test_membership_enforced(self):
         family, T, S = sample_pair((2, 2, 2), (1, 1, 1), (0, 1), seed=0)
         with pytest.raises(PreconditionError):

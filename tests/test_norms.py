@@ -23,6 +23,7 @@ from tnn import (
     outer_atom,
     restricted_norm_check,
     spectral_certified_upper,
+    spectral_enclosure,
     spectral_flattening_upper,
     spectral_hopm,
 )
@@ -30,6 +31,7 @@ from tnn.norms import _l1_refit, _polish_objective
 from conftest import e
 
 SQ3 = np.sqrt(3.0)
+SLACK = 1e-12  # rounding allowance when two bounds are compared
 
 
 def perm_sum_tensor(t):
@@ -154,6 +156,43 @@ class TestSpectralCertified:
         hopm = spectral_hopm(T, starts=64).value
         assert lo <= hopm <= up + 1e-12
         assert up - lo <= tol
+
+
+class TestSpectralEnclosure:
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 5, 6)])
+    def test_branch_and_bound_capped_by_flattening(self, rng, shape):
+        T = asarray(rng.standard_normal(shape))
+        lo, up, method = spectral_enclosure(T, tol=1e-3)
+        b_lo, b_up = spectral_certified_upper(T, tol=1e-3)
+        assert method == "bnb"
+        assert lo == b_lo
+        assert abs(up - min(b_up, spectral_flattening_upper(T))) <= SLACK
+        assert lo <= up + SLACK
+
+    def test_flattening_tightens_a_loose_branch_and_bound(self, rng):
+        T = outer_atom([v / np.linalg.norm(v)
+                        for v in (rng.standard_normal(3) for _ in range(3))])
+        _, b_up = spectral_certified_upper(T, tol=1e-9, max_evals=1)
+        lo, up, method = spectral_enclosure(T, tol=1e-9, max_evals=1)
+        assert method == "bnb"
+        assert b_up > 1.0 + 1e-3
+        assert abs(up - 1.0) <= SLACK
+        assert lo <= 1.0 + SLACK
+
+    def test_flattening_past_branch_and_bound_limit(self, rng):
+        T = asarray(rng.standard_normal((5, 6, 7)))
+        lo, up, method = spectral_enclosure(T)
+        assert method == "flattening"
+        assert lo == holder_norm(T, np.inf)
+        assert up == spectral_flattening_upper(T)
+        hopm = spectral_hopm(T).value
+        assert lo <= hopm + SLACK
+        assert hopm <= up + SLACK
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (5, 6, 7)])
+    def test_zero_tensor(self, shape):
+        lo, up, _ = spectral_enclosure(np.zeros(shape))
+        assert (lo, up) == (0.0, 0.0)
 
 
 class TestNuclearSandwich:

@@ -28,6 +28,13 @@ S2 = np.sqrt(2.0)
 S3 = np.sqrt(3.0)
 
 
+def rank_one_556(rng):
+    """A unit rank-one 5x5x6 tensor: the branch and bound refuses it, the
+    flattening bound (1) is exact."""
+    return outer_atom([v / np.linalg.norm(v)
+                       for v in (rng.standard_normal(n) for n in (5, 5, 6))])
+
+
 class TestGallery:
     def test_perm_sum_spectral_values(self):
         g = gallery("yuan3", t=1.0)
@@ -108,6 +115,13 @@ class TestIsSubgradient:
             rhs = s_t.lower + inner(asarray(G), Y) - inner(asarray(G), T)
             assert lhs >= rhs - 1e-6
 
+    def test_large_modes_pass_with_flattening_bound(self, rng):
+        T = rank_one_556(rng)
+        report = is_subgradient(T, T)
+        assert report.verdict == "pass"
+        assert report.spectral_interval[1] <= 1.0 + 1e-12
+        assert report.notes == ("spectral_upper_flattening",)
+
     def test_zero_base_rejected(self):
         with pytest.raises(ParameterError):
             is_subgradient(np.ones((2, 2, 2)), np.zeros((2, 2, 2)))
@@ -164,6 +178,13 @@ class TestZMembership:
         report = is_subgradient(np.asarray(g["Z"]) + np.asarray(g["X"]),
                                 g["T"], tol=1e-3)
         assert report.verdict == expect
+
+    def test_large_modes_pass_with_flattening_bound(self, rng):
+        T = rank_one_556(rng)
+        report = z_membership(T, T)
+        assert report["verdict"] == "pass"
+        assert report["spectral_interval"][1] <= 1.0 + 1e-12
+        assert report["spectral_method"] == "flattening"
 
     def test_subspace_violation_fails(self):
         T = outer_atom([e(2, 0)] * 3)
