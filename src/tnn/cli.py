@@ -151,7 +151,6 @@ def norms_nuclear(source, tol, seed, max_atoms, pretty):
         "lower": sw.lower, "upper": sw.upper, "mid": sw.mid, "gap": sw.gap,
         "atoms": len(sw.decomposition.atoms),
         "weight_sum": sw.decomposition.weight_sum,
-        "witness_certified": sw.witness_certified,
         "flags": list(sw.flags),
     }
     emit(doc, pretty)
@@ -495,7 +494,6 @@ def rpca_solve2d(n, r, rho, seed, tol, pretty):
 def rpca_concentration(dims, r, q, trials, seed, pretty):
     L = rpca.generate_instance(dims, r, 0.0, m=1, seed=seed).L
     doc = rpca.concentration_trial(L, q, trials=trials, seed=seed)
-    doc.pop("profile")
     doc["kind"] = "rpca-concentration"
     emit(doc, pretty)
     return 0

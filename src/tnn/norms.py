@@ -8,16 +8,18 @@ other modes are searched in cells on cube faces, each bounded by the values
 at its corners projected onto the tangent plane at its centre.  The
 flattening bound ``min_k sigma_max(T_(k))`` is a cruder upper bound that
 holds at any size.  ``spectral_enclosure`` is the one place that chooses
-between them: the branch and bound, capped by the flattening bound, where
-the branch and bound accepts the shape, and the flattening bound elsewhere.
+between them, and the library's only caller of the branch and bound: the
+branch and bound, capped by the flattening bound, where the branch and bound
+accepts the shape, and the flattening bound elsewhere.
 
 The nuclear norm is enclosed in a sandwich ``[lower, upper]``: the upper
 bound comes from a greedy rank-one decomposition (with a final weight refit
 that minimizes total weight plus l1 residual), the lower bound from a dual
 witness divided by a certified upper bound on its spectral norm.  The
 candidate witnesses interpolate the signs of a decomposition's atoms or come
-from the dictionary LP; each is certified by ``spectral_enclosure`` and the
-one with the best certified ratio ``<T, Z> / ||Z||_sigma`` is kept.
+from the dictionary LP; each is certified once by ``spectral_enclosure`` and
+the one with the best certified ratio ``<T, Z> / ||Z||_sigma`` is kept.  The
+greedy witness's certified ratio also decides whether to escalate to the LP.
 """
 
 from __future__ import annotations
@@ -195,8 +197,6 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     """
     A = asarray(T)
     d = A.ndim
-    if np.all(A == 0):
-        return 0.0, 0.0
     if d <= 2:
         v = float(np.linalg.norm(A, 2))
         return v, v
@@ -208,6 +208,8 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
         raise ParameterError(
             "branch-and-bound certification supports fixed-mode dims <= 4"
         )
+    if np.all(A == 0):
+        return 0.0, 0.0
     A = A.transpose(fixed + sorted(order[d - 2:]))
     ns = [dims[k] for k in fixed]
     offsets = np.cumsum([0] + [n - 1 for n in ns])
@@ -327,7 +329,6 @@ class NuclearSandwich:
     decomposition: NuclearDecomposition
     dual_witness: np.ndarray
     witness_spectral_upper: float
-    witness_certified: bool
     flags: tuple = ()
 
     @property
@@ -380,18 +381,28 @@ def _witness_bound(Z):
                               max_evals=_WITNESS_MAX_EVALS)[1:]
 
 
+def _certified_witness(A, Z):
+    """``(ratio, Z, bound, method)`` for a candidate dual witness: its
+    certified spectral bound and the lower bound ``<A, Z> / bound`` it gives
+    (``-inf`` unless both are positive)."""
+    w_up, how = _witness_bound(Z)
+    pairing = inner(A, Z)
+    ratio = pairing / w_up if w_up > 0 and pairing > 0 else -np.inf
+    return ratio, Z, w_up, how
+
+
 _GREEDY_STARTS = 16  # HOPM starts per greedy step
-# Relative greedy gap (lower end from a HOPM estimate of the witness norm)
+# Relative greedy gap (lower end from the greedy witness's certified ratio)
 # above which the sandwich escalates to the dictionary LP.
 _GAP_GOAL = 1e-6
 
 
 def _greedy_atoms(A, tol, max_atoms, seed):
-    """Greedy rank-one pursuit with fully corrective least-squares refit."""
+    """Greedy rank-one pursuit with fully corrective least-squares refit;
+    returns the atoms' unit factors."""
     l2 = holder_norm(A, 2)
     t = A.ravel()
     atoms, columns = [], []
-    weights = np.zeros(0)
     residual = A
     for it in range(max_atoms):
         if holder_norm(residual, 1) <= tol * l2:
@@ -418,7 +429,7 @@ def _greedy_atoms(A, tol, max_atoms, seed):
         C = np.column_stack(columns)
         weights, *_ = np.linalg.lstsq(C, t, rcond=None)
         residual = A - (C @ weights).reshape(A.shape)
-    return atoms, columns, weights
+    return atoms
 
 
 def _hypersphere_point(angles, n):
@@ -599,47 +610,44 @@ def _sign_witness(atoms, weights, shape, flags):
     return (C @ coef).reshape(shape)
 
 
+def _nonzero_atoms(atoms, weights):
+    """The atoms and weights whose weight exceeds 1e-12 in magnitude."""
+    keep = np.abs(weights) > 1e-12
+    return [a for a, k in zip(atoms, keep) if k], weights[keep]
+
+
 def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
     """Certified interval ``[lower, upper]`` enclosing the nuclear norm.
 
-    A cheap greedy pursuit handles well-separated instances; when its
-    sandwich stays wider than ``_GAP_GOAL`` (relative) and every mode
-    dimension is at most 4, the routine escalates to an atomic-norm LP over
-    a sampled rank-one dictionary followed by a nonlinear polish of the
-    active atoms.
+    A greedy rank-one pursuit gives the upper end and a sign witness of its
+    atoms the lower end, through the witness's certified spectral bound.
+    When that certified sandwich is wider than ``_GAP_GOAL`` (relative) and
+    every mode dimension is in the dictionary LP's grid table (at most 4),
+    the routine escalates to an atomic-norm LP over a sampled rank-one
+    dictionary followed by a nonlinear polish of the active atoms.  Each
+    candidate witness (the greedy one, the escalated decomposition's, the
+    LP dual) is certified once by ``spectral_enclosure``, and the best
+    certified ratio ``<T, Z> / ||Z||_sigma`` sets the lower end.
     """
     A = asarray(T)
     d = A.ndim
     l2 = holder_norm(A, 2)
     if l2 == 0.0:
         empty = NuclearDecomposition((), A.shape)
-        return NuclearSandwich(0.0, 0.0, empty, np.zeros(A.shape), 1.0, True)
+        return NuclearSandwich(0.0, 0.0, empty, np.zeros(A.shape), 1.0)
     if d <= 2:
         return _matrix_sandwich(A)
 
     flags = []
-    atoms, columns, weights = _greedy_atoms(A, tol, max_atoms, seed)
-    witness_cands = []
+    atoms = _greedy_atoms(A, tol, max_atoms, seed)
+    weights, upper = np.zeros(0), holder_norm(A, 1)
     if atoms:
-        w_best, upper = _best_weights(A, atoms)
-        weights = w_best
-        keep = np.abs(weights) > 1e-12
-        atoms = [a for a, k in zip(atoms, keep) if k]
-        weights = weights[keep]
-    else:
-        upper = holder_norm(A, 1)
-    upper = min(upper, holder_norm(A, 1))
-
-    # Preliminary witness to measure the greedy gap.
-    if atoms:
-        Z0 = _sign_witness(atoms, weights, A.shape, flags)
-    else:
-        Z0 = A / l2
-    witness_cands.append(Z0)
-    prelim_pair = inner(A, Z0)
-    prelim_sigma = spectral_hopm(Z0, starts=8, seed=seed + 7).value
-    prelim_lower = max(l2, prelim_pair / max(prelim_sigma, 1e-30))
-    gap_rel = (upper - min(prelim_lower, upper)) / max(1.0, l2)
+        weights, up = _best_weights(A, atoms)
+        upper = min(up, upper)
+        atoms, weights = _nonzero_atoms(atoms, weights)
+    Z0 = _sign_witness(atoms, weights, A.shape, flags) if atoms else A / l2
+    best = _certified_witness(A, Z0)
+    gap_rel = (upper - min(max(l2, best[0]), upper)) / max(1.0, l2)
 
     lp = _dictionary_lp(A) if gap_rel > _GAP_GOAL else None
     if lp is not None:
@@ -649,21 +657,19 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
         except (ValueError, FloatingPointError):
             p_atoms, p_w = lp_atoms, lp_w
             flags.append("polish_failed")
+        cands = []
         if p_atoms:
             w2, up2 = _best_weights(A, p_atoms)
             if up2 < upper:
                 upper = up2
-                atoms, weights = p_atoms, w2
-                keep = np.abs(weights) > 1e-12
-                atoms = [a for a, k in zip(atoms, keep) if k]
-                weights = weights[keep]
+                atoms, weights = _nonzero_atoms(p_atoms, w2)
                 flags.append("escalated")
-            if atoms:
-                witness_cands.append(
-                    _sign_witness(atoms, weights, A.shape, flags)
-                )
+                if atoms:
+                    cands.append(_sign_witness(atoms, weights, A.shape, flags))
         if lp_dual is not None:
-            witness_cands.append(lp_dual)
+            cands.append(lp_dual)
+        best = max([best] + [_certified_witness(A, Z) for Z in cands],
+                   key=lambda s: s[0])
 
     decomposition = NuclearDecomposition(
         tuple(
@@ -672,19 +678,11 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
         ),
         A.shape,
     )
-
-    # Certify every witness candidate and keep the best certified ratio.
-    scored = []
-    for Z in witness_cands:
-        w_up, how = _witness_bound(Z)
-        pairing = inner(A, Z)
-        ratio = pairing / w_up if w_up > 0 and pairing > 0 else -np.inf
-        scored.append((ratio, Z, w_up, how))
-    ratio, Z, w_up, how = max(scored, key=lambda s: s[0])
+    ratio, Z, w_up, how = best
     flags.append(f"witness_bound_{how}")
     lower = min(max(l2, ratio), upper)
     return NuclearSandwich(float(lower), float(upper), decomposition, Z,
-                           float(w_up), True, tuple(flags))
+                           float(w_up), tuple(flags))
 
 
 def _matrix_sandwich(A):
@@ -693,7 +691,7 @@ def _matrix_sandwich(A):
         v = float(np.linalg.norm(A))
         atom = RankOneAtom(v, (A / v,))
         return NuclearSandwich(v, v, NuclearDecomposition((atom,), A.shape),
-                               A / v, 1.0, True)
+                               A / v, 1.0)
     U, s, Vt = np.linalg.svd(A)
     r = int(np.sum(s > 1e-14 * s[0])) if s.size else 0
     atoms = tuple(
@@ -701,27 +699,22 @@ def _matrix_sandwich(A):
     )
     Z = U[:, :r] @ Vt[:r]
     v = float(np.sum(s[:r]))
-    return NuclearSandwich(v, v, NuclearDecomposition(atoms, A.shape), Z, 1.0,
-                           True)
+    return NuclearSandwich(v, v, NuclearDecomposition(atoms, A.shape), Z, 1.0)
 
 
-def duality_gap_check(T, S, spectral_T=None, sandwich_S=None):
+def duality_gap_check(T, S):
     """Check <T, S> <= upper(||T||_sigma) * upper(||S||_*); report slack."""
     A, B = asarray(T), asarray(S)
     if A.shape != B.shape:
         raise DimensionError("shape mismatch")
-    if spectral_T is None:
-        _, sig_up, _ = spectral_enclosure(A, tol=1e-5)
-    else:
-        sig_up = spectral_T
-    if sandwich_S is None:
-        sandwich_S = nuclear_sandwich(B)
+    _, sig_up, _ = spectral_enclosure(A, tol=1e-5)
+    nuc_up = nuclear_sandwich(B).upper
     lhs = inner(A, B)
-    rhs = sig_up * sandwich_S.upper
+    rhs = sig_up * nuc_up
     return {
         "pairing": lhs,
         "spectral_upper": sig_up,
-        "nuclear_upper": sandwich_S.upper,
+        "nuclear_upper": nuc_up,
         "bound": rhs,
         "slack": rhs - lhs,
         "holds": bool(lhs <= rhs + 1e-10),

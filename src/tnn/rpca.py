@@ -128,16 +128,13 @@ class GolfingState:
     Z: np.ndarray
     Z_seq: tuple                 # Z_0 .. Z_m
     phi: float
-    m: int
     residuals_2: tuple           # ||p_L(Z_j) - Z||_2 per step
-    residuals_inf: tuple         # ||p_L(Z_j) - Z||_inf per step
 
 
 @dataclass(frozen=True)
 class DualCertificate:
     D1: np.ndarray
     D2: np.ndarray
-    m: int
     neumann_terms: int
     delta: float                 # exact ||p_{I(S)} p_L p_{I(S)}||
 
@@ -245,21 +242,21 @@ def generate_instance(shape, r, rho, m=None, factor_style="incoherent",
 # Incoherence.
 # ---------------------------------------------------------------------------
 
-def incoherence_profile(L, theta0=1.0, rank_tol=1e-10, rho=0.0, Z=None,
-                        u0=None):
+def incoherence_profile(L, rho=0.0):
     """Per-mode span ranks and coherences of ``L`` plus the measured slack
-    of the three standard identifiability inequalities at ``theta0``.
+    of the three standard identifiability inequalities (with the rank
+    condition's constant ``theta0 = 1``).
 
     ``u_k = (n_k / r_k) max_i ||p_k(e_i)||^2`` where ``p_k`` projects onto
-    the mode-``k`` span; ``z_inf`` is the sup norm of the dual witness
-    (``Z`` if given, otherwise the constructed one), an upper bound on the
-    minimum over all witnesses.
+    the mode-``k`` span and ``u0 = max_k u_k``; ``z_inf`` is the sup norm of
+    the dual witness from ``find_z_witness``, an upper bound on the minimum
+    over all witnesses.
     """
     A = asarray(L)
     if holder_norm(A, 2) == 0.0:
         raise PreconditionError("ground truth must be nonzero")
     d = A.ndim
-    family = family_from_tensor(A, rank_tol=rank_tol)
+    family = family_from_tensor(A)
     r_k, u_k = [], []
     for k, sub in enumerate(family.subspaces):
         rk = sub.dim
@@ -267,17 +264,14 @@ def incoherence_profile(L, theta0=1.0, rank_tol=1e-10, rho=0.0, Z=None,
         r_k.append(rk)
         u_k.append((A.shape[k] / rk) * float(row_norms.max()))
     r0 = max(r_k)
-    u_max = max(u_k)
-    u0 = u_max if u0 is None else float(u0)
-    if Z is None:
-        Z = find_z_witness(A)
-    z_inf = holder_norm(Z, np.inf) if not np.isscalar(Z) else float(Z)
+    u0 = max(u_k)
+    z_inf = holder_norm(find_z_witness(A), np.inf)
 
     n1, nd = min(A.shape), max(A.shape)
     ln_nd = np.log(nd)
     slacks = {
-        "coherence": (u_max, u0),
-        "rank": (r0, float(theta0) * (1.0 - rho) * n1 / (u0 * ln_nd ** 2)),
+        "coherence": (u0, u0),
+        "rank": (r0, (1.0 - rho) * n1 / (u0 * ln_nd ** 2)),
         "witness_inf": (
             z_inf,
             float(np.sqrt(u0 * r0 / (n1 * nd * ln_nd ** max(2 * d - 5, 0)))),
@@ -325,24 +319,22 @@ def golfing_certificate(instance, Z):
     scale = 1.0 / (1.0 - phi)
     Zj = np.zeros(instance.shape)
     seq = [Zj]
-    res2, resinf = [], []
+    res2 = []
     for batch in instance.batch_masks:
         resid = p_L(Zj) - Z
         Zj = Zj - scale * support_project(batch.complemented(), resid)
         seq.append(Zj)
-        out = p_L(Zj) - Z
-        res2.append(holder_norm(out, 2))
-        resinf.append(holder_norm(out, np.inf))
-    state = GolfingState(Z, tuple(seq), float(phi), m, tuple(res2),
-                         tuple(resinf))
+        res2.append(holder_norm(p_L(Zj) - Z, 2))
+    state = GolfingState(Z, tuple(seq), float(phi), tuple(res2))
     return Zj, state
 
 
-def neumann_certificate(instance, lam=None, tol=1e-12, k_max=200):
+def neumann_certificate(instance, lam=None):
     """Sparse certificate part
     ``D2 = lambda p_{L perp} sum_k (p_{I(S)} p_L p_{I(S)})^k (E)``,
     the least-squares solution of ``p_{I(S)}(D2) = lambda E`` orthogonal to
-    the span subspace, accumulated term by term.  Returns
+    the span subspace, accumulated term by term until a term's norm falls
+    below ``1e-12 (1 - delta) / lambda`` (at most 200 terms).  Returns
     ``(D2, delta, terms_used)`` where ``delta = sigma_max(Q_{I(S)})^2`` is
     the exact contraction norm; ``delta >= 1`` aborts (the series
     diverges)."""
@@ -360,8 +352,8 @@ def neumann_certificate(instance, lam=None, tol=1e-12, k_max=200):
     w = support_project(sup, instance.E)
     acc = w.copy()
     terms = 1
-    cutoff = tol * (1.0 - delta) / max(lam, 1e-300)
-    for _ in range(int(k_max)):
+    cutoff = 1e-12 * (1.0 - delta) / max(lam, 1e-300)
+    for _ in range(200):
         w = support_project(sup, p_L(support_project(sup, w)))
         nrm = holder_norm(w, 2)
         acc = acc + w
@@ -372,7 +364,7 @@ def neumann_certificate(instance, lam=None, tol=1e-12, k_max=200):
     return D2, float(delta), terms
 
 
-def certify(instance, lam=None, neumann_tol=1e-12, sigma_tol=1e-3):
+def certify(instance, lam=None):
     """Build ``D = D1 + D2`` and evaluate the five optimality conditions.
 
     The spectral condition's upper bound is certified at every size by
@@ -392,17 +384,15 @@ def certify(instance, lam=None, neumann_tol=1e-12, sigma_tol=1e-3):
     if instance.support.count == 0:
         D2, delta, terms = np.zeros(instance.shape), 0.0, 0
     else:
-        D2, delta, terms = neumann_certificate(
-            instance, lam=lam, tol=neumann_tol
-        )
+        D2, delta, terms = neumann_certificate(instance, lam=lam)
     D1, state = golfing_certificate(instance, Z)
-    cert = DualCertificate(D1, D2, len(instance.batch_masks), terms, delta)
+    cert = DualCertificate(D1, D2, terms, delta)
     D = cert.D
 
     PD = p_L(D)
     dist_span = holder_norm(PD - Z, 2)
     off = D - PD
-    sig_lo, sig_up, _ = spectral_enclosure(off, tol=sigma_tol)
+    sig_lo, sig_up, _ = spectral_enclosure(off, tol=1e-3)
     sig_lo = max(sig_lo, spectral_hopm(off).value)
     # Decide against the 1/2 threshold with certified bounds when they are
     # sharp enough; otherwise fall back to the multi-start value and flag
@@ -461,9 +451,10 @@ def _soft(X, tau):
     return np.sign(X) * np.maximum(np.abs(X) - tau, 0.0)
 
 
-def solve_matrix_rpca(M, lam=None, mu=None, tol=1e-9, max_iter=2000):
+def solve_matrix_rpca(M, lam=None, tol=1e-9, max_iter=2000):
     """Matrix principal component pursuit by alternating singular-value and
-    entrywise soft thresholding with a scaled dual update.  Returns
+    entrywise soft thresholding with a scaled dual update, at the penalty
+    ``mu = size / (4 ||M||_1)``.  Returns
     ``(L_hat, S_hat, residuals)``; non-convergence raises with the last
     iterate attached."""
     M = np.asarray(M, dtype=np.float64)
@@ -475,9 +466,7 @@ def solve_matrix_rpca(M, lam=None, mu=None, tol=1e-9, max_iter=2000):
     norm_M = np.linalg.norm(M)
     if norm_M == 0.0:
         return np.zeros_like(M), np.zeros_like(M), [0.0]
-    if mu is None:
-        mu = M.size / (4.0 * np.abs(M).sum())
-    mu = float(mu)
+    mu = float(M.size / (4.0 * np.abs(M).sum()))
     L = np.zeros_like(M)
     S = np.zeros_like(M)
     Y = np.zeros_like(M)
@@ -530,7 +519,6 @@ def concentration_trial(L, q, trials=20, seed=0):
         raise ParameterError("need at least one trial")
     family = family_from_tensor(A)
     shape = A.shape
-    prof = incoherence_profile(A)
     root = np.random.SeedSequence([int(seed), *shape])
     records = []
     for child in root.spawn(int(trials)):
@@ -561,5 +549,4 @@ def concentration_trial(L, q, trials=20, seed=0):
             "leakage_half_eps": leak_envelope,
             "sign_spectral_shape": sign_shape,
         },
-        "profile": prof,
     }

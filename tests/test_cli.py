@@ -124,6 +124,13 @@ class TestCheckCommands:
         doc = json.loads(res.output)
         assert doc["feasible_max"] == pytest.approx(1.0, abs=1e-3)
 
+    def test_tau_probe_past_branch_and_bound_limit(self, runner):
+        res = run(runner, ["check", "tau-probe", "--selector", "upperU:1,2",
+                           "--dims", "5,5,6", "--trials", "1"])
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        assert doc["feasible_max"] == pytest.approx(1.0, abs=1e-3)
+
     def test_lower_bound_on_gallery(self, runner):
         res = run(runner, ["check", "lower-bound", "gallery:limitation",
                            "--I", "1,2"])

@@ -83,7 +83,7 @@ class TestSpectralDecomp:
         family = span_e1_family()
         T = outer_atom([e(2, 0)] * 3)
         S = outer_atom([e(2, 1)] * 3)
-        report = check_spectral_decomp(T, S, family, (0, 1, 2), certify=True)
+        report = check_spectral_decomp(T, S, family, (0, 1, 2))
         assert report.ok
         assert report.details["sigma_sum"] == pytest.approx(1.0, abs=1e-8)
 
@@ -105,7 +105,7 @@ class TestSpectralDecomp:
     @pytest.mark.parametrize("shape", [(3, 5, 6), (5, 5, 6)])
     def test_certified_intervals_at_any_size(self, shape):
         family, T, S = sample_pair(shape, (1, 1, 2), (0, 1), seed=0)
-        report = check_spectral_decomp(T, S, family, (0, 1), certify=True)
+        report = check_spectral_decomp(T, S, family, (0, 1))
         assert report.ok
         for lo, up in (report.lhs, report.rhs):
             assert np.isfinite(up)

@@ -49,3 +49,51 @@ def test_detector_finds_unused_and_keeps_used():
 @pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
 def test_no_unused_imports(path):
     assert unused_imports(path.read_text()) == []
+
+
+def references(source, name):
+    """``(line, function)`` of every read of ``name`` -- as a bare name, an
+    attribute or an import alias -- with the innermost enclosing function
+    (``None`` at module level).  Imports themselves are not reads."""
+    tree = ast.parse(source)
+    names = {name} | {alias.asname for node in ast.walk(tree)
+                      if isinstance(node, ast.ImportFrom)
+                      for alias in node.names
+                      if alias.name == name and alias.asname}
+    found = []
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if (isinstance(child, ast.Name) and child.id in names
+                    or isinstance(child, ast.Attribute)
+                    and child.attr in names):
+                found.append((child.lineno, owner))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else owner)
+
+    visit(tree, None)
+    return found
+
+
+def test_reference_detector_finds_every_read():
+    source = (
+        "from .norms import spectral_certified_upper as bound\n"
+        "import tnn.norms\n"
+        "def good(T):\n"
+        "    return spectral_certified_upper(T)\n"
+        "def bad(T):\n"
+        "    f = tnn.norms.spectral_certified_upper\n"
+        "    return bound(T)\n"
+        "x = spectral_certified_upper\n"
+        "__all__ = ['spectral_certified_upper']\n"
+    )
+    assert references(source, "spectral_certified_upper") == [
+        (4, "good"), (6, "bad"), (7, "bad"), (8, None)]
+
+
+def test_only_the_enclosure_calls_the_branch_and_bound():
+    found = [f"{path.stem}.{owner}"
+             for path in sorted(SRC.glob("*.py"))
+             for _, owner in references(path.read_text(),
+                                        "spectral_certified_upper")]
+    assert found == ["norms.spectral_enclosure"]

@@ -1,3 +1,4 @@
+import sys
 import tracemalloc
 
 import numpy as np
@@ -189,14 +190,19 @@ class TestSpectralEnclosure:
         assert lo <= hopm + SLACK
         assert hopm <= up + SLACK
 
-    @pytest.mark.parametrize("shape", [(2, 2, 2), (5, 6, 7)])
-    def test_zero_tensor(self, shape):
-        lo, up, _ = spectral_enclosure(np.zeros(shape))
-        assert (lo, up) == (0.0, 0.0)
+    @pytest.mark.parametrize("shape, method", [((2, 2, 2), "bnb"),
+                                               ((5, 6, 7), "flattening")],
+                             ids=["shape0", "shape1"])
+    def test_zero_tensor(self, shape, method):
+        assert spectral_enclosure(np.zeros(shape)) == (0.0, 0.0, method)
 
 
 class TestNuclearSandwich:
-    def test_rank_one_atom(self, rng):
+    def test_rank_one_atom(self, rng, monkeypatch):
+        def refuse(A):
+            raise AssertionError("dictionary LP reached")
+
+        monkeypatch.setattr(tnn.norms, "_dictionary_lp", refuse)
         factors = [v / np.linalg.norm(v)
                    for v in (rng.standard_normal(2) for _ in range(3))]
         sw = nuclear_sandwich(outer_atom(factors))
@@ -257,20 +263,33 @@ class TestNuclearSandwich:
         T = asarray(rng.standard_normal((2, 2, 2)))
         sw = nuclear_sandwich(T)
         assert len(bounds) >= 2  # the greedy, polished and LP witnesses
-        for Z, ub in bounds:
+        for i, (Z, ub) in enumerate(bounds):
             assert sw.lower >= inner(T, Z) / ub - 1e-12
-        assert sw.witness_certified
+            # Each candidate is certified once.
+            assert not any(np.array_equal(Z, W) for W, _ in bounds[:i])
 
     def test_large_modes_certify_with_flattening_bound(self):
         L = generate_instance((12, 12, 12), 1, 0.02, m=3, seed=1).L
         sw = nuclear_sandwich(L)
-        assert sw.witness_certified
         assert "witness_bound_flattening" in sw.flags
         assert sw.witness_spectral_upper == spectral_flattening_upper(
             sw.dual_witness)
         # L has rank one, so its nuclear norm is its Frobenius norm.
         fro = holder_norm(L, 2)
         assert sw.lower - 1e-9 <= fro <= sw.upper + 1e-9
+
+    def test_hopm_runs_only_in_the_greedy_pursuit(self, rng, monkeypatch):
+        callers = []
+        original = tnn.norms.spectral_hopm
+
+        def recording(*args, **kwargs):
+            callers.append(sys._getframe(1).f_code.co_name)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tnn.norms, "spectral_hopm", recording)
+        sw = nuclear_sandwich(asarray(rng.standard_normal((2, 2, 2))))
+        assert "escalated" in sw.flags
+        assert callers and set(callers) == {"_greedy_atoms"}
 
     @pytest.mark.parametrize("error, caught", [(ValueError, True),
                                                (FloatingPointError, True),

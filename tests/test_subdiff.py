@@ -290,6 +290,11 @@ class TestProbeTau:
             est.feasible_max, abs=1e-6
         )
 
+    def test_past_branch_and_bound_limit(self):
+        est = probe_tau(upper_u(frozenset({0, 1})), (5, 5, 6), trials=1)
+        assert est.feasible_max == pytest.approx(1.0, abs=1e-3)
+        assert est.infeasible_min >= est.feasible_max - 1e-9
+
     def test_selector_must_avoid_span(self):
         from tnn import basic
 
