@@ -12,6 +12,13 @@ between them, and the library's only caller of the branch and bound: the
 branch and bound, capped by the flattening bound, where the branch and bound
 accepts the shape, and the flattening bound elsewhere.
 
+HOPM runs all starts together on unfoldings: each mode's transposed
+unfolding ``T_(k)^T`` is copied once per call, and each mode update is one
+BLAS product of the other modes' row-wise Khatri-Rao product with it.  The
+norms of a sweep's last updates are the values at the starts, so no sweep
+evaluates the form separately; it is evaluated once, at the final vectors,
+to rank the starts.
+
 The nuclear norm is enclosed in a sandwich ``[lower, upper]``: the upper
 bound comes from a greedy rank-one decomposition (with a final weight refit
 that minimizes total weight plus l1 residual), the lower bound from a dual
@@ -37,6 +44,7 @@ from .subspace import basic, project
 from .tensor_core import (
     NuclearDecomposition,
     RankOneAtom,
+    _khatri_rao_rows,
     asarray,
     basis_vector,
     holder_norm,
@@ -90,7 +98,17 @@ def _hopm_update_strings(d):
 
 def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     """Multi-start alternating (higher-order power) maximization of the
-    multilinear form; returns the best local maximizer found."""
+    multilinear form; returns the best local maximizer found.
+
+    All starts iterate together.  Each mode update is one BLAS product: the
+    row-wise Khatri-Rao product of the other modes' current vectors
+    (``starts x N/n_k``) times the mode's transposed unfolding
+    (``N/n_k x n_k``, built once per call).  After a sweep the value at each
+    start is the norm of its last update ``V``, since
+    ``<A, x_1 (x) ... (x) V/||V||> = ||V||``; the sweeps stop when no value
+    moves by more than ``tol`` (relative to the largest, when above 1).  The
+    best start is the one where the form, evaluated once at the final
+    vectors, is largest in magnitude."""
     A = asarray(T)
     d = A.ndim
     if np.all(A == 0):
@@ -105,30 +123,33 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     if starts < 1:
         raise ParameterError("starts must be >= 1")
 
-    value_str, update_strs = _hopm_update_strings(d)
+    value_str, _ = _hopm_update_strings(d)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), d]))
     X = [
         np.apply_along_axis(normalize, 1, rng.standard_normal((starts, n)))
         for n in A.shape
     ]
+    # Mode k's transposed unfolding: rows run over the other modes in
+    # increasing order, as the Khatri-Rao rows do.
+    unfolded = [np.ascontiguousarray(np.moveaxis(A, k, -1).reshape(-1, n))
+                for k, n in enumerate(A.shape)]
+    # Sign flips are absorbed: |value| is what alternating maximization
+    # drives upward (flip one factor's sign to realize the positive value).
     vals = np.abs(np.einsum(value_str, A, *X))
     total_iters = 0
     for _ in range(max_iter):
         total_iters += 1
         for k in range(d):
-            others = [X[j] for j in range(d) if j != k]
-            V = np.einsum(update_strs[k], A, *others)
-            norms = np.linalg.norm(V, axis=1)
-            norms[norms == 0] = 1.0
-            X[k] = V / norms[:, None]
-        new_vals = np.einsum(value_str, A, *X)
-        # Sign flips are absorbed: |value| is what alternating maximization
-        # drives upward (flip one factor's sign to realize the positive value).
-        new_vals = np.abs(new_vals)
-        if np.max(np.abs(new_vals - vals)) < tol * max(1.0, np.max(new_vals)):
-            vals = new_vals
+            V = _khatri_rao_rows(X[:k] + X[k + 1:]) @ unfolded[k]
+            norms = np.sqrt((V * V).sum(axis=1))
+            X[k] = V / np.where(norms == 0, 1.0, norms)[:, None]
+        converged = np.abs(norms - vals).max() < tol * max(1.0, norms.max())
+        vals = norms
+        if converged:
             break
-        vals = new_vals
+    # Starts at one maximum tie to rounding; rank them by the value the
+    # result reports, not by the update norms.
+    vals = np.abs(np.einsum(value_str, A, *X))
     best = int(np.argmax(vals))
     signed = float(np.einsum(value_str, A, *[x[best][None] for x in X]).item())
     vecs = [np.array(x[best]) for x in X]

@@ -56,7 +56,7 @@ from .subspace import (
     project,
     support_project,
 )
-from .tensor_core import asarray, holder_norm, outer_atom
+from .tensor_core import _khatri_rao_rows, asarray, holder_norm, outer_atom
 
 __all__ = [
     "RpcaInstance",
@@ -244,8 +244,8 @@ def generate_instance(shape, r, rho, m=None, factor_style="incoherent",
 
 def incoherence_profile(L, rho=0.0):
     """Per-mode span ranks and coherences of ``L`` plus the measured slack
-    of the three standard identifiability inequalities (with the rank
-    condition's constant ``theta0 = 1``).
+    of two standard identifiability inequalities, the rank condition (with
+    its constant ``theta0 = 1``) and the witness sup-norm bound.
 
     ``u_k = (n_k / r_k) max_i ||p_k(e_i)||^2`` where ``p_k`` projects onto
     the mode-``k`` span and ``u0 = max_k u_k``; ``z_inf`` is the sup norm of
@@ -270,7 +270,6 @@ def incoherence_profile(L, rho=0.0):
     n1, nd = min(A.shape), max(A.shape)
     ln_nd = np.log(nd)
     slacks = {
-        "coherence": (u0, u0),
         "rank": (r0, (1.0 - rho) * n1 / (u0 * ln_nd ** 2)),
         "witness_inf": (
             z_inf,
@@ -287,15 +286,11 @@ def incoherence_profile(L, rho=0.0):
 
 def _factor_rows(family, mask):
     """The rows of ``Q = U_1 (x) ... (x) U_d`` at the multi-indices
-    ``np.argwhere(mask)``: an ``|I| x R`` array with ``R = prod r_k``, built
-    with one broadcast product per mode."""
+    ``np.argwhere(mask)``: an ``|I| x R`` array with ``R = prod r_k``, the
+    row-wise Khatri-Rao product of the gathered basis rows."""
     idx = np.argwhere(mask)
-    rows = np.ones((len(idx), 1))
-    for k, sub in enumerate(family.subspaces):
-        rows = (rows[:, :, None] * sub.basis[idx[:, k], None, :]).reshape(
-            len(idx), rows.shape[1] * sub.dim
-        )
-    return rows
+    return _khatri_rao_rows([sub.basis[idx[:, k]]
+                             for k, sub in enumerate(family.subspaces)])
 
 
 def _sigma_max(A):
@@ -320,11 +315,13 @@ def golfing_certificate(instance, Z):
     Zj = np.zeros(instance.shape)
     seq = [Zj]
     res2 = []
+    resid = -Z  # p_L(Z_0) - Z with Z_0 = 0
     for batch in instance.batch_masks:
-        resid = p_L(Zj) - Z
         Zj = Zj - scale * support_project(batch.complemented(), resid)
         seq.append(Zj)
-        res2.append(holder_norm(p_L(Zj) - Z, 2))
+        # The step's residual is also the next step's correction.
+        resid = p_L(Zj) - Z
+        res2.append(holder_norm(resid, 2))
     state = GolfingState(Z, tuple(seq), float(phi), tuple(res2))
     return Zj, state
 

@@ -128,6 +128,17 @@ def normalize(v):
     return v / n if n > 0 else v
 
 
+def _khatri_rao_rows(factors):
+    """Row-wise Khatri-Rao product of matrices with a common row count: row
+    ``z`` is the Kronecker product of the factors' rows ``z``, the first
+    factor's column index varying slowest."""
+    P = factors[0]
+    for F in factors[1:]:
+        P = (P[:, :, None] * F[:, None, :]).reshape(
+            len(P), P.shape[1] * F.shape[1])
+    return P
+
+
 @dataclass(frozen=True)
 class NuclearDecomposition:
     """A list of rank-one atoms targeting a common tensor shape."""

@@ -97,3 +97,58 @@ def test_only_the_enclosure_calls_the_branch_and_bound():
              for _, owner in references(path.read_text(),
                                         "spectral_certified_upper")]
     assert found == ["norms.spectral_enclosure"]
+
+
+LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
+         ast.DictComp, ast.GeneratorExp)
+
+
+def einsum_calls_in_loops(source, function):
+    """Lines of the ``einsum`` calls (bare or as an attribute) inside a
+    ``for``/``while`` loop or a comprehension of the module-level function
+    ``function``; ``None`` when the module has no such function."""
+    defs = [node for node in ast.parse(source).body
+            if isinstance(node, ast.FunctionDef) and node.name == function]
+    if not defs:
+        return None
+    found = []
+
+    def visit(node, in_loop):
+        for child in ast.iter_child_nodes(node):
+            if in_loop and isinstance(child, ast.Call):
+                func = child.func
+                name = func.attr if isinstance(func, ast.Attribute) else (
+                    func.id if isinstance(func, ast.Name) else None)
+                if name == "einsum":
+                    found.append(child.lineno)
+            visit(child, in_loop or isinstance(child, LOOPS))
+
+    visit(defs[0], False)
+    return found
+
+
+def test_einsum_loop_detector():
+    source = (
+        "import numpy as np\n"
+        "from numpy import einsum\n"
+        "def hopm(A, X):\n"
+        "    v = np.einsum('i,i->', A, X)\n"
+        "    for k in range(3):\n"
+        "        V = np.einsum('ij,j->i', A, X)\n"
+        "        while True:\n"
+        "            w = einsum('i->', V)\n"
+        "            break\n"
+        "    ys = [np.einsum('i->', x) for x in X]\n"
+        "    return np.dot(A, [x[0] for x in X])\n"
+        "def other(A):\n"
+        "    for _ in A:\n"
+        "        np.einsum('i->', A)\n"
+    )
+    assert einsum_calls_in_loops(source, "hopm") == [6, 8, 10]
+    assert einsum_calls_in_loops(source, "other") == [14]
+    assert einsum_calls_in_loops(source, "missing") is None
+
+
+def test_hopm_iterates_without_einsum():
+    source = (SRC / "norms.py").read_text()
+    assert einsum_calls_in_loops(source, "spectral_hopm") == []

@@ -28,7 +28,14 @@ from tnn import (
     spectral_flattening_upper,
     spectral_hopm,
 )
-from tnn.norms import _l1_refit, _polish_objective
+from tnn.norms import (
+    SpectralResult,
+    _distinct_maximizers,
+    _hopm_update_strings,
+    _l1_refit,
+    _polish_objective,
+)
+from tnn.tensor_core import normalize
 from conftest import e
 
 SQ3 = np.sqrt(3.0)
@@ -90,6 +97,112 @@ class TestSpectralHopm:
         for _ in range(10):
             T = asarray(rng.standard_normal((2, 2, 2)))
             assert spectral_hopm(T).value >= holder_norm(T, np.inf) - 1e-10
+
+
+def _einsum_hopm(A, starts, tol, max_iter=2000):
+    """The multi-start HOPM iteration written with one einsum per mode update
+    and per value sweep: the reference the unfolding kernel must reproduce.
+
+    Returns the result, every start's final vectors and values, and each
+    sweep's stop statistic with its threshold."""
+    d = A.ndim
+    value_str, update_strs = _hopm_update_strings(d)
+    rng = np.random.default_rng(np.random.SeedSequence([0, d]))
+    X = [
+        np.apply_along_axis(normalize, 1, rng.standard_normal((starts, n)))
+        for n in A.shape
+    ]
+    vals = np.abs(np.einsum(value_str, A, *X))
+    total_iters, stops = 0, []
+    for _ in range(max_iter):
+        total_iters += 1
+        for k in range(d):
+            others = [X[j] for j in range(d) if j != k]
+            V = np.einsum(update_strs[k], A, *others)
+            norms = np.linalg.norm(V, axis=1)
+            norms[norms == 0] = 1.0
+            X[k] = V / norms[:, None]
+        new_vals = np.abs(np.einsum(value_str, A, *X))
+        stops.append((np.max(np.abs(new_vals - vals)),
+                      tol * max(1.0, np.max(new_vals))))
+        if stops[-1][0] < stops[-1][1]:
+            vals = new_vals
+            break
+        vals = new_vals
+    best = int(np.argmax(vals))
+    signed = float(np.einsum(value_str, A, *[x[best][None] for x in X]).item())
+    vecs = [np.array(x[best]) for x in X]
+    if signed < 0:
+        vecs[0] = -vecs[0]
+    local = _distinct_maximizers(A, X, vals, value_str)
+    res = SpectralResult(float(abs(signed)), tuple(vecs), starts, total_iters,
+                         local_maxima=local)
+    return res, X, vals, stops
+
+
+_KERNEL_SHAPES = [(3, 4, 5), (2, 1, 3), (1, 4, 4), (6, 2, 7), (2, 3, 2, 3),
+                  (3, 3, 3, 3), (2, 2, 2, 2, 2)]
+
+
+@pytest.fixture(scope="module")
+def off_span_12():
+    """The off-span tensor ``D - p_L(D)`` whose spectral norm ``certify``
+    bounds at 12^3."""
+    import tnn.rpca
+    seen = []
+    original = tnn.rpca.spectral_hopm
+    tnn.rpca.spectral_hopm = lambda T, *a, **k: seen.append(T) or original(
+        T, *a, **k)
+    try:
+        tnn.rpca.certify(generate_instance((12, 12, 12), 1, 0.02, m=3, seed=1))
+    finally:
+        tnn.rpca.spectral_hopm = original
+    return asarray(seen[0])
+
+
+class TestHopmKernel:
+    """The BLAS unfolding kernel yields the einsum iteration's iterates."""
+
+    @pytest.mark.parametrize("tol", [1e-12, 1e-13])
+    @pytest.mark.parametrize("starts", [1, 16, 64])
+    @pytest.mark.parametrize("case", [*_KERNEL_SHAPES, "off_span_12"],
+                             ids=str)
+    def test_matches_einsum_iteration(self, case, starts, tol, request):
+        if case == "off_span_12":
+            A = request.getfixturevalue("off_span_12")
+        else:
+            A = asarray(np.random.default_rng(
+                _KERNEL_SHAPES.index(case)).standard_normal(case))
+        res = spectral_hopm(A, starts=starts, tol=tol)
+        ref, X, vals, stops = _einsum_hopm(A, starts, tol)
+        if res.iterations != ref.iterations:
+            # Only a rounding tie of the stop rule may end the two one sweep
+            # apart: the reference's statistic at the earlier sweep lies
+            # within a few dozen ulps of its threshold.  Compare the
+            # iterates after the kernel's number of sweeps.
+            assert abs(res.iterations - ref.iterations) == 1
+            stat, bound = stops[min(res.iterations, ref.iterations) - 1]
+            assert abs(stat - bound) <= 1e-14 * max(1.0, res.value)
+            ref, X, vals, _ = _einsum_hopm(A, starts, 0.0,
+                                           max_iter=res.iterations)
+        assert res.iterations == ref.iterations
+        assert res.starts_used == ref.starts_used
+        assert res.value == pytest.approx(ref.value, rel=1e-12)
+        # Starts that reach the same maximum tie to rounding, so the best
+        # one may differ; the maximizers must be one reference start's
+        # vectors, up to sign, at a best value.
+        match = [
+            b for b in range(starts)
+            if all(min(np.max(np.abs(x - v[b])), np.max(np.abs(x + v[b])))
+                   < 1e-10 for x, v in zip(res.maximizers, X))
+        ]
+        assert match
+        assert vals[match[0]] == pytest.approx(np.max(vals), rel=1e-12)
+        assert len(res.local_maxima) == len(ref.local_maxima)
+        # The loop's values are update norms; the reported value is still
+        # the form at the returned maximizers.
+        assert res.value == pytest.approx(
+            abs(multilinear_contract(A, list(res.maximizers))), rel=1e-12)
 
 
 class TestSpectralCertified:

@@ -110,9 +110,7 @@ class TestIncoherenceProfile:
     def test_slack_structure(self):
         inst = generate_instance((12, 12, 12), 1, 0.0, seed=1)
         prof = incoherence_profile(asarray(inst.L), rho=0.02)
-        assert set(prof.assumption_slacks) == {
-            "coherence", "rank", "witness_inf"
-        }
+        assert set(prof.assumption_slacks) == {"rank", "witness_inf"}
         lhs, rhs = prof.assumption_slacks["rank"]
         assert lhs == 1
         assert rhs > 0
