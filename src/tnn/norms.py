@@ -27,6 +27,14 @@ candidate witnesses interpolate the signs of a decomposition's atoms or come
 from the dictionary LP; each is certified once by ``spectral_enclosure`` and
 the one with the best certified ratio ``<T, Z> / ||Z||_sigma`` is kept.  The
 greedy witness's certified ratio also decides whether to escalate to the LP.
+
+The dictionary LP minimizes ``sum |w|`` over decompositions of ``T`` into
+atoms of a fixed grid, every product of per-mode half-sphere samples.  It is
+solved by column generation: LPs on a small active set of grid atoms, whose
+duals are priced against the whole grid by one mode product per mode with
+the sample matrices, so the dictionary itself is never built.  An LP with
+``N`` rows has a basic optimum on at most ``N`` atoms, so a few hundred
+columns reach the optimum over tens of thousands.
 """
 
 from __future__ import annotations
@@ -75,13 +83,16 @@ class SpectralResult:
     """Best value found for the spectral norm, with its maximizers.
 
     ``value`` is a lower bound of the true norm, attained by the returned
-    unit vectors (exact for vectors and matrices).
+    unit vectors (exact for vectors and matrices).  ``converged`` is false
+    when the iteration stopped on its sweep budget rather than its stop
+    rule.
     """
 
     value: float
     maximizers: tuple
     starts_used: int
     iterations: int
+    converged: bool
     local_maxima: tuple = ()
 
 
@@ -113,13 +124,13 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     d = A.ndim
     if np.all(A == 0):
         maxim = tuple(basis_vector(n) for n in A.shape)
-        return SpectralResult(0.0, maxim, 0, 0)
+        return SpectralResult(0.0, maxim, 0, 0, True)
     if d == 1:
         val = float(np.linalg.norm(A))
-        return SpectralResult(val, (A / val,), 1, 1)
+        return SpectralResult(val, (A / val,), 1, 1, True)
     if d == 2:
         U, s, Vt = np.linalg.svd(A)
-        return SpectralResult(float(s[0]), (U[:, 0], Vt[0]), 1, 1)
+        return SpectralResult(float(s[0]), (U[:, 0], Vt[0]), 1, 1, True)
     if starts < 1:
         raise ParameterError("starts must be >= 1")
 
@@ -136,7 +147,7 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     # Sign flips are absorbed: |value| is what alternating maximization
     # drives upward (flip one factor's sign to realize the positive value).
     vals = np.abs(np.einsum(value_str, A, *X))
-    total_iters = 0
+    total_iters, converged = 0, False
     for _ in range(max_iter):
         total_iters += 1
         for k in range(d):
@@ -158,7 +169,7 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     maxim = tuple(vecs)
     value = float(abs(signed))
     local = _distinct_maximizers(A, X, vals, value_str)
-    return SpectralResult(value, maxim, starts, total_iters,
+    return SpectralResult(value, maxim, starts, total_iters, bool(converged),
                           local_maxima=local)
 
 
@@ -488,54 +499,114 @@ _LP_SAMPLES = {1: 1, 2: 25, 3: 150, 4: 340}
 _LP_CAP = 100_000
 
 
-def _dictionary_lp(A):
-    """Atomic-norm LP over a sampled rank-one dictionary.
-
-    Returns ``(atoms, weights, dual_witness)`` where the dual witness has a
-    spectral norm close to one by LP feasibility over the grid.  ``None`` if
-    a mode dimension exceeds 4 or the LP fails.
-    """
-    shape = A.shape
-    d = A.ndim
-    if any(n not in _LP_SAMPLES for n in shape):
-        return None
+def _lp_grid(shape):
+    """Per-mode sample matrices ``(s_k, n_k)`` of the dictionary LP's grid,
+    whose atoms are the products of one row from each."""
     targets = [_LP_SAMPLES[n] for n in shape]
     while int(np.prod([max(1, tg) for tg in targets])) > _LP_CAP:
         targets = [max(1, int(tg * 0.85)) if n > 1 else 1
                    for tg, n in zip(targets, shape)]
         if all(tg <= 4 for tg, n in zip(targets, shape) if n > 1):
             break
-    factor_sets = [_half_sphere_samples(n, tg) for n, tg in zip(shape, targets)]
-    cols = factor_sets[0]
-    for F in factor_sets[1:]:
-        cols = np.einsum("ax,by->abxy", cols, F).reshape(
-            cols.shape[0] * F.shape[0], cols.shape[1] * F.shape[1]
-        )
-    M = cols.shape[0]
-    A_eq = np.hstack([cols.T, -cols.T])  # (N, 2M): [C, -C]
-    res = linprog(np.ones(2 * M), A_eq=A_eq, b_eq=A.ravel(), bounds=(0, None),
-                  method="highs")
-    if not res.success:
+    return [_half_sphere_samples(n, tg) for n, tg in zip(shape, targets)]
+
+
+# Column generation stops once no grid atom pairs with the dual above this.
+_LP_PRICE_TOL = 1e-9
+
+
+def _grid_pairings(Y, factor_sets):
+    """``|<Y, a>|`` for every grid atom ``a``, shaped by the per-mode sample
+    counts: one mode product of ``Y`` with each mode's sample matrix."""
+    P = Y
+    for F in factor_sets:
+        P = np.tensordot(P, F, axes=([0], [1]))
+    return np.abs(P)
+
+
+def _largest(values, k):
+    """Indices of the ``k`` largest values (all of them if there are fewer),
+    in no particular order."""
+    if k >= values.size:
+        return np.arange(values.size)
+    return np.argpartition(-values, k - 1)[:k]
+
+
+def _dictionary_lp(A):
+    """Atomic-norm LP over a sampled rank-one dictionary, solved by column
+    generation.
+
+    The grid holds every product of per-mode half-sphere samples; the LP
+    minimizes ``sum |w|`` subject to ``sum_a w_a a = A`` over it.  It is
+    solved on an active set of grid atoms: the ``4N`` best aligned with
+    ``A`` plus, for each entry, the atom largest there (``N`` entries).
+    Each restricted LP's dual ``y`` is priced against the whole grid by mode
+    products with the sample matrices, without building the dictionary, and
+    up to ``2N`` of the atoms with ``|<y, a>| > 1`` join the active set.
+    When none is left, ``y`` is feasible for the grid's dual LP, so the
+    restricted optimum is the grid optimum.  A restricted LP that fails
+    brings in the rest of the grid.
+
+    Returns ``(atoms, weights, dual_witness)``, atoms in ascending grid
+    index, where the dual witness has a spectral norm close to one by LP
+    feasibility over the grid.  ``None`` if a mode dimension exceeds 4 or
+    the LP fails on the whole grid.
+    """
+    shape = A.shape
+    if any(n not in _LP_SAMPLES for n in shape):
         return None
-    w = res.x[:M] - res.x[M:]
-    active = np.where(np.abs(w) > 1e-9)[0]
-    sizes = [F.shape[0] for F in factor_sets]
-    atoms = []
-    for idx in active:
-        multi = np.unravel_index(idx, sizes)
-        atoms.append(tuple(factor_sets[k][multi[k]] for k in range(d)))
-    dual = None
-    if res.eqlin is not None and res.eqlin.marginals is not None:
-        y = np.asarray(res.eqlin.marginals).reshape(A.shape)
-        if inner(A, y) < 0:
-            y = -y
-        dual = y
-    return atoms, w[active], dual
+    factor_sets = _lp_grid(shape)
+    sizes = tuple(F.shape[0] for F in factor_sets)
+    M, N = int(np.prod(sizes)), A.size
+    b = A.ravel()
+
+    aligned = _grid_pairings(A, factor_sets).ravel()
+    start = _largest(aligned, 4 * N)
+    # The grid atom largest at entry j takes each mode's sample largest at
+    # j's index in that mode.
+    peaks = [np.argmax(np.abs(F), axis=0) for F in factor_sets]
+    at_entries = np.ravel_multi_index(
+        [p[j] for p, j in zip(peaks, np.indices(shape).reshape(len(shape), -1))],
+        sizes)
+    active = np.union1d(start, at_entries)
+    while True:
+        multi = np.unravel_index(active, sizes)
+        cols = _khatri_rao_rows([F[i] for F, i in zip(factor_sets, multi)]).T
+        m = len(active)
+        res = linprog(np.ones(2 * m), A_eq=np.hstack([cols, -cols]), b_eq=b,
+                      bounds=(0, None), method="highs")
+        if not res.success:
+            if m == M:
+                return None
+            active = np.arange(M)
+            continue
+        y = np.asarray(res.eqlin.marginals).reshape(shape)
+        price = _grid_pairings(y, factor_sets).ravel()
+        # Active atoms are held to the LP's own feasibility tolerance, which
+        # may exceed the pricing one; masking them makes every round add.
+        price[active] = 0.0
+        violated = np.flatnonzero(price > 1.0 + _LP_PRICE_TOL)
+        if violated.size == 0:
+            break
+        active = np.union1d(active, violated[_largest(price[violated], 2 * N)])
+    w = res.x[:m] - res.x[m:]
+    keep = np.abs(w) > 1e-9
+    atoms = [tuple(F[i] for F, i in zip(factor_sets, idx))
+             for idx in zip(*(i[keep] for i in multi))]
+    return atoms, w[keep], y
+
+
+# Relative-reduction stop of the polish's last L-BFGS-B round.  Its point is
+# the one returned, and at the default (2.2e-9) every round stopped while the
+# total weight was still falling.
+_POLISH_FTOL = 1e-12
 
 
 def _polish_atoms(A, atoms, weights, rounds=(1e2, 1e4, 1e6), eps=1e-12):
     """Minimize total weight plus a quadratic residual penalty over atom
-    factors and weights (factors renormalized inside the objective)."""
+    factors and weights (factors renormalized inside the objective), with
+    the penalty raised round by round; the last round runs to the tighter
+    stop ``_POLISH_FTOL``."""
     from scipy.optimize import minimize
 
     na = len(atoms)
@@ -545,9 +616,12 @@ def _polish_atoms(A, atoms, weights, rounds=(1e2, 1e4, 1e6), eps=1e-12):
     x = np.concatenate([np.asarray(weights, dtype=float)]
                        + [np.asarray(f, dtype=float)
                           for row in atoms for f in row])
-    for C in rounds:
+    for i, C in enumerate(rounds):
+        options = {"maxiter": 500}
+        if i == len(rounds) - 1:
+            options["ftol"] = _POLISH_FTOL
         res = minimize(value_grad, x, args=(C,), jac=True, method="L-BFGS-B",
-                       options={"maxiter": 500})
+                       options=options)
         x = res.x
     w, fs = _split_factors(x, na, A.shape)
     keep = np.abs(w) >= 1e-9
@@ -645,9 +719,10 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
     When that certified sandwich is wider than ``_GAP_GOAL`` (relative) and
     every mode dimension is in the dictionary LP's grid table (at most 4),
     the routine escalates to an atomic-norm LP over a sampled rank-one
-    dictionary followed by a nonlinear polish of the active atoms.  Each
-    candidate witness (the greedy one, the escalated decomposition's, the
-    LP dual) is certified once by ``spectral_enclosure``, and the best
+    dictionary, solved by column generation with mode-product pricing
+    (``_dictionary_lp``), followed by a nonlinear polish of the LP's atoms.
+    Each candidate witness (the greedy one, the escalated decomposition's,
+    the LP dual) is certified once by ``spectral_enclosure``, and the best
     certified ratio ``<T, Z> / ||Z||_sigma`` sets the lower end.
     """
     A = asarray(T)

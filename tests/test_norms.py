@@ -1,3 +1,4 @@
+import itertools
 import sys
 import tracemalloc
 
@@ -12,9 +13,12 @@ from tnn import (
     ParameterError,
     PreconditionError,
     asarray,
+    basic,
     decomposition_sum,
+    direct_sum,
     duality_gap_check,
     family_from_tensor,
+    gallery,
     generate_instance,
     holder_norm,
     inner,
@@ -22,6 +26,7 @@ from tnn import (
     multilinear_contract,
     nuclear_sandwich,
     outer_atom,
+    project,
     restricted_norm_check,
     spectral_certified_upper,
     spectral_enclosure,
@@ -30,9 +35,11 @@ from tnn import (
 )
 from tnn.norms import (
     SpectralResult,
+    _dictionary_lp,
     _distinct_maximizers,
     _hopm_update_strings,
     _l1_refit,
+    _lp_grid,
     _polish_objective,
 )
 from tnn.tensor_core import normalize
@@ -98,6 +105,22 @@ class TestSpectralHopm:
             T = asarray(rng.standard_normal((2, 2, 2)))
             assert spectral_hopm(T).value >= holder_norm(T, np.inf) - 1e-10
 
+    def test_converged_when_stop_rule_fires(self, rng):
+        factors = [v / np.linalg.norm(v)
+                   for v in (rng.standard_normal(n) for n in (2, 3, 2))]
+        res = spectral_hopm(outer_atom(factors))
+        assert res.converged
+        assert res.iterations < 2000
+
+    def test_not_converged_on_sweep_budget(self):
+        # Z + X of the yuan3 family at t = 1/2 has norm exactly 1, reached
+        # too slowly for the stop rule within the default 2000 sweeps.
+        g = gallery("yuan3", t=0.5)
+        res = spectral_hopm(asarray(np.asarray(g["Z"]) + np.asarray(g["X"])))
+        assert res.iterations == 2000
+        assert not res.converged
+        assert res.value <= 1.0 + SLACK
+
 
 def _einsum_hopm(A, starts, tol, max_iter=2000):
     """The multi-start HOPM iteration written with one einsum per mode update
@@ -113,7 +136,7 @@ def _einsum_hopm(A, starts, tol, max_iter=2000):
         for n in A.shape
     ]
     vals = np.abs(np.einsum(value_str, A, *X))
-    total_iters, stops = 0, []
+    total_iters, stops, converged = 0, [], False
     for _ in range(max_iter):
         total_iters += 1
         for k in range(d):
@@ -126,7 +149,7 @@ def _einsum_hopm(A, starts, tol, max_iter=2000):
         stops.append((np.max(np.abs(new_vals - vals)),
                       tol * max(1.0, np.max(new_vals))))
         if stops[-1][0] < stops[-1][1]:
-            vals = new_vals
+            vals, converged = new_vals, True
             break
         vals = new_vals
     best = int(np.argmax(vals))
@@ -136,7 +159,7 @@ def _einsum_hopm(A, starts, tol, max_iter=2000):
         vecs[0] = -vecs[0]
     local = _distinct_maximizers(A, X, vals, value_str)
     res = SpectralResult(float(abs(signed)), tuple(vecs), starts, total_iters,
-                         local_maxima=local)
+                         converged, local_maxima=local)
     return res, X, vals, stops
 
 
@@ -503,6 +526,100 @@ class TestL1Refit:
         assert _l1_value(C, t, w) <= planted + 1e-9
 
 
+def _dense_dictionary(shape):
+    """Every grid atom of the dictionary LP as a row, in grid order (the
+    first mode's sample index varying slowest)."""
+    cols = None
+    for F in _lp_grid(shape):
+        cols = F if cols is None else np.einsum(
+            "ax,by->abxy", cols, F).reshape(len(cols) * len(F), -1)
+    return cols
+
+
+def _dense_dictionary_lp(A):
+    """Reference: the grid LP over the whole dense dictionary, as one
+    equality-form LP ``[C, -C] x = A`` with ``x >= 0``; returns the optimum
+    and the dense dictionary."""
+    cols = _dense_dictionary(A.shape)
+    res = linprog(np.ones(2 * len(cols)), A_eq=np.hstack([cols.T, -cols.T]),
+                  b_eq=A.ravel(), bounds=(0, None), method="highs")
+    assert res.success
+    return res.fun, cols
+
+
+def _weak_recipe(seed, dims=(2, 2, 2)):
+    """The weak-decomposability suite's ``(T, S)`` pair at ``seed``."""
+    sets = [frozenset(c) for r in range(2, len(dims) + 1)
+            for c in itertools.combinations(range(len(dims)), r)]
+    rng = np.random.default_rng(np.random.SeedSequence([seed, *dims]))
+    base = rng.standard_normal(dims)
+    atom = outer_atom([v / np.linalg.norm(v)
+                       for v in (rng.standard_normal(n) for n in dims)])
+    family = family_from_tensor(atom)
+    T = project(basic(()), family, base)
+    S = project(direct_sum(sets), family, rng.standard_normal(dims))
+    return T, S
+
+
+def _lp_case(case):
+    kind, seed = case
+    if kind in ("T+S", "S"):
+        T, S = _weak_recipe(seed)
+        return asarray(T + S if kind == "T+S" else S)
+    return asarray(np.random.default_rng(seed).standard_normal(kind))
+
+
+class TestDictionaryLp:
+    """Column generation solves the LP over the whole grid."""
+
+    @pytest.mark.parametrize("case", [("T+S", 0), ("S", 0), ("T+S", 7),
+                                      ("S", 7), ((2, 2, 3), 1),
+                                      ((2, 2, 2, 2), 2)], ids=str)
+    def test_matches_dense_grid_lp(self, case):
+        A = _lp_case(case)
+        optimum, cols = _dense_dictionary_lp(A)
+        atoms, w, y = _dictionary_lp(A)
+        assert np.sum(np.abs(w)) == pytest.approx(optimum, rel=1e-9)
+        assert inner(A, y) == pytest.approx(optimum, rel=1e-9)
+        # y is feasible for the dual of the whole grid's LP.
+        assert np.max(np.abs(cols @ y.ravel())) <= 1.0 + 1e-7
+        factor_sets = _lp_grid(A.shape)
+        for atom in atoms:
+            for F, f in zip(factor_sets, atom):
+                assert np.any(np.all(F == f, axis=1))
+        rebuilt = sum(wi * outer_atom(atom) for wi, atom in zip(w, atoms))
+        np.testing.assert_allclose(rebuilt, A, atol=1e-9)
+
+    def test_failed_restricted_lp_brings_in_the_whole_grid(self, monkeypatch):
+        A = _lp_case(("S", 0))
+        optimum, cols = _dense_dictionary_lp(A)
+        original = tnn.norms.linprog
+        solved = []
+
+        def failing_short_of_the_grid(c, **kwargs):
+            res = original(c, **kwargs)
+            solved.append(len(c) // 2)
+            res.success = res.success and len(c) == 2 * len(cols)
+            return res
+
+        monkeypatch.setattr(tnn.norms, "linprog", failing_short_of_the_grid)
+        atoms, w, y = _dictionary_lp(A)
+        assert len(solved) == 2 and solved[0] < len(cols) == solved[1]
+        assert np.sum(np.abs(w)) == pytest.approx(optimum, rel=1e-9)
+
+    def test_memory_stays_small_at_444(self):
+        # The dense 4x4x4 grid has 262 144 atoms of 64 entries.
+        A = asarray(np.random.default_rng(3).standard_normal((4, 4, 4)))
+        tracemalloc.start()
+        try:
+            atoms, w, y = _dictionary_lp(A)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
+        assert inner(A, y) == pytest.approx(np.sum(np.abs(w)), rel=1e-9)
+
+
 class TestDualityGap:
     def test_rank_one_equality(self):
         T = outer_atom([e(2, 0)] * 3)
@@ -539,8 +656,6 @@ class TestRestrictedNorm:
         assert report["ok"]
 
     def test_projection_never_increases_sigma(self, rng):
-        from tnn import basic, project
-
         for _ in range(5):
             T = asarray(rng.standard_normal((2, 2, 2)))
             family = family_from_tensor(
