@@ -27,6 +27,9 @@ candidate witnesses interpolate the signs of a decomposition's atoms or come
 from the dictionary LP; each is certified once by ``spectral_enclosure`` and
 the one with the best certified ratio ``<T, Z> / ||Z||_sigma`` is kept.  The
 greedy witness's certified ratio also decides whether to escalate to the LP.
+The escalation's candidates are averaged over the mode permutations that
+leave ``T`` unchanged, which keeps their pairing with ``T`` and cannot raise
+their spectral norm.
 
 The dictionary LP minimizes ``sum |w|`` over decompositions of ``T`` into
 atoms of a fixed grid, every product of per-mode half-sphere samples.  It is
@@ -92,8 +95,8 @@ class SpectralResult:
     maximizers: tuple
     starts_used: int
     iterations: int
-    converged: bool
     local_maxima: tuple = ()
+    converged: bool = True
 
 
 def _hopm_update_strings(d):
@@ -124,13 +127,13 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     d = A.ndim
     if np.all(A == 0):
         maxim = tuple(basis_vector(n) for n in A.shape)
-        return SpectralResult(0.0, maxim, 0, 0, True)
+        return SpectralResult(0.0, maxim, 0, 0)
     if d == 1:
         val = float(np.linalg.norm(A))
-        return SpectralResult(val, (A / val,), 1, 1, True)
+        return SpectralResult(val, (A / val,), 1, 1)
     if d == 2:
         U, s, Vt = np.linalg.svd(A)
-        return SpectralResult(float(s[0]), (U[:, 0], Vt[0]), 1, 1, True)
+        return SpectralResult(float(s[0]), (U[:, 0], Vt[0]), 1, 1)
     if starts < 1:
         raise ParameterError("starts must be >= 1")
 
@@ -169,8 +172,8 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     maxim = tuple(vecs)
     value = float(abs(signed))
     local = _distinct_maximizers(A, X, vals, value_str)
-    return SpectralResult(value, maxim, starts, total_iters, bool(converged),
-                          local_maxima=local)
+    return SpectralResult(value, maxim, starts, total_iters,
+                          local_maxima=local, converged=bool(converged))
 
 
 def _distinct_maximizers(A, X, vals, value_str, angle_tol=1e-6):
@@ -596,17 +599,9 @@ def _dictionary_lp(A):
     return atoms, w[keep], y
 
 
-# Relative-reduction stop of the polish's last L-BFGS-B round.  Its point is
-# the one returned, and at the default (2.2e-9) every round stopped while the
-# total weight was still falling.
-_POLISH_FTOL = 1e-12
-
-
 def _polish_atoms(A, atoms, weights, rounds=(1e2, 1e4, 1e6), eps=1e-12):
     """Minimize total weight plus a quadratic residual penalty over atom
-    factors and weights (factors renormalized inside the objective), with
-    the penalty raised round by round; the last round runs to the tighter
-    stop ``_POLISH_FTOL``."""
+    factors and weights (factors renormalized inside the objective)."""
     from scipy.optimize import minimize
 
     na = len(atoms)
@@ -616,12 +611,9 @@ def _polish_atoms(A, atoms, weights, rounds=(1e2, 1e4, 1e6), eps=1e-12):
     x = np.concatenate([np.asarray(weights, dtype=float)]
                        + [np.asarray(f, dtype=float)
                           for row in atoms for f in row])
-    for i, C in enumerate(rounds):
-        options = {"maxiter": 500}
-        if i == len(rounds) - 1:
-            options["ftol"] = _POLISH_FTOL
+    for C in rounds:
         res = minimize(value_grad, x, args=(C,), jac=True, method="L-BFGS-B",
-                       options=options)
+                       options={"maxiter": 500})
         x = res.x
     w, fs = _split_factors(x, na, A.shape)
     keep = np.abs(w) >= 1e-9
@@ -705,6 +697,34 @@ def _sign_witness(atoms, weights, shape, flags):
     return (C @ coef).reshape(shape)
 
 
+def _sign_witnesses(atoms, weights, shape, flags):
+    """Sign witnesses of a polished decomposition: of all its atoms and, when
+    it has more than one, of all but the lightest.
+
+    The polish moves an atom's factors in proportion to its weight, so the
+    lightest atom is the least settled one, yet with as many atoms as entries
+    its sign alone can pull the witness well off a certificate."""
+    out = [_sign_witness(atoms, weights, shape, flags)]
+    if len(atoms) > 1:
+        drop = int(np.argmin(np.abs(weights)))
+        out.append(_sign_witness(atoms[:drop] + atoms[drop + 1:],
+                                 np.delete(weights, drop), shape, flags))
+    return out
+
+
+def _mode_symmetries(A):
+    """The mode permutations that leave ``A`` unchanged, identity included."""
+    return [p for p in itertools.permutations(range(A.ndim))
+            if np.array_equal(np.transpose(A, p), A)]
+
+
+def _symmetrized(Z, perms):
+    """Average of ``Z`` over mode permutations that fix ``A``.  Its pairing
+    with ``A`` is ``Z``'s, and its spectral norm is at most ``Z``'s, since
+    every permuted copy has the norm of ``Z``."""
+    return sum(np.transpose(Z, p) for p in perms) / len(perms)
+
+
 def _nonzero_atoms(atoms, weights):
     """The atoms and weights whose weight exceeds 1e-12 in magnitude."""
     keep = np.abs(weights) > 1e-12
@@ -721,9 +741,12 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
     the routine escalates to an atomic-norm LP over a sampled rank-one
     dictionary, solved by column generation with mode-product pricing
     (``_dictionary_lp``), followed by a nonlinear polish of the LP's atoms.
-    Each candidate witness (the greedy one, the escalated decomposition's,
-    the LP dual) is certified once by ``spectral_enclosure``, and the best
-    certified ratio ``<T, Z> / ||Z||_sigma`` sets the lower end.
+    Each candidate witness is certified once by ``spectral_enclosure``, and
+    the best certified ratio ``<T, Z> / ||Z||_sigma`` sets the lower end.
+    The candidates are the greedy sign witness and, after an escalation, the
+    polished decomposition's sign witnesses (``_sign_witnesses``) and the LP
+    dual, these three averaged over the mode permutations that leave ``T``
+    unchanged.
     """
     A = asarray(T)
     d = A.ndim
@@ -761,10 +784,11 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
                 atoms, weights = _nonzero_atoms(p_atoms, w2)
                 flags.append("escalated")
                 if atoms:
-                    cands.append(_sign_witness(atoms, weights, A.shape, flags))
-        if lp_dual is not None:
-            cands.append(lp_dual)
-        best = max([best] + [_certified_witness(A, Z) for Z in cands],
+                    cands += _sign_witnesses(atoms, weights, A.shape, flags)
+        cands.append(lp_dual)
+        perms = _mode_symmetries(A)
+        best = max([best] + [_certified_witness(A, _symmetrized(Z, perms))
+                             for Z in cands],
                    key=lambda s: s[0])
 
     decomposition = NuclearDecomposition(

@@ -40,7 +40,9 @@ from tnn.norms import (
     _hopm_update_strings,
     _l1_refit,
     _lp_grid,
+    _mode_symmetries,
     _polish_objective,
+    _sign_witnesses,
 )
 from tnn.tensor_core import normalize
 from conftest import e
@@ -159,7 +161,7 @@ def _einsum_hopm(A, starts, tol, max_iter=2000):
         vecs[0] = -vecs[0]
     local = _distinct_maximizers(A, X, vals, value_str)
     res = SpectralResult(float(abs(signed)), tuple(vecs), starts, total_iters,
-                         converged, local_maxima=local)
+                         local_maxima=local, converged=converged)
     return res, X, vals, stops
 
 
@@ -426,6 +428,36 @@ class TestNuclearSandwich:
         sw = nuclear_sandwich(asarray(rng.standard_normal((2, 2, 2))))
         assert "escalated" in sw.flags
         assert callers and set(callers) == {"_greedy_atoms"}
+
+    def test_sign_witnesses_leave_out_the_lightest_atom(self, rng):
+        atoms = [tuple(normalize(rng.standard_normal(2)) for _ in range(3))
+                 for _ in range(5)]
+        weights = np.array([1.0, -0.5, 0.01, 0.8, -0.3])
+        full, partial = _sign_witnesses(atoms, weights, (2, 2, 2), [])
+        for Z, kept in ((full, (0, 1, 2, 3, 4)), (partial, (0, 1, 3, 4))):
+            pairings = [inner(Z, outer_atom(atoms[i])) for i in kept]
+            np.testing.assert_allclose(pairings, np.sign(weights[list(kept)]),
+                                       atol=1e-9)
+        assert abs(inner(partial, outer_atom(atoms[2])) - 1.0) > 1e-3
+        assert len(_sign_witnesses(atoms[:1], weights[:1], (2, 2, 2), [])) == 1
+
+    def test_mode_symmetries(self, rng):
+        B = rng.standard_normal((2, 2, 3))
+        A = B + B.transpose(1, 0, 2)
+        assert _mode_symmetries(A) == [(0, 1, 2), (1, 0, 2)]
+        assert _mode_symmetries(B) == [(0, 1, 2)]
+
+    def test_symmetric_tensor_gets_a_symmetric_witness(self):
+        # The `limitation` S is unchanged by every mode permutation and its
+        # sandwich escalates, so the kept witness is averaged over all six.
+        S = asarray(gallery("limitation")["S"])
+        sw = nuclear_sandwich(S)
+        assert "escalated" in sw.flags
+        for p in itertools.permutations(range(3)):
+            np.testing.assert_allclose(np.transpose(sw.dual_witness, p),
+                                       sw.dual_witness, rtol=0, atol=1e-14)
+        # The unaveraged candidates reach a relative gap of 2.2e-5 at best.
+        assert sw.gap / sw.upper <= 2e-5
 
     @pytest.mark.parametrize("error, caught", [(ValueError, True),
                                                (FloatingPointError, True),
