@@ -186,6 +186,23 @@ def _suite_doc(kind, reports):
     }
 
 
+def _decomp_suite(kind, check, dims, index_set, ranks, trials, seed, tol,
+                  pretty):
+    """Run ``check`` on ``trials`` seeded ``sample_pair`` draws and print
+    the suite's tallies; exit 1 if any trial fails."""
+    ranks = _dims_option(ranks) if ranks else tuple(
+        max(1, n - 1) if k in index_set else n
+        for k, n in enumerate(dims)
+    )
+    reports = []
+    for i in range(trials):
+        family, T, S = decomp.sample_pair(dims, ranks, index_set, seed + i)
+        reports.append(check(T, S, family, index_set, tol=tol))
+    doc = _suite_doc(kind, reports)
+    emit(doc, pretty)
+    return 0 if doc["fail"] == 0 else 1
+
+
 @check_group.command("decomp-spectral")
 @click.option("--dims", required=True, callback=lambda c, p, v: _dims_option(v))
 @click.option("--I", "index_set", required=True,
@@ -197,19 +214,8 @@ def _suite_doc(kind, reports):
 @click.option("--pretty", is_flag=True)
 @adapter
 def check_decomp_spectral(dims, index_set, ranks, trials, seed, tol, pretty):
-    ranks = _dims_option(ranks) if ranks else tuple(
-        max(1, n - 1) if k in index_set else n
-        for k, n in enumerate(dims)
-    )
-    reports = []
-    for i in range(trials):
-        family, T, S = decomp.sample_pair(dims, ranks, index_set, seed + i)
-        reports.append(
-            decomp.check_spectral_decomp(T, S, family, index_set, tol=tol)
-        )
-    doc = _suite_doc("decomp-spectral", reports)
-    emit(doc, pretty)
-    return 0 if doc["fail"] == 0 else 1
+    return _decomp_suite("decomp-spectral", decomp.check_spectral_decomp,
+                         dims, index_set, ranks, trials, seed, tol, pretty)
 
 
 @check_group.command("decomp-nuclear")
@@ -223,19 +229,8 @@ def check_decomp_spectral(dims, index_set, ranks, trials, seed, tol, pretty):
 @click.option("--pretty", is_flag=True)
 @adapter
 def check_decomp_nuclear(dims, index_set, ranks, trials, seed, tol, pretty):
-    ranks = _dims_option(ranks) if ranks else tuple(
-        max(1, n - 1) if k in index_set else n
-        for k, n in enumerate(dims)
-    )
-    reports = []
-    for i in range(trials):
-        family, T, S = decomp.sample_pair(dims, ranks, index_set, seed + i)
-        reports.append(
-            decomp.check_nuclear_decomp(T, S, family, index_set, tol=tol)
-        )
-    doc = _suite_doc("decomp-nuclear", reports)
-    emit(doc, pretty)
-    return 0 if doc["fail"] == 0 else 1
+    return _decomp_suite("decomp-nuclear", decomp.check_nuclear_decomp,
+                         dims, index_set, ranks, trials, seed, tol, pretty)
 
 
 @check_group.command("lower-bound")

@@ -20,8 +20,9 @@ evaluates the form separately; it is evaluated once, at the final vectors,
 to rank the starts.
 
 The nuclear norm is enclosed in a sandwich ``[lower, upper]``: the upper
-bound comes from a greedy rank-one decomposition (with a final weight refit
-that minimizes total weight plus l1 residual), the lower bound from a dual
+bound comes from a greedy rank-one decomposition, which takes HOPM's one
+maximizer on the residual per step (with a final weight refit that
+minimizes total weight plus l1 residual), the lower bound from a dual
 witness divided by a certified upper bound on its spectral norm.  The
 candidate witnesses interpolate the signs of a decomposition's atoms or come
 from the dictionary LP; each is certified once by ``spectral_enclosure`` and
@@ -44,7 +45,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy import sparse
@@ -83,20 +84,20 @@ _LETTERS = "abcdefgh"
 
 @dataclass(frozen=True)
 class SpectralResult:
-    """Best value found for the spectral norm, with its maximizers.
+    """Best value found for the spectral norm, with its one maximizer.
 
     ``value`` is a lower bound of the true norm, attained by the returned
-    unit vectors (exact for vectors and matrices).  ``converged`` is false
-    when the iteration stopped on its sweep budget rather than its stop
-    rule.
+    unit vectors ``maximizers`` (exact for vectors and matrices).
+    ``converged`` is false when the iteration stopped on its sweep budget
+    rather than its stop rule; it is keyword-only, so a stray positional
+    argument raises ``TypeError`` instead of setting it.
     """
 
     value: float
     maximizers: tuple
     starts_used: int
     iterations: int
-    local_maxima: tuple = ()
-    converged: bool = True
+    converged: bool = field(default=True, kw_only=True)
 
 
 def _hopm_update_strings(d):
@@ -112,7 +113,8 @@ def _hopm_update_strings(d):
 
 def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     """Multi-start alternating (higher-order power) maximization of the
-    multilinear form; returns the best local maximizer found.
+    multilinear form; returns the best local maximizer found, one vector
+    per mode.
 
     All starts iterate together.  Each mode update is one BLAS product: the
     row-wise Khatri-Rao product of the other modes' current vectors
@@ -171,33 +173,8 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
         vecs[0] = -vecs[0]
     maxim = tuple(vecs)
     value = float(abs(signed))
-    local = _distinct_maximizers(A, X, vals, value_str)
     return SpectralResult(value, maxim, starts, total_iters,
-                          local_maxima=local, converged=bool(converged))
-
-
-def _distinct_maximizers(A, X, vals, value_str, angle_tol=1e-6):
-    """Collect distinct local maximizers (value, vectors) across starts."""
-    order = np.argsort(-vals)
-    kept = []
-    for b in order:
-        vecs = [np.array(x[b]) for x in X]
-        signed = float(np.einsum(value_str, A, *[v[None] for v in vecs]).item())
-        if signed < 0:
-            vecs[0] = -vecs[0]
-        dup = False
-        for _, old in kept:
-            if all(
-                abs(abs(float(np.dot(u, v))) - 1.0) < angle_tol
-                for u, v in zip(old, vecs)
-            ):
-                dup = True
-                break
-        if not dup:
-            kept.append((float(abs(signed)), tuple(vecs)))
-        if len(kept) >= 8:
-            break
-    return tuple(kept)
+                          converged=bool(converged))
 
 
 # ---------------------------------------------------------------------------
@@ -434,7 +411,10 @@ _GAP_GOAL = 1e-6
 
 def _greedy_atoms(A, tol, max_atoms, seed):
     """Greedy rank-one pursuit with fully corrective least-squares refit;
-    returns the atoms' unit factors."""
+    returns the atoms' unit factors.
+
+    Each step adds one atom, HOPM's maximizer on the residual; the pursuit
+    stops when that atom is (up to sign) one it already holds."""
     l2 = holder_norm(A, 2)
     t = A.ravel()
     atoms, columns = [], []
@@ -446,21 +426,11 @@ def _greedy_atoms(A, tol, max_atoms, seed):
                             seed=seed + 1000 * it)
         if res.value <= 1e-14 * l2:
             break
-        new = [res.maximizers]
-        # Enrich with distinct local maximizers of the residual.
-        for val, vecs in res.local_maxima[1:3]:
-            if val > 0.5 * res.value:
-                new.append(vecs)
-        added = False
-        for vecs in new:
-            col = _atom_column(vecs)
-            if any(abs(float(np.dot(col, c))) > 1.0 - 1e-10 for c in columns):
-                continue
-            atoms.append(tuple(vecs))
-            columns.append(col)
-            added = True
-        if not added:
+        col = _atom_column(res.maximizers)
+        if any(abs(float(np.dot(col, c))) > 1.0 - 1e-10 for c in columns):
             break
+        atoms.append(tuple(res.maximizers))
+        columns.append(col)
         C = np.column_stack(columns)
         weights, *_ = np.linalg.lstsq(C, t, rcond=None)
         residual = A - (C @ weights).reshape(A.shape)
@@ -599,19 +569,20 @@ def _dictionary_lp(A):
     return atoms, w[keep], y
 
 
-def _polish_atoms(A, atoms, weights, rounds=(1e2, 1e4, 1e6), eps=1e-12):
+def _polish_atoms(A, atoms, weights):
     """Minimize total weight plus a quadratic residual penalty over atom
-    factors and weights (factors renormalized inside the objective)."""
+    factors and weights (factors renormalized inside the objective), by
+    continuation over the penalties ``_POLISH_ROUNDS``."""
     from scipy.optimize import minimize
 
     na = len(atoms)
     if na == 0:
         return atoms, weights
-    value_grad = _polish_objective(A, na, eps)
+    value_grad = _polish_objective(A, na, _POLISH_EPS)
     x = np.concatenate([np.asarray(weights, dtype=float)]
                        + [np.asarray(f, dtype=float)
                           for row in atoms for f in row])
-    for C in rounds:
+    for C in _POLISH_ROUNDS:
         res = minimize(value_grad, x, args=(C,), jac=True, method="L-BFGS-B",
                        options={"maxiter": 500})
         x = res.x
@@ -629,6 +600,13 @@ def _split_factors(x, na, shape):
     rows = x[na:].reshape(na, sum(shape))
     cuts = np.cumsum(shape)[:-1]
     return x[:na], np.split(rows, cuts, axis=1)
+
+
+# The polish's residual penalties, one L-BFGS-B round each from the last
+# round's point (a single round at the largest widens the sandwiches), and
+# the smoothing of |w| in its objective.
+_POLISH_ROUNDS = (1e2, 1e4, 1e6)
+_POLISH_EPS = 1e-12
 
 
 def _polish_objective(A, na, eps):

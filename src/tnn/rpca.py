@@ -351,7 +351,8 @@ def neumann_certificate(instance, lam=None):
     terms = 1
     cutoff = 1e-12 * (1.0 - delta) / max(lam, 1e-300)
     for _ in range(200):
-        w = support_project(sup, p_L(support_project(sup, w)))
+        # w is zero off I(S) already, so one projection per term suffices.
+        w = support_project(sup, p_L(w))
         nrm = holder_norm(w, 2)
         acc = acc + w
         terms += 1

@@ -105,6 +105,14 @@ class TestCheckCommands:
         assert doc["pass"] == 3
         assert doc["max_discrepancy"] <= 1e-6
 
+    def test_decomp_nuclear_suite(self, runner):
+        res = run(runner, ["check", "decomp-nuclear", "--dims", "2,2,2",
+                           "--I", "1,2", "--trials", "3"])
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        assert doc["kind"] == "decomp-nuclear"
+        assert doc["pass"] == 3
+
     def test_weak_suite(self, runner):
         res = run(runner, ["check", "weak", "--dims", "2,2,2",
                            "--trials", "2"])

@@ -28,6 +28,7 @@ from tnn import (
     outer_atom,
     project,
     restricted_norm_check,
+    sample_pair,
     spectral_certified_upper,
     spectral_enclosure,
     spectral_flattening_upper,
@@ -36,7 +37,7 @@ from tnn import (
 from tnn.norms import (
     SpectralResult,
     _dictionary_lp,
-    _distinct_maximizers,
+    _greedy_atoms,
     _hopm_update_strings,
     _l1_refit,
     _lp_grid,
@@ -114,6 +115,12 @@ class TestSpectralHopm:
         assert res.converged
         assert res.iterations < 2000
 
+    def test_converged_is_keyword_only(self):
+        res = spectral_hopm(asarray(perm_sum_tensor(1.0)))
+        with pytest.raises(TypeError):
+            SpectralResult(res.value, res.maximizers, res.starts_used,
+                           res.iterations, False)
+
     def test_not_converged_on_sweep_budget(self):
         # Z + X of the yuan3 family at t = 1/2 has norm exactly 1, reached
         # too slowly for the stop rule within the default 2000 sweeps.
@@ -159,9 +166,8 @@ def _einsum_hopm(A, starts, tol, max_iter=2000):
     vecs = [np.array(x[best]) for x in X]
     if signed < 0:
         vecs[0] = -vecs[0]
-    local = _distinct_maximizers(A, X, vals, value_str)
     res = SpectralResult(float(abs(signed)), tuple(vecs), starts, total_iters,
-                         local_maxima=local, converged=converged)
+                         converged=converged)
     return res, X, vals, stops
 
 
@@ -223,7 +229,6 @@ class TestHopmKernel:
         ]
         assert match
         assert vals[match[0]] == pytest.approx(np.max(vals), rel=1e-12)
-        assert len(res.local_maxima) == len(ref.local_maxima)
         # The loop's values are update norms; the reported value is still
         # the form at the returned maximizers.
         assert res.value == pytest.approx(
@@ -428,6 +433,20 @@ class TestNuclearSandwich:
         sw = nuclear_sandwich(asarray(rng.standard_normal((2, 2, 2))))
         assert "escalated" in sw.flags
         assert callers and set(callers) == {"_greedy_atoms"}
+
+    def test_greedy_takes_one_atom_per_hopm_call(self, monkeypatch):
+        calls = []
+        original = tnn.norms.spectral_hopm
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tnn.norms, "spectral_hopm", counting)
+        _, T, S = sample_pair((2, 2, 2), (1, 1, 2), frozenset({0, 1}), seed=4)
+        atoms = _greedy_atoms(asarray(T + S), 1e-8, 64, 0)
+        assert atoms
+        assert len(atoms) <= len(calls)
 
     def test_sign_witnesses_leave_out_the_lightest_atom(self, rng):
         atoms = [tuple(normalize(rng.standard_normal(2)) for _ in range(3))

@@ -192,6 +192,28 @@ class TestNeumann:
         assert np.allclose(D2, 0.0)
         assert delta == pytest.approx(0.0, abs=1e-10)
 
+    @pytest.mark.parametrize("shape", [(8, 8, 8), (10, 9, 8), (2, 2, 2)])
+    def test_one_projection_per_term_matches_two(self, shape):
+        # The series' terms stay zero off I(S), so projecting them onto I(S)
+        # before p_L as well changes nothing.
+        inst = generate_instance(shape, 1, 0.1, m=2, seed=1)
+        D2, delta, terms = neumann_certificate(inst)
+        lam = default_lambda(inst.shape)
+        p_L, angle = inst._span
+        sup = inst.support
+        w = support_project(sup, inst.E)
+        acc, ref_terms = w.copy(), 1
+        cutoff = 1e-12 * (1.0 - delta) / lam
+        for _ in range(200):
+            w = support_project(sup, p_L(support_project(sup, w)))
+            acc = acc + w
+            ref_terms += 1
+            if holder_norm(w, 2) <= cutoff:
+                break
+        assert np.array_equal(D2, lam * (acc - p_L(acc)))
+        assert delta == angle ** 2
+        assert terms == ref_terms
+
     def test_divergent_contraction_detected(self):
         L = outer_atom([e(2, 0)] * 3)
         support = EntrySupport.from_indices((2, 2, 2), [(0, 0, 0)])
