@@ -166,12 +166,13 @@ def check_spectral_decomp(T, S, family, index_set, tol=1e-6):
     )
 
 
-def _nuclear_three_way(lhs, rhs, disc, tol, gap_cap=1e-2):
-    """Gap-aware equality verdict on two nuclear-norm intervals."""
+def _nuclear_three_way(lhs, rhs, disc, tol):
+    """Gap-aware equality verdict on two nuclear-norm intervals; intervals
+    whose widths add up to more than 1e-2 never pass."""
     gap_total = (lhs[1] - lhs[0]) + (rhs[1] - rhs[0])
     if lhs[0] > rhs[1] + tol or rhs[0] > lhs[1] + tol:
         return "fail", gap_total
-    if gap_total <= gap_cap and disc <= gap_total + tol:
+    if gap_total <= 1e-2 and disc <= gap_total + tol:
         return "pass", gap_total
     return "inconclusive", gap_total
 

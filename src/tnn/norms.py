@@ -25,12 +25,15 @@ maximizer on the residual per step (with a final weight refit that
 minimizes total weight plus l1 residual), the lower bound from a dual
 witness divided by a certified upper bound on its spectral norm.  The
 candidate witnesses interpolate the signs of a decomposition's atoms or come
-from the dictionary LP; each is certified once by ``spectral_enclosure`` and
-the one with the best certified ratio ``<T, Z> / ||Z||_sigma`` is kept.  The
-greedy witness's certified ratio also decides whether to escalate to the LP.
-The escalation's candidates are averaged over the mode permutations that
-leave ``T`` unchanged, which keeps their pairing with ``T`` and cannot raise
-their spectral norm.
+from the dictionary LP.  Each is projected onto the span subspace ``T(T)``
+(the tensors whose mode-k spans lie inside those of ``T``) and certified once
+by ``spectral_enclosure``; the scaled base ``T`` is one more candidate,
+certified by the flattening bound.  The lower end is the best certified
+ratio ``<T, Z> / ||Z||_sigma``, attained by the witness returned, which lies
+in ``T(T)``; the best ratio before the LP also decides whether to escalate to
+it.  Projecting onto ``T(T)`` and averaging the escalation's candidates over
+the mode permutations that leave ``T`` unchanged both keep the pairing with
+``T`` and cannot raise the spectral norm.
 
 The dictionary LP minimizes ``sum |w|`` over decompositions of ``T`` into
 atoms of a fixed grid, every product of per-mode half-sphere samples.  It is
@@ -52,7 +55,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import DimensionError, ParameterError, PreconditionError
-from .subspace import basic, project
+from .subspace import basic, family_from_tensor, project
 from .tensor_core import (
     NuclearDecomposition,
     RankOneAtom,
@@ -334,7 +337,8 @@ def spectral_enclosure(T, tol=1e-4, max_evals=2_000_000, threshold=None):
 @dataclass(frozen=True)
 class NuclearSandwich:
     """Certified interval for the nuclear norm with decomposition and dual
-    witness evidence."""
+    witness evidence: ``dual_witness`` lies in the tensor's span subspace,
+    and ``lower = min(<T, dual_witness> / witness_spectral_upper, upper)``."""
 
     lower: float
     upper: float
@@ -379,9 +383,9 @@ def _l1_refit(columns, target):
     return res.x[:m] - res.x[m:2 * m]
 
 
-# Tolerance and budget of every certified bound on a dual witness (also used
-# by find_z_witness).  The bound sets the sandwich's lower end: the relative
-# gap of the `limitation` gallery S is 9.6e-4 at tol 1e-3 and 2e-5 at 1e-5.
+# Tolerance and budget of every certified bound on a dual witness.  The bound
+# sets the sandwich's lower end: the relative gap of the `limitation` gallery
+# S is 9.6e-4 at tol 1e-3 and 2e-5 at 1e-5.
 _WITNESS_TOL = 1e-5
 _WITNESS_MAX_EVALS = 80_000
 
@@ -393,14 +397,16 @@ def _witness_bound(Z):
                               max_evals=_WITNESS_MAX_EVALS)[1:]
 
 
-def _certified_witness(A, Z):
-    """``(ratio, Z, bound, method)`` for a candidate dual witness: its
-    certified spectral bound and the lower bound ``<A, Z> / bound`` it gives
-    (``-inf`` unless both are positive)."""
-    w_up, how = _witness_bound(Z)
-    pairing = inner(A, Z)
+def _certified_witness(A, Z, family):
+    """``(ratio, Zp, bound, method)`` for a candidate dual witness ``Z``: its
+    projection ``Zp`` onto the span subspace of ``A`` (``family``), a
+    certified bound on ``||Zp||_sigma`` and the lower bound ``<A, Zp> /
+    bound`` (``-inf`` unless both are positive)."""
+    Zp = project(basic(()), family, Z)
+    w_up, how = _witness_bound(Zp)
+    pairing = inner(A, Zp)
     ratio = pairing / w_up if w_up > 0 and pairing > 0 else -np.inf
-    return ratio, Z, w_up, how
+    return ratio, Zp, w_up, how
 
 
 _GREEDY_STARTS = 16  # HOPM starts per greedy step
@@ -712,19 +718,23 @@ def _nonzero_atoms(atoms, weights):
 def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
     """Certified interval ``[lower, upper]`` enclosing the nuclear norm.
 
-    A greedy rank-one pursuit gives the upper end and a sign witness of its
-    atoms the lower end, through the witness's certified spectral bound.
-    When that certified sandwich is wider than ``_GAP_GOAL`` (relative) and
-    every mode dimension is in the dictionary LP's grid table (at most 4),
-    the routine escalates to an atomic-norm LP over a sampled rank-one
-    dictionary, solved by column generation with mode-product pricing
-    (``_dictionary_lp``), followed by a nonlinear polish of the LP's atoms.
-    Each candidate witness is certified once by ``spectral_enclosure``, and
-    the best certified ratio ``<T, Z> / ||Z||_sigma`` sets the lower end.
-    The candidates are the greedy sign witness and, after an escalation, the
-    polished decomposition's sign witnesses (``_sign_witnesses``) and the LP
-    dual, these three averaged over the mode permutations that leave ``T``
-    unchanged.
+    A greedy rank-one pursuit gives the upper end.  When the certified
+    sandwich is then wider than ``_GAP_GOAL`` (relative) and every mode
+    dimension is in the dictionary LP's grid table (at most 4), the routine
+    escalates to an atomic-norm LP over a sampled rank-one dictionary, solved
+    by column generation with mode-product pricing (``_dictionary_lp``),
+    followed by a nonlinear polish of the LP's atoms.
+
+    The candidate witnesses are the scaled base ``T`` (certified by the
+    flattening bound, so its ratio is at least ``||T||_F``), the greedy sign
+    witness and, after an escalation, the polished decomposition's sign
+    witnesses (``_sign_witnesses``) and the LP dual, these three averaged
+    over the mode permutations that leave ``T`` unchanged.  All but the
+    scaled base are projected onto ``T``'s span subspace and certified once
+    by ``spectral_enclosure`` (``_certified_witness``).  The best certified
+    ratio ``<T, Z> / ||Z||_sigma``, capped by the upper end, is the lower
+    end; its witness and bound are ``dual_witness`` and
+    ``witness_spectral_upper``.
     """
     A = asarray(T)
     d = A.ndim
@@ -736,15 +746,21 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
         return _matrix_sandwich(A)
 
     flags = []
+    family = family_from_tensor(A)
+    # The scaled base: flat <= ||A||_F, so its ratio is at least ||A||_F.
+    flat = spectral_flattening_upper(A)
+    best = (inner(A, A) / flat, A, flat, "flattening")
     atoms = _greedy_atoms(A, tol, max_atoms, seed)
     weights, upper = np.zeros(0), holder_norm(A, 1)
     if atoms:
         weights, up = _best_weights(A, atoms)
         upper = min(up, upper)
         atoms, weights = _nonzero_atoms(atoms, weights)
-    Z0 = _sign_witness(atoms, weights, A.shape, flags) if atoms else A / l2
-    best = _certified_witness(A, Z0)
-    gap_rel = (upper - min(max(l2, best[0]), upper)) / max(1.0, l2)
+    if atoms:
+        greedy = _certified_witness(
+            A, _sign_witness(atoms, weights, A.shape, flags), family)
+        best = max(best, greedy, key=lambda s: s[0])
+    gap_rel = (upper - min(best[0], upper)) / max(1.0, l2)
 
     lp = _dictionary_lp(A) if gap_rel > _GAP_GOAL else None
     if lp is not None:
@@ -765,8 +781,8 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
                     cands += _sign_witnesses(atoms, weights, A.shape, flags)
         cands.append(lp_dual)
         perms = _mode_symmetries(A)
-        best = max([best] + [_certified_witness(A, _symmetrized(Z, perms))
-                             for Z in cands],
+        best = max([best] + [_certified_witness(A, _symmetrized(Z, perms),
+                                                family) for Z in cands],
                    key=lambda s: s[0])
 
     decomposition = NuclearDecomposition(
@@ -778,7 +794,7 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
     )
     ratio, Z, w_up, how = best
     flags.append(f"witness_bound_{how}")
-    lower = min(max(l2, ratio), upper)
+    lower = min(ratio, upper)
     return NuclearSandwich(float(lower), float(upper), decomposition, Z,
                            float(w_up), tuple(flags))
 

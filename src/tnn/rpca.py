@@ -376,8 +376,7 @@ def certify(instance, lam=None):
     lam = float(lam)
     notes = []
     p_L, angle = instance._span
-    Z, z_flags = find_z_witness(instance.L, return_info=True)
-    notes.extend(z_flags)
+    Z = find_z_witness(instance.L)
 
     if instance.support.count == 0:
         D2, delta, terms = np.zeros(instance.shape), 0.0, 0
@@ -405,7 +404,7 @@ def certify(instance, lam=None):
     on_sup = support_project(instance.support, D)
     sup_resid = holder_norm(on_sup - lam * instance.E, 2)
     off_sup = holder_norm(
-        support_project(instance.support, D, complement=True), np.inf
+        support_project(instance.support.complemented(), D), np.inf
     )
 
     conditions = {

@@ -25,12 +25,7 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import LookupError_, ParameterError, PreconditionError
-from .norms import (
-    _witness_bound,
-    nuclear_sandwich,
-    spectral_enclosure,
-    spectral_hopm,
-)
+from .norms import nuclear_sandwich, spectral_enclosure, spectral_hopm
 from .subspace import (
     Selector,
     basic,
@@ -85,12 +80,13 @@ class SubgradientReport:
         return self.verdict == "pass"
 
 
-def _spectral_decision(G, tol):
-    """Bounds for ||G||_sigma sharp enough to compare against 1 + tol, and
-    the method of the certified upper bound ("bnb" or "flattening")."""
+def _spectral_decision(G, threshold, tol):
+    """Bounds for ||G||_sigma sharp enough to compare against
+    ``threshold + tol``, and the method of the certified upper bound ("bnb"
+    or "flattening")."""
     lo_h = spectral_hopm(G).value
     lo, up, method = spectral_enclosure(
-        G, tol=tol / 2, threshold=1.0 + tol / 2, max_evals=600_000
+        G, tol=tol / 2, threshold=threshold + tol / 2, max_evals=600_000
     )
     return max(lo, lo_h), up, method
 
@@ -109,7 +105,7 @@ def is_subgradient(G, T, tol=1e-3, sandwich=None):
     if sandwich is None:
         sandwich = nuclear_sandwich(T)
     pairing = inner(G, T)
-    sig_lo, sig_up, method = _spectral_decision(G, tol)
+    sig_lo, sig_up, method = _spectral_decision(G, 1.0, tol)
     notes = ["spectral_upper_flattening"] if method == "flattening" else []
 
     pairing_ok = pairing >= sandwich.lower - tol
@@ -129,31 +125,18 @@ def is_subgradient(G, T, tol=1e-3, sandwich=None):
     )
 
 
-def find_z_witness(T, sandwich=None, return_info=False):
+def find_z_witness(T, sandwich=None):
     """Dual certificate in the span subspace of ``T``: a tensor ``Z`` with
-    ``sp_k(Z) <= sp_k(T)``, certified ``||Z||_sigma <= 1``, and
-    ``<Z, T>`` close to ``||T||_*``."""
+    ``sp_k(Z) <= sp_k(T)``, certified ``||Z||_sigma <= 1``, and ``<Z, T>``
+    equal to the nuclear sandwich's lower end (up to rounding).  It is the
+    sandwich's dual witness divided by its certified spectral bound; the
+    sandwich certifies that witness inside the span subspace."""
     A = asarray(T)
     if holder_norm(A, 2) == 0.0:
         raise ParameterError("base point must be nonzero")
     if sandwich is None:
         sandwich = nuclear_sandwich(A)
-    family = family_from_tensor(A)
-    Zp = project(basic(()), family, sandwich.dual_witness)
-    flags = []
-    # Any valid upper bound keeps Z inside the unit spectral ball; the
-    # sandwich's own witness bound keeps <Z, T> up to the sandwich's lower
-    # bound, which the fallback test below compares.
-    up, _ = _witness_bound(Zp)
-    Z = Zp / up if up > 0 else Zp
-    pairing = inner(Z, A)
-    if pairing < sandwich.lower * (1.0 - 1e-6):
-        _, sig_up, _ = spectral_enclosure(A, tol=1e-6, max_evals=60_000)
-        Z = A / sig_up
-        flags.append("fallback_scaled_base")
-    if return_info:
-        return Z, tuple(flags)
-    return Z
+    return sandwich.dual_witness / sandwich.witness_spectral_upper
 
 
 def z_membership(Z, T, tol=1e-3, sandwich=None):
@@ -177,7 +160,7 @@ def z_membership(Z, T, tol=1e-3, sandwich=None):
     pairing_bad = (pairing < sandwich.lower - sandwich.gap - tol
                    or pairing > sandwich.upper + sandwich.gap + tol)
 
-    sig_lo, sig_up, method = _spectral_decision(Z, tol)
+    sig_lo, sig_up, method = _spectral_decision(Z, 1.0, tol)
     sigma_ok = sig_up <= 1.0 + tol and sig_lo >= 1.0 - tol
     sigma_bad = sig_lo > 1.0 + tol or sig_up < 1.0 - tol
 
@@ -238,7 +221,7 @@ def build_inclusion_member(T, family_kind, Z, X, index_set=None, tol=1e-3):
             raise PreconditionError(
                 f"{rule}: direction leaves its subspace (residual {resid:.3e})"
             )
-        lo, up, _ = _spectral_decision(Xp, tol)
+        lo, _, _ = _spectral_decision(Xp, radius, tol)
         if lo > radius + tol:
             raise PreconditionError(
                 f"{rule}: spectral norm at least {lo:.6f} exceeds radius {radius}"
@@ -492,7 +475,7 @@ def _program_values(P, angles):
     return obj, mono(P.coupling)
 
 
-def solve_sphere_program(P, grid_density=2000, polish_iters=200):
+def solve_sphere_program(P, grid_density=2000):
     """Global maximum of the program via a dense angular product grid plus
     constrained polish from the best feasible grid points.
 
@@ -525,7 +508,7 @@ def solve_sphere_program(P, grid_density=2000, polish_iters=200):
             neg_obj, angles[idx], method="SLSQP",
             constraints=[{"type": "ineq", "fun": constraint}],
             bounds=[(0.0, np.pi / 2.0)] * v,
-            options={"maxiter": int(polish_iters), "ftol": 1e-14},
+            options={"maxiter": 200, "ftol": 1e-14},
         )
         if res.success and constraint(res.x) >= -1e-9:
             best = max(best, -float(res.fun))

@@ -214,8 +214,9 @@ def format_selector(sel):
     return f"{sel.kind}:{fmt(sel.sets[0])}"
 
 
-def family_from_tensor(T, rank_tol=RANK_TOL):
-    """Per-mode column spaces sp_k(T) of the mode-k matricizations."""
+def family_from_tensor(T):
+    """Per-mode column spaces sp_k(T) of the mode-k matricizations; singular
+    values at most ``RANK_TOL`` times the largest count as zero."""
     A = asarray(T)
     subspaces = []
     for k in range(A.ndim):
@@ -224,7 +225,7 @@ def family_from_tensor(T, rank_tol=RANK_TOL):
         if s.size == 0 or s[0] == 0.0:
             subspaces.append(ModeSubspace.zero(A.shape[k]))
             continue
-        r = int(np.sum(s > rank_tol * s[0]))
+        r = int(np.sum(s > RANK_TOL * s[0]))
         subspaces.append(ModeSubspace(A.shape[k], U[:, :r]))
     return ModeFamily(tuple(subspaces))
 
@@ -320,11 +321,6 @@ class EntrySupport:
         return cls(shape, mask)
 
     @classmethod
-    def from_nonzeros(cls, T):
-        A = asarray(T)
-        return cls(A.shape, A != 0)
-
-    @classmethod
     def empty(cls, shape):
         return cls(tuple(shape), np.zeros(tuple(shape), dtype=bool))
 
@@ -348,13 +344,12 @@ class EntrySupport:
         return [tuple(int(i) for i in idx) for idx in np.argwhere(self.mask)]
 
 
-def support_project(support, T, complement=False):
-    """Zero all entries outside the support (inside it when complement)."""
+def support_project(support, T):
+    """Zero all entries outside the support."""
     A = asarray(T)
     if A.shape != support.shape:
         raise DimensionError(f"tensor {A.shape} vs support {support.shape}")
-    mask = ~support.mask if complement else support.mask
-    return np.where(mask, A, 0.0)
+    return np.where(support.mask, A, 0.0)
 
 
 def _chain_apply(chain, X):

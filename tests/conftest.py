@@ -11,3 +11,20 @@ def e(n, i):
     v = np.zeros(n)
     v[i] = 1.0
     return v
+
+
+@pytest.fixture(scope="session")
+def rank_deficient_sandwiches():
+    """``(T, nuclear_sandwich(T))`` for three seeded 3x3x3 tensors of
+    multilinear rank (2, 2, 2); their sandwiches escalate to the dictionary
+    LP, whose grid atoms leave ``T``'s span subspace."""
+    from tnn import nuclear_sandwich
+
+    rng = np.random.default_rng(7)
+    out = []
+    for _ in range(3):
+        U = [np.linalg.qr(rng.standard_normal((3, 2)))[0] for _ in range(3)]
+        G = rng.standard_normal((2, 2, 2))
+        T = np.einsum("abc,ia,jb,kc->ijk", G, *U)
+        out.append((T, nuclear_sandwich(T)))
+    return out

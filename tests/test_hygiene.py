@@ -99,6 +99,18 @@ def test_only_the_enclosure_calls_the_branch_and_bound():
     assert found == ["norms.spectral_enclosure"]
 
 
+def test_only_the_sandwich_certifies_dual_witnesses():
+    found = {path.stem
+             for path in sorted(SRC.glob("*.py"))
+             for name in ("_witness_bound", "_certified_witness")
+             for _ in references(path.read_text(), name)}
+    assert found == {"norms"}
+    subdiff = (SRC / "subdiff.py").read_text()
+    for name in ("spectral_enclosure", "_witness_bound", "project"):
+        owners = {owner for _, owner in references(subdiff, name)}
+        assert "find_z_witness" not in owners, name
+
+
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
          ast.DictComp, ast.GeneratorExp)
 

@@ -341,6 +341,16 @@ class TestSpectralEnclosure:
 
 
 class TestNuclearSandwich:
+    @pytest.mark.parametrize("case", range(3))
+    def test_witness_in_span_subspace_sets_lower_end(
+            self, case, rank_deficient_sandwiches):
+        T, sw = rank_deficient_sandwiches[case]
+        W = sw.dual_witness
+        resid = holder_norm(W - project(basic(()), family_from_tensor(T), W), 2)
+        assert resid <= 1e-12 * holder_norm(W, 2)
+        assert sw.lower == pytest.approx(
+            min(inner(T, W) / sw.witness_spectral_upper, sw.upper), rel=1e-12)
+
     def test_rank_one_atom(self, rng, monkeypatch):
         def refuse(A):
             raise AssertionError("dictionary LP reached")

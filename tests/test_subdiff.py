@@ -1,15 +1,18 @@
 import numpy as np
 import pytest
 
+import tnn.subdiff
 from tnn import (
     LookupError_,
     ParameterError,
     PreconditionError,
     SPHERE_PROGRAMS,
+    SpectralResult,
     asarray,
     build_inclusion_member,
     find_z_witness,
     gallery,
+    generate_instance,
     holder_norm,
     inner,
     is_subgradient,
@@ -211,6 +214,16 @@ class TestFindZWitness:
         assert spectral_hopm(Z).value <= 1.0 + 1e-6
         assert inner(Z, T) >= sw.lower - 2.0 * sw.gap - 1e-6
 
+    @pytest.mark.parametrize("case", [0, 1, 2, "rpca_L_12"])
+    def test_pairs_to_sandwich_lower_end(self, case, rank_deficient_sandwiches):
+        if case == "rpca_L_12":
+            T = generate_instance((12, 12, 12), 1, 0.02, m=3, seed=1).L
+            sw = nuclear_sandwich(T)
+        else:
+            T, sw = rank_deficient_sandwiches[case]
+        Z = find_z_witness(T, sandwich=sw)
+        assert inner(Z, T) == pytest.approx(sw.lower, rel=1e-12)
+
     def test_larger_shape_keeps_unit_ball(self, rng):
         L = sum(
             outer_atom([rng.standard_normal(8) for _ in range(3)])
@@ -252,6 +265,17 @@ class TestBuildInclusionMember:
     def test_radius_violation_named(self):
         g = gallery("yuan3", t=0.5)   # sigma X = 1/sqrt(3) > 1/2
         with pytest.raises(PreconditionError, match="D1"):
+            build_inclusion_member(g["T"], "D1", g["Z"], g["X"])
+
+    def test_radius_decided_without_hopm(self, monkeypatch):
+        # sigma X = 2t/sqrt(3) = 0.50299 at t = 0.4356, over the radius 1/2
+        # by more than tol; only the enclosure, run against the radius, can
+        # refute it once HOPM reads 0.
+        monkeypatch.setattr(tnn.subdiff, "spectral_hopm",
+                            lambda G: SpectralResult(0.0, (), 0, 0))
+        g = gallery("yuan3", t=0.4356)
+        with pytest.raises(PreconditionError,
+                           match="D1: spectral norm at least .* exceeds"):
             build_inclusion_member(g["T"], "D1", g["Z"], g["X"])
 
     def test_subspace_violation_named(self):
