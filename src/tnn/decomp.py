@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
-from .norms import nuclear_sandwich, spectral_enclosure, spectral_hopm
+from .norms import _raised_enclosure, nuclear_sandwich
 from .subspace import (
     ModeFamily,
     ModeSubspace,
@@ -137,8 +137,7 @@ def _spectral_value(T):
     lower end if that is larger) and the certified interval from
     ``spectral_enclosure``."""
     A = asarray(T)
-    lo, up, _ = spectral_enclosure(A, tol=1e-4)
-    v = max(spectral_hopm(A).value, lo)
+    v, up, _ = _raised_enclosure(A, 1e-4)
     return v, (v, up)
 
 

@@ -47,7 +47,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .norms import spectral_enclosure, spectral_hopm
+from .norms import _raised_enclosure, spectral_hopm
 from .subdiff import find_z_witness
 from .subspace import (
     EntrySupport,
@@ -389,8 +389,7 @@ def certify(instance, lam=None):
     PD = p_L(D)
     dist_span = holder_norm(PD - Z, 2)
     off = D - PD
-    sig_lo, sig_up, _ = spectral_enclosure(off, tol=1e-3)
-    sig_lo = max(sig_lo, spectral_hopm(off).value)
+    sig_lo, sig_up, _ = _raised_enclosure(off, 1e-3)
     # Decide against the 1/2 threshold with certified bounds when they are
     # sharp enough; otherwise fall back to the multi-start value and flag
     # the condition as uncertified rather than pretending.

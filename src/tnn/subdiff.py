@@ -25,7 +25,12 @@ import numpy as np
 from scipy.optimize import minimize
 
 from .errors import LookupError_, ParameterError, PreconditionError
-from .norms import nuclear_sandwich, spectral_enclosure, spectral_hopm
+from .norms import (
+    _raised_enclosure,
+    nuclear_sandwich,
+    spectral_enclosure,
+    spectral_hopm,
+)
 from .subspace import (
     Selector,
     basic,
@@ -84,19 +89,16 @@ def _spectral_decision(G, threshold, tol):
     """Bounds for ||G||_sigma sharp enough to compare against
     ``threshold + tol``, and the method of the certified upper bound ("bnb"
     or "flattening")."""
-    lo_h = spectral_hopm(G).value
-    lo, up, method = spectral_enclosure(
-        G, tol=tol / 2, threshold=threshold + tol / 2, max_evals=600_000
-    )
-    return max(lo, lo_h), up, method
+    return _raised_enclosure(G, tol / 2, max_evals=600_000,
+                             threshold=threshold + tol / 2)
 
 
 def is_subgradient(G, T, tol=1e-3, sandwich=None):
     """Three-way check of ``G`` being a subgradient of the nuclear norm at
     ``T``: requires ``<G, T> = ||T||_*`` and ``||G||_sigma <= 1`` within
-    certified bounds.  The note ``spectral_upper_flattening`` marks a shape
-    the branch and bound refuses, where the upper bound on ``||G||_sigma``
-    is the flattening bound."""
+    certified bounds.  The note ``spectral_upper_flattening`` marks a ``G``
+    whose multilinear rank the branch and bound refuses, where the upper
+    bound on ``||G||_sigma`` is the flattening bound."""
     G, T = asarray(G), asarray(T)
     if G.shape != T.shape:
         raise ParameterError("shape mismatch between candidate and base point")

@@ -28,3 +28,11 @@ def rank_deficient_sandwiches():
         T = np.einsum("abc,ia,jb,kc->ijk", G, *U)
         out.append((T, nuclear_sandwich(T)))
     return out
+
+
+def rank_one(rng, shape):
+    """A unit rank-one tensor with seeded Gaussian unit factors."""
+    from tnn import outer_atom
+
+    return outer_atom([v / np.linalg.norm(v)
+                       for v in (rng.standard_normal(n) for n in shape)])

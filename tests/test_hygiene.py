@@ -111,6 +111,14 @@ def test_only_the_sandwich_certifies_dual_witnesses():
         assert "find_z_witness" not in owners, name
 
 
+def test_norms_reaches_the_span_bases_only_through_the_core():
+    source = (SRC / "norms.py").read_text()
+    owners = {name: {owner for _, owner in references(source, name)}
+              for name in ("family_from_tensor", "project")}
+    assert owners == {"family_from_tensor": {"_core"},
+                      "project": {"restricted_norm_check"}}
+
+
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
          ast.DictComp, ast.GeneratorExp)
 

@@ -46,7 +46,7 @@ from tnn.norms import (
     _sign_witnesses,
 )
 from tnn.tensor_core import normalize
-from conftest import e
+from conftest import e, rank_one
 
 SQ3 = np.sqrt(3.0)
 SLACK = 1e-12  # rounding allowance when two bounds are compared
@@ -181,13 +181,13 @@ def off_span_12():
     bounds at 12^3."""
     import tnn.rpca
     seen = []
-    original = tnn.rpca.spectral_hopm
-    tnn.rpca.spectral_hopm = lambda T, *a, **k: seen.append(T) or original(
+    original = tnn.rpca._raised_enclosure
+    tnn.rpca._raised_enclosure = lambda T, *a, **k: seen.append(T) or original(
         T, *a, **k)
     try:
         tnn.rpca.certify(generate_instance((12, 12, 12), 1, 0.02, m=3, seed=1))
     finally:
-        tnn.rpca.spectral_hopm = original
+        tnn.rpca._raised_enclosure = original
     return asarray(seen[0])
 
 
@@ -333,6 +333,14 @@ class TestSpectralEnclosure:
         assert lo <= hopm + SLACK
         assert hopm <= up + SLACK
 
+    @pytest.mark.parametrize("shape", [(5, 5, 6), (12, 12, 12)], ids=str)
+    def test_rank_one_large_modes_enclosed_on_core(self, shape):
+        T = rank_one(np.random.default_rng(1), shape)
+        lo, up, method = spectral_enclosure(T, tol=1e-5)
+        assert method == "bnb"
+        assert up - lo <= 1e-5
+        assert lo - SLACK <= 1.0 <= up + SLACK
+
     @pytest.mark.parametrize("shape, method", [((2, 2, 2), "bnb"),
                                                ((5, 6, 7), "flattening")],
                              ids=["shape0", "shape1"])
@@ -422,14 +430,65 @@ class TestNuclearSandwich:
             assert not any(np.array_equal(Z, W) for W, _ in bounds[:i])
 
     def test_large_modes_certify_with_flattening_bound(self):
-        L = generate_instance((12, 12, 12), 1, 0.02, m=3, seed=1).L
-        sw = nuclear_sandwich(L)
+        # Full multilinear rank with modes above 4: no core to compress and
+        # no branch and bound, so every witness bound is a flattening bound.
+        T = np.random.default_rng(0).standard_normal((5, 5, 6))
+        sw = nuclear_sandwich(T)
         assert "witness_bound_flattening" in sw.flags
         assert sw.witness_spectral_upper == spectral_flattening_upper(
             sw.dual_witness)
-        # L has rank one, so its nuclear norm is its Frobenius norm.
-        fro = holder_norm(L, 2)
-        assert sw.lower - 1e-9 <= fro <= sw.upper + 1e-9
+        assert holder_norm(T, 2) - 1e-9 <= sw.lower <= sw.upper
+
+    @pytest.mark.parametrize("shape, ranks", [
+        ((5, 5, 6), (1, 1, 1)), ((12, 12, 12), (1, 1, 1)),
+        ((3, 3, 3), (1, 2, 1)), ((3, 3, 3), (2, 2, 1))], ids=str)
+    def test_squeezed_core_certifies_exactly(self, shape, ranks):
+        # A core with at most two modes above size 1 is a matrix: it is
+        # sandwiched exactly, and the lifted witness is still bounded by the
+        # enclosure and says so.
+        rng = np.random.default_rng(3)
+        Q = [np.linalg.qr(rng.standard_normal((n, r)))[0]
+             for n, r in zip(shape, ranks)]
+        core = rng.standard_normal(ranks)
+        T = np.einsum("abc,ia,jb,kc->ijk", core, *Q)
+        sw = nuclear_sandwich(T)
+        assert [f for f in sw.flags if f.startswith("witness_bound_")] == [
+            "witness_bound_bnb"]
+        nuc = np.linalg.svd(core.reshape(ranks[0], -1),
+                            compute_uv=False).sum()
+        assert sw.lower - 1e-12 * nuc <= nuc <= sw.upper + 1e-12 * nuc
+        assert sw.gap <= 1e-12 * nuc
+        np.testing.assert_allclose(decomposition_sum(sw.decomposition), T,
+                                   rtol=0, atol=1e-14 * nuc)
+
+    @pytest.mark.parametrize("n", [3, 5])
+    def test_low_rank_plus_noise_below_rank_tol(self, n):
+        # Orthogonally decomposable with weights 2 and 1.5, so its nuclear
+        # norm is 3.5 and its spectral norm 2.  The noise is dropped with the
+        # core; the residual terms keep both ends certified for T + E.
+        rng = np.random.default_rng(n)
+        Q = [np.linalg.qr(rng.standard_normal((n, 2)))[0] for _ in range(3)]
+        T = (outer_atom([q[:, 0] for q in Q], 2.0)
+             + outer_atom([q[:, 1] for q in Q], 1.5))
+        E = 1e-12 * rng.standard_normal(T.shape)
+        fro, l1 = holder_norm(E, 2), holder_norm(E, 1)
+        sw = nuclear_sandwich(T + E)
+        assert sw.lower <= 3.5 + l1 and 3.5 - l1 <= sw.upper
+        assert sw.gap <= 1e-9
+        lo, up, method = spectral_enclosure(T + E, tol=1e-6)
+        assert method == "bnb"
+        assert lo <= spectral_hopm(T + E).value <= up
+        assert lo <= 2.0 + fro and 2.0 - fro <= up
+
+    # Relative gaps of the fixture's sandwiches when each witness was
+    # projected onto T's span subspace instead of sandwiching the core.
+    PROJECTED_GAPS = (2.32e-2, 1.45e-2, 8.27e-4)
+
+    @pytest.mark.parametrize("case", range(3))
+    def test_rank_deficient_gap_tighter_than_projected(
+            self, case, rank_deficient_sandwiches):
+        _, sw = rank_deficient_sandwiches[case]
+        assert sw.gap / sw.upper <= self.PROJECTED_GAPS[case] / 10
 
     def test_hopm_runs_only_in_the_greedy_pursuit(self, rng, monkeypatch):
         callers = []
@@ -728,6 +787,13 @@ class TestRestrictedNorm:
             proj = project(basic(()), family, T)
             assert (spectral_hopm(asarray(proj)).value
                     <= spectral_hopm(T).value + 1e-8)
+
+    def test_rank_deficient_witness_sets_lower_end(
+            self, rank_deficient_sandwiches):
+        T, _ = rank_deficient_sandwiches[0]
+        report = restricted_norm_check(T, family_from_tensor(T))
+        assert report["witness_ok"] and report["ok"]
+        assert "witness_bound_ok" not in report
 
     def test_precondition_enforced(self, rng):
         T = asarray(rng.standard_normal((2, 2, 2)))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-import tnn.subdiff
+import tnn.norms
 from tnn import (
     LookupError_,
     ParameterError,
@@ -25,17 +25,21 @@ from tnn import (
     upper_u,
     z_membership,
 )
-from conftest import e
+from conftest import e, rank_one
 
 S2 = np.sqrt(2.0)
 S3 = np.sqrt(3.0)
 
 
-def rank_one_556(rng):
-    """A unit rank-one 5x5x6 tensor: the branch and bound refuses it, the
-    flattening bound (1) is exact."""
-    return outer_atom([v / np.linalg.norm(v)
-                       for v in (rng.standard_normal(n) for n in (5, 5, 6))])
+def odeco_555(rng):
+    """``(T, Z)``: a 5x5x5 tensor ``T = sum_i w_i u_i (x) v_i (x) x_i`` over
+    three orthonormal bases, of full multilinear rank, and its dual
+    certificate ``Z = sum_i u_i (x) v_i (x) x_i``.  The branch and bound
+    refuses the shape; the flattening bound of ``Z`` (1) is exact."""
+    Q = [np.linalg.qr(rng.standard_normal((5, 5)))[0] for _ in range(3)]
+    atoms = [[q[:, i] for q in Q] for i in range(5)]
+    T = sum(outer_atom(a, 1.0 - 0.1 * i) for i, a in enumerate(atoms))
+    return T, sum(outer_atom(a) for a in atoms)
 
 
 class TestGallery:
@@ -119,11 +123,18 @@ class TestIsSubgradient:
             assert lhs >= rhs - 1e-6
 
     def test_large_modes_pass_with_flattening_bound(self, rng):
-        T = rank_one_556(rng)
-        report = is_subgradient(T, T)
+        T, Z = odeco_555(rng)
+        report = is_subgradient(Z, T)
         assert report.verdict == "pass"
         assert report.spectral_interval[1] <= 1.0 + 1e-12
         assert report.notes == ("spectral_upper_flattening",)
+
+    def test_rank_one_large_modes_pass_on_core(self, rng):
+        T = rank_one(rng, (5, 5, 6))
+        report = is_subgradient(T, T)
+        assert report.verdict == "pass"
+        assert abs(report.spectral_interval[1] - 1.0) <= 1e-12
+        assert report.notes == ()
 
     def test_zero_base_rejected(self):
         with pytest.raises(ParameterError):
@@ -183,11 +194,18 @@ class TestZMembership:
         assert report.verdict == expect
 
     def test_large_modes_pass_with_flattening_bound(self, rng):
-        T = rank_one_556(rng)
-        report = z_membership(T, T)
+        T, Z = odeco_555(rng)
+        report = z_membership(Z, T)
         assert report["verdict"] == "pass"
         assert report["spectral_interval"][1] <= 1.0 + 1e-12
         assert report["spectral_method"] == "flattening"
+
+    def test_rank_one_large_modes_pass_on_core(self, rng):
+        T = rank_one(rng, (5, 5, 6))
+        report = z_membership(T, T)
+        assert report["verdict"] == "pass"
+        assert abs(report["spectral_interval"][1] - 1.0) <= 1e-12
+        assert report["spectral_method"] == "bnb"
 
     def test_subspace_violation_fails(self):
         T = outer_atom([e(2, 0)] * 3)
@@ -271,7 +289,7 @@ class TestBuildInclusionMember:
         # sigma X = 2t/sqrt(3) = 0.50299 at t = 0.4356, over the radius 1/2
         # by more than tol; only the enclosure, run against the radius, can
         # refute it once HOPM reads 0.
-        monkeypatch.setattr(tnn.subdiff, "spectral_hopm",
+        monkeypatch.setattr(tnn.norms, "spectral_hopm",
                             lambda G: SpectralResult(0.0, (), 0, 0))
         g = gallery("yuan3", t=0.4356)
         with pytest.raises(PreconditionError,
