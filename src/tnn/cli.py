@@ -127,7 +127,8 @@ def norms_spectral(source, tol, seed, starts, certify, pretty):
     T = load_tensor(source)
     result = norms.spectral_hopm(T, starts=starts, seed=seed)
     doc = {"kind": "spectral", "source": source, "value": result.value,
-           "starts_used": result.starts_used}
+           "starts_used": result.starts_used,
+           "iterations": result.iterations, "converged": result.converged}
     if certify:
         lo, up, method = norms.spectral_enclosure(T, tol=tol)
         doc["certified"] = {"lower": max(lo, result.value), "upper": up,

@@ -64,7 +64,7 @@ from scipy import sparse
 from scipy.optimize import linprog
 
 from .errors import DimensionError, ParameterError, PreconditionError
-from .subspace import basic, family_from_tensor, project
+from .subspace import RANK_TOL, basic, family_from_tensor, project
 from .tensor_core import (
     NuclearDecomposition,
     RankOneAtom,
@@ -166,7 +166,7 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     # drives upward (flip one factor's sign to realize the positive value).
     vals = np.abs(np.einsum(value_str, A, *X))
     total_iters, converged = 0, False
-    for _ in range(max_iter):
+    for _ in range(min(max_iter, _HOPM_SWEEPS)):
         total_iters += 1
         for k in range(d):
             V = _khatri_rao_rows(X[:k] + X[k + 1:]) @ unfolded[k]
@@ -180,14 +180,117 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     # result reports, not by the update norms.
     vals = np.abs(np.einsum(value_str, A, *X))
     best = int(np.argmax(vals))
-    signed = float(np.einsum(value_str, A, *[x[best][None] for x in X]).item())
     vecs = [np.array(x[best]) for x in X]
+    signed = float(np.einsum(value_str, A, *[v[None] for v in vecs]).item())
+    if not converged and max_iter > total_iters:
+        finished, steps, converged = _hopm_finish(A, vecs,
+                                                  max_iter - total_iters)
+        total_iters += steps
+        value = float(np.einsum(value_str, A, *[v[None] for v in finished]
+                                ).item())
+        if abs(value) >= abs(signed):
+            vecs, signed = finished, value
     if signed < 0:
         vecs[0] = -vecs[0]
     maxim = tuple(vecs)
     value = float(abs(signed))
     return SpectralResult(value, maxim, starts, total_iters,
                           converged=bool(converged))
+
+
+# Sweeps before a run that has not converged is finished by `_hopm_finish`.
+_HOPM_SWEEPS = 50
+# Relative rounding level of the finish's values: a rise below it is noise.
+_FINISH_FLOOR = 16 * np.finfo(float).eps
+
+
+def _hopm_finish(A, vecs, budget):
+    """Second-order finish of a stalled HOPM run.
+
+    Maximizes ``f(x) = sigma_max(A x_fixed x)``, the function the branch and
+    bound encloses: the two largest modes are contracted exactly by an SVD,
+    and the other (fixed) modes range over their spheres.  Each fixed vector
+    is charted around its start ``x0`` by ``x0 + B y`` normalized, with
+    ``B`` an orthonormal basis of the tangent space, and ``f`` is maximized
+    over the chart by BFGS with a backtracking line search.  The gradient of
+    ``f`` in ``x_k`` is ``A`` contracted with the top singular pair and the
+    other fixed vectors.  Steps stop when the rise is below ``tol``
+    (relative to the value, when above 1) or the line search finds none.
+
+    Returns the vectors (the top singular pair in the two largest modes),
+    the number of steps taken, at most ``budget``, and whether the steps
+    stopped before the budget ran out."""
+    d = A.ndim
+    order = np.argsort(A.shape, kind="stable")
+    fixed, free = sorted(order[:d - 2]), sorted(order[d - 2:])
+    na, nb = A.shape[free[0]], A.shape[free[1]]
+    flat = A.transpose(fixed + free).reshape(-1, na * nb)
+    x0 = [vecs[k] for k in fixed]
+    charts = [np.linalg.svd(x[None])[2][1:].T for x in x0]
+    ends = np.cumsum([0] + [B.shape[1] for B in charts])
+    cuts = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
+
+    def evaluate(y):
+        xs, lens = [], []
+        for x, B, cut in zip(x0, charts, cuts):
+            p = x + B @ y[cut]
+            lens.append(np.sqrt(p @ p))
+            xs.append(p / lens[-1])
+        M = flat
+        for x in xs:
+            M = x @ M.reshape(len(x), -1)
+        U, s, Vt = np.linalg.svd(M.reshape(na, nb))
+        # A contracted with the top singular pair, then with every fixed
+        # vector but the k-th: the gradient in x_k.
+        W = flat @ np.outer(U[:, 0], Vt[0]).ravel()
+        grad = []
+        for k, (x, B, n) in enumerate(zip(xs, charts, lens)):
+            g = W
+            for z in reversed(xs[k + 1:]):
+                g = g.reshape(-1, len(z)) @ z
+            for z in xs[:k]:
+                g = z @ g.reshape(len(z), -1)
+            grad.append(B.T @ (g - s[0] * x) / n)
+        return s[0], np.concatenate(grad), xs + [U[:, 0], Vt[0]]
+
+    y = np.zeros(sum(len(x) - 1 for x in x0))
+    f, g, out = evaluate(y)
+    # Inverse Hessian of -f; f is 1-homogeneous, so its curvature scales
+    # with f.
+    H = np.eye(y.size) / f
+    steps, small, converged = 0, False, False
+    while steps < budget and not converged:
+        steps += 1
+        p = H @ g
+        slope, alpha = float(g @ p), 1.0
+        f_new, g_new, out_new = evaluate(y + p)
+        while f_new < f + 1e-4 * alpha * slope:
+            if alpha * slope <= _FINISH_FLOOR * f:  # no rise above rounding
+                return _placed(vecs, fixed + free, out), steps, True
+            alpha *= 0.5
+            f_new, g_new, out_new = evaluate(y + alpha * p)
+        # One rise at rounding level may come from a step that knew too
+        # little of the curvature; two in a row end the finish.
+        was_small, small = small, f_new - f <= _FINISH_FLOOR * f_new
+        converged = was_small and small
+        s, q = alpha * p, g - g_new
+        y, f, g, out = y + s, f_new, g_new, out_new
+        sq = float(s @ q)
+        if sq > 0:
+            if steps == 1:
+                H = np.eye(y.size) * sq / float(q @ q)
+            Hq = H @ q
+            H += ((sq + q @ Hq) * np.outer(s, s) / sq
+                  - np.outer(Hq, s) - np.outer(s, Hq)) / sq
+    return _placed(vecs, fixed + free, out), steps, converged
+
+
+def _placed(vecs, modes, new):
+    """``vecs`` with ``new[i]`` in place of ``vecs[modes[i]]``."""
+    out = list(vecs)
+    for k, v in zip(modes, new):
+        out[k] = v
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -314,30 +417,38 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
 def spectral_flattening_upper(T):
     """Certified spectral upper bound valid at any size: the smallest
     flattening operator norm ``min_k sigma_max(T_(k))``."""
-    A = asarray(T)
-    return min(
-        float(np.linalg.norm(mode_matricize(A, k), 2)) for k in range(A.ndim)
-    )
+    return min(float(s[0]) for s in _mode_singular_values(asarray(T)))
 
 
-def _core(A):
+def _mode_singular_values(A):
+    """The singular values of each mode's flattening ``A_(k)``, largest
+    first."""
+    return [np.linalg.svd(mode_matricize(A, k), compute_uv=False)
+            for k in range(A.ndim)]
+
+
+def _core(A, svals):
     """The multilinear-SVD core of ``A``, or ``None`` when every mode has
     full rank (or ``A`` is zero).
 
-    Returns ``(G, bases)``: ``bases[k]`` is the orthonormal basis ``U_k`` of
-    ``A``'s mode-k span (``family_from_tensor``) and ``G = A x_k U_k^T``,
-    with its size-1 modes dropped (one mode is always kept).  By the
-    restricted-subspace facts ``G`` has the spectral and nuclear norms of
-    ``_lift(G, bases)``, which differs from ``A`` only by the singular values
-    the span bases drop (at most ``RANK_TOL`` times the largest)."""
-    bases = [V.basis for V in family_from_tensor(A).subspaces]
-    ranks = [U.shape[1] for U in bases]
-    if tuple(ranks) == A.shape or 0 in ranks:
+    The ranks are read from ``svals``, ``A``'s mode singular values
+    (``_mode_singular_values``): those at most ``RANK_TOL`` times the
+    largest count as zero, as in ``family_from_tensor``, which is only run
+    for a rank-deficient ``A``.  Returns ``(G, bases)``: ``bases[k]`` is the
+    orthonormal basis ``U_k`` of ``A``'s mode-k span and
+    ``G = A x_k U_k^T``, with its size-1 modes dropped (one mode is always
+    kept).  By the restricted-subspace facts ``G`` has the spectral and
+    nuclear norms of ``_lift(G, bases)``, which differs from ``A`` only by
+    the singular values the span bases drop."""
+    ranks = tuple(int(np.sum(s > RANK_TOL * s[0])) for s in svals)
+    if ranks == A.shape or 0 in ranks:
         return None
+    bases = [V.basis for V in family_from_tensor(A).subspaces]
     G = A
     for k, U in enumerate(bases):
         G = mode_product(G, k, U.T)
-    return G.reshape([r for r in ranks if r > 1] or [1]), bases
+    kept = [U.shape[1] for U in bases if U.shape[1] > 1]
+    return G.reshape(kept or [1]), bases
 
 
 def _lift(X, bases):
@@ -372,10 +483,13 @@ def spectral_enclosure(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     the span bases.
     """
     A = asarray(T)
-    core = _core(A)
-    G, slack = (A, 0.0) if core is None else (
-        core[0], holder_norm(A - _lift(*core), 2))
-    flat = spectral_flattening_upper(G)
+    svals = _mode_singular_values(A)
+    core = _core(A, svals)
+    if core is None:
+        G, slack, flat = A, 0.0, min(float(s[0]) for s in svals)
+    else:
+        G, slack = core[0], holder_norm(A - _lift(*core), 2)
+        flat = spectral_flattening_upper(G)
     try:
         lo, up = spectral_certified_upper(G, tol=tol, max_evals=max_evals,
                                           threshold=threshold)
@@ -811,7 +925,7 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
         return NuclearSandwich(0.0, 0.0, empty, np.zeros(A.shape), 1.0)
     if A.ndim <= 2:
         return _matrix_sandwich(A)
-    core = _core(A)
+    core = _core(A, _mode_singular_values(A))
     if core is None:
         return _sandwich(A, tol, max_atoms, seed)
 

@@ -79,6 +79,14 @@ class TestGalleryUri:
         expected = 2.0 * np.sqrt(0.6 ** 3 / 0.8)
         assert doc["value"] == pytest.approx(expected, abs=1e-6)
 
+    def test_spectral_reports_convergence(self, runner):
+        # Norm exactly 1, where the alternating sweeps stall.
+        res = run(runner, ["norms", "spectral", "gallery:yuan3?t=0.5&part=ZX"])
+        doc = json.loads(res.output)
+        assert doc["converged"] is True
+        assert 0 < doc["iterations"] < 2000
+        assert doc["value"] == pytest.approx(1.0, abs=1e-12)
+
 
 class TestCheckCommands:
     def test_subgrad_pass_and_fail_exit_codes(self, runner):

@@ -35,9 +35,11 @@ from tnn import (
     spectral_hopm,
 )
 from tnn.norms import (
+    _HOPM_SWEEPS,
     SpectralResult,
     _dictionary_lp,
     _greedy_atoms,
+    _hopm_finish,
     _hopm_update_strings,
     _l1_refit,
     _lp_grid,
@@ -121,14 +123,26 @@ class TestSpectralHopm:
             SpectralResult(res.value, res.maximizers, res.starts_used,
                            res.iterations, False)
 
+    def test_finish_converges_where_sweeps_stall(self):
+        # Z + X of the yuan3 family at t = 1/2 has norm exactly 1, which the
+        # sweeps approach sublinearly (2000 of them reach 0.99999998); the
+        # second-order finish reaches it in a few dozen steps.
+        res = spectral_hopm(_yuan3_zx(0.5))
+        assert res.converged
+        assert _HOPM_SWEEPS < res.iterations < 200
+        assert abs(res.value - 1.0) <= 1e-12
+
     def test_not_converged_on_sweep_budget(self):
-        # Z + X of the yuan3 family at t = 1/2 has norm exactly 1, reached
-        # too slowly for the stop rule within the default 2000 sweeps.
-        g = gallery("yuan3", t=0.5)
-        res = spectral_hopm(asarray(np.asarray(g["Z"]) + np.asarray(g["X"])))
-        assert res.iterations == 2000
+        # A budget below the sweep stage's ends the run before any finish.
+        res = spectral_hopm(_yuan3_zx(0.5), max_iter=_HOPM_SWEEPS // 2)
+        assert res.iterations == _HOPM_SWEEPS // 2
         assert not res.converged
         assert res.value <= 1.0 + SLACK
+
+
+def _yuan3_zx(t):
+    g = gallery("yuan3", t=t)
+    return asarray(np.asarray(g["Z"]) + np.asarray(g["X"]))
 
 
 def _einsum_hopm(A, starts, tol, max_iter=2000):
@@ -192,7 +206,9 @@ def off_span_12():
 
 
 class TestHopmKernel:
-    """The BLAS unfolding kernel yields the einsum iteration's iterates."""
+    """The BLAS unfolding kernel yields the einsum iteration's iterates for
+    the sweep stage; a run the sweeps do not settle is then finished at
+    least as high as the reference's sweeps go."""
 
     @pytest.mark.parametrize("tol", [1e-12, 1e-13])
     @pytest.mark.parametrize("starts", [1, 16, 64])
@@ -206,6 +222,16 @@ class TestHopmKernel:
                 _KERNEL_SHAPES.index(case)).standard_normal(case))
         res = spectral_hopm(A, starts=starts, tol=tol)
         ref, X, vals, stops = _einsum_hopm(A, starts, tol)
+        if ref.iterations > _HOPM_SWEEPS:
+            assert res.converged
+            assert res.value >= ref.value * (1.0 - 1e-14)
+            assert res.value == pytest.approx(
+                abs(multilinear_contract(A, list(res.maximizers))), rel=1e-14)
+            # The sweep stage alone is the reference's first sweeps.
+            res = spectral_hopm(A, starts=starts, tol=tol,
+                                max_iter=_HOPM_SWEEPS)
+            ref, X, vals, stops = _einsum_hopm(A, starts, tol,
+                                               max_iter=_HOPM_SWEEPS)
         if res.iterations != ref.iterations:
             # Only a rounding tie of the stop rule may end the two one sweep
             # apart: the reference's statistic at the earlier sweep lies
@@ -233,6 +259,67 @@ class TestHopmKernel:
         # the form at the returned maximizers.
         assert res.value == pytest.approx(
             abs(multilinear_contract(A, list(res.maximizers))), rel=1e-12)
+
+
+class TestHopmFinish:
+    """The second-order finish of the runs the sweeps do not settle."""
+
+    @given(shape=st.sampled_from([(2, 2, 2), (3, 3, 3), (2, 3, 4),
+                                  (2, 2, 2, 2), (2, 3, 2, 3), (5, 5, 6)]),
+           seed=st.integers(0, 2 ** 32 - 1),
+           signs=st.booleans())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_never_below_sweep_stage(self, shape, seed, signs):
+        T = np.random.default_rng(seed).standard_normal(shape)
+        if signs:
+            T = np.sign(T)
+        res = spectral_hopm(T)
+        sweeps = spectral_hopm(T, max_iter=_HOPM_SWEEPS)
+        assert res.converged
+        assert res.value >= sweeps.value
+        assert res.value == pytest.approx(
+            abs(multilinear_contract(T, list(res.maximizers))), rel=1e-14)
+
+    @pytest.mark.parametrize("shape, seed", [((2, 2, 2, 2), 15),
+                                             ((2, 3, 2, 3), 22),
+                                             ((3, 3, 3, 3), 6),
+                                             ((5, 5, 6), 7)])
+    def test_order_four_and_large_fixed_mode(self, shape, seed):
+        # (5, 5, 6) charts a fixed mode of dimension 5, past the branch and
+        # bound's limit.
+        T = asarray(np.random.default_rng(seed).standard_normal(shape))
+        res = spectral_hopm(T)
+        ref = _einsum_hopm(T, 32, 1e-12)[0]
+        assert res.iterations > _HOPM_SWEEPS
+        assert res.converged
+        assert res.value >= ref.value * (1.0 - 1e-14)
+        assert res.value <= spectral_enclosure(T, tol=1e-6)[1] + SLACK
+
+    def test_order_four_gallery_boundary(self):
+        # yuan4 Z + X just inside its range: norm 1, 1025 sweeps before.
+        g = gallery("yuan4", t=1.0 / 3.0 - 1e-3)
+        res = spectral_hopm(asarray(g["Z"] + g["X"]))
+        assert _HOPM_SWEEPS < res.iterations < 200
+        assert res.converged
+        assert abs(res.value - 1.0) <= 1e-12
+
+    @pytest.mark.parametrize("t", [1.0, -1.0])
+    def test_degenerate_maximum_keeps_value(self, t):
+        # notsingle Z has norm 1 along a curve of maximizers, which ends at
+        # x_1 = e_1, where T x_1 = e_1 e_1^T + t e_2 e_3^T has its top
+        # singular value 1 twice.
+        Z = asarray(gallery("notsingle", t=t)["Z"])
+        res = spectral_hopm(Z)
+        assert res.iterations > _HOPM_SWEEPS
+        assert res.converged
+        assert abs(res.value - 1.0) <= 1e-12
+        e = np.eye(3)
+        for start in ([e[0], e[0], e[0]], [e[0], e[1], e[2]]):
+            assert np.linalg.svd(np.tensordot(start[0], Z, 1),
+                                 compute_uv=False)[1] == 1.0
+            vecs, steps, converged = _hopm_finish(Z, start, 100)
+            assert converged
+            assert abs(multilinear_contract(Z, vecs)) >= 1.0 - 1e-15
 
 
 class TestSpectralCertified:
