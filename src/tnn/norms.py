@@ -24,7 +24,12 @@ unfolding ``T_(k)^T`` is copied once per call, and each mode update is one
 BLAS product of the other modes' row-wise Khatri-Rao product with it.  The
 norms of a sweep's last updates are the values at the starts, so no sweep
 evaluates the form separately; it is evaluated once, at the final vectors,
-to rank the starts.
+to rank the starts.  At a degenerate maximum, such as a subgradient's atoms
+where its spectral norm is attained, the sweeps converge sublinearly, so a
+run they have not settled within ``_HOPM_SWEEPS`` is finished from its best
+start by BFGS on ``sigma_max(T x_fixed x)``, the function the branch and
+bound encloses, and the finished vectors are kept when the form is no lower
+there.
 
 The nuclear norm is enclosed in a sandwich ``[lower, upper]``: the upper
 bound comes from a greedy rank-one decomposition, which takes HOPM's one
@@ -137,7 +142,15 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     ``<A, x_1 (x) ... (x) V/||V||> = ||V||``; the sweeps stop when no value
     moves by more than ``tol`` (relative to the largest, when above 1).  The
     best start is the one where the form, evaluated once at the final
-    vectors, is largest in magnitude."""
+    vectors, is largest in magnitude.
+
+    A run whose sweeps have not stopped after ``_HOPM_SWEEPS`` is finished
+    from its best start by ``_hopm_finish``; its vectors replace the best
+    start's when the form is at least as large there, so ``value`` is always
+    the form at the returned unit vectors and never below the sweeps' best.
+    ``iterations`` counts sweeps plus finishing steps, both drawn from
+    ``max_iter``, and ``converged`` is false only when that budget runs out
+    first."""
     A = asarray(T)
     d = A.ndim
     if np.all(A == 0):
@@ -186,10 +199,10 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
         finished, steps, converged = _hopm_finish(A, vecs,
                                                   max_iter - total_iters)
         total_iters += steps
-        value = float(np.einsum(value_str, A, *[v[None] for v in finished]
-                                ).item())
-        if abs(value) >= abs(signed):
-            vecs, signed = finished, value
+        at = float(np.einsum(value_str, A, *[v[None] for v in finished]
+                             ).item())
+        if abs(at) >= abs(signed):
+            vecs, signed = finished, at
     if signed < 0:
         vecs[0] = -vecs[0]
     maxim = tuple(vecs)
@@ -214,8 +227,11 @@ def _hopm_finish(A, vecs, budget):
     ``B`` an orthonormal basis of the tangent space, and ``f`` is maximized
     over the chart by BFGS with a backtracking line search.  The gradient of
     ``f`` in ``x_k`` is ``A`` contracted with the top singular pair and the
-    other fixed vectors.  Steps stop when the rise is below ``tol``
-    (relative to the value, when above 1) or the line search finds none.
+    other fixed vectors.  Steps go on to rounding level: they stop when two
+    in a row raise ``f`` by at most ``_FINISH_FLOOR`` relative, or when the
+    line search's predicted rise falls that low.  (Stopping at a rise below
+    HOPM's ``tol`` left values up to ``tol`` short of where the sweeps,
+    which wait for every start, would have gone.)
 
     Returns the vectors (the top singular pair in the two largest modes),
     the number of steps taken, at most ``budget``, and whether the steps
@@ -226,6 +242,7 @@ def _hopm_finish(A, vecs, budget):
     na, nb = A.shape[free[0]], A.shape[free[1]]
     flat = A.transpose(fixed + free).reshape(-1, na * nb)
     x0 = [vecs[k] for k in fixed]
+    # The last right singular vectors of the row x^T span its complement.
     charts = [np.linalg.svd(x[None])[2][1:].T for x in x0]
     ends = np.cumsum([0] + [B.shape[1] for B in charts])
     cuts = [slice(a, b) for a, b in zip(ends[:-1], ends[1:])]
@@ -264,11 +281,13 @@ def _hopm_finish(A, vecs, budget):
         p = H @ g
         slope, alpha = float(g @ p), 1.0
         f_new, g_new, out_new = evaluate(y + p)
-        while f_new < f + 1e-4 * alpha * slope:
-            if alpha * slope <= _FINISH_FLOOR * f:  # no rise above rounding
-                return _placed(vecs, fixed + free, out), steps, True
+        while (f_new < f + 1e-4 * alpha * slope
+               and alpha * slope > _FINISH_FLOOR * f):
             alpha *= 0.5
             f_new, g_new, out_new = evaluate(y + alpha * p)
+        if f_new < f + 1e-4 * alpha * slope:  # no rise above rounding
+            converged = True
+            break
         # One rise at rounding level may come from a step that knew too
         # little of the curvature; two in a row end the finish.
         was_small, small = small, f_new - f <= _FINISH_FLOOR * f_new
@@ -282,15 +301,7 @@ def _hopm_finish(A, vecs, budget):
             Hq = H @ q
             H += ((sq + q @ Hq) * np.outer(s, s) / sq
                   - np.outer(Hq, s) - np.outer(s, Hq)) / sq
-    return _placed(vecs, fixed + free, out), steps, converged
-
-
-def _placed(vecs, modes, new):
-    """``vecs`` with ``new[i]`` in place of ``vecs[modes[i]]``."""
-    out = list(vecs)
-    for k, v in zip(modes, new):
-        out[k] = v
-    return out
+    return [out[j] for j in np.argsort(fixed + free)], steps, converged
 
 
 # ---------------------------------------------------------------------------
