@@ -29,7 +29,7 @@ where its spectral norm is attained, the sweeps converge sublinearly, so a
 run they have not settled within ``_HOPM_SWEEPS`` is finished from its best
 start by BFGS on ``sigma_max(T x_fixed x)``, the function the branch and
 bound encloses, and the finished vectors are kept when the form is no lower
-there.
+there, up to rounding.
 
 The nuclear norm is enclosed in a sandwich ``[lower, upper]``: the upper
 bound comes from a greedy rank-one decomposition, which takes HOPM's one
@@ -146,8 +146,9 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
 
     A run whose sweeps have not stopped after ``_HOPM_SWEEPS`` is finished
     from its best start by ``_hopm_finish``; its vectors replace the best
-    start's when the form is at least as large there, so ``value`` is always
-    the form at the returned unit vectors and never below the sweeps' best.
+    start's when the form there is at least as large, up to rounding
+    (``_FINISH_FLOOR`` relative), so ``value`` is always the form at the
+    returned unit vectors.
     ``iterations`` counts sweeps plus finishing steps, both drawn from
     ``max_iter``, and ``converged`` is false only when that budget runs out
     first."""
@@ -201,7 +202,9 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
         total_iters += steps
         at = float(np.einsum(value_str, A, *[v[None] for v in finished]
                              ).item())
-        if abs(at) >= abs(signed):
+        # Within rounding of the sweeps' value, the finished vectors are
+        # the better settled ones.
+        if abs(at) >= abs(signed) * (1.0 - _FINISH_FLOOR):
             vecs, signed = finished, at
     if signed < 0:
         vecs[0] = -vecs[0]
@@ -213,8 +216,14 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
 
 # Sweeps before a run that has not converged is finished by `_hopm_finish`.
 _HOPM_SWEEPS = 50
-# Relative rounding level of the finish's values: a rise below it is noise.
-_FINISH_FLOOR = 16 * np.finfo(float).eps
+# Relative rounding level of the finish's values, a rise below which is
+# noise: a form summed over a few thousand entries rounds to about
+# sqrt(N) eps.
+_FINISH_FLOOR = 1e-14
+# The finish's stop: a relative gradient below _FINISH_GTOL, where f changes
+# by rounding only, or _FINISH_STALL such steps in a row.
+_FINISH_GTOL = 1e-12
+_FINISH_STALL = 20
 
 
 def _hopm_finish(A, vecs, budget):
@@ -227,11 +236,14 @@ def _hopm_finish(A, vecs, budget):
     ``B`` an orthonormal basis of the tangent space, and ``f`` is maximized
     over the chart by BFGS with a backtracking line search.  The gradient of
     ``f`` in ``x_k`` is ``A`` contracted with the top singular pair and the
-    other fixed vectors.  Steps go on to rounding level: they stop when two
-    in a row raise ``f`` by at most ``_FINISH_FLOOR`` relative, or when the
-    line search's predicted rise falls that low.  (Stopping at a rise below
-    HOPM's ``tol`` left values up to ``tol`` short of where the sweeps,
-    which wait for every start, would have gone.)
+    other fixed vectors.  Steps go past rounding level in ``f``: where ``f``
+    no longer rises by more than ``_FINISH_FLOOR`` relative, they stop once
+    the relative gradient is below ``_FINISH_GTOL``, which settles the
+    vectors too, or after ``_FINISH_STALL`` such steps; a line search that
+    finds only falls beyond rounding also ends them.  (Stopping at a rise
+    below HOPM's ``tol`` left values up to ``tol`` short of where the
+    sweeps, which wait for every start, would have gone, and vectors good
+    to about ``sqrt(tol)``.)
 
     Returns the vectors (the top singular pair in the two largest modes),
     the number of steps taken, at most ``budget``, and whether the steps
@@ -275,25 +287,33 @@ def _hopm_finish(A, vecs, budget):
     # Inverse Hessian of -f; f is 1-homogeneous, so its curvature scales
     # with f.
     H = np.eye(y.size) / f
-    steps, small, converged = 0, False, False
+    steps, stalled, converged = 0, 0, False
     while steps < budget and not converged:
         steps += 1
         p = H @ g
-        slope, alpha = float(g @ p), 1.0
+        slope, alpha, noise = float(g @ p), 1.0, _FINISH_FLOOR * f
         f_new, g_new, out_new = evaluate(y + p)
-        while (f_new < f + 1e-4 * alpha * slope
-               and alpha * slope > _FINISH_FLOOR * f):
+        # Backtrack until the rise is the Armijo share of the predicted one,
+        # or that prediction is below rounding.  There a step that changes f
+        # by rounding only is still taken: it settles the vectors, which f
+        # no longer tells apart.
+        while f_new < f + 1e-4 * alpha * slope and alpha * slope > noise:
             alpha *= 0.5
             f_new, g_new, out_new = evaluate(y + alpha * p)
-        if f_new < f + 1e-4 * alpha * slope:  # no rise above rounding
+        if f_new < f - noise:
             converged = True
             break
-        # One rise at rounding level may come from a step that knew too
-        # little of the curvature; two in a row end the finish.
-        was_small, small = small, f_new - f <= _FINISH_FLOOR * f_new
-        converged = was_small and small
+        # Past rounding level in f the gradient still tells the vectors
+        # apart: the finish ends when it is small too, or when steps keep
+        # changing f by rounding only.
+        stalled = stalled + 1 if f_new - f <= noise else 0
+        converged = stalled > 0 and (
+            g_new @ g_new <= (_FINISH_GTOL * f_new) ** 2
+            or stalled >= _FINISH_STALL)
         s, q = alpha * p, g - g_new
         y, f, g, out = y + s, f_new, g_new, out_new
+        # The BFGS update of H, the first one from H scaled to s.q / q.q
+        # (Nocedal & Wright, Numerical Optimization, eq. 6.20).
         sq = float(s @ q)
         if sq > 0:
             if steps == 1:
