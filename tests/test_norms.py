@@ -298,8 +298,8 @@ class TestHopmFinish:
         assert res.value <= spectral_enclosure(T, tol=1e-6)[1] + SLACK
         # The finish settles the vectors, not only the value: runs from
         # other starts return the same maximizer up to sign.
-        for seed in (1, 2):
-            other = spectral_hopm(T, seed=seed)
+        for start_seed in (1, 2):
+            other = spectral_hopm(T, seed=start_seed)
             for x, y in zip(res.maximizers, other.maximizers):
                 assert min(np.abs(x - y).max(), np.abs(x + y).max()) < 1e-10
 
