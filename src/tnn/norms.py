@@ -80,9 +80,6 @@ from .tensor_core import (
     inner,
     mode_matricize,
     mode_product,
-    multilinear_contract,
-    normalize,
-    outer_atom,
 )
 
 __all__ = [
@@ -168,10 +165,9 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
 
     value_str, _ = _hopm_update_strings(d)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), d]))
-    X = [
-        np.apply_along_axis(normalize, 1, rng.standard_normal((starts, n)))
-        for n in A.shape
-    ]
+    X = [rng.standard_normal((starts, n)) for n in A.shape]
+    # Each row over its norm, summed as np.linalg.norm sums one vector.
+    X = [R / np.sqrt(R[:, None, :] @ R[:, :, None])[:, 0] for R in X]
     # Mode k's transposed unfolding: rows run over the other modes in
     # increasing order, as the Khatri-Rao rows do.
     unfolded = [np.ascontiguousarray(np.moveaxis(A, k, -1).reshape(-1, n))
@@ -564,8 +560,12 @@ class NuclearSandwich:
         return 0.5 * (self.lower + self.upper)
 
 
-def _atom_column(factors, weight=1.0):
-    return outer_atom(factors, weight).ravel()
+def _atom_rows(atoms):
+    """Row ``i`` is atom ``i``'s outer product raveled, bitwise
+    ``outer_atom(atoms[i]).ravel()``.  Its transpose, the atoms as columns,
+    is copied C-contiguous before a BLAS product: a transposed view sums in
+    another order."""
+    return _khatri_rao_rows([np.array(f) for f in zip(*atoms)])
 
 
 def _l1_refit(columns, target):
@@ -629,7 +629,7 @@ def _greedy_atoms(A, tol, max_atoms, seed):
     stops when that atom is (up to sign) one it already holds."""
     l2 = holder_norm(A, 2)
     t = A.ravel()
-    atoms, columns = [], []
+    atoms = []
     residual = A
     for it in range(max_atoms):
         if holder_norm(residual, 1) <= tol * l2:
@@ -638,12 +638,12 @@ def _greedy_atoms(A, tol, max_atoms, seed):
                             seed=seed + 1000 * it)
         if res.value <= 1e-14 * l2:
             break
-        col = _atom_column(res.maximizers)
-        if any(abs(float(np.dot(col, c))) > 1.0 - 1e-10 for c in columns):
+        rows = _atom_rows(atoms + [res.maximizers])
+        if any(abs(float(np.dot(rows[-1], r))) > 1.0 - 1e-10
+               for r in rows[:-1]):
             break
         atoms.append(tuple(res.maximizers))
-        columns.append(col)
-        C = np.column_stack(columns)
+        C = np.ascontiguousarray(rows.T)
         weights, *_ = np.linalg.lstsq(C, t, rcond=None)
         residual = A - (C @ weights).reshape(A.shape)
     return atoms
@@ -857,7 +857,7 @@ def _best_weights(A, atoms):
     """Choose among least-squares and l1 refits of the atom weights the one
     with the smallest total weight plus l1 residual."""
     t = A.ravel()
-    C = np.column_stack([_atom_column(f) for f in atoms])
+    C = np.ascontiguousarray(_atom_rows(atoms).T)
     cands = []
     w_ls, *_ = np.linalg.lstsq(C, t, rcond=None)
     cands.append(w_ls)
@@ -874,7 +874,7 @@ def _best_weights(A, atoms):
 
 def _sign_witness(atoms, weights, shape, flags):
     """Minimum-Frobenius tensor with <Z, atom_i> = sign(w_i)."""
-    C = np.column_stack([_atom_column(f) for f in atoms])
+    C = np.ascontiguousarray(_atom_rows(atoms).T)
     G = C.T @ C
     s = np.sign(weights)
     try:
@@ -956,9 +956,11 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
         return NuclearSandwich(0.0, 0.0, empty, np.zeros(A.shape), 1.0)
     if A.ndim <= 2:
         return _matrix_sandwich(A)
-    core = _core(A, _mode_singular_values(A))
+    svals = _mode_singular_values(A)
+    core = _core(A, svals)
     if core is None:
-        return _sandwich(A, tol, max_atoms, seed)
+        flat = min(float(s[0]) for s in svals)
+        return _sandwich(A, flat, tol, max_atoms, seed)
 
     G, bases = core
     if G.ndim <= 2:
@@ -966,7 +968,7 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
         w_up, how = _witness_bound(sw.dual_witness)
         flags = (f"witness_bound_{how}",)
     else:
-        sw = _sandwich(G, tol, max_atoms, seed)
+        sw = _sandwich(G, spectral_flattening_upper(G), tol, max_atoms, seed)
         w_up, flags = sw.witness_spectral_upper, sw.flags
     W = _lift(sw.dual_witness, bases)
     upper = sw.upper + holder_norm(A - _lift(G, bases), 1)
@@ -981,13 +983,12 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
                            float(w_up), flags)
 
 
-def _sandwich(A, tol, max_atoms, seed):
+def _sandwich(A, flat, tol, max_atoms, seed):
     """``nuclear_sandwich`` of a nonzero tensor of order at least three and
-    full multilinear rank."""
+    full multilinear rank, given its flattening bound ``flat``."""
     flags = []
     l2 = holder_norm(A, 2)
     # The scaled base: flat <= ||A||_F, so its ratio is at least ||A||_F.
-    flat = spectral_flattening_upper(A)
     best = (inner(A, A) / flat, A, flat, "flattening")
     atoms = _greedy_atoms(A, tol, max_atoms, seed)
     weights, upper = np.zeros(0), holder_norm(A, 1)
@@ -1076,29 +1077,18 @@ def duality_gap_check(T, S):
 
 def restricted_norm_check(T, family, tol=1e-6):
     """Checks that the restricted-subspace facts hold for T in T((V_k)):
-    spectral maximizers live (after polish) inside the V_k, and the nuclear
-    sandwich's dual witness lies in T((V_k)) and sets its lower end."""
+    HOPM's spectral maximizers lie inside the V_k (``maximizer_residuals``
+    are their distances ``||x_k - P_k x_k||``), and the nuclear sandwich's
+    dual witness lies in T((V_k)) and sets its lower end."""
     A = family.check_shape(T)
     sel = basic(())
     if holder_norm(A - project(sel, family, A), 2) > 1e-10 * max(1.0, holder_norm(A, 2)):
         raise PreconditionError("T does not lie in T((V_k))")
 
-    res = spectral_hopm(A)
-    # Polish: project the maximizers into the V_k and re-run from there.
-    polished = []
-    for k, x in enumerate(res.maximizers):
-        P = family.subspaces[k].projector()
-        px = P @ x
-        polished.append(normalize(px) if np.linalg.norm(px) > 0 else x)
-    value_polished = abs(multilinear_contract(A, list(polished)))
-    residuals = []
-    for k, x in enumerate(polished):
-        P = family.subspaces[k].projector()
-        residuals.append(float(np.linalg.norm(x - P @ x)))
-    maximizer_ok = (
-        max(residuals) <= tol
-        and value_polished >= res.value * (1.0 - tol)
-    )
+    residuals = [float(np.linalg.norm(x - V.projector() @ x))
+                 for x, V in zip(spectral_hopm(A).maximizers,
+                                 family.subspaces)]
+    maximizer_ok = max(residuals) <= tol
 
     sand = nuclear_sandwich(A)
     W = sand.dual_witness

@@ -327,12 +327,14 @@ def _gallery_directions(selector, shape):
 def probe_tau(selector, shape, trials=8, seed=0, bisect_tol=1e-3):
     """Per-direction bisection for the largest stretch ``s`` in ``[0, 2]``
     keeping ``||Z + s U||_sigma <= 1``, over random instances plus the known
-    extreme gallery directions.  ``U`` is normalized to unit spectral norm,
-    so the recorded radii are spectral norms of the additive part.  Each
-    bisection step is a certified decision from ``spectral_enclosure`` in
-    threshold mode, so every shape is accepted; where the branch and bound
-    refuses the shape, the decision rests on the flattening bound and the
-    largest entry."""
+    extreme gallery directions.  Each random instance is a unit rank-one
+    atom ``T`` with its own certificate ``Z = T`` (``||T||_sigma = ||T||_* =
+    <T, T> = 1``) and a random ``U`` in the selected subspace of its mode
+    spans.  ``U`` is normalized to unit spectral norm, so the recorded radii
+    are spectral norms of the additive part.  Each bisection step is a
+    certified decision from ``spectral_enclosure`` in threshold mode, so
+    every shape is accepted; where the branch and bound refuses the shape,
+    the decision rests on the flattening bound and the largest entry."""
     shape = tuple(int(n) for n in shape)
     if trials < 1:
         raise ParameterError("need at least one trial")
@@ -348,8 +350,7 @@ def probe_tau(selector, shape, trials=8, seed=0, bisect_tol=1e-3):
         U = project(selector, family, rng.standard_normal(shape))
         if holder_norm(U, 2) < 1e-9:
             continue
-        Z = find_z_witness(T)
-        candidates.append((T, Z, U))
+        candidates.append((T, T, U))
 
     feasible_max = 0.0
     infeasible_min = np.inf

@@ -119,6 +119,25 @@ def test_norms_reaches_the_span_bases_only_through_the_core():
                       "project": {"restricted_norm_check"}}
 
 
+def test_no_module_reads_the_dense_chain_norm():
+    """``operator_norm_chain`` is a dense reference for the tests: no module
+    reads it (its definition and the package export are not reads), and
+    only it reads ``_chain_apply``."""
+    found = {name: [(path.stem, owner)
+                    for path in sorted(SRC.glob("*.py"))
+                    for _, owner in references(path.read_text(), name)]
+             for name in ("operator_norm_chain", "_chain_apply")}
+    assert found == {"operator_norm_chain": [],
+                     "_chain_apply": [("subspace", "operator_norm_chain")]}
+
+
+def test_no_module_calls_apply_along_axis():
+    found = [(path.stem, line)
+             for path in sorted(SRC.glob("*.py"))
+             for line, _ in references(path.read_text(), "apply_along_axis")]
+    assert found == []
+
+
 LOOPS = (ast.For, ast.AsyncFor, ast.While, ast.ListComp, ast.SetComp,
          ast.DictComp, ast.GeneratorExp)
 

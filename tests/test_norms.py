@@ -895,3 +895,18 @@ class TestRestrictedNorm:
         family = family_from_tensor(outer_atom([e(2, 0)] * 3))
         with pytest.raises(PreconditionError):
             restricted_norm_check(T, family)
+
+    def test_maximizer_outside_the_span_fails(self, monkeypatch):
+        # HOPM's own maximizers are measured: one 0.1 rad outside
+        # V_0 = span(e_0) fails the check.
+        T = outer_atom([e(2, 0)] * 3)
+        tilted = np.array([np.cos(0.1), np.sin(0.1)])
+        monkeypatch.setattr(
+            tnn.norms, "spectral_hopm",
+            lambda A, **kw: SpectralResult(np.cos(0.1),
+                                           (tilted, e(2, 0), e(2, 0)), 1, 1))
+        report = restricted_norm_check(T, family_from_tensor(T))
+        assert not report["maximizer_ok"] and not report["ok"]
+        assert report["maximizer_residuals"] == pytest.approx(
+            [np.sin(0.1), 0.0, 0.0], abs=1e-15)
+        assert report["witness_ok"]

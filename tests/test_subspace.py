@@ -247,16 +247,11 @@ class TestOperatorNormChain:
             cols[:, j] = np.asarray(out).ravel()
         assert val == pytest.approx(np.linalg.norm(cols, 2), abs=1e-8)
 
-    def test_large_shape_power_iteration(self, rng):
-        shape = (8, 8, 8, 8, 2)  # 8192 > dense cutoff
-        basis = np.linalg.qr(rng.standard_normal((8, 8)))[0][:, :1]
-        subs = tuple(
-            ModeSubspace(n, basis if n == 8 else np.eye(2)[:, :1])
-            for n in shape
-        )
-        family = ModeFamily(subs)
-        val = operator_norm_chain([(basic(()), family)], shape)
-        assert val == pytest.approx(1.0, abs=1e-8)
+    def test_refuses_past_dense_limit(self, rng):
+        shape = (8, 8, 8, 8, 2)  # 8192 > 4096 entries
+        family = random_family(rng, shape, (1,) * 5)
+        with pytest.raises(ParameterError):
+            operator_norm_chain([(basic(()), family)], shape)
 
 
 class TestSelectorParsing:
