@@ -67,6 +67,7 @@ from .decomp import (
     check_spectral_decomp,
     check_weak_decomp,
     sample_pair,
+    sample_weak_pair,
     weak_decomposability_constant,
 )
 from .subdiff import (

@@ -23,12 +23,8 @@ import numpy as np
 
 from . import decomp, norms, rpca, subdiff, subspace
 from .errors import ConvergenceError, TnnError
-from .tensor_core import (
-    asarray,
-    outer_atom,
-    read_tensor_file,
-    write_tensor_file,
-)
+from .tensor_core import asarray, read_tensor_file, write_tensor_file
+
 
 def _json_default(obj):
     if isinstance(obj, (np.floating, np.integer)):
@@ -260,25 +256,11 @@ def check_lower_bound(source, index_set, tol, pretty):
 @click.option("--pretty", is_flag=True)
 @adapter
 def check_weak(dims, trials, seed, alpha, tol, pretty):
-    reports = []
-    for i in range(trials):
-        rng = np.random.default_rng(
-            np.random.SeedSequence([seed + i, *dims])
-        )
-        base = rng.standard_normal(dims)
-        atom = outer_atom(
-            [v / np.linalg.norm(v)
-             for v in (rng.standard_normal(n) for n in dims)]
-        )
-        family = subspace.family_from_tensor(atom)
-        T = subspace.project(subspace.basic(()), family, base)
-        S = subspace.project(
-            subspace.order_ge2_sum(len(dims)), family,
-            rng.standard_normal(dims)
-        )
-        reports.append(
-            decomp.check_weak_decomp(T, S, family, alpha=alpha, tol=tol)
-        )
+    reports = [
+        decomp.check_weak_decomp(T, S, family, alpha=alpha, tol=tol)
+        for family, T, S in (decomp.sample_weak_pair(dims, seed + i)
+                             for i in range(trials))
+    ]
     doc = _suite_doc("weak", reports)
     emit(doc, pretty)
     return 0 if doc["fail"] == 0 else 1
@@ -365,13 +347,10 @@ def check_tau_probe(selector, dims, trials, seed, bisect_tol, pretty):
 
 @check_group.command("sphere")
 @click.option("--name", required=True)
-@click.option("--grid-density", default=2000, show_default=True)
 @click.option("--pretty", is_flag=True)
 @adapter
-def check_sphere(name, grid_density, pretty):
-    value = subdiff.solve_sphere_program(
-        subdiff.sphere_program(name), grid_density=grid_density
-    )
+def check_sphere(name, pretty):
+    value = subdiff.solve_sphere_program(subdiff.sphere_program(name))
     emit({"kind": "sphere", "name": name, "value": value}, pretty)
     return 0
 

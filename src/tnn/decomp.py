@@ -33,17 +33,19 @@ from .subspace import (
     ModeFamily,
     ModeSubspace,
     basic,
+    family_from_tensor,
     lower_u,
     order_ge2_sum,
     project,
     upper_u,
 )
-from .tensor_core import asarray, holder_norm
+from .tensor_core import asarray, holder_norm, outer_atom
 
 __all__ = [
     "DecompReport",
     "weak_decomposability_constant",
     "sample_pair",
+    "sample_weak_pair",
     "check_spectral_decomp",
     "check_nuclear_decomp",
     "check_nuclear_lower_bound",
@@ -132,13 +134,33 @@ def sample_pair(shape, ranks, index_set, seed):
     raise ParameterError("could not draw a nonzero pair for this family")
 
 
-def _spectral_value(T):
-    """Best-of-starts spectral value (raised to the enclosure's attained
-    lower end if that is larger) and the certified interval from
-    ``spectral_enclosure``."""
-    A = asarray(T)
-    v, up, _ = _raised_enclosure(A, 1e-4)
-    return v, (v, up)
+def sample_weak_pair(shape, seed):
+    """Random instance for the weak check.
+
+    One seeded stream draws a Gaussian base tensor and a random unit
+    rank-one atom, whose mode spans make the family; ``T`` is the base
+    projected onto the atom's span subspace and ``S`` a fresh Gaussian
+    tensor projected onto ``order_ge2_sum(d)``.  Returns ``(family, T, S)``;
+    identical seeds reproduce the instance bit for bit.
+    """
+    shape = tuple(int(n) for n in shape)
+    if len(shape) < 2:
+        raise ParameterError("weak decomposability needs order >= 2")
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), *shape]))
+    base = rng.standard_normal(shape)
+    atom = outer_atom([v / np.linalg.norm(v)
+                       for v in (rng.standard_normal(n) for n in shape)])
+    family = family_from_tensor(atom)
+    T = project(basic(()), family, base)
+    S = project(order_ge2_sum(len(shape)), family, rng.standard_normal(shape))
+    return family, T, S
+
+
+def _split_pair(T, S, family, index_set):
+    """``(I, T, S)`` after checking ``|I| >= 2``, ``T in U_I``, ``S in U^I``."""
+    I = _normalize_index_set(index_set, family.order, minimum=2)
+    return (I, _require_membership("T", T, lower_u(I), family),
+            _require_membership("S", S, upper_u(I), family))
 
 
 def check_spectral_decomp(T, S, family, index_set, tol=1e-6):
@@ -148,21 +170,35 @@ def check_spectral_decomp(T, S, family, index_set, tol=1e-6):
     attained lower end of its enclosure; ``lhs`` and ``rhs`` are certified
     intervals from ``spectral_enclosure``, at every size.
     """
-    d = family.order
-    I = _normalize_index_set(index_set, d, minimum=2)
-    T = _require_membership("T", T, lower_u(I), family)
-    S = _require_membership("S", S, upper_u(I), family)
-    v_sum, i_sum = _spectral_value(T + S)
-    v_t, i_t = _spectral_value(T)
-    v_s, i_s = _spectral_value(S)
-    rhs_val = max(v_t, v_s)
-    disc = abs(v_sum - rhs_val)
+    I, T, S = _split_pair(T, S, family, index_set)
+    (v_sum, up_sum), (v_t, up_t), (v_s, up_s) = (
+        _raised_enclosure(A, 1e-4)[:2] for A in (T + S, T, S))
+    disc = abs(v_sum - max(v_t, v_s))
     verdict = "pass" if disc <= tol else "fail"
     return DecompReport(
-        "spectral", verdict, i_sum,
-        (max(i_t[0], i_s[0]), max(i_t[1], i_s[1])), disc, tol,
+        "spectral", verdict, (v_sum, up_sum),
+        (max(v_t, v_s), max(up_t, up_s)), disc, tol,
         {"sigma_sum": v_sum, "sigma_T": v_t, "sigma_S": v_s, "I": sorted(I)},
     )
+
+
+def _nuclear_sides(whole, part, other, alpha):
+    """Sandwiches of ``whole``, ``part`` and ``other``, taken in that order,
+    with the intervals ``lhs`` for ``||whole||_*`` and ``rhs`` for
+    ``||part||_* + alpha ||other||_*`` and the midpoint discrepancy
+    ``mid(lhs) - mid(rhs)``."""
+    s_w, s_p, s_o = (nuclear_sandwich(A) for A in (whole, part, other))
+    lhs = (s_w.lower, s_w.upper)
+    rhs = (s_p.lower + alpha * s_o.lower, s_p.upper + alpha * s_o.upper)
+    disc = s_w.mid - (s_p.mid + alpha * s_o.mid)
+    return s_w, s_p, s_o, lhs, rhs, disc
+
+
+def _one_sided(lhs, rhs, tol):
+    """Verdict on ``lhs >= rhs``: ``fail`` only when
+    ``upper(lhs) < lower(rhs) - tol`` refutes it; ``pass`` means the
+    sandwiches do not refute it, not that they prove it."""
+    return "pass" if lhs[1] >= rhs[0] - tol else "fail"
 
 
 def _nuclear_three_way(lhs, rhs, disc, tol):
@@ -177,17 +213,16 @@ def _nuclear_three_way(lhs, rhs, disc, tol):
 
 
 def check_nuclear_decomp(T, S, family, index_set, tol=1e-3):
-    """Certify ``||T + S||_* = ||T||_* + ||S||_*`` up to sandwich width."""
-    d = family.order
-    I = _normalize_index_set(index_set, d, minimum=2)
-    T = _require_membership("T", T, lower_u(I), family)
-    S = _require_membership("S", S, upper_u(I), family)
-    s_sum = nuclear_sandwich(T + S)
-    s_t = nuclear_sandwich(T)
-    s_s = nuclear_sandwich(S)
-    lhs = (s_sum.lower, s_sum.upper)
-    rhs = (s_t.lower + s_s.lower, s_t.upper + s_s.upper)
-    disc = abs(s_sum.mid - (s_t.mid + s_s.mid))
+    """Check ``||T + S||_* = ||T||_* + ||S||_*`` on the sandwiches.
+
+    ``fail`` when the two intervals are more than ``tol`` apart.  ``pass``
+    needs the widths to add up to ``gap_total <= 1e-2`` and the midpoint
+    discrepancy ``disc <= gap_total + tol``, so it holds up to sandwich
+    width; anything else is ``inconclusive``.
+    """
+    I, T, S = _split_pair(T, S, family, index_set)
+    _, s_t, s_s, lhs, rhs, disc = _nuclear_sides(T + S, T, S, 1.0)
+    disc = abs(disc)
     verdict, gap_total = _nuclear_three_way(lhs, rhs, disc, tol)
     return DecompReport(
         "nuclear", verdict, lhs, rhs, disc, tol,
@@ -199,48 +234,38 @@ def check_nuclear_decomp(T, S, family, index_set, tol=1e-3):
 def check_nuclear_lower_bound(T, family, index_set, tol=1e-6):
     """Check the one-sided bound
     ``||T||_* >= ||p_{U_I} T||_* + ||p_{U^I} T||_*`` for arbitrary ``T``
-    through its certifiable consequence
-    ``upper(T) >= lower(p_{U_I} T) + lower(p_{U^I} T) - tol``."""
+    through its consequence
+    ``upper(T) >= lower(p_{U_I} T) + lower(p_{U^I} T) - tol``, which only
+    fails to refute the bound."""
     A = family.check_shape(T)
     I = _normalize_index_set(index_set, family.order, minimum=2)
     PA = project(lower_u(I), family, A)
     PB = project(upper_u(I), family, A)
-    s_t = nuclear_sandwich(A)
-    s_a = nuclear_sandwich(PA)
-    s_b = nuclear_sandwich(PB)
-    lhs = (s_t.lower, s_t.upper)
-    rhs = (s_a.lower + s_b.lower, s_a.upper + s_b.upper)
-    disc = s_t.mid - (s_a.mid + s_b.mid)
-    verdict = "pass" if s_t.upper >= rhs[0] - tol else "fail"
+    _, s_a, s_b, lhs, rhs, disc = _nuclear_sides(A, PA, PB, 1.0)
     return DecompReport(
-        "lower_bound", verdict, lhs, rhs, disc, tol,
+        "lower_bound", _one_sided(lhs, rhs, tol), lhs, rhs, disc, tol,
         {"nuc_lower_part": (s_a.lower, s_a.upper),
          "nuc_upper_part": (s_b.lower, s_b.upper),
-         "slack": s_t.upper - rhs[0], "I": sorted(I)},
+         "slack": lhs[1] - rhs[0], "I": sorted(I)},
     )
 
 
 def check_weak_decomp(T, S, family, alpha=None, tol=1e-6):
-    """Certify the weak additivity
+    """Check the weak additivity
     ``||T + S||_* >= ||T||_* + alpha ||S||_*`` for ``T`` inside the family's
-    subspaces and ``S`` in the direct sum of the order->=2 basic subspaces.
-    ``alpha`` defaults to ``2/(d(d-1))`` but may be overridden to probe
-    sharper constants."""
+    subspaces and ``S`` in the direct sum of the order->=2 basic subspaces,
+    through ``upper(T + S) >= lower(T) + alpha lower(S) - tol``, which only
+    fails to refute the bound.  ``alpha`` defaults to ``2/(d(d-1))`` but may
+    be overridden to probe sharper constants."""
     d = family.order
     T = _require_membership("T", T, basic(()), family)
     S = _require_membership("S", S, order_ge2_sum(d), family)
     if alpha is None:
         alpha = weak_decomposability_constant(d)
     alpha = float(alpha)
-    s_sum = nuclear_sandwich(T + S)
-    s_t = nuclear_sandwich(T)
-    s_s = nuclear_sandwich(S)
-    lhs = (s_sum.lower, s_sum.upper)
-    rhs = (s_t.lower + alpha * s_s.lower, s_t.upper + alpha * s_s.upper)
-    disc = s_sum.mid - (s_t.mid + alpha * s_s.mid)
-    verdict = "pass" if s_sum.upper >= rhs[0] - tol else "fail"
+    s_sum, s_t, s_s, lhs, rhs, disc = _nuclear_sides(T + S, T, S, alpha)
     return DecompReport(
-        "weak", verdict, lhs, rhs, disc, tol,
+        "weak", _one_sided(lhs, rhs, tol), lhs, rhs, disc, tol,
         {"alpha": alpha, "nuc_T": (s_t.lower, s_t.upper),
          "nuc_S": (s_s.lower, s_s.upper),
          "mid_sum": s_sum.mid, "mid_T": s_t.mid, "mid_S": s_s.mid},

@@ -65,8 +65,6 @@ import itertools
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy import sparse
-from scipy.optimize import linprog
 
 from .errors import DimensionError, ParameterError, PreconditionError
 from .subspace import RANK_TOL, basic, family_from_tensor, project
@@ -576,6 +574,9 @@ def _l1_refit(columns, target):
     (``[C, -C, I, -I]``), so memory grows with the entry count, not its
     square.
     """
+    from scipy import sparse
+    from scipy.optimize import linprog
+
     N, m = columns.shape
     col = np.asarray(columns, dtype=float).ravel(order="F")
     data = np.concatenate([col, -col, np.ones(N), -np.ones(N)])
@@ -649,20 +650,13 @@ def _greedy_atoms(A, tol, max_atoms, seed):
     return atoms
 
 
-def _hypersphere_point(angles, n):
-    """Hyperspherical parametrization of S^{n-1}; n-1 angles."""
-    x = np.empty(n)
-    s = 1.0
-    for i in range(n - 1):
-        x[i] = s * np.cos(angles[i])
-        s *= np.sin(angles[i])
-    x[n - 1] = s
-    return x
-
-
 def _half_sphere_samples(n, target):
     """About ``target`` unit vectors covering a half-sphere of R^n (the
-    antipode of each sample is represented by a negative weight)."""
+    antipode of each sample is represented by a negative weight).
+
+    For ``n >= 3`` the samples are the hyperspherical points of a product of
+    ``n - 1`` angle axes: coordinate ``i`` is ``cos(a_i)`` times the product
+    of the sines before it, and the last is the product of all sines."""
     if n == 1:
         return np.array([[1.0]])
     if n == 2:
@@ -671,11 +665,11 @@ def _half_sphere_samples(n, target):
         return np.stack([np.cos(th), np.sin(th)], 1)
     n_ang = n - 1
     m = max(4, int(round(target ** (1.0 / n_ang))))
-    axes = [np.linspace(0.0, np.pi, m, endpoint=False) for _ in range(n_ang)]
-    pts = np.array(
-        [_hypersphere_point(np.array(a), n) for a in itertools.product(*axes)]
-    )
-    return pts
+    axes = [np.linspace(0.0, np.pi, m, endpoint=False)] * n_ang
+    angles = np.array(list(itertools.product(*axes)))
+    ones = np.ones((len(angles), 1))
+    sines = np.cumprod(np.sin(angles), axis=1)
+    return np.hstack([np.cos(angles), ones]) * np.hstack([ones, sines])
 
 
 # Dictionary LP: half-sphere samples per mode, by mode dimension (no others
@@ -737,6 +731,8 @@ def _dictionary_lp(A):
     feasibility over the grid.  ``None`` if a mode dimension exceeds 4 or
     the LP fails on the whole grid.
     """
+    from scipy.optimize import linprog
+
     shape = A.shape
     if any(n not in _LP_SAMPLES for n in shape):
         return None

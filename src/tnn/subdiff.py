@@ -22,7 +22,6 @@ import itertools
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import minimize
 
 from .errors import LookupError_, ParameterError, PreconditionError
 from .norms import (
@@ -478,16 +477,19 @@ def _program_values(P, angles):
     return obj, mono(P.coupling)
 
 
-def solve_sphere_program(P, grid_density=2000):
-    """Global maximum of the program via a dense angular product grid plus
-    constrained polish from the best feasible grid points.
+# Angles per variable in the lattice that seeds the sphere programs' polish.
+_SPHERE_LATTICE = 16
 
-    ``grid_density`` is the per-angle target; the joint grid is capped at
-    about two million points, so 3- and 4-variable programs use the largest
-    per-angle count whose product stays under the cap."""
+
+def solve_sphere_program(P):
+    """Global maximum of the program: SLSQP polish from the eight best
+    feasible points of a fixed angular lattice, ``_SPHERE_LATTICE`` angles
+    in ``[0, pi/2]`` per variable, or the best lattice value if no polish
+    ends feasible higher."""
+    from scipy.optimize import minimize
+
     v = P.n_vars
-    per = min(int(grid_density), max(8, int(round(2_000_000 ** (1.0 / v)))))
-    axes = [np.linspace(0.0, np.pi / 2.0, per)] * v
+    axes = [np.linspace(0.0, np.pi / 2.0, _SPHERE_LATTICE)] * v
     grids = np.meshgrid(*axes, indexing="ij")
     angles = np.stack([g.ravel() for g in grids], axis=1)
     obj, coup = _program_values(P, angles)
@@ -533,6 +535,15 @@ def _diag_tensor(n_diag, shape):
     return T
 
 
+def _binary(*patterns):
+    """The sum of the basis atoms ``e_{p_1} (x) ... (x) e_{p_d}`` on
+    ``2 x ... x 2``, one per pattern ``p``."""
+    A = np.zeros((2,) * len(patterns[0]))
+    for p in patterns:
+        A[p] += 1.0
+    return A
+
+
 def gallery(name, t=None):
     """Closed-form example tensors with their oracle values.
 
@@ -572,15 +583,8 @@ def gallery(name, t=None):
             },
         }
     if name in ("yuan3", "yuan33"):
-        T = outer_atom([basis_vector(2, 0)] * 3)
-        X = tval * (
-            outer_atom([basis_vector(2, 0), basis_vector(2, 1),
-                        basis_vector(2, 1)])
-            + outer_atom([basis_vector(2, 1), basis_vector(2, 0),
-                          basis_vector(2, 1)])
-            + outer_atom([basis_vector(2, 1), basis_vector(2, 1),
-                          basis_vector(2, 0)])
-        )
+        T = _binary((0, 0, 0))
+        X = tval * _binary((0, 1, 1), (1, 0, 1), (1, 1, 0))
         if -1.0 <= tval <= 0.5:
             szx = 1.0
         else:
@@ -599,11 +603,8 @@ def gallery(name, t=None):
             out["oracles"]["sigma_X_plus_Y"] = abs(tval)
         return out
     if name == "yuan4":
-        T = outer_atom([basis_vector(2, 0)] * 4)
-        X = np.zeros((2, 2, 2, 2))
-        for pattern in set(itertools.permutations((0, 0, 1, 1))):
-            X += outer_atom([basis_vector(2, i) for i in pattern])
-        X = tval * X
+        T = _binary((0, 0, 0, 0))
+        X = tval * _binary(*set(itertools.permutations((0, 0, 1, 1))))
         return {
             "T": T, "Z": T, "X": X, "t": tval,
             "oracles": {
@@ -613,16 +614,8 @@ def gallery(name, t=None):
             },
         }
     if name == "limitation":
-        T = outer_atom([basis_vector(2, 0)] * 3)
-        S = (
-            outer_atom([basis_vector(2, 0), basis_vector(2, 1),
-                        basis_vector(2, 1)])
-            + outer_atom([basis_vector(2, 1), basis_vector(2, 0),
-                          basis_vector(2, 1)])
-            + outer_atom([basis_vector(2, 1), basis_vector(2, 1),
-                          basis_vector(2, 0)])
-            + outer_atom([basis_vector(2, 1)] * 3)
-        )
+        T = _binary((0, 0, 0))
+        S = _binary((0, 1, 1), (1, 0, 1), (1, 1, 0), (1, 1, 1))
         return {
             "T": T, "S": S,
             "oracles": {

@@ -18,7 +18,6 @@ from tnn import (
     check_spectral_decomp,
     check_weak_decomp,
     direct_sum,
-    family_from_tensor,
     gallery,
     generate_instance,
     golfing_certificate,
@@ -29,10 +28,10 @@ from tnn import (
     certify,
     neumann_certificate,
     nuclear_sandwich,
-    outer_atom,
     probe_tau,
     project,
     sample_pair,
+    sample_weak_pair,
     solve_matrix_rpca,
     solve_sphere_program,
     spectral_hopm,
@@ -152,21 +151,8 @@ class TestWeakDecomposabilitySuite:
     holds on 100 seeded instances (midpoint slack at most 1e-3)."""
 
     def test_hundred_trials(self):
-        import itertools
-
-        dims = (2, 2, 2)
-        sets = [frozenset(c) for r in range(2, 4)
-                for c in itertools.combinations(range(3), r)]
         for seed in range(100):
-            rng = np.random.default_rng(np.random.SeedSequence([seed, *dims]))
-            base = rng.standard_normal(dims)
-            atom = outer_atom(
-                [v / np.linalg.norm(v)
-                 for v in (rng.standard_normal(n) for n in dims)]
-            )
-            family = family_from_tensor(atom)
-            T = project(basic(()), family, base)
-            S = project(direct_sum(sets), family, rng.standard_normal(dims))
+            family, T, S = sample_weak_pair((2, 2, 2), seed)
             report = check_weak_decomp(T, S, family, alpha=0.5, tol=1e-3)
             assert report.ok, seed
             assert (report.details["mid_sum"]

@@ -16,6 +16,7 @@ from tnn import (
     nuclear_sandwich,
     outer_atom,
     sample_pair,
+    sample_weak_pair,
     weak_decomposability_constant,
 )
 from conftest import e
@@ -76,6 +77,56 @@ class TestSamplePair:
     def test_full_rank_inside_index_set(self):
         with pytest.raises(ParameterError):
             sample_pair((2, 2, 2), (2, 1, 1), (0, 1), seed=0)
+
+
+def weak_recipe(shape, seed):
+    """The weak suite's instance, drawn step by step: a Gaussian base, then
+    a unit atom's factors, then the Gaussian behind ``S``, all from one
+    stream."""
+    from tnn import basic, family_from_tensor, order_ge2_sum, project
+
+    rng = np.random.default_rng(np.random.SeedSequence([seed, *shape]))
+    base = rng.standard_normal(shape)
+    atom = outer_atom([v / np.linalg.norm(v)
+                       for v in (rng.standard_normal(n) for n in shape)])
+    family = family_from_tensor(atom)
+    T = project(basic(()), family, base)
+    S = project(order_ge2_sum(len(shape)), family, rng.standard_normal(shape))
+    return family, T, S
+
+
+class TestSampleWeakPair:
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 2, 2, 2)], ids=str)
+    def test_equals_the_recipe_bit_for_bit(self, shape):
+        for seed in range(10):
+            family, T, S = sample_weak_pair(shape, seed)
+            ref_family, ref_T, ref_S = weak_recipe(shape, seed)
+            assert np.array_equal(T, ref_T), seed
+            assert np.array_equal(S, ref_S), seed
+            for V, W in zip(family.subspaces, ref_family.subspaces):
+                assert np.array_equal(V.basis, W.basis), seed
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (2, 3, 4)], ids=str)
+    def test_parts_lie_in_their_subspaces(self, shape):
+        from tnn import basic, order_ge2_sum, project
+
+        for seed in range(5):
+            family, T, S = sample_weak_pair(shape, seed)
+            for part, selector in ((T, basic(())),
+                                   (S, order_ge2_sum(len(shape)))):
+                resid = holder_norm(part - project(selector, family, part), 2)
+                assert resid <= 1e-12, seed
+                assert holder_norm(part, 2) > 1e-8, seed
+
+    def test_distinct_seeds_differ(self):
+        _, T1, S1 = sample_weak_pair((2, 2, 2), 5)
+        _, T2, S2 = sample_weak_pair((2, 2, 2), 6)
+        assert not np.allclose(T1, T2)
+        assert not np.allclose(S1, S2)
+
+    def test_rejects_order_one(self):
+        with pytest.raises(ParameterError):
+            sample_weak_pair((3,), 0)
 
 
 class TestSpectralDecomp:

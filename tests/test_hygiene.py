@@ -191,3 +191,56 @@ def test_einsum_loop_detector():
 def test_hopm_iterates_without_einsum():
     source = (SRC / "norms.py").read_text()
     assert einsum_calls_in_loops(source, "spectral_hopm") == []
+
+
+def module_level_imports(source, package):
+    """Lines of the imports of ``package`` or its submodules that run when
+    the module is imported: those outside every function body."""
+    found = []
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            if isinstance(child, ast.Import):
+                names = [alias.name for alias in child.names]
+            elif isinstance(child, ast.ImportFrom) and child.level == 0:
+                names = [child.module]
+            else:
+                names = []
+            if any(n == package or n.startswith(package + ".")
+                   for n in names):
+                found.append(child.lineno)
+            visit(child)
+
+    visit(ast.parse(source))
+    return found
+
+
+def test_module_level_import_detector():
+    source = (
+        "import scipy.sparse\n"
+        "from scipy.optimize import linprog\n"
+        "from .scipy import x\n"
+        "import scipyx\n"
+        "try:\n"
+        "    from scipy import sparse\n"
+        "except ImportError:\n"
+        "    pass\n"
+        "def solve():\n"
+        "    from scipy.optimize import minimize\n"
+        "class Solver:\n"
+        "    import scipy\n"
+        "    def run(self):\n"
+        "        import scipy.linalg\n"
+    )
+    assert module_level_imports(source, "scipy") == [1, 2, 6, 12]
+
+
+def test_scipy_loads_where_it_is_used():
+    """No module imports scipy when ``tnn`` is imported; the functions that
+    call a scipy solver import it themselves."""
+    found = [(path.stem, line)
+             for path in sorted(SRC.glob("*.py"))
+             for line in module_level_imports(path.read_text(), "scipy")]
+    assert found == []

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -15,7 +16,6 @@ from tnn import (
     asarray,
     basic,
     decomposition_sum,
-    direct_sum,
     duality_gap_check,
     family_from_tensor,
     gallery,
@@ -29,6 +29,7 @@ from tnn import (
     project,
     restricted_norm_check,
     sample_pair,
+    sample_weak_pair,
     spectral_certified_upper,
     spectral_enclosure,
     spectral_flattening_upper,
@@ -762,24 +763,10 @@ def _dense_dictionary_lp(A):
     return res.fun, cols
 
 
-def _weak_recipe(seed, dims=(2, 2, 2)):
-    """The weak-decomposability suite's ``(T, S)`` pair at ``seed``."""
-    sets = [frozenset(c) for r in range(2, len(dims) + 1)
-            for c in itertools.combinations(range(len(dims)), r)]
-    rng = np.random.default_rng(np.random.SeedSequence([seed, *dims]))
-    base = rng.standard_normal(dims)
-    atom = outer_atom([v / np.linalg.norm(v)
-                       for v in (rng.standard_normal(n) for n in dims)])
-    family = family_from_tensor(atom)
-    T = project(basic(()), family, base)
-    S = project(direct_sum(sets), family, rng.standard_normal(dims))
-    return T, S
-
-
 def _lp_case(case):
     kind, seed = case
     if kind in ("T+S", "S"):
-        T, S = _weak_recipe(seed)
+        _, T, S = sample_weak_pair((2, 2, 2), seed)
         return asarray(T + S if kind == "T+S" else S)
     return asarray(np.random.default_rng(seed).standard_normal(kind))
 
@@ -808,7 +795,7 @@ class TestDictionaryLp:
     def test_failed_restricted_lp_brings_in_the_whole_grid(self, monkeypatch):
         A = _lp_case(("S", 0))
         optimum, cols = _dense_dictionary_lp(A)
-        original = tnn.norms.linprog
+        original = linprog
         solved = []
 
         def failing_short_of_the_grid(c, **kwargs):
@@ -817,7 +804,8 @@ class TestDictionaryLp:
             res.success = res.success and len(c) == 2 * len(cols)
             return res
 
-        monkeypatch.setattr(tnn.norms, "linprog", failing_short_of_the_grid)
+        monkeypatch.setattr(scipy.optimize, "linprog",
+                            failing_short_of_the_grid)
         atoms, w, y = _dictionary_lp(A)
         assert len(solved) == 2 and solved[0] < len(cols) == solved[1]
         assert np.sum(np.abs(w)) == pytest.approx(optimum, rel=1e-9)

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -353,7 +355,19 @@ class TestSphereParagraphs:
     ])
     def test_closed_form_values(self, name, expected):
         val = solve_sphere_program(sphere_program(name))
-        assert val == pytest.approx(expected, abs=1e-6)
+        assert val == pytest.approx(expected, abs=1e-12)
+
+    def test_memory_stays_small(self):
+        # The solver is loaded first, so that the peak counts the program.
+        import scipy.optimize  # noqa: F401
+
+        tracemalloc.start()
+        try:
+            solve_sphere_program(sphere_program("opt-d4-b"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak < 32e6
 
     def test_registry_and_lookup(self):
         assert set(SPHERE_PROGRAMS) == {
