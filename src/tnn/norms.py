@@ -12,6 +12,15 @@ between them, and the library's only caller of the branch and bound: the
 branch and bound, capped by the flattening bound, where the branch and bound
 accepts the shape, and the flattening bound elsewhere.
 
+For a ``2 x 2 x n`` tensor the branch and bound first computes the
+partial-transpose cap (``_partial_transpose_bound``): with ``M`` the Gram
+matrix of the ``4 x n`` unfolding, ``||T||_sigma^2 <= lambda_max(M + s W)``
+for the one symmetric ``W`` that product vectors annihilate, and the least
+such bound is exact.  A closed-form primal step on the first mode's circle
+gives an attained value and the multiplier ``s``; the cap is one ``eigvalsh``
+plus a rounding slack.  Where cap and attained value decide, no cell is
+evaluated; otherwise the cap enters the branch and bound's stop tests only.
+
 A tensor with a rank-deficient mode is first compressed to its
 multilinear-SVD core ``G = T x_k U_k^T`` (``_core``; ``U_k`` the mode-span
 bases), whose spectral and nuclear norms are ``T``'s by the
@@ -62,6 +71,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -324,6 +334,107 @@ def _hopm_finish(A, vecs, budget):
 
 _BNB_BATCH = 128  # cells evaluated per vectorized round
 
+# The one symmetric W (up to scale) with (x (x) y)^T W (x (x) y) = 0 for all
+# x, y in R^2: the partial-transpose difference S - S^Gamma for 2 x 2 modes.
+_PT_W = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0],
+                  [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
+_PT_NEWTON = 30  # Newton steps on the angle at most
+
+
+def _partial_transpose_bound(A):
+    """Certified ``(cap, attained)`` for ``||A||_sigma``, ``A`` of shape
+    ``(2, 2, n)`` up to a permutation of its modes.
+
+    With ``U`` the ``4 x n`` unfolding of the sorted tensor and
+    ``M = U U^T``, ``||A||_sigma^2 = max (x (x) y)^T M (x (x) y)`` over unit
+    ``x, y`` in ``R^2``.  Product vectors annihilate ``_PT_W``, so
+    ``||A||_sigma^2 <= lambda_max(M + s W)`` for every ``s`` (Doherty,
+    Parrilo & Spedalieri 2004; Ling, Nie, Qi & Ye 2009).  Nonnegative
+    biquadratic forms in ``2 + 2`` variables are sums of squares (Calderon
+    1973), so the least such bound is exact.
+
+    Primal step: ``sigma_max(A x_0 x)^2`` with ``x = (cos t, sin t)`` is the
+    top eigenvalue of a ``2 x 2`` matrix affine in ``(cos 2t, sin 2t)``,
+    evaluated in closed form on a grid of ``2t``; each local maximum on the
+    grid is refined by Newton steps on the angle, and with ``y`` the top
+    eigenvector at the best one, ``attained`` is ``||A x_0 x x_1 y||``.
+
+    Dual step: at the maximizer ``v = x (x) y`` with value ``g``, ``v`` is
+    a top eigenvector of ``M + s W`` for the optimal ``s``, so
+    ``(M - g I) v = -s W v``; as ``Wv`` has unit norm and is orthogonal to
+    ``v``, that ``s`` is ``-<Wv, Mv>``.  ``cap`` is
+    ``sqrt(lambda_max(M + s W) + slack)``, where the slack
+    ``4 (n + 4) eps (||M||_F + 2|s|)`` covers the backward errors of forming
+    ``M`` (``n eps tr(M) <= 2 n eps ||M||_F``), of adding ``s W`` and of the
+    symmetric eigensolver.  Where the primal step misses the maximum, ``s``
+    is off the optimum and ``cap`` is still a bound, only looser."""
+    B = A.transpose(np.argsort(A.shape, kind="stable"))
+    n = B.shape[2]
+    U = B.reshape(4, n)
+    M = U @ U.T
+    # sigma_max(B x_0 x)^2 = lambda_max(x0^2 M00 + 2 x0 x1 sym(M01) + x1^2
+    # M11), with Mij the 2 x 2 blocks of M; at x = (cos t, sin t) this is
+    # [[h + e, b], [b, h - e]] with h, e, b affine in (1, cos 2t, sin 2t).
+    (m00, m01, m02, m03), (_, m11, m12, m13), (_, _, m22, m23), \
+        (_, _, _, m33) = M.tolist()
+    h0, h1, h2 = ((m00 + m11 + m22 + m33) / 4, (m00 + m11 - m22 - m33) / 4,
+                  (m02 + m13) / 2)
+    e0, e1, e2 = ((m00 - m11 + m22 - m33) / 4, (m00 - m11 - m22 + m33) / 4,
+                  (m02 - m13) / 2)
+    b0, b1, b2 = (m01 + m23) / 2, (m01 - m23) / 2, (m03 + m12) / 2
+    grid = np.arange(64) * (np.pi / 32)
+    c, s = np.cos(grid), np.sin(grid)
+    g = h0 + h1 * c + h2 * s + np.hypot(e0 + e1 * c + e2 * s,
+                                        b0 + b1 * c + b2 * s)
+
+    def terms(phi):
+        c, s = math.cos(phi), math.sin(phi)
+        return ((h0 + h1 * c + h2 * s, h2 * c - h1 * s, -h1 * c - h2 * s),
+                (e0 + e1 * c + e2 * s, e2 * c - e1 * s, -e1 * c - e2 * s),
+                (b0 + b1 * c + b2 * s, b2 * c - b1 * s, -b1 * c - b2 * s))
+
+    def climb(phi, value):
+        """Newton steps on the angle while the value rises."""
+        for _ in range(_PT_NEWTON):
+            (h, dh, ddh), (e, de, dde), (b, db, ddb) = terms(phi)
+            r = math.hypot(e, b)
+            if r == 0.0:
+                break
+            slope = dh + (e * de + b * db) / r
+            curve = (ddh + (de * de + db * db + e * dde + b * ddb) / r
+                     - (e * de + b * db) ** 2 / r ** 3)
+            if curve >= 0.0:
+                break
+            trial = phi - slope / curve
+            (h, _, _), (e, _, _), (b, _, _) = terms(trial)
+            if h + math.hypot(e, b) < value:
+                break
+            step, phi, value = abs(trial - phi), trial, h + math.hypot(e, b)
+            if step <= 1e-15:
+                break
+        return value, phi
+
+    # Every local maximum on the grid is climbed: two maxima closer in value
+    # than the grid resolves them can be ranked wrongly by the grid.
+    ring = np.concatenate((g[-1:], g, g[:1]))
+    peaks = {int(np.argmax(g)), *np.flatnonzero((g > ring[:-2])
+                                                 & (g >= ring[2:])).tolist()}
+    value, phi = max(climb(float(grid[i]), float(g[i])) for i in peaks)
+    (h, _, _), (e, _, _), (b, _, _) = terms(phi)
+    r = math.hypot(e, b)
+    # Top eigenvector of [[h + e, b], [b, h - e]], from its better column.
+    y = (r + e, b) if e >= 0.0 else (b, r - e)
+    ny = math.hypot(*y)
+    y = np.array(y) / ny if ny > 0.0 else np.array([1.0, 0.0])
+    x = np.array([math.cos(0.5 * phi), math.sin(0.5 * phi)])
+    v = np.outer(x, y).ravel()
+    attained = float(np.linalg.norm(v @ U))
+    shift = -float(_PT_W @ v @ (M @ v))
+    slack = (4.0 * (n + 4) * np.finfo(float).eps
+             * (np.linalg.norm(M) + 2.0 * abs(shift)))
+    top = np.linalg.eigvalsh(M + shift * _PT_W)[-1]
+    return float(np.sqrt(max(top, 0.0) + slack)), attained
+
 
 def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     """Rigorous enclosure (lower, upper) of the spectral norm.
@@ -347,6 +458,15 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
 
     If ``threshold`` is given, the search stops as soon as either
     ``upper <= threshold`` or ``lower > threshold`` is established.
+
+    An order-3 tensor whose two smallest modes have size 2 gets the
+    partial-transpose cap and an attained value first
+    (``_partial_transpose_bound``): exact up to a backward-error slack of
+    order ``(n + 4) eps`` relative in the squared norm.  When they decide
+    (``cap - attained <= tol``, or in threshold mode ``cap <= threshold`` or
+    ``attained > threshold``), no cell is evaluated.  Otherwise the branch
+    and bound starts from the attained value, and the cap enters only its
+    stop tests and its returned upper end, never the cells' priorities.
     """
     A = asarray(T)
     d = A.ndim
@@ -363,6 +483,21 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
         )
     if np.all(A == 0):
         return 0.0, 0.0
+
+    def decided(upper, best):
+        return upper - best <= tol or (
+            threshold is not None and (upper <= threshold or best > threshold))
+
+    # A 2 x 2 x n tensor's partial-transpose cap and attained value usually
+    # decide at once.  Otherwise the cap enters the stop tests only: capping
+    # the cells' priorities ties them at the cap and turns best-first search
+    # into breadth-first search.
+    cap, best = np.inf, 0.0
+    if d == 3 and sorted(dims)[:2] == [2, 2]:
+        cap, best = _partial_transpose_bound(A)
+        if decided(cap, best):
+            return best, max(best, cap)
+
     A = A.transpose(fixed + sorted(order[d - 2:]))
     ns = [dims[k] for k in fixed]
     offsets = np.cumsum([0] + [n - 1 for n in ns])
@@ -402,7 +537,7 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
         return upper, float((f / lengths).max())
 
     heap, tick = [], itertools.count()
-    best = resolved = 0.0
+    resolved = 0.0
     evals = 0
     # A cell: its face in each fixed mode, box centre, box half-widths, and
     # its parent's bound, which holds for the cell too.
@@ -417,11 +552,9 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
             for u, f, c, h in zip(np.minimum(ubs, caps), faces, zc, zh):
                 heapq.heappush(heap, (-float(u), next(tick), f, c, h))
         top = -heap[0][0] if heap else -np.inf
-        if not heap or top - best <= tol or evals >= max_evals or (
-            threshold is not None
-            and (max(top, resolved) <= threshold or best > threshold)
-        ):
-            return best, max(best, top, resolved)
+        upper = min(cap, max(top, resolved))
+        if not heap or evals >= max_evals or decided(upper, best):
+            return best, max(best, upper)
         cells = []
         while heap and len(cells) < _BNB_BATCH:
             neg_ub, _, face, c, h = heapq.heappop(heap)
@@ -593,8 +726,9 @@ def _l1_refit(columns, target):
 
 
 # Tolerance and budget of every certified bound on a dual witness.  The bound
-# sets the sandwich's lower end: the relative gap of the `limitation` gallery
-# S is 9.6e-4 at tol 1e-3 and 2e-5 at 1e-5.
+# sets the sandwich's lower end.  A witness with a 2 x 2 x n core is bounded
+# exact to rounding by the partial-transpose cap, whatever the tolerance; a
+# larger one gives away up to the tolerance.
 _WITNESS_TOL = 1e-5
 _WITNESS_MAX_EVALS = 80_000
 

@@ -95,9 +95,12 @@ def _spectral_decision(G, threshold, tol):
 def is_subgradient(G, T, tol=1e-3, sandwich=None):
     """Three-way check of ``G`` being a subgradient of the nuclear norm at
     ``T``: requires ``<G, T> = ||T||_*`` and ``||G||_sigma <= 1`` within
-    certified bounds.  The note ``spectral_upper_flattening`` marks a ``G``
-    whose multilinear rank the branch and bound refuses, where the upper
-    bound on ``||G||_sigma`` is the flattening bound."""
+    certified bounds.  The pairing fails below ``lower - tol``, which proves
+    ``<G, T> < ||T||_* - tol``; it cannot exceed ``||T||_*`` when
+    ``||G||_sigma <= 1``, so only its lower side is tested.  The note
+    ``spectral_upper_flattening`` marks a ``G`` whose multilinear rank the
+    branch and bound refuses, where the upper bound on ``||G||_sigma`` is
+    the flattening bound."""
     G, T = asarray(G), asarray(T)
     if G.shape != T.shape:
         raise ParameterError("shape mismatch between candidate and base point")
@@ -109,14 +112,13 @@ def is_subgradient(G, T, tol=1e-3, sandwich=None):
     sig_lo, sig_up, method = _spectral_decision(G, 1.0, tol)
     notes = ["spectral_upper_flattening"] if method == "flattening" else []
 
-    pairing_ok = pairing >= sandwich.lower - tol
-    pairing_bad = pairing < sandwich.lower - sandwich.gap - tol
+    pairing_bad = pairing < sandwich.lower - tol
     sigma_ok = sig_up <= 1.0 + tol
     sigma_bad = sig_lo > 1.0 + tol
 
     if pairing_bad or sigma_bad:
         verdict = "fail"
-    elif pairing_ok and sigma_ok:
+    elif sigma_ok:
         verdict = "pass"
     else:
         verdict = "inconclusive"
@@ -143,8 +145,10 @@ def find_z_witness(T, sandwich=None):
 def z_membership(Z, T, tol=1e-3, sandwich=None):
     """Check that ``Z`` is an extreme dual certificate for ``T``: it lies in
     the span subspace, pairs to the nuclear norm, and has unit spectral norm
-    (all within ``tol`` and certified bounds).  Returns a report dict with a
-    three-way verdict; ``spectral_method`` names how the spectral upper
+    (all within ``tol`` and certified bounds).  The pairing fails outside
+    ``[lower - tol, upper + tol]`` of the nuclear sandwich, which proves it
+    is more than ``tol`` away from ``||T||_*``.  Returns a report dict with
+    a three-way verdict; ``spectral_method`` names how the spectral upper
     bound was certified ("bnb" or "flattening")."""
     Z, T = asarray(Z), asarray(T)
     if Z.shape != T.shape:
@@ -157,9 +161,7 @@ def z_membership(Z, T, tol=1e-3, sandwich=None):
     if sandwich is None:
         sandwich = nuclear_sandwich(T)
     pairing = inner(Z, T)
-    pairing_ok = sandwich.lower - tol <= pairing <= sandwich.upper + tol
-    pairing_bad = (pairing < sandwich.lower - sandwich.gap - tol
-                   or pairing > sandwich.upper + sandwich.gap + tol)
+    pairing_bad = not sandwich.lower - tol <= pairing <= sandwich.upper + tol
 
     sig_lo, sig_up, method = _spectral_decision(Z, 1.0, tol)
     sigma_ok = sig_up <= 1.0 + tol and sig_lo >= 1.0 - tol
@@ -167,7 +169,7 @@ def z_membership(Z, T, tol=1e-3, sandwich=None):
 
     if not subspace_ok or pairing_bad or sigma_bad:
         verdict = "fail"
-    elif pairing_ok and sigma_ok:
+    elif sigma_ok:
         verdict = "pass"
     else:
         verdict = "inconclusive"

@@ -244,3 +244,31 @@ def test_scipy_loads_where_it_is_used():
              for path in sorted(SRC.glob("*.py"))
              for line in module_level_imports(path.read_text(), "scipy")]
     assert found == []
+
+
+def test_branch_and_bound_signature_is_pinned():
+    """The benchmark's tracing binds ``spectral_certified_upper``'s
+    arguments by name, so its signature stays as it is."""
+    import inspect
+
+    import tnn
+
+    assert str(inspect.signature(tnn.spectral_certified_upper)) == (
+        "(T, tol=0.0001, max_evals=2000000, threshold=None)")
+
+
+def test_partial_transpose_bound_stays_private():
+    """The 2x2xn cap is reached only through ``spectral_certified_upper``:
+    no public name of ``tnn`` or ``tnn.norms`` carries it."""
+    import tnn
+    import tnn.norms
+
+    assert not hasattr(tnn, "_partial_transpose_bound")
+    assert tnn.norms.__all__ == [
+        "SpectralResult", "NuclearSandwich", "spectral_hopm",
+        "spectral_certified_upper", "spectral_flattening_upper",
+        "spectral_enclosure", "nuclear_sandwich", "duality_gap_check",
+        "restricted_norm_check"]
+    found = [owner for _, owner in references(
+        (SRC / "norms.py").read_text(), "_partial_transpose_bound")]
+    assert found == ["spectral_certified_upper"]

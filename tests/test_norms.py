@@ -398,6 +398,83 @@ class TestSpectralCertified:
         assert up - lo <= tol
 
 
+def count_svds(monkeypatch):
+    """Patch ``np.linalg.svd`` to count its calls; the branch and bound makes
+    one per batch of cells."""
+    calls = []
+    svd = np.linalg.svd
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return svd(*args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "svd", counting)
+    return calls
+
+
+def two_peak_witness():
+    """The weak recipe's seed-26 ``T + S`` sandwich witness: its two local
+    maxima over the first mode's circle, 1.0024102 and 1.0023841, are closer
+    than a 64-point grid resolves them."""
+    _, T, S = sample_weak_pair((2, 2, 2), 26)
+    return asarray(nuclear_sandwich(T + S).dual_witness)
+
+
+class TestPartialTransposeBound:
+    @pytest.mark.parametrize("n", range(2, 7))
+    @pytest.mark.parametrize("position", range(3))
+    def test_closes_every_2x2xn_enclosure(self, n, position):
+        shape = [2, 2]
+        shape.insert(position, n)
+        for seed in range(30):
+            T = np.random.default_rng(seed).standard_normal(shape)
+            lo, up = spectral_certified_upper(T)
+            assert lo <= up
+            assert up >= spectral_hopm(T, starts=64).value
+            assert up - lo <= 1e-12 * up
+
+    @pytest.mark.parametrize("threshold, decided", [(1.01, "upper"),
+                                                    (0.99, "lower")])
+    def test_decided_threshold_call_evaluates_no_cell(
+            self, rng, monkeypatch, threshold, decided):
+        T = rng.standard_normal((2, 3, 2))
+        T /= spectral_hopm(T, starts=64).value
+        calls = count_svds(monkeypatch)
+        lo, up = spectral_certified_upper(T, tol=1e-9, threshold=threshold)
+        assert calls == []
+        assert up <= threshold if decided == "upper" else lo > threshold
+
+    def test_several_maximizers_close_on_the_higher_one(self, monkeypatch):
+        Z = two_peak_witness()
+        hopm = spectral_hopm(Z, starts=64).value
+        calls = count_svds(monkeypatch)
+        lo, up = spectral_certified_upper(Z, tol=1e-5)
+        assert calls == []
+        assert lo <= hopm + SLACK and hopm <= up
+        assert up - lo <= 1e-12 * up
+
+    @pytest.mark.parametrize("missed", ["cap", "attained"])
+    def test_fallback_encloses_within_tol(self, monkeypatch, missed):
+        # An open cap: the branch and bound runs, with the cap in its stop
+        # tests only.
+        Z = two_peak_witness()
+        hopm = spectral_hopm(Z, starts=64).value
+        cap, attained = tnn.norms._partial_transpose_bound(Z)
+        loose = (cap + 1e-3, attained) if missed == "cap" else (
+            cap, attained - 1e-3)
+        monkeypatch.setattr(tnn.norms, "_partial_transpose_bound",
+                            lambda A: loose)
+        calls = count_svds(monkeypatch)
+        lo, up = spectral_certified_upper(Z, tol=1e-5)
+        assert calls
+        assert lo <= hopm + SLACK and hopm <= up <= loose[0]
+        assert up - lo <= 1e-5
+
+    def test_limitation_sandwich_gap(self):
+        sw = nuclear_sandwich(gallery("limitation")["S"])
+        assert sw.gap <= 3e-6 * sw.upper
+
+
 class TestSpectralEnclosure:
     @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 5, 6)])
     def test_branch_and_bound_capped_by_flattening(self, rng, shape):

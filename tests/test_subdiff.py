@@ -1,3 +1,4 @@
+import dataclasses
 import tracemalloc
 
 import numpy as np
@@ -141,6 +142,25 @@ class TestIsSubgradient:
     def test_zero_base_rejected(self):
         with pytest.raises(ParameterError):
             is_subgradient(np.ones((2, 2, 2)), np.zeros((2, 2, 2)))
+
+
+@pytest.mark.parametrize("check", [is_subgradient, z_membership],
+                         ids=["is_subgradient", "z_membership"])
+def test_pairing_below_the_certified_lower_end_fails(check):
+    # ||T||_* = 1.5 and G = e0 (x) e0 (x) e0 pairs to 1 with ||G||_sigma = 1.
+    # A sandwich widened to [1.5, 2.1] puts the pairing inside
+    # (lower - gap - tol, lower - tol): below lower - tol, it already proves
+    # <G, T> < ||T||_* - tol.
+    T = outer_atom([e(2, 0)] * 3) + 0.5 * outer_atom([e(2, 1)] * 3)
+    G = outer_atom([e(2, 0)] * 3)
+    sw = nuclear_sandwich(T)
+    sw = dataclasses.replace(sw, upper=sw.upper + 0.6)
+    tol = 1e-3
+    pairing = inner(G, T)
+    assert sw.lower - sw.gap - tol < pairing < sw.lower - tol
+    report = check(G, T, tol=tol, sandwich=sw)
+    verdict = report["verdict"] if isinstance(report, dict) else report.verdict
+    assert verdict == "fail"
 
 
 class TestZMembership:
