@@ -45,26 +45,21 @@ bound comes from a greedy rank-one decomposition, which takes HOPM's one
 maximizer on the residual per step (with a final weight refit that
 minimizes total weight plus l1 residual), the lower bound from a dual
 witness divided by a certified upper bound on its spectral norm.  The
-candidate witnesses interpolate the signs of a decomposition's atoms or come
-from the dictionary LP.  Each is certified once by ``spectral_enclosure``;
-the scaled base ``T`` is one more candidate, certified by the flattening
-bound.  The lower end is the best certified ratio ``<T, Z> / ||Z||_sigma``,
-attained by the witness returned; the best ratio before the LP also decides
-whether to escalate to it.  Averaging the escalation's candidates over the
-mode permutations that leave ``T`` unchanged keeps the pairing with ``T``
-and cannot raise the spectral norm.  These candidates are built on a tensor
-of full multilinear rank, whose span subspace ``T(T)`` (the tensors whose
-mode-k spans lie inside those of ``T``) is the whole space; the witness of a
-compressed tensor is the core's lifted by ``x_k U_k``, which lies in
-``T(T)`` and keeps its spectral norm.
-
-The dictionary LP minimizes ``sum |w|`` over decompositions of ``T`` into
-atoms of a fixed grid, every product of per-mode half-sphere samples.  It is
-solved by column generation: LPs on a small active set of grid atoms, whose
-duals are priced against the whole grid by one mode product per mode with
-the sample matrices, so the dictionary itself is never built.  An LP with
-``N`` rows has a basic optimum on at most ``N`` atoms, so a few hundred
-columns reach the optimum over tens of thousands.
+candidate witnesses are the sign witness of the greedy atoms and the scaled
+base ``T``, certified by the flattening bound.  A ``2 x 2 x n`` tensor of
+full multilinear rank gets one more candidate and one more upper bound from
+an exact one-variable program (``_pt_nuclear``): ``||T||_*`` is the maximum
+over ``s`` in ``[-1, 1]`` of the concave ``||(I - s W)^{1/2} U||_*``
+(``U`` the ``4 x n`` unfolding, ``W`` as for the cap above), whose maximizer
+gives a witness that the cap certifies exactly to rounding and an SDP dual
+point that bounds ``||T||_*`` from above by weak duality.  Every witness but
+the scaled base is certified once by ``spectral_enclosure``.  The lower end is the best certified ratio
+``<T, Z> / ||Z||_sigma``, attained by the witness returned.  These
+candidates are built on a tensor of full multilinear rank, whose span
+subspace ``T(T)`` (the tensors whose mode-k spans lie inside those of
+``T``) is the whole space; the witness of a compressed tensor is the core's
+lifted by ``x_k U_k``, which lies in ``T(T)`` and keeps its spectral norm.
+Other shapes of full multilinear rank keep only the greedy sandwich.
 """
 
 from __future__ import annotations
@@ -123,15 +118,10 @@ class SpectralResult:
     converged: bool = field(default=True, kw_only=True)
 
 
-def _hopm_update_strings(d):
-    """einsum strings for batched mode updates and batched values."""
+def _hopm_value_string(d):
+    """einsum string for the form's values at a batch of starts."""
     modes = _LETTERS[:d]
-    value = modes + "," + ",".join("z" + m for m in modes) + "->z"
-    updates = []
-    for k in range(d):
-        others = ",".join("z" + m for j, m in enumerate(modes) if j != k)
-        updates.append(modes + "," + others + "->z" + modes[k])
-    return value, updates
+    return modes + "," + ",".join("z" + m for m in modes) + "->z"
 
 
 def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
@@ -171,7 +161,7 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     if starts < 1:
         raise ParameterError("starts must be >= 1")
 
-    value_str, _ = _hopm_update_strings(d)
+    value_str = _hopm_value_string(d)
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), d]))
     X = [rng.standard_normal((starts, n)) for n in A.shape]
     # Each row over its norm, summed as np.linalg.norm sums one vector.
@@ -367,8 +357,13 @@ def _partial_transpose_bound(A):
     ``4 (n + 4) eps (||M||_F + 2|s|)`` covers the backward errors of forming
     ``M`` (``n eps tr(M) <= 2 n eps ||M||_F``), of adding ``s W`` and of the
     symmetric eigensolver.  Where the primal step misses the maximum, ``s``
-    is off the optimum and ``cap`` is still a bound, only looser."""
-    B = A.transpose(np.argsort(A.shape, kind="stable"))
+    is off the optimum and ``cap`` is still a bound, only looser.
+
+    The steps run on ``A`` over its Frobenius norm, and both values are
+    scaled back: the angle steps' Python floats would overflow or divide by
+    zero on a tensor of norm near 1e40 or 1e-60."""
+    scale = float(np.linalg.norm(A))
+    B = A.transpose(np.argsort(A.shape, kind="stable")) / scale
     n = B.shape[2]
     U = B.reshape(4, n)
     M = U @ U.T
@@ -433,7 +428,7 @@ def _partial_transpose_bound(A):
     slack = (4.0 * (n + 4) * np.finfo(float).eps
              * (np.linalg.norm(M) + 2.0 * abs(shift)))
     top = np.linalg.eigvalsh(M + shift * _PT_W)[-1]
-    return float(np.sqrt(max(top, 0.0) + slack)), attained
+    return float(np.sqrt(max(top, 0.0) + slack)) * scale, attained * scale
 
 
 def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
@@ -726,9 +721,10 @@ def _l1_refit(columns, target):
 
 
 # Tolerance and budget of every certified bound on a dual witness.  The bound
-# sets the sandwich's lower end.  A witness with a 2 x 2 x n core is bounded
-# exact to rounding by the partial-transpose cap, whatever the tolerance; a
-# larger one gives away up to the tolerance.
+# sets the sandwich's lower end.  A witness with a 2 x 2 x n core, such as
+# every witness of a 2 x 2 x n sandwich, is bounded exact to rounding by the
+# partial-transpose cap whatever the tolerance; a larger one gives away up to
+# the tolerance.
 _WITNESS_TOL = 1e-5
 _WITNESS_MAX_EVALS = 80_000
 
@@ -751,9 +747,6 @@ def _certified_witness(A, Z):
 
 
 _GREEDY_STARTS = 16  # HOPM starts per greedy step
-# Relative greedy gap (lower end from the greedy witness's certified ratio)
-# above which the sandwich escalates to the dictionary LP.
-_GAP_GOAL = 1e-6
 
 
 def _greedy_atoms(A, tol, max_atoms, seed):
@@ -782,205 +775,6 @@ def _greedy_atoms(A, tol, max_atoms, seed):
         weights, *_ = np.linalg.lstsq(C, t, rcond=None)
         residual = A - (C @ weights).reshape(A.shape)
     return atoms
-
-
-def _half_sphere_samples(n, target):
-    """About ``target`` unit vectors covering a half-sphere of R^n (the
-    antipode of each sample is represented by a negative weight).
-
-    For ``n >= 3`` the samples are the hyperspherical points of a product of
-    ``n - 1`` angle axes: coordinate ``i`` is ``cos(a_i)`` times the product
-    of the sines before it, and the last is the product of all sines."""
-    if n == 1:
-        return np.array([[1.0]])
-    if n == 2:
-        m = max(8, target)
-        th = np.pi * np.arange(m) / m
-        return np.stack([np.cos(th), np.sin(th)], 1)
-    n_ang = n - 1
-    m = max(4, int(round(target ** (1.0 / n_ang))))
-    axes = [np.linspace(0.0, np.pi, m, endpoint=False)] * n_ang
-    angles = np.array(list(itertools.product(*axes)))
-    ones = np.ones((len(angles), 1))
-    sines = np.cumprod(np.sin(angles), axis=1)
-    return np.hstack([np.cos(angles), ones]) * np.hstack([ones, sines])
-
-
-# Dictionary LP: half-sphere samples per mode, by mode dimension (no others
-# are escalated), and the cap on the dictionary's size.
-_LP_SAMPLES = {1: 1, 2: 25, 3: 150, 4: 340}
-_LP_CAP = 100_000
-
-
-def _lp_grid(shape):
-    """Per-mode sample matrices ``(s_k, n_k)`` of the dictionary LP's grid,
-    whose atoms are the products of one row from each."""
-    targets = [_LP_SAMPLES[n] for n in shape]
-    while int(np.prod([max(1, tg) for tg in targets])) > _LP_CAP:
-        targets = [max(1, int(tg * 0.85)) if n > 1 else 1
-                   for tg, n in zip(targets, shape)]
-        if all(tg <= 4 for tg, n in zip(targets, shape) if n > 1):
-            break
-    return [_half_sphere_samples(n, tg) for n, tg in zip(shape, targets)]
-
-
-# Column generation stops once no grid atom pairs with the dual above this.
-_LP_PRICE_TOL = 1e-9
-
-
-def _grid_pairings(Y, factor_sets):
-    """``|<Y, a>|`` for every grid atom ``a``, shaped by the per-mode sample
-    counts: one mode product of ``Y`` with each mode's sample matrix."""
-    P = Y
-    for F in factor_sets:
-        P = np.tensordot(P, F, axes=([0], [1]))
-    return np.abs(P)
-
-
-def _largest(values, k):
-    """Indices of the ``k`` largest values (all of them if there are fewer),
-    in no particular order."""
-    if k >= values.size:
-        return np.arange(values.size)
-    return np.argpartition(-values, k - 1)[:k]
-
-
-def _dictionary_lp(A):
-    """Atomic-norm LP over a sampled rank-one dictionary, solved by column
-    generation.
-
-    The grid holds every product of per-mode half-sphere samples; the LP
-    minimizes ``sum |w|`` subject to ``sum_a w_a a = A`` over it.  It is
-    solved on an active set of grid atoms: the ``4N`` best aligned with
-    ``A`` plus, for each entry, the atom largest there (``N`` entries).
-    Each restricted LP's dual ``y`` is priced against the whole grid by mode
-    products with the sample matrices, without building the dictionary, and
-    up to ``2N`` of the atoms with ``|<y, a>| > 1`` join the active set.
-    When none is left, ``y`` is feasible for the grid's dual LP, so the
-    restricted optimum is the grid optimum.  A restricted LP that fails
-    brings in the rest of the grid.
-
-    Returns ``(atoms, weights, dual_witness)``, atoms in ascending grid
-    index, where the dual witness has a spectral norm close to one by LP
-    feasibility over the grid.  ``None`` if a mode dimension exceeds 4 or
-    the LP fails on the whole grid.
-    """
-    from scipy.optimize import linprog
-
-    shape = A.shape
-    if any(n not in _LP_SAMPLES for n in shape):
-        return None
-    factor_sets = _lp_grid(shape)
-    sizes = tuple(F.shape[0] for F in factor_sets)
-    M, N = int(np.prod(sizes)), A.size
-    b = A.ravel()
-
-    aligned = _grid_pairings(A, factor_sets).ravel()
-    start = _largest(aligned, 4 * N)
-    # The grid atom largest at entry j takes each mode's sample largest at
-    # j's index in that mode.
-    peaks = [np.argmax(np.abs(F), axis=0) for F in factor_sets]
-    at_entries = np.ravel_multi_index(
-        [p[j] for p, j in zip(peaks, np.indices(shape).reshape(len(shape), -1))],
-        sizes)
-    active = np.union1d(start, at_entries)
-    while True:
-        multi = np.unravel_index(active, sizes)
-        cols = _khatri_rao_rows([F[i] for F, i in zip(factor_sets, multi)]).T
-        m = len(active)
-        res = linprog(np.ones(2 * m), A_eq=np.hstack([cols, -cols]), b_eq=b,
-                      bounds=(0, None), method="highs")
-        if not res.success:
-            if m == M:
-                return None
-            active = np.arange(M)
-            continue
-        y = np.asarray(res.eqlin.marginals).reshape(shape)
-        price = _grid_pairings(y, factor_sets).ravel()
-        # Active atoms are held to the LP's own feasibility tolerance, which
-        # may exceed the pricing one; masking them makes every round add.
-        price[active] = 0.0
-        violated = np.flatnonzero(price > 1.0 + _LP_PRICE_TOL)
-        if violated.size == 0:
-            break
-        active = np.union1d(active, violated[_largest(price[violated], 2 * N)])
-    w = res.x[:m] - res.x[m:]
-    keep = np.abs(w) > 1e-9
-    atoms = [tuple(F[i] for F, i in zip(factor_sets, idx))
-             for idx in zip(*(i[keep] for i in multi))]
-    return atoms, w[keep], y
-
-
-def _polish_atoms(A, atoms, weights):
-    """Minimize total weight plus a quadratic residual penalty over atom
-    factors and weights (factors renormalized inside the objective), by
-    continuation over the penalties ``_POLISH_ROUNDS``."""
-    from scipy.optimize import minimize
-
-    na = len(atoms)
-    if na == 0:
-        return atoms, weights
-    value_grad = _polish_objective(A, na, _POLISH_EPS)
-    x = np.concatenate([np.asarray(weights, dtype=float)]
-                       + [np.asarray(f, dtype=float)
-                          for row in atoms for f in row])
-    for C in _POLISH_ROUNDS:
-        res = minimize(value_grad, x, args=(C,), jac=True, method="L-BFGS-B",
-                       options={"maxiter": 500})
-        x = res.x
-    w, fs = _split_factors(x, na, A.shape)
-    keep = np.abs(w) >= 1e-9
-    units = [f[keep] / np.linalg.norm(f[keep], axis=1, keepdims=True)
-             for f in fs]
-    return list(zip(*units)), w[keep]
-
-
-def _split_factors(x, na, shape):
-    """Weights ``(na,)`` and per-mode ``(na, n_k)`` factor views of the
-    polish variables (``na`` weights, then each atom's factors in mode
-    order)."""
-    rows = x[na:].reshape(na, sum(shape))
-    cuts = np.cumsum(shape)[:-1]
-    return x[:na], np.split(rows, cuts, axis=1)
-
-
-# The polish's residual penalties, one L-BFGS-B round each from the last
-# round's point (a single round at the largest widens the sandwiches), and
-# the smoothing of |w| in its objective.
-_POLISH_ROUNDS = (1e2, 1e4, 1e6)
-_POLISH_EPS = 1e-12
-
-
-def _polish_objective(A, na, eps):
-    """``value_grad(x, C)`` of ``sum_i sqrt(w_i^2 + eps) + C ||R||_F^2`` with
-    ``R = sum_i w_i u_i^1 (x) ... (x) u_i^d - A`` and ``u_i^k`` the unit
-    factors, and its exact gradient, all atoms at once."""
-    shape = A.shape
-    d = A.ndim
-    modes = _LETTERS[:d]
-    # The weighted atom sum; HOPM's batched updates contract R with every
-    # mode but k, per atom.
-    build = "z," + ",".join("z" + m for m in modes) + "->" + modes
-    _, contract = _hopm_update_strings(d)
-
-    def value_grad(x, C):
-        w, fs = _split_factors(x, na, shape)
-        nfs = [np.linalg.norm(f, axis=1, keepdims=True) for f in fs]
-        units = [f / nf for f, nf in zip(fs, nfs)]
-        R = np.einsum(build, w, *units) - A
-        val = float(np.sum(np.sqrt(w * w + eps)) + C * np.sum(R * R))
-        Gs = [np.einsum(contract[k], R, *(units[:k] + units[k + 1:]))
-              for k in range(d)]
-        pair = np.einsum("zi,zi->z", Gs[0], units[0])  # <R, atom_i>
-        g_factors = []
-        for G, u, nf in zip(Gs, units, nfs):
-            du = 2.0 * C * w[:, None] * G
-            g_factors.append((du - np.einsum("zi,zi->z", du, u)[:, None] * u)
-                             / nf)
-        g_w = w / np.sqrt(w * w + eps) + 2.0 * C * pair
-        return val, np.concatenate([g_w, np.hstack(g_factors).ravel()])
-
-    return value_grad
 
 
 def _best_weights(A, atoms):
@@ -1017,34 +811,6 @@ def _sign_witness(atoms, weights, shape, flags):
     return (C @ coef).reshape(shape)
 
 
-def _sign_witnesses(atoms, weights, shape, flags):
-    """Sign witnesses of a polished decomposition: of all its atoms and, when
-    it has more than one, of all but the lightest.
-
-    The polish moves an atom's factors in proportion to its weight, so the
-    lightest atom is the least settled one, yet with as many atoms as entries
-    its sign alone can pull the witness well off a certificate."""
-    out = [_sign_witness(atoms, weights, shape, flags)]
-    if len(atoms) > 1:
-        drop = int(np.argmin(np.abs(weights)))
-        out.append(_sign_witness(atoms[:drop] + atoms[drop + 1:],
-                                 np.delete(weights, drop), shape, flags))
-    return out
-
-
-def _mode_symmetries(A):
-    """The mode permutations that leave ``A`` unchanged, identity included."""
-    return [p for p in itertools.permutations(range(A.ndim))
-            if np.array_equal(np.transpose(A, p), A)]
-
-
-def _symmetrized(Z, perms):
-    """Average of ``Z`` over mode permutations that fix ``A``.  Its pairing
-    with ``A`` is ``Z``'s, and its spectral norm is at most ``Z``'s, since
-    every permuted copy has the norm of ``Z``."""
-    return sum(np.transpose(Z, p) for p in perms) / len(perms)
-
-
 def _nonzero_atoms(atoms, weights):
     """The atoms and weights whose weight exceeds 1e-12 in magnitude."""
     keep = np.abs(weights) > 1e-12
@@ -1063,22 +829,17 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
     is sandwiched exactly and its witness bounded by ``_witness_bound``.
 
     A tensor of full multilinear rank gets a greedy rank-one pursuit for the
-    upper end.  When the certified sandwich is then wider than ``_GAP_GOAL``
-    (relative) and every mode dimension is in the dictionary LP's grid table
-    (at most 4), the routine escalates to an atomic-norm LP over a sampled
-    rank-one dictionary, solved by column generation with mode-product
-    pricing (``_dictionary_lp``), followed by a nonlinear polish of the LP's
-    atoms.
-
-    The candidate witnesses are the scaled base ``T`` (certified by the
-    flattening bound, so its ratio is at least ``||T||_F``), the greedy sign
-    witness and, after an escalation, the polished decomposition's sign
-    witnesses (``_sign_witnesses``) and the LP dual, these three averaged
-    over the mode permutations that leave ``T`` unchanged.  All but the
-    scaled base are certified once by ``spectral_enclosure``
-    (``_certified_witness``).  The best certified ratio
-    ``<T, Z> / ||Z||_sigma``, capped by the upper end, is the lower end; its
-    witness and bound are ``dual_witness`` and ``witness_spectral_upper``.
+    upper end and the decomposition.  Its candidate witnesses are the scaled
+    base ``T`` (certified by the flattening bound, so its ratio is at least
+    ``||T||_F``) and the greedy sign witness.  A ``2 x 2 x n`` tensor (modes
+    in any order) also gets ``_pt_nuclear``'s witness and SDP dual bound,
+    which close its sandwich to rounding and the search's tolerance (about
+    1e-9 relative); where that bound is below the greedy one it is the upper
+    end, flagged ``upper_pt_dual``.  Other shapes keep the greedy sandwich
+    only.  All witnesses but the scaled base are certified once by
+    ``spectral_enclosure`` (``_certified_witness``).  The best certified
+    ratio ``<T, Z> / ||Z||_sigma``, capped by the upper end, is the lower end;
+    its witness and bound are ``dual_witness`` and ``witness_spectral_upper``.
     """
     A = asarray(T)
     if holder_norm(A, 2) == 0.0:
@@ -1117,9 +878,8 @@ def _sandwich(A, flat, tol, max_atoms, seed):
     """``nuclear_sandwich`` of a nonzero tensor of order at least three and
     full multilinear rank, given its flattening bound ``flat``."""
     flags = []
-    l2 = holder_norm(A, 2)
     # The scaled base: flat <= ||A||_F, so its ratio is at least ||A||_F.
-    best = (inner(A, A) / flat, A, flat, "flattening")
+    cands = [(inner(A, A) / flat, A, flat, "flattening")]
     atoms = _greedy_atoms(A, tol, max_atoms, seed)
     weights, upper = np.zeros(0), holder_norm(A, 1)
     if atoms:
@@ -1127,33 +887,15 @@ def _sandwich(A, flat, tol, max_atoms, seed):
         upper = min(up, upper)
         atoms, weights = _nonzero_atoms(atoms, weights)
     if atoms:
-        greedy = _certified_witness(
-            A, _sign_witness(atoms, weights, A.shape, flags))
-        best = max(best, greedy, key=lambda s: s[0])
-    gap_rel = (upper - min(best[0], upper)) / max(1.0, l2)
-
-    lp = _dictionary_lp(A) if gap_rel > _GAP_GOAL else None
-    if lp is not None:
-        lp_atoms, lp_w, lp_dual = lp
-        try:
-            p_atoms, p_w = _polish_atoms(A, lp_atoms, lp_w)
-        except (ValueError, FloatingPointError):
-            p_atoms, p_w = lp_atoms, lp_w
-            flags.append("polish_failed")
-        cands = []
-        if p_atoms:
-            w2, up2 = _best_weights(A, p_atoms)
-            if up2 < upper:
-                upper = up2
-                atoms, weights = _nonzero_atoms(p_atoms, w2)
-                flags.append("escalated")
-                if atoms:
-                    cands += _sign_witnesses(atoms, weights, A.shape, flags)
-        cands.append(lp_dual)
-        perms = _mode_symmetries(A)
-        best = max([best] + [_certified_witness(A, _symmetrized(Z, perms))
-                             for Z in cands],
-                   key=lambda s: s[0])
+        cands.append(_certified_witness(
+            A, _sign_witness(atoms, weights, A.shape, flags)))
+    if A.ndim == 3 and sorted(A.shape)[:2] == [2, 2]:
+        Z, pt_upper = _pt_nuclear(A)
+        cands.append(_certified_witness(A, Z))
+        if pt_upper < upper:
+            upper = pt_upper
+            flags.append("upper_pt_dual")
+    best = max(cands, key=lambda c: c[0])
 
     decomposition = NuclearDecomposition(
         tuple(
@@ -1167,6 +909,69 @@ def _sandwich(A, flat, tol, max_atoms, seed):
     lower = min(ratio, upper)
     return NuclearSandwich(float(lower), float(upper), decomposition, Z,
                            float(w_up), tuple(flags))
+
+
+def _pt_nuclear(A):
+    """``(Z, upper)`` for a ``2 x 2 x n`` tensor ``A`` of full multilinear
+    rank, its modes in any order: a dual witness ``Z`` (unit spectral norm
+    up to rounding) and a certified upper bound on ``||A||_*``.
+
+    With ``U`` the ``4 x n`` unfolding of the sorted tensor and
+    ``W = _PT_W``, a tensor ``Z`` with unfolding ``V`` has
+    ``||Z||_sigma <= 1`` exactly when ``V V^T + s W <= I`` for some ``s``
+    (``_partial_transpose_bound``; exact by Calderon 1973).  As ``W^2 = I``,
+    ``I - s W >= 0`` means ``s`` in ``[-1, 1]``, and
+    ``R(s) = (I - s W)^{1/2} = sqrt(1 - s) (I + W)/2 + sqrt(1 + s) (I - W)/2``,
+    so ``||A||_* = max_s g(s)`` with ``g(s) = ||R(s) U||_*``, a concave
+    function (the largest ``<U, V>`` over a convex set of ``(s, V)``).  With
+    ``R U = a Sigma b^T`` (thin SVD), ``Z = R a b^T`` attains ``g(s)``, and
+    ``V V^T = R a a^T R <= I - s W``.
+
+    Upper end, by weak duality (the nuclear norm's SDP form, Recht, Fazel &
+    Parrilo, SIAM Rev. 2010): for any ``F`` and ``G``, ``P = F F^T`` and
+    ``Q = G G^T`` make ``[[P, F G^T], [G F^T, Q]]`` positive semidefinite,
+    and adding ``|<P, W>|/4 (I - sign(<P, W>) W) >= 0`` to ``P`` zeroes
+    ``<P, W>``, so ``||A||_* <= (tr P + |<P, W>| + tr Q)/2
+    + ||U - F G^T||_1``.  This takes
+    ``F = R^{-1} a Sigma^{1/2} = U b Sigma^{-1/2}`` (which needs no
+    ``R^{-1}``) and ``G = b Sigma^{1/2}``, where ``tr Q = g(s)`` and the
+    derivative ``g'(s) = <a b^T, R'(s) U>`` is ``-<P, W>/2``: the bound
+    meets ``g`` at the maximum.  A slack ``4 (n + 4) eps (tr P + tr Q)``
+    covers the rounding of ``U``, ``F G^T`` and the sums.
+
+    The search bisects ``s`` on the sign of ``<P, W>``, one SVD per step,
+    ``s`` kept ``1e-12`` inside the ends, where ``R`` is singular.  Every
+    step's bound holds, so the least is returned, and ``Z`` is the step's of
+    largest ``g``: the search sets the tightness, never the correctness."""
+    order = np.argsort(A.shape, kind="stable")
+    B = A.transpose(order)
+    n = B.shape[2]
+    # Unit Frobenius norm inside; the bound is scaled back, the witness
+    # is scale-free.
+    scale = float(np.linalg.norm(B))
+    U = B.reshape(4, n) / scale
+    plus, minus = (np.eye(4) + _PT_W) / 2, (np.eye(4) - _PT_W) / 2
+    eps = np.finfo(float).eps
+    g_best, V, upper = -np.inf, None, np.inf
+    lo, hi = -1.0 + 1e-12, 1.0 - 1e-12
+    while hi - lo > 1e-12:
+        s = 0.5 * (lo + hi)
+        R = math.sqrt(1.0 - s) * plus + math.sqrt(1.0 + s) * minus
+        a, sig, bt = np.linalg.svd(R @ U, full_matrices=False)
+        F = (U @ bt.T) / np.sqrt(sig)
+        G = bt.T * np.sqrt(sig)
+        tilt = float(np.sum(F * (_PT_W @ F)))
+        trace = float(np.sum(F * F) + np.sum(G * G))
+        upper = min(upper, (trace + abs(tilt)) / 2
+                    + float(np.abs(U - F @ G.T).sum())
+                    + 4.0 * (n + 4) * eps * trace)
+        if sig.sum() > g_best:
+            g_best, V = sig.sum(), R @ a @ bt
+        if tilt < 0.0:
+            lo = s
+        else:
+            hi = s
+    return V.reshape(B.shape).transpose(np.argsort(order)), upper * scale
 
 
 def _matrix_sandwich(A):

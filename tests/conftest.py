@@ -16,8 +16,9 @@ def e(n, i):
 @pytest.fixture(scope="session")
 def rank_deficient_sandwiches():
     """``(T, nuclear_sandwich(T))`` for three seeded 3x3x3 tensors of
-    multilinear rank (2, 2, 2); their sandwiches escalate to the dictionary
-    LP, whose grid atoms leave ``T``'s span subspace."""
+    multilinear rank (2, 2, 2); each is sandwiched on its 2x2x2 core by the
+    exact program, and the core's witness is lifted into ``T``'s span
+    subspace."""
     from tnn import nuclear_sandwich
 
     rng = np.random.default_rng(7)

@@ -119,6 +119,17 @@ def test_norms_reaches_the_span_bases_only_through_the_core():
                       "project": {"restricted_norm_check"}}
 
 
+def test_scipy_solvers_have_one_caller_each():
+    """The l1 weight refit is the library's one linear program and the
+    sphere programs' polish its one nonlinear solve."""
+    found = {name: sorted({f"{path.stem}.{owner}"
+                           for path in sorted(SRC.glob("*.py"))
+                           for _, owner in references(path.read_text(), name)})
+             for name in ("linprog", "minimize")}
+    assert found == {"linprog": ["norms._l1_refit"],
+                     "minimize": ["subdiff.solve_sphere_program"]}
+
+
 def test_no_module_reads_the_dense_chain_norm():
     """``operator_norm_chain`` is a dense reference for the tests: no module
     reads it (its definition and the package export are not reads), and

@@ -1,10 +1,8 @@
-import itertools
 import sys
 import tracemalloc
 
 import numpy as np
 import pytest
-import scipy.optimize
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from scipy.optimize import linprog
@@ -29,7 +27,6 @@ from tnn import (
     project,
     restricted_norm_check,
     sample_pair,
-    sample_weak_pair,
     spectral_certified_upper,
     spectral_enclosure,
     spectral_flattening_upper,
@@ -39,15 +36,10 @@ from tnn.norms import (
     _FINISH_FLOOR,
     _HOPM_SWEEPS,
     SpectralResult,
-    _dictionary_lp,
     _greedy_atoms,
     _hopm_finish,
-    _hopm_update_strings,
+    _hopm_value_string,
     _l1_refit,
-    _lp_grid,
-    _mode_symmetries,
-    _polish_objective,
-    _sign_witnesses,
 )
 from tnn.tensor_core import normalize
 from conftest import e, rank_one
@@ -154,7 +146,11 @@ def _einsum_hopm(A, starts, tol, max_iter=2000):
     Returns the result, every start's final vectors and values, and each
     sweep's stop statistic with its threshold."""
     d = A.ndim
-    value_str, update_strs = _hopm_update_strings(d)
+    value_str = _hopm_value_string(d)
+    modes = value_str[:d]
+    update_strs = [
+        modes + "," + ",".join("z" + m for j, m in enumerate(modes) if j != k)
+        + "->z" + modes[k] for k in range(d)]
     rng = np.random.default_rng(np.random.SeedSequence([0, d]))
     X = [
         np.apply_along_axis(normalize, 1, rng.standard_normal((starts, n)))
@@ -413,11 +409,14 @@ def count_svds(monkeypatch):
 
 
 def two_peak_witness():
-    """The weak recipe's seed-26 ``T + S`` sandwich witness: its two local
-    maxima over the first mode's circle, 1.0024102 and 1.0023841, are closer
-    than a 64-point grid resolves them."""
-    _, T, S = sample_weak_pair((2, 2, 2), 26)
-    return asarray(nuclear_sandwich(T + S).dual_witness)
+    """A 2 x 2 x 2 dual witness of the weak recipe's seed-26 ``T + S``, as an
+    earlier sandwich returned it: its two local maxima over the first mode's
+    circle, 1.0024102 and 1.0023841, are closer than a 64-point grid
+    resolves them."""
+    return np.array([-0.5788825307023878, -0.7651821946919759,
+                     -0.4601132015365259, 0.5980758448927118,
+                     0.3749110180051184, -0.47899575001196454,
+                     -0.8756725710711599, -0.4379087452835284]).reshape(2, 2, 2)
 
 
 class TestPartialTransposeBound:
@@ -471,8 +470,10 @@ class TestPartialTransposeBound:
         assert up - lo <= 1e-5
 
     def test_limitation_sandwich_gap(self):
-        sw = nuclear_sandwich(gallery("limitation")["S"])
-        assert sw.gap <= 3e-6 * sw.upper
+        g = gallery("limitation")
+        for A in (g["S"], g["T"] + g["S"]):
+            sw = nuclear_sandwich(A)
+            assert sw.gap <= 1e-8 * sw.upper
 
 
 class TestSpectralEnclosure:
@@ -533,10 +534,12 @@ class TestNuclearSandwich:
             min(inner(T, W) / sw.witness_spectral_upper, sw.upper), rel=1e-12)
 
     def test_rank_one_atom(self, rng, monkeypatch):
+        # A rank-one tensor is sandwiched exactly on its core, before any
+        # program of full multilinear rank.
         def refuse(A):
-            raise AssertionError("dictionary LP reached")
+            raise AssertionError("exact 2x2xn program reached")
 
-        monkeypatch.setattr(tnn.norms, "_dictionary_lp", refuse)
+        monkeypatch.setattr(tnn.norms, "_pt_nuclear", refuse)
         factors = [v / np.linalg.norm(v)
                    for v in (rng.standard_normal(2) for _ in range(3))]
         sw = nuclear_sandwich(outer_atom(factors))
@@ -596,7 +599,7 @@ class TestNuclearSandwich:
         monkeypatch.setattr(tnn.norms, "_witness_bound", recording)
         T = asarray(rng.standard_normal((2, 2, 2)))
         sw = nuclear_sandwich(T)
-        assert len(bounds) >= 2  # the greedy, polished and LP witnesses
+        assert len(bounds) >= 2  # the greedy and the exact program's witnesses
         for i, (Z, ub) in enumerate(bounds):
             assert sw.lower >= inner(T, Z) / ub - 1e-12
             # Each candidate is certified once.
@@ -673,7 +676,8 @@ class TestNuclearSandwich:
 
         monkeypatch.setattr(tnn.norms, "spectral_hopm", recording)
         sw = nuclear_sandwich(asarray(rng.standard_normal((2, 2, 2))))
-        assert "escalated" in sw.flags
+        # The upper end is the exact program's, which runs no HOPM.
+        assert "upper_pt_dual" in sw.flags
         assert callers and set(callers) == {"_greedy_atoms"}
 
     def test_greedy_takes_one_atom_per_hopm_call(self, monkeypatch):
@@ -690,80 +694,55 @@ class TestNuclearSandwich:
         assert atoms
         assert len(atoms) <= len(calls)
 
-    def test_sign_witnesses_leave_out_the_lightest_atom(self, rng):
-        atoms = [tuple(normalize(rng.standard_normal(2)) for _ in range(3))
-                 for _ in range(5)]
-        weights = np.array([1.0, -0.5, 0.01, 0.8, -0.3])
-        full, partial = _sign_witnesses(atoms, weights, (2, 2, 2), [])
-        for Z, kept in ((full, (0, 1, 2, 3, 4)), (partial, (0, 1, 3, 4))):
-            pairings = [inner(Z, outer_atom(atoms[i])) for i in kept]
-            np.testing.assert_allclose(pairings, np.sign(weights[list(kept)]),
-                                       atol=1e-9)
-        assert abs(inner(partial, outer_atom(atoms[2])) - 1.0) > 1e-3
-        assert len(_sign_witnesses(atoms[:1], weights[:1], (2, 2, 2), [])) == 1
-
-    def test_mode_symmetries(self, rng):
-        B = rng.standard_normal((2, 2, 3))
-        A = B + B.transpose(1, 0, 2)
-        assert _mode_symmetries(A) == [(0, 1, 2), (1, 0, 2)]
-        assert _mode_symmetries(B) == [(0, 1, 2)]
-
-    def test_symmetric_tensor_gets_a_symmetric_witness(self):
-        # The `limitation` S is unchanged by every mode permutation and its
-        # sandwich escalates, so the kept witness is averaged over all six.
-        S = asarray(gallery("limitation")["S"])
-        sw = nuclear_sandwich(S)
-        assert "escalated" in sw.flags
-        for p in itertools.permutations(range(3)):
-            np.testing.assert_allclose(np.transpose(sw.dual_witness, p),
-                                       sw.dual_witness, rtol=0, atol=1e-14)
-        # The unaveraged candidates reach a relative gap of 2.2e-5 at best.
-        assert sw.gap / sw.upper <= 2e-5
-
-    @pytest.mark.parametrize("error, caught", [(ValueError, True),
-                                               (FloatingPointError, True),
-                                               (KeyError, False)])
-    def test_polish_failure_handling(self, rng, monkeypatch, error, caught):
-        def failing(*args):
-            raise error("polish")
-
-        monkeypatch.setattr(tnn.norms, "_polish_atoms", failing)
-        T = asarray(rng.standard_normal((2, 2, 2)))
-        if caught:
-            sw = nuclear_sandwich(T)
-            assert "polish_failed" in sw.flags
-            assert sw.lower <= sw.upper
-        else:
-            with pytest.raises(error):
-                nuclear_sandwich(T)
+def _random_2x2xn(seed, n, perm):
+    """A seeded Gaussian ``2 x 2 x n`` tensor with its modes permuted."""
+    return np.random.default_rng(seed).standard_normal((2, 2, n)).transpose(
+        perm)
 
 
-class TestPolishObjective:
-    @pytest.mark.parametrize("shape, na", [((2, 3, 4), 3), ((2, 3, 2, 4), 2)])
-    def test_gradient_matches_finite_differences(self, rng, shape, na):
-        A = rng.standard_normal(shape)
-        value_grad = _polish_objective(A, na, 1e-12)
-        x = rng.standard_normal(na + na * sum(shape))
-        x[:na] = np.abs(x[:na]) + 0.5  # keep the weights away from the kink
-        val, grad = value_grad(x, 10.0)
-        h = 1e-6
-        fd = np.array([(value_grad(x + h * ei, 10.0)[0]
-                        - value_grad(x - h * ei, 10.0)[0]) / (2 * h)
-                       for ei in np.eye(x.size)])
-        np.testing.assert_allclose(grad, fd, rtol=1e-6,
-                                   atol=1e-6 * np.max(np.abs(fd)))
+class TestExactTwoByTwoSandwich:
+    """The exact program for 2 x 2 x n sandwiches (``_pt_nuclear``)."""
 
-    def test_value_matches_atom_sum(self, rng):
-        shape, na = (3, 2, 4), 2
-        A = rng.standard_normal(shape)
-        x = rng.standard_normal(na + na * sum(shape))
-        w, rows = x[:na], x[na:].reshape(na, sum(shape))
-        atoms = [np.split(r, np.cumsum(shape)[:-1]) for r in rows]
-        R = sum(wi * outer_atom([f / np.linalg.norm(f) for f in fs])
-                for wi, fs in zip(w, atoms)) - A
-        expected = np.sum(np.sqrt(w * w + 1e-12)) + 3.0 * np.sum(R * R)
-        val, _ = _polish_objective(A, na, 1e-12)(x, 3.0)
-        assert val == pytest.approx(expected, rel=1e-12)
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 7),
+           perm=st.permutations(range(3)), exponent=st.floats(-8.0, 8.0))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_closes_and_stays_in_the_norm_bounds(self, seed, n, perm,
+                                                 exponent):
+        # n above 4 leaves a mode rank-deficient: the program runs on the
+        # 2 x 2 x 4 core.
+        T = 10.0 ** exponent * _random_2x2xn(seed, n, perm)
+        sw = nuclear_sandwich(T)
+        assert sw.lower <= sw.upper
+        assert sw.gap <= 1e-8 * sw.upper
+        assert holder_norm(T, 2) <= sw.lower * (1.0 + SLACK)
+        assert sw.upper <= holder_norm(T, 1) * (1.0 + SLACK)
+
+    @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 7),
+           perm=st.permutations(range(3)))
+    @settings(max_examples=20, deadline=None, derandomize=True)
+    def test_brackets_an_orthogonally_decomposable_norm(self, seed, n, perm):
+        # Orthonormal factors in every mode: the nuclear norm is the sum of
+        # the weights' magnitudes.
+        rng = np.random.default_rng(seed)
+        Q = [np.linalg.qr(rng.standard_normal((m, 2)))[0] for m in (2, 2, n)]
+        weights = rng.standard_normal(2)
+        T = sum(outer_atom([q[:, i] for q in Q], w)
+                for i, w in enumerate(weights)).transpose(perm)
+        nuc = float(np.sum(np.abs(weights)))
+        sw = nuclear_sandwich(T)
+        assert sw.lower <= nuc * (1.0 + SLACK)
+        assert nuc <= sw.upper * (1.0 + SLACK)
+
+    @pytest.mark.parametrize("exponent", range(-150, 151, 10))
+    def test_any_scale(self, exponent):
+        # A tolerance relative to the tensor: the enclosure's is absolute.
+        T = 10.0 ** exponent * _random_2x2xn(0, 3, (0, 1, 2))
+        lo, up, method = spectral_enclosure(
+            T, tol=1e-10 * holder_norm(T, 2))
+        assert method == "bnb"
+        assert lo <= up and up - lo <= 1e-8 * up
+        sw = nuclear_sandwich(T)
+        assert sw.lower <= sw.upper and sw.gap <= 1e-8 * sw.upper
 
 
 def _dense_l1_refit_value(columns, target):
@@ -817,87 +796,6 @@ class TestL1Refit:
         assert peak < 100e6
         planted = _l1_value(C, t, np.array([3.0, -1.0, 0.5]))
         assert _l1_value(C, t, w) <= planted + 1e-9
-
-
-def _dense_dictionary(shape):
-    """Every grid atom of the dictionary LP as a row, in grid order (the
-    first mode's sample index varying slowest)."""
-    cols = None
-    for F in _lp_grid(shape):
-        cols = F if cols is None else np.einsum(
-            "ax,by->abxy", cols, F).reshape(len(cols) * len(F), -1)
-    return cols
-
-
-def _dense_dictionary_lp(A):
-    """Reference: the grid LP over the whole dense dictionary, as one
-    equality-form LP ``[C, -C] x = A`` with ``x >= 0``; returns the optimum
-    and the dense dictionary."""
-    cols = _dense_dictionary(A.shape)
-    res = linprog(np.ones(2 * len(cols)), A_eq=np.hstack([cols.T, -cols.T]),
-                  b_eq=A.ravel(), bounds=(0, None), method="highs")
-    assert res.success
-    return res.fun, cols
-
-
-def _lp_case(case):
-    kind, seed = case
-    if kind in ("T+S", "S"):
-        _, T, S = sample_weak_pair((2, 2, 2), seed)
-        return asarray(T + S if kind == "T+S" else S)
-    return asarray(np.random.default_rng(seed).standard_normal(kind))
-
-
-class TestDictionaryLp:
-    """Column generation solves the LP over the whole grid."""
-
-    @pytest.mark.parametrize("case", [("T+S", 0), ("S", 0), ("T+S", 7),
-                                      ("S", 7), ((2, 2, 3), 1),
-                                      ((2, 2, 2, 2), 2)], ids=str)
-    def test_matches_dense_grid_lp(self, case):
-        A = _lp_case(case)
-        optimum, cols = _dense_dictionary_lp(A)
-        atoms, w, y = _dictionary_lp(A)
-        assert np.sum(np.abs(w)) == pytest.approx(optimum, rel=1e-9)
-        assert inner(A, y) == pytest.approx(optimum, rel=1e-9)
-        # y is feasible for the dual of the whole grid's LP.
-        assert np.max(np.abs(cols @ y.ravel())) <= 1.0 + 1e-7
-        factor_sets = _lp_grid(A.shape)
-        for atom in atoms:
-            for F, f in zip(factor_sets, atom):
-                assert np.any(np.all(F == f, axis=1))
-        rebuilt = sum(wi * outer_atom(atom) for wi, atom in zip(w, atoms))
-        np.testing.assert_allclose(rebuilt, A, atol=1e-9)
-
-    def test_failed_restricted_lp_brings_in_the_whole_grid(self, monkeypatch):
-        A = _lp_case(("S", 0))
-        optimum, cols = _dense_dictionary_lp(A)
-        original = linprog
-        solved = []
-
-        def failing_short_of_the_grid(c, **kwargs):
-            res = original(c, **kwargs)
-            solved.append(len(c) // 2)
-            res.success = res.success and len(c) == 2 * len(cols)
-            return res
-
-        monkeypatch.setattr(scipy.optimize, "linprog",
-                            failing_short_of_the_grid)
-        atoms, w, y = _dictionary_lp(A)
-        assert len(solved) == 2 and solved[0] < len(cols) == solved[1]
-        assert np.sum(np.abs(w)) == pytest.approx(optimum, rel=1e-9)
-
-    def test_memory_stays_small_at_444(self):
-        # The dense 4x4x4 grid has 262 144 atoms of 64 entries.
-        A = asarray(np.random.default_rng(3).standard_normal((4, 4, 4)))
-        tracemalloc.start()
-        try:
-            atoms, w, y = _dictionary_lp(A)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 32e6
-        assert inner(A, y) == pytest.approx(np.sum(np.abs(w)), rel=1e-9)
 
 
 class TestDualityGap:
