@@ -42,18 +42,19 @@ there, up to rounding.
 
 The nuclear norm is enclosed in a sandwich ``[lower, upper]``: the upper
 bound comes from a greedy rank-one decomposition, which takes HOPM's one
-maximizer on the residual per step (with a final weight refit that
-minimizes total weight plus l1 residual), the lower bound from a dual
-witness divided by a certified upper bound on its spectral norm.  The
+maximizer on the residual per step and refits all weights by least
+squares, bounded by total weight plus l1 residual; the lower bound from a
+dual witness divided by a certified upper bound on its spectral norm.  The
 candidate witnesses are the sign witness of the greedy atoms and the scaled
 base ``T``, certified by the flattening bound.  A ``2 x 2 x n`` tensor of
 full multilinear rank gets one more candidate and one more upper bound from
 an exact one-variable program (``_pt_nuclear``): ``||T||_*`` is the maximum
 over ``s`` in ``[-1, 1]`` of the concave ``||(I - s W)^{1/2} U||_*``
 (``U`` the ``4 x n`` unfolding, ``W`` as for the cap above), whose maximizer
-gives a witness that the cap certifies exactly to rounding and an SDP dual
-point that bounds ``||T||_*`` from above by weak duality.  Every witness but
-the scaled base is certified once by ``spectral_enclosure``.  The lower end is the best certified ratio
+gives a witness, with the cap at the program's own ``s`` as its proof, and
+an SDP dual point that bounds ``||T||_*`` from above by weak duality.
+Every witness but the scaled base is certified once by
+``spectral_enclosure``.  The lower end is the best certified ratio
 ``<T, Z> / ||Z||_sigma``, attained by the witness returned.  These
 candidates are built on a tensor of full multilinear rank, whose span
 subspace ``T(T)`` (the tensors whose mode-k spans lie inside those of
@@ -353,11 +354,9 @@ def _partial_transpose_bound(A):
     a top eigenvector of ``M + s W`` for the optimal ``s``, so
     ``(M - g I) v = -s W v``; as ``Wv`` has unit norm and is orthogonal to
     ``v``, that ``s`` is ``-<Wv, Mv>``.  ``cap`` is
-    ``sqrt(lambda_max(M + s W) + slack)``, where the slack
-    ``4 (n + 4) eps (||M||_F + 2|s|)`` covers the backward errors of forming
-    ``M`` (``n eps tr(M) <= 2 n eps ||M||_F``), of adding ``s W`` and of the
-    symmetric eigensolver.  Where the primal step misses the maximum, ``s``
-    is off the optimum and ``cap`` is still a bound, only looser.
+    ``sqrt(lambda_max(M + s W) + slack)`` (``_pt_cap``).  Where the primal
+    step misses the maximum, ``s`` is off the optimum and ``cap`` is still a
+    bound, only looser.
 
     The steps run on ``A`` over its Frobenius norm, and both values are
     scaled back: the angle steps' Python floats would overflow or divide by
@@ -424,11 +423,21 @@ def _partial_transpose_bound(A):
     x = np.array([math.cos(0.5 * phi), math.sin(0.5 * phi)])
     v = np.outer(x, y).ravel()
     attained = float(np.linalg.norm(v @ U))
-    shift = -float(_PT_W @ v @ (M @ v))
-    slack = (4.0 * (n + 4) * np.finfo(float).eps
-             * (np.linalg.norm(M) + 2.0 * abs(shift)))
-    top = np.linalg.eigvalsh(M + shift * _PT_W)[-1]
-    return float(np.sqrt(max(top, 0.0) + slack)) * scale, attained * scale
+    return (_pt_cap(M, -float(_PT_W @ v @ (M @ v)), n) * scale,
+            attained * scale)
+
+
+def _pt_cap(M, s, n):
+    """``sqrt(lambda_max(M + s W) + slack)``: a certified upper bound on
+    ``||Z||_sigma`` for the ``2 x 2 x n`` tensor ``Z`` whose ``4 x n``
+    unfolding has the Gram matrix ``M``, whatever the multiplier ``s``.  The
+    slack ``4 (n + 4) eps (||M||_F + 2|s|)`` covers the backward errors of
+    forming ``M`` (``n eps tr(M) <= 2 n eps ||M||_F``), of adding ``s W``
+    and of the symmetric eigensolver."""
+    slack = 4.0 * (n + 4) * np.finfo(float).eps * (np.linalg.norm(M)
+                                                   + 2.0 * abs(s))
+    top = np.linalg.eigvalsh(M + s * _PT_W)[-1]
+    return float(np.sqrt(max(top, 0.0) + slack))
 
 
 def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
@@ -686,45 +695,11 @@ class NuclearSandwich:
         return 0.5 * (self.lower + self.upper)
 
 
-def _atom_rows(atoms):
-    """Row ``i`` is atom ``i``'s outer product raveled, bitwise
-    ``outer_atom(atoms[i]).ravel()``.  Its transpose, the atoms as columns,
-    is copied C-contiguous before a BLAS product: a transposed view sums in
-    another order."""
-    return _khatri_rao_rows([np.array(f) for f in zip(*atoms)])
-
-
-def _l1_refit(columns, target):
-    """min sum|w| + ||target - columns @ w||_1 via a linear program.
-
-    Equality form ``C w+ - C w- + v+ - v- = target`` over nonnegative
-    variables, minimizing their sum; the constraint matrix is sparse
-    (``[C, -C, I, -I]``), so memory grows with the entry count, not its
-    square.
-    """
-    from scipy import sparse
-    from scipy.optimize import linprog
-
-    N, m = columns.shape
-    col = np.asarray(columns, dtype=float).ravel(order="F")
-    data = np.concatenate([col, -col, np.ones(N), -np.ones(N)])
-    rows = np.arange(N)
-    indices = np.concatenate([np.tile(rows, 2 * m), rows, rows])
-    indptr = np.concatenate([np.arange(0, 2 * m * N + 1, N),
-                             2 * m * N + np.arange(1, 2 * N + 1)])
-    A_eq = sparse.csc_array((data, indices, indptr), shape=(N, 2 * m + 2 * N))
-    res = linprog(np.ones(2 * m + 2 * N), A_eq=A_eq, b_eq=target,
-                  bounds=(0, None), method="highs")
-    if not res.success:
-        return None
-    return res.x[:m] - res.x[m:2 * m]
-
-
 # Tolerance and budget of every certified bound on a dual witness.  The bound
 # sets the sandwich's lower end.  A witness with a 2 x 2 x n core, such as
-# every witness of a 2 x 2 x n sandwich, is bounded exact to rounding by the
-# partial-transpose cap whatever the tolerance; a larger one gives away up to
-# the tolerance.
+# every witness of a 2 x 2 x n sandwich, is bounded by the partial-transpose
+# cap whatever the tolerance (the exact program's witness also by the cap at
+# the program's own multiplier); a larger one gives away up to the tolerance.
 _WITNESS_TOL = 1e-5
 _WITNESS_MAX_EVALS = 80_000
 
@@ -751,13 +726,16 @@ _GREEDY_STARTS = 16  # HOPM starts per greedy step
 
 def _greedy_atoms(A, tol, max_atoms, seed):
     """Greedy rank-one pursuit with fully corrective least-squares refit;
-    returns the atoms' unit factors.
+    returns ``(atoms, C, weights)``: the atoms' unit factors, their raveled
+    outer products as the columns of ``C`` and the weights of the last
+    refit, which minimize ``||A.ravel() - C @ weights||_2``.
 
     Each step adds one atom, HOPM's maximizer on the residual; the pursuit
     stops when that atom is (up to sign) one it already holds."""
     l2 = holder_norm(A, 2)
     t = A.ravel()
     atoms = []
+    C, weights = np.zeros((t.size, 0)), np.zeros(0)
     residual = A
     for it in range(max_atoms):
         if holder_norm(residual, 1) <= tol * l2:
@@ -766,39 +744,25 @@ def _greedy_atoms(A, tol, max_atoms, seed):
                             seed=seed + 1000 * it)
         if res.value <= 1e-14 * l2:
             break
-        rows = _atom_rows(atoms + [res.maximizers])
+        # Row i is atom i's outer product raveled, bitwise
+        # outer_atom(atoms[i]).ravel().
+        rows = _khatri_rao_rows([np.array(f) for f in
+                                 zip(*atoms, res.maximizers)])
         if any(abs(float(np.dot(rows[-1], r))) > 1.0 - 1e-10
                for r in rows[:-1]):
             break
         atoms.append(tuple(res.maximizers))
+        # The atoms as columns, copied C-contiguous: BLAS sums a transposed
+        # view in another order.
         C = np.ascontiguousarray(rows.T)
         weights, *_ = np.linalg.lstsq(C, t, rcond=None)
         residual = A - (C @ weights).reshape(A.shape)
-    return atoms
+    return atoms, C, weights
 
 
-def _best_weights(A, atoms):
-    """Choose among least-squares and l1 refits of the atom weights the one
-    with the smallest total weight plus l1 residual."""
-    t = A.ravel()
-    C = np.ascontiguousarray(_atom_rows(atoms).T)
-    cands = []
-    w_ls, *_ = np.linalg.lstsq(C, t, rcond=None)
-    cands.append(w_ls)
-    w_l1 = _l1_refit(C, t)
-    if w_l1 is not None:
-        cands.append(w_l1)
-    best, best_up = None, np.inf
-    for w in cands:
-        up = float(np.sum(np.abs(w)) + np.sum(np.abs(t - C @ w)))
-        if up < best_up:
-            best, best_up = w, up
-    return best, best_up
-
-
-def _sign_witness(atoms, weights, shape, flags):
-    """Minimum-Frobenius tensor with <Z, atom_i> = sign(w_i)."""
-    C = np.ascontiguousarray(_atom_rows(atoms).T)
+def _sign_witness(C, weights, shape, flags):
+    """Minimum-Frobenius tensor with <Z, C[:, i]> = sign(w_i), for atoms
+    raveled into the columns of ``C``."""
     G = C.T @ C
     s = np.sign(weights)
     try:
@@ -811,10 +775,11 @@ def _sign_witness(atoms, weights, shape, flags):
     return (C @ coef).reshape(shape)
 
 
-def _nonzero_atoms(atoms, weights):
-    """The atoms and weights whose weight exceeds 1e-12 in magnitude."""
-    keep = np.abs(weights) > 1e-12
-    return [a for a, k in zip(atoms, keep) if k], weights[keep]
+def _nonzero_atoms(atoms, C, weights):
+    """The atoms, columns and weights whose weight exceeds ``1e-12`` times
+    the largest in magnitude."""
+    keep = np.abs(weights) > 1e-12 * np.abs(weights).max()
+    return [a for a, k in zip(atoms, keep) if k], C[:, keep], weights[keep]
 
 
 def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
@@ -829,17 +794,20 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
     is sandwiched exactly and its witness bounded by ``_witness_bound``.
 
     A tensor of full multilinear rank gets a greedy rank-one pursuit for the
-    upper end and the decomposition.  Its candidate witnesses are the scaled
-    base ``T`` (certified by the flattening bound, so its ratio is at least
+    decomposition and the upper end, the least-squares weights' total plus
+    their l1 residual.  Its candidate witnesses are the scaled base ``T``
+    (certified by the flattening bound, so its ratio is at least
     ``||T||_F``) and the greedy sign witness.  A ``2 x 2 x n`` tensor (modes
     in any order) also gets ``_pt_nuclear``'s witness and SDP dual bound,
-    which close its sandwich to rounding and the search's tolerance (about
-    1e-9 relative); where that bound is below the greedy one it is the upper
-    end, flagged ``upper_pt_dual``.  Other shapes keep the greedy sandwich
-    only.  All witnesses but the scaled base are certified once by
-    ``spectral_enclosure`` (``_certified_witness``).  The best certified
-    ratio ``<T, Z> / ||Z||_sigma``, capped by the upper end, is the lower end;
-    its witness and bound are ``dual_witness`` and ``witness_spectral_upper``.
+    which close its sandwich to rounding (about 1e-12 relative); where that
+    bound is below the greedy one it is the upper end, flagged
+    ``upper_pt_dual``.  Other shapes keep the greedy sandwich only.  All
+    witnesses but the scaled base are certified once by
+    ``spectral_enclosure`` (``_certified_witness``); the program's witness
+    keeps the program's own cap instead where that is smaller, flagged
+    ``witness_bound_pt_dual``.  The best certified ratio
+    ``<T, Z> / ||Z||_sigma``, capped by the upper end, is the lower end; its
+    witness and bound are ``dual_witness`` and ``witness_spectral_upper``.
     """
     A = asarray(T)
     if holder_norm(A, 2) == 0.0:
@@ -880,18 +848,21 @@ def _sandwich(A, flat, tol, max_atoms, seed):
     flags = []
     # The scaled base: flat <= ||A||_F, so its ratio is at least ||A||_F.
     cands = [(inner(A, A) / flat, A, flat, "flattening")]
-    atoms = _greedy_atoms(A, tol, max_atoms, seed)
-    weights, upper = np.zeros(0), holder_norm(A, 1)
+    atoms, C, weights = _greedy_atoms(A, tol, max_atoms, seed)
+    upper = holder_norm(A, 1)
     if atoms:
-        weights, up = _best_weights(A, atoms)
-        upper = min(up, upper)
-        atoms, weights = _nonzero_atoms(atoms, weights)
+        upper = min(float(np.sum(np.abs(weights))
+                          + np.sum(np.abs(A.ravel() - C @ weights))), upper)
+        atoms, C, weights = _nonzero_atoms(atoms, C, weights)
     if atoms:
         cands.append(_certified_witness(
-            A, _sign_witness(atoms, weights, A.shape, flags)))
+            A, _sign_witness(C, weights, A.shape, flags)))
     if A.ndim == 3 and sorted(A.shape)[:2] == [2, 2]:
-        Z, pt_upper = _pt_nuclear(A)
-        cands.append(_certified_witness(A, Z))
+        Z, z_cap, pt_upper = _pt_nuclear(A)
+        cand = _certified_witness(A, Z)
+        if z_cap < cand[2]:
+            cand = (inner(A, Z) / z_cap, Z, z_cap, "pt_dual")
+        cands.append(cand)
         if pt_upper < upper:
             upper = pt_upper
             flags.append("upper_pt_dual")
@@ -912,9 +883,10 @@ def _sandwich(A, flat, tol, max_atoms, seed):
 
 
 def _pt_nuclear(A):
-    """``(Z, upper)`` for a ``2 x 2 x n`` tensor ``A`` of full multilinear
-    rank, its modes in any order: a dual witness ``Z`` (unit spectral norm
-    up to rounding) and a certified upper bound on ``||A||_*``.
+    """``(Z, cap, upper)`` for a ``2 x 2 x n`` tensor ``A`` of full
+    multilinear rank, its modes in any order: a dual witness ``Z`` (unit
+    spectral norm up to rounding), a certified upper bound ``cap`` on
+    ``||Z||_sigma`` and a certified upper bound on ``||A||_*``.
 
     With ``U`` the ``4 x n`` unfolding of the sorted tensor and
     ``W = _PT_W``, a tensor ``Z`` with unfolding ``V`` has
@@ -925,7 +897,9 @@ def _pt_nuclear(A):
     so ``||A||_* = max_s g(s)`` with ``g(s) = ||R(s) U||_*``, a concave
     function (the largest ``<U, V>`` over a convex set of ``(s, V)``).  With
     ``R U = a Sigma b^T`` (thin SVD), ``Z = R a b^T`` attains ``g(s)``, and
-    ``V V^T = R a a^T R <= I - s W``.
+    ``V V^T = R a a^T R <= I - s W``, so ``lambda_max(V V^T + s W) <= 1``:
+    ``cap`` is ``_pt_cap(V V^T, s)``, the program's own proof, which needs
+    no primal step.
 
     Upper end, by weak duality (the nuclear norm's SDP form, Recht, Fazel &
     Parrilo, SIAM Rev. 2010): for any ``F`` and ``G``, ``P = F F^T`` and
@@ -941,8 +915,9 @@ def _pt_nuclear(A):
 
     The search bisects ``s`` on the sign of ``<P, W>``, one SVD per step,
     ``s`` kept ``1e-12`` inside the ends, where ``R`` is singular.  Every
-    step's bound holds, so the least is returned, and ``Z`` is the step's of
-    largest ``g``: the search sets the tightness, never the correctness."""
+    step's bound holds, so the least is returned, and ``Z`` and ``cap`` are
+    the step's of largest ``g``: the search sets the tightness, never the
+    correctness."""
     order = np.argsort(A.shape, kind="stable")
     B = A.transpose(order)
     n = B.shape[2]
@@ -966,12 +941,13 @@ def _pt_nuclear(A):
                     + float(np.abs(U - F @ G.T).sum())
                     + 4.0 * (n + 4) * eps * trace)
         if sig.sum() > g_best:
-            g_best, V = sig.sum(), R @ a @ bt
+            g_best, V, s_best = sig.sum(), R @ a @ bt, s
         if tilt < 0.0:
             lo = s
         else:
             hi = s
-    return V.reshape(B.shape).transpose(np.argsort(order)), upper * scale
+    return (V.reshape(B.shape).transpose(np.argsort(order)),
+            _pt_cap(V @ V.T, s_best, n), upper * scale)
 
 
 def _matrix_sandwich(A):

@@ -303,16 +303,12 @@ def _gallery_directions(selector, shape):
     """Known extreme directions, included alongside the random trials."""
     out = []
     d = len(shape)
-    if selector.kind == "sum" and all(n == 2 for n in shape):
-        if set(selector.sets) == set(order_ge2_sum(d).sets):
-            if d == 3:
-                g = gallery("yuan3", t=1.0)
-                for sgn in (-1.0, 1.0):
-                    out.append((g["T"], g["Z"], sgn * g["X"]))
-            if d == 4:
-                g = gallery("yuan4", t=1.0)
-                for sgn in (-1.0, 1.0):
-                    out.append((g["T"], g["Z"], sgn * g["X"]))
+    name = {3: "yuan3", 4: "yuan4"}.get(d)
+    if (name and selector.kind == "sum" and all(n == 2 for n in shape)
+            and set(selector.sets) == set(order_ge2_sum(d).sets)):
+        g = gallery(name, t=1.0)
+        for sgn in (-1.0, 1.0):
+            out.append((g["T"], g["Z"], sgn * g["X"]))
     if selector.kind == "upperU" and len(selector.sets) == 1:
         I = selector.sets[0]
         vecs = []

@@ -120,13 +120,13 @@ def test_norms_reaches_the_span_bases_only_through_the_core():
 
 
 def test_scipy_solvers_have_one_caller_each():
-    """The l1 weight refit is the library's one linear program and the
-    sphere programs' polish its one nonlinear solve."""
+    """The library runs no linear program, and the sphere programs' polish
+    is its one nonlinear solve."""
     found = {name: sorted({f"{path.stem}.{owner}"
                            for path in sorted(SRC.glob("*.py"))
                            for _, owner in references(path.read_text(), name)})
              for name in ("linprog", "minimize")}
-    assert found == {"linprog": ["norms._l1_refit"],
+    assert found == {"linprog": [],
                      "minimize": ["subdiff.solve_sphere_program"]}
 
 
@@ -255,6 +255,30 @@ def test_scipy_loads_where_it_is_used():
              for path in sorted(SRC.glob("*.py"))
              for line in module_level_imports(path.read_text(), "scipy")]
     assert found == []
+
+
+def test_nuclear_sandwich_loads_no_scipy():
+    """A sandwich on the exact program's shape and one on the greedy's
+    only, in a fresh interpreter, leave no scipy module loaded."""
+    import os
+    import subprocess
+    import sys
+
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from tnn import nuclear_sandwich\n"
+        "rng = np.random.default_rng(0)\n"
+        "for shape in ((2, 2, 2), (3, 3, 3)):\n"
+        "    nuclear_sandwich(rng.standard_normal(shape))\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(SRC.parent),
+                                         os.environ.get("PYTHONPATH")]))
+    out = subprocess.run([sys.executable, "-c", script], check=True,
+                         capture_output=True, text=True,
+                         env={**os.environ, "PYTHONPATH": path})
+    assert out.stdout.strip() == "[]"
 
 
 def test_branch_and_bound_signature_is_pinned():

@@ -1,11 +1,9 @@
 import sys
-import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from scipy.optimize import linprog
 
 import tnn.norms
 from tnn import (
@@ -27,6 +25,7 @@ from tnn import (
     project,
     restricted_norm_check,
     sample_pair,
+    sample_weak_pair,
     spectral_certified_upper,
     spectral_enclosure,
     spectral_flattening_upper,
@@ -39,7 +38,7 @@ from tnn.norms import (
     _greedy_atoms,
     _hopm_finish,
     _hopm_value_string,
-    _l1_refit,
+    _sign_witness,
 )
 from tnn.tensor_core import normalize
 from conftest import e, rank_one
@@ -690,9 +689,48 @@ class TestNuclearSandwich:
 
         monkeypatch.setattr(tnn.norms, "spectral_hopm", counting)
         _, T, S = sample_pair((2, 2, 2), (1, 1, 2), frozenset({0, 1}), seed=4)
-        atoms = _greedy_atoms(asarray(T + S), 1e-8, 64, 0)
+        atoms, _, _ = _greedy_atoms(asarray(T + S), 1e-8, 64, 0)
         assert atoms
         assert len(atoms) <= len(calls)
+
+    @pytest.mark.parametrize("shape", [(3, 3, 3), (2, 2, 2), (2, 3, 4),
+                                       (2, 2, 2, 2)], ids=str)
+    def test_greedy_keeps_its_last_least_squares_refit(self, shape):
+        # The columns are the atoms' outer products and the weights the
+        # least-squares fit to T over them, bit for bit.
+        for seed in range(5):
+            A = np.random.default_rng(seed).standard_normal(shape)
+            atoms, C, weights = _greedy_atoms(A, 1e-8, 64, 0)
+            assert C.shape == (A.size, len(atoms))
+            for column, factors in zip(C.T, atoms):
+                np.testing.assert_array_equal(column,
+                                              outer_atom(factors).ravel())
+            refit, *_ = np.linalg.lstsq(C, A.ravel(), rcond=None)
+            np.testing.assert_array_equal(weights, refit)
+
+    def test_greedy_sandwich_at_any_scale(self):
+        # The cut of negligible weights is relative: at 1e-13 an absolute
+        # cut of 1e-12 dropped every atom.
+        T = np.random.default_rng(0).standard_normal((3, 3, 3))
+        for exponent in range(-100, 101):
+            A = 10.0 ** exponent * T
+            sw = nuclear_sandwich(A)
+            dec = sw.decomposition
+            assert dec.atoms, exponent
+            assert sw.upper <= (dec.weight_sum
+                                + holder_norm(A - decomposition_sum(dec), 1)
+                                + 1e-9 * sw.upper), exponent
+
+    def test_sign_witness_ridges_a_singular_gram(self):
+        # Two equal columns make the Gram matrix singular: the ridge takes
+        # over and says so.
+        column = outer_atom([e(2, 0), e(2, 1), normalize(np.ones(2))]).ravel()
+        C = np.column_stack([column, column])
+        flags = []
+        Z = _sign_witness(C, np.array([1.0, 2.0]), (2, 2, 2), flags)
+        assert flags == ["witness_gram_ridged"]
+        assert Z.shape == (2, 2, 2) and np.all(np.isfinite(Z))
+
 
 def _random_2x2xn(seed, n, perm):
     """A seeded Gaussian ``2 x 2 x n`` tensor with its modes permuted."""
@@ -733,6 +771,23 @@ class TestExactTwoByTwoSandwich:
         assert sw.lower <= nuc * (1.0 + SLACK)
         assert nuc <= sw.upper * (1.0 + SLACK)
 
+    @pytest.mark.parametrize("seed", [26, 60])
+    def test_two_peak_witnesses_close_on_the_program_cap(self, seed):
+        # The program's witnesses have two maxima equal to about 1e-10,
+        # where the partial-transpose cap's primal step leaves its
+        # multiplier off; the program's own multiplier closes them.
+        _, T, S = sample_weak_pair((2, 2, 2), seed)
+        sw = nuclear_sandwich(T + S)
+        assert sw.gap <= 1e-12 * sw.upper
+        assert "witness_bound_pt_dual" in sw.flags
+
+    def test_program_cap_bounds_its_witness(self):
+        for seed in range(10):
+            A = _random_2x2xn(seed, 3, (2, 0, 1))
+            Z, cap, _ = tnn.norms._pt_nuclear(A)
+            assert spectral_hopm(Z, starts=64).value <= cap
+            assert cap <= 1.0 + 1e-12
+
     @pytest.mark.parametrize("exponent", range(-150, 151, 10))
     def test_any_scale(self, exponent):
         # A tolerance relative to the tensor: the enclosure's is absolute.
@@ -743,59 +798,6 @@ class TestExactTwoByTwoSandwich:
         assert lo <= up and up - lo <= 1e-8 * up
         sw = nuclear_sandwich(T)
         assert sw.lower <= sw.upper and sw.gap <= 1e-8 * sw.upper
-
-
-def _dense_l1_refit_value(columns, target):
-    """Reference: the inequality-form LP over (w free, u >= |w|, v >= |r|)."""
-    N, m = columns.shape
-    I_m, I_N = np.eye(m), np.eye(N)
-    Z = np.zeros
-    A_ub = np.block([
-        [I_m, -I_m, Z((m, N))],
-        [-I_m, -I_m, Z((m, N))],
-        [columns, Z((N, m)), -I_N],
-        [-columns, Z((N, m)), -I_N],
-    ])
-    b_ub = np.concatenate([Z(2 * m), target, -target])
-    c = np.concatenate([Z(m), np.ones(m + N)])
-    res = linprog(c, A_ub=A_ub, b_ub=b_ub,
-                  bounds=[(None, None)] * m + [(0, None)] * (m + N),
-                  method="highs")
-    assert res.success
-    return res.fun
-
-
-def _l1_value(columns, target, w):
-    return np.sum(np.abs(w)) + np.sum(np.abs(target - columns @ w))
-
-
-class TestL1Refit:
-    @pytest.mark.parametrize("N, m", [(8, 1), (8, 3), (27, 5), (64, 12)])
-    def test_matches_dense_reference(self, rng, N, m):
-        for _ in range(3):
-            C = rng.standard_normal((N, m))
-            t = C @ rng.standard_normal(m) + 0.3 * rng.standard_normal(N)
-            w = _l1_refit(C, t)
-            assert _l1_value(C, t, w) == pytest.approx(
-                _dense_l1_refit_value(C, t), abs=1e-9)
-
-    def test_memory_stays_linear_in_entries(self, rng):
-        shape = (16, 16, 17)  # N = 4352
-        C = np.column_stack([
-            outer_atom([v / np.linalg.norm(v)
-                        for v in map(rng.standard_normal, shape)]).ravel()
-            for _ in range(3)])
-        t = C @ np.array([3.0, -1.0, 0.5])
-        t[rng.choice(t.size, 80, replace=False)] += rng.standard_normal(80)
-        tracemalloc.start()
-        try:
-            w = _l1_refit(C, t)
-            peak = tracemalloc.get_traced_memory()[1]
-        finally:
-            tracemalloc.stop()
-        assert peak < 100e6
-        planted = _l1_value(C, t, np.array([3.0, -1.0, 0.5]))
-        assert _l1_value(C, t, w) <= planted + 1e-9
 
 
 class TestDualityGap:
