@@ -41,26 +41,26 @@ bound encloses, and the finished vectors are kept when the form is no lower
 there, up to rounding.
 
 The nuclear norm is enclosed in a sandwich ``[lower, upper]``: the upper
-bound comes from a greedy rank-one decomposition, which takes HOPM's one
-maximizer on the residual per step and refits all weights by least
-squares, bounded by total weight plus l1 residual; the lower bound from a
-dual witness divided by a certified upper bound on its spectral norm.  The
-candidate witnesses are the sign witness of the greedy atoms and the scaled
-base ``T``, certified by the flattening bound.  A ``2 x 2 x n`` tensor of
-full multilinear rank gets one more candidate and one more upper bound from
-an exact one-variable program (``_pt_nuclear``): ``||T||_*`` is the maximum
-over ``s`` in ``[-1, 1]`` of the concave ``||(I - s W)^{1/2} U||_*``
-(``U`` the ``4 x n`` unfolding, ``W`` as for the cap above), whose maximizer
-gives a witness, with the cap at the program's own ``s`` as its proof, and
-an SDP dual point that bounds ``||T||_*`` from above by weak duality.
-Every witness but the scaled base is certified once by
+bound comes from a rank-one decomposition, bounded by total weight plus l1
+residual; the lower bound from a dual witness divided by a certified upper
+bound on its spectral norm.  One candidate witness is the scaled base
+``T``, certified by the flattening bound.  A ``2 x 2 x n`` tensor of full
+multilinear rank is sandwiched by an exact one-variable program
+(``_pt_nuclear``): ``||T||_*`` is the maximum over ``s`` in ``[-1, 1]`` of
+the concave ``||(I - s W)^{1/2} U||_*`` (``U`` the ``4 x n`` unfolding,
+``W`` as for the cap above), whose maximizer gives a witness, with the cap
+at the program's own ``s`` as its proof, and an SDP dual point that bounds
+``||T||_*`` from above by weak duality and splits into rank-one atoms of no
+more total weight.  Other shapes of full multilinear rank get a greedy
+rank-one decomposition, which takes HOPM's one maximizer on the residual
+per step and refits all weights by least squares, and the sign witness of
+its atoms.  Every witness but the scaled base is certified once by
 ``spectral_enclosure``.  The lower end is the best certified ratio
 ``<T, Z> / ||Z||_sigma``, attained by the witness returned.  These
 candidates are built on a tensor of full multilinear rank, whose span
 subspace ``T(T)`` (the tensors whose mode-k spans lie inside those of
 ``T``) is the whole space; the witness of a compressed tensor is the core's
 lifted by ``x_k U_k``, which lies in ``T(T)`` and keeps its spectral norm.
-Other shapes of full multilinear rank keep only the greedy sandwich.
 """
 
 from __future__ import annotations
@@ -80,6 +80,7 @@ from .tensor_core import (
     _khatri_rao_rows,
     asarray,
     basis_vector,
+    decomposition_sum,
     holder_norm,
     inner,
     mode_matricize,
@@ -731,18 +732,21 @@ def _greedy_atoms(A, tol, max_atoms, seed):
     refit, which minimize ``||A.ravel() - C @ weights||_2``.
 
     Each step adds one atom, HOPM's maximizer on the residual; the pursuit
-    stops when that atom is (up to sign) one it already holds."""
+    stops when that atom is (up to sign) one it already holds.  The pursuit
+    runs on the residual over ``||A||_F``, so that HOPM's stop rule, which
+    is absolute below 1, and with it the atoms do not depend on the scale
+    of ``A``."""
     l2 = holder_norm(A, 2)
     t = A.ravel()
     atoms = []
     C, weights = np.zeros((t.size, 0)), np.zeros(0)
-    residual = A
+    residual = A / l2
     for it in range(max_atoms):
-        if holder_norm(residual, 1) <= tol * l2:
+        if holder_norm(residual, 1) <= tol:
             break
         res = spectral_hopm(residual, starts=_GREEDY_STARTS, tol=1e-13,
                             seed=seed + 1000 * it)
-        if res.value <= 1e-14 * l2:
+        if res.value <= 1e-14:
             break
         # Row i is atom i's outer product raveled, bitwise
         # outer_atom(atoms[i]).ravel().
@@ -756,7 +760,7 @@ def _greedy_atoms(A, tol, max_atoms, seed):
         # view in another order.
         C = np.ascontiguousarray(rows.T)
         weights, *_ = np.linalg.lstsq(C, t, rcond=None)
-        residual = A - (C @ weights).reshape(A.shape)
+        residual = (A - (C @ weights).reshape(A.shape)) / l2
     return atoms, C, weights
 
 
@@ -793,21 +797,24 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
     ratio ``<T, W> / witness_spectral_upper``.  A core of order at most two
     is sandwiched exactly and its witness bounded by ``_witness_bound``.
 
-    A tensor of full multilinear rank gets a greedy rank-one pursuit for the
-    decomposition and the upper end, the least-squares weights' total plus
-    their l1 residual.  Its candidate witnesses are the scaled base ``T``
-    (certified by the flattening bound, so its ratio is at least
-    ``||T||_F``) and the greedy sign witness.  A ``2 x 2 x n`` tensor (modes
-    in any order) also gets ``_pt_nuclear``'s witness and SDP dual bound,
-    which close its sandwich to rounding (about 1e-12 relative); where that
-    bound is below the greedy one it is the upper end, flagged
-    ``upper_pt_dual``.  Other shapes keep the greedy sandwich only.  All
-    witnesses but the scaled base are certified once by
-    ``spectral_enclosure`` (``_certified_witness``); the program's witness
-    keeps the program's own cap instead where that is smaller, flagged
-    ``witness_bound_pt_dual``.  The best certified ratio
-    ``<T, Z> / ||Z||_sigma``, capped by the upper end, is the lower end; its
-    witness and bound are ``dual_witness`` and ``witness_spectral_upper``.
+    A tensor of full multilinear rank has the scaled base ``T`` as one
+    candidate witness (certified by the flattening bound, so its ratio is at
+    least ``||T||_F``).  A ``2 x 2 x n`` tensor (modes in any order) is
+    sandwiched by ``_pt_nuclear`` alone, to rounding (about 1e-12
+    relative): its witness is the other candidate, and its atoms are the
+    decomposition.  The upper end is the least of ``||T||_1``, the atoms'
+    total weight plus their l1 residual, and the program's SDP dual bound,
+    flagged ``upper_pt_dual`` where that bound is the least.  ``tol``,
+    ``max_atoms`` and ``seed`` have no effect there.  Every other tensor
+    gets a greedy rank-one pursuit for the decomposition and the upper end,
+    the least-squares weights' total plus their l1 residual, and the
+    greedy sign witness as the other candidate.  All witnesses but the
+    scaled base are certified once by ``spectral_enclosure``
+    (``_certified_witness``); the program's witness keeps the program's own
+    cap instead where that is smaller, flagged ``witness_bound_pt_dual``.
+    The best certified ratio ``<T, Z> / ||Z||_sigma``, capped by the upper
+    end, is the lower end; its witness and bound are ``dual_witness`` and
+    ``witness_spectral_upper``.
     """
     A = asarray(T)
     if holder_norm(A, 2) == 0.0:
@@ -848,34 +855,36 @@ def _sandwich(A, flat, tol, max_atoms, seed):
     flags = []
     # The scaled base: flat <= ||A||_F, so its ratio is at least ||A||_F.
     cands = [(inner(A, A) / flat, A, flat, "flattening")]
-    atoms, C, weights = _greedy_atoms(A, tol, max_atoms, seed)
     upper = holder_norm(A, 1)
-    if atoms:
-        upper = min(float(np.sum(np.abs(weights))
-                          + np.sum(np.abs(A.ravel() - C @ weights))), upper)
-        atoms, C, weights = _nonzero_atoms(atoms, C, weights)
-    if atoms:
-        cands.append(_certified_witness(
-            A, _sign_witness(C, weights, A.shape, flags)))
     if A.ndim == 3 and sorted(A.shape)[:2] == [2, 2]:
-        Z, z_cap, pt_upper = _pt_nuclear(A)
+        Z, z_cap, pt_upper, atoms = _pt_nuclear(A)
         cand = _certified_witness(A, Z)
         if z_cap < cand[2]:
             cand = (inner(A, Z) / z_cap, Z, z_cap, "pt_dual")
         cands.append(cand)
+        decomposition = NuclearDecomposition(atoms, A.shape)
+        upper = min(decomposition.weight_sum
+                    + holder_norm(A - decomposition_sum(decomposition), 1),
+                    upper)
         if pt_upper < upper:
             upper = pt_upper
             flags.append("upper_pt_dual")
-    best = max(cands, key=lambda c: c[0])
-
-    decomposition = NuclearDecomposition(
-        tuple(
-            RankOneAtom.from_unnormalized(f, w)
-            for w, f in zip(weights, atoms)
-        ),
-        A.shape,
-    )
-    ratio, Z, w_up, how = best
+    else:
+        atoms, C, weights = _greedy_atoms(A, tol, max_atoms, seed)
+        if atoms:
+            upper = min(float(np.sum(np.abs(weights))
+                              + np.sum(np.abs(A.ravel() - C @ weights))),
+                        upper)
+            atoms, C, weights = _nonzero_atoms(atoms, C, weights)
+        if atoms:
+            cands.append(_certified_witness(
+                A, _sign_witness(C, weights, A.shape, flags)))
+        decomposition = NuclearDecomposition(
+            tuple(RankOneAtom.from_unnormalized(f, w)
+                  for w, f in zip(weights, atoms)),
+            A.shape,
+        )
+    ratio, Z, w_up, how = max(cands, key=lambda c: c[0])
     flags.append(f"witness_bound_{how}")
     lower = min(ratio, upper)
     return NuclearSandwich(float(lower), float(upper), decomposition, Z,
@@ -883,10 +892,12 @@ def _sandwich(A, flat, tol, max_atoms, seed):
 
 
 def _pt_nuclear(A):
-    """``(Z, cap, upper)`` for a ``2 x 2 x n`` tensor ``A`` of full
+    """``(Z, cap, upper, atoms)`` for a ``2 x 2 x n`` tensor ``A`` of full
     multilinear rank, its modes in any order: a dual witness ``Z`` (unit
     spectral norm up to rounding), a certified upper bound ``cap`` on
-    ``||Z||_sigma`` and a certified upper bound on ``||A||_*``.
+    ``||Z||_sigma``, a certified upper bound ``upper`` on ``||A||_*`` and a
+    rank-one decomposition of ``A`` whose total weight is at most that bound
+    up to rounding.
 
     With ``U`` the ``4 x n`` unfolding of the sorted tensor and
     ``W = _PT_W``, a tensor ``Z`` with unfolding ``V`` has
@@ -913,41 +924,125 @@ def _pt_nuclear(A):
     meets ``g`` at the maximum.  A slack ``4 (n + 4) eps (tr P + tr Q)``
     covers the rounding of ``U``, ``F G^T`` and the sums.
 
-    The search bisects ``s`` on the sign of ``<P, W>``, one SVD per step,
-    ``s`` kept ``1e-12`` inside the ends, where ``R`` is singular.  Every
+    The atoms come from the step of least bound (``_pt_atoms``).  The
+    search is a safeguarded secant search (Illinois, with a bisection
+    fallback) on ``<P, W> sqrt(1 - s^2)``, whose sign is that of ``-g'``
+    and which, unlike ``<P, W>``, stays bounded at the ends, where ``R`` is
+    singular; ``s`` is kept ``1e-12`` inside them.  It evaluates both ends
+    first: a sign that does not change between them puts the maximum at an
+    end.  It stops when the bracket is ``1e-12`` wide, or when the least
+    bound is within twice its rounding slack of the largest ``g``.  Every
     step's bound holds, so the least is returned, and ``Z`` and ``cap`` are
     the step's of largest ``g``: the search sets the tightness, never the
     correctness."""
     order = np.argsort(A.shape, kind="stable")
     B = A.transpose(order)
     n = B.shape[2]
-    # Unit Frobenius norm inside; the bound is scaled back, the witness
-    # is scale-free.
+    # Unit Frobenius norm inside; the bound and the weights are scaled back,
+    # the witness is scale-free.
     scale = float(np.linalg.norm(B))
     U = B.reshape(4, n) / scale
-    plus, minus = (np.eye(4) + _PT_W) / 2, (np.eye(4) - _PT_W) / 2
-    eps = np.finfo(float).eps
-    g_best, V, upper = -np.inf, None, np.inf
     lo, hi = -1.0 + 1e-12, 1.0 - 1e-12
-    while hi - lo > 1e-12:
-        s = 0.5 * (lo + hi)
-        R = math.sqrt(1.0 - s) * plus + math.sqrt(1.0 + s) * minus
-        a, sig, bt = np.linalg.svd(R @ U, full_matrices=False)
-        F = (U @ bt.T) / np.sqrt(sig)
-        G = bt.T * np.sqrt(sig)
-        tilt = float(np.sum(F * (_PT_W @ F)))
-        trace = float(np.sum(F * F) + np.sum(G * G))
-        upper = min(upper, (trace + abs(tilt)) / 2
-                    + float(np.abs(U - F @ G.T).sum())
-                    + 4.0 * (n + 4) * eps * trace)
-        if sig.sum() > g_best:
-            g_best, V, s_best = sig.sum(), R @ a @ bt, s
-        if tilt < 0.0:
-            lo = s
+    steps = [_pt_step(U, lo), _pt_step(U, hi)]
+    h_lo, h_hi = steps[0].h, steps[1].h
+    # Illinois: an end kept twice in a row has its value halved, which
+    # moves the next secant point towards it.  A secant point that rounding
+    # puts outside the bracket falls back to the midpoint.
+    kept = 0
+    while h_lo < 0.0 < h_hi and hi - lo > 1e-12:
+        least = min(steps, key=lambda t: t.bound)
+        if least.bound - max(t.g for t in steps) <= 2.0 * least.slack:
+            break
+        s = (lo * h_hi - hi * h_lo) / (h_hi - h_lo)
+        if not lo < s < hi:
+            s = 0.5 * (lo + hi)
+        steps.append(_pt_step(U, s))
+        h = steps[-1].h
+        if h < 0.0:
+            lo, h_lo = s, h
+            h_hi, kept = (0.5 * h_hi if kept < 0 else h_hi), -1
         else:
-            hi = s
-    return (V.reshape(B.shape).transpose(np.argsort(order)),
-            _pt_cap(V @ V.T, s_best, n), upper * scale)
+            hi, h_hi = s, h
+            h_lo, kept = (0.5 * h_lo if kept > 0 else h_lo), 1
+    top = max(steps, key=lambda t: t.g)
+    least = min(steps, key=lambda t: t.bound)
+    return (top.V.reshape(B.shape).transpose(np.argsort(order)),
+            _pt_cap(top.V @ top.V.T, top.s, n), least.bound * scale,
+            _pt_atoms(least, order, scale))
+
+
+@dataclass(frozen=True)
+class _PtStep:
+    """One step of ``_pt_nuclear``'s search at the multiplier ``s``."""
+
+    s: float
+    h: float  # <P, W> sqrt(1 - s^2), of the sign of -g'(s)
+    g: float  # ||R(s) U||_*
+    bound: float  # the weak-duality bound, slack included
+    slack: float
+    F: np.ndarray
+    G: np.ndarray
+    tilt: float  # <P, W> = <F F^T, W>
+    V: np.ndarray  # the witness's unfolding R a b^T
+
+
+def _pt_step(U, s):
+    """``_pt_nuclear``'s quantities at ``s``: one SVD of ``R(s) U``."""
+    R = (math.sqrt(1.0 - s) * (np.eye(4) + _PT_W)
+         + math.sqrt(1.0 + s) * (np.eye(4) - _PT_W)) / 2
+    a, sig, bt = np.linalg.svd(R @ U, full_matrices=False)
+    F = (U @ bt.T) / np.sqrt(sig)
+    G = bt.T * np.sqrt(sig)
+    tilt = float(np.sum(F * (_PT_W @ F)))
+    trace = float(np.sum(F * F) + np.sum(G * G))
+    slack = 4.0 * (U.shape[1] + 4) * np.finfo(float).eps * trace
+    bound = ((trace + abs(tilt)) / 2 + float(np.abs(U - F @ G.T).sum())
+             + slack)
+    return _PtStep(s, tilt * math.sqrt(1.0 - s * s), float(sig.sum()),
+                   bound, slack, F, G, tilt, R @ a @ bt)
+
+
+def _pt_atoms(step, order, scale):
+    """Rank-one atoms of the sorted ``2 x 2 x n`` tensor ``scale U`` from a
+    step's ``F`` and ``G`` (``U`` close to ``F G^T``), their factors in the
+    modes of the tensor the sort ``order`` came from.
+
+    One column of squared norm ``|tilt|``, in the eigenspace of ``W`` whose
+    eigenvalue has the sign opposite to the tilt, is appended to ``F`` and a
+    zero column to ``G``: ``F G^T`` is unchanged and ``F^T W F`` has trace 0.
+    Givens rotations of the columns of both zero the diagonal of
+    ``F^T W F`` one entry at a time, each against a later entry of the other
+    sign (they exist while the trace is 0).  A column ``f`` of ``F`` then has
+    ``f^T W f = 2 det(f)`` equal to 0 up to rounding, so as a ``2 x 2``
+    matrix it is ``sigma_1 x y^T`` up to its second singular value, which
+    the sandwich's residual term covers.  The atom is ``x (x) y (x) g/||g||``
+    with weight ``scale sigma_1 ||g||``.  By AM-GM the weights sum to at most
+    ``(||F||_F^2 + ||G||_F^2)/2 = (tr P + |tilt| + tr Q)/2``, the step's
+    bound without its residual and slack."""
+    eigen = (np.eye(4) - math.copysign(1.0, step.tilt) * _PT_W)[:, 0]
+    F = np.column_stack([step.F, math.sqrt(abs(step.tilt) / 2) * eigen])
+    G = np.column_stack([step.G, np.zeros(len(step.G))])
+    for i in range(F.shape[1] - 1):
+        d = np.sum(F * (_PT_W @ F), axis=0)
+        j = i + 1 + int(np.argmin(math.copysign(1.0, d[i]) * d[i + 1:]))
+        # Without a partner d[i] is zero up to rounding, and so is det.
+        if d[i] * d[j] >= 0.0:
+            continue
+        b = float(F[:, i] @ _PT_W @ F[:, j])
+        t = -d[i] / (b + math.copysign(math.sqrt(b * b - d[i] * d[j]), b))
+        c = 1.0 / math.sqrt(1.0 + t * t)
+        rot = np.array([[c, -t * c], [t * c, c]])
+        F[:, [i, j]] = F[:, [i, j]] @ rot
+        G[:, [i, j]] = G[:, [i, j]] @ rot
+    back = np.argsort(order)
+    atoms = []
+    for f, g in zip(F.T, G.T):
+        x, sv, yt = np.linalg.svd(f.reshape(2, 2))
+        weight = scale * sv[0] * np.linalg.norm(g)
+        if weight > 0.0:
+            factors = (x[:, 0], yt[0], g / np.linalg.norm(g))
+            atoms.append(RankOneAtom(weight, tuple(factors[k] for k in back)))
+    return tuple(atoms)
 
 
 def _matrix_sandwich(A):

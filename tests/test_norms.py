@@ -596,13 +596,19 @@ class TestNuclearSandwich:
             return out
 
         monkeypatch.setattr(tnn.norms, "_witness_bound", recording)
-        T = asarray(rng.standard_normal((2, 2, 2)))
-        sw = nuclear_sandwich(T)
-        assert len(bounds) >= 2  # the greedy and the exact program's witnesses
-        for i, (Z, ub) in enumerate(bounds):
-            assert sw.lower >= inner(T, Z) / ub - 1e-12
-            # Each candidate is certified once.
-            assert not any(np.array_equal(Z, W) for W, _ in bounds[:i])
+        # The enclosure certifies one witness: the exact program's on
+        # 2 x 2 x n, the greedy sign witness elsewhere.  The scaled base is
+        # certified by the flattening bound.
+        for shape in ((2, 2, 2), (3, 3, 3)):
+            bounds.clear()
+            T = asarray(rng.standard_normal(shape))
+            sw = nuclear_sandwich(T)
+            assert len(bounds) == 1, shape
+            bounds.append((T, spectral_flattening_upper(T)))
+            for i, (Z, ub) in enumerate(bounds):
+                assert sw.lower >= inner(T, Z) / ub - 1e-12
+                # Each candidate is certified once.
+                assert not any(np.array_equal(Z, W) for W, _ in bounds[:i])
 
     def test_large_modes_certify_with_flattening_bound(self):
         # Full multilinear rank with modes above 4: no core to compress and
@@ -665,7 +671,8 @@ class TestNuclearSandwich:
         _, sw = rank_deficient_sandwiches[case]
         assert sw.gap / sw.upper <= self.PROJECTED_GAPS[case] / 10
 
-    def test_hopm_runs_only_in_the_greedy_pursuit(self, rng, monkeypatch):
+    @staticmethod
+    def _hopm_callers(monkeypatch):
         callers = []
         original = tnn.norms.spectral_hopm
 
@@ -674,10 +681,25 @@ class TestNuclearSandwich:
             return original(*args, **kwargs)
 
         monkeypatch.setattr(tnn.norms, "spectral_hopm", recording)
-        sw = nuclear_sandwich(asarray(rng.standard_normal((2, 2, 2))))
-        # The upper end is the exact program's, which runs no HOPM.
-        assert "upper_pt_dual" in sw.flags
+        return callers
+
+    def test_hopm_runs_only_in_the_greedy_pursuit(self, rng, monkeypatch):
+        callers = self._hopm_callers(monkeypatch)
+        nuclear_sandwich(asarray(rng.standard_normal((3, 3, 3))))
         assert callers and set(callers) == {"_greedy_atoms"}
+
+    def test_two_by_two_sandwich_runs_no_greedy_pursuit(self, rng,
+                                                        monkeypatch):
+        # Both ends and the atoms come from the exact program.
+        callers = self._hopm_callers(monkeypatch)
+
+        def refuse(*args):
+            raise AssertionError("greedy pursuit reached")
+
+        monkeypatch.setattr(tnn.norms, "_greedy_atoms", refuse)
+        sw = nuclear_sandwich(asarray(rng.standard_normal((2, 2, 3))))
+        assert callers == []
+        assert sw.decomposition.atoms
 
     def test_greedy_takes_one_atom_per_hopm_call(self, monkeypatch):
         calls = []
@@ -710,8 +732,11 @@ class TestNuclearSandwich:
 
     def test_greedy_sandwich_at_any_scale(self):
         # The cut of negligible weights is relative: at 1e-13 an absolute
-        # cut of 1e-12 dropped every atom.
+        # cut of 1e-12 dropped every atom.  The pursuit runs at unit scale,
+        # so HOPM's stop rule, absolute below 1, does not move the upper end
+        # with the scale.
         T = np.random.default_rng(0).standard_normal((3, 3, 3))
+        unit = nuclear_sandwich(T).upper
         for exponent in range(-100, 101):
             A = 10.0 ** exponent * T
             sw = nuclear_sandwich(A)
@@ -720,6 +745,8 @@ class TestNuclearSandwich:
             assert sw.upper <= (dec.weight_sum
                                 + holder_norm(A - decomposition_sum(dec), 1)
                                 + 1e-9 * sw.upper), exponent
+            assert sw.upper / 10.0 ** exponent == pytest.approx(
+                unit, rel=1e-8), exponent
 
     def test_sign_witness_ridges_a_singular_gram(self):
         # Two equal columns make the Gram matrix singular: the ridge takes
@@ -738,8 +765,69 @@ def _random_2x2xn(seed, n, perm):
         perm)
 
 
+def _two_by_two_draw(kind, seed, n, perm, exponent):
+    """A seeded ``2 x 2 x n`` tensor of one of three kinds, its modes
+    permuted and scaled by ``10^exponent``: Gaussian, orthogonally
+    decomposable (two atoms with orthonormal factors in every mode) or the
+    sum of three Gaussian rank-one atoms."""
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        T = rng.standard_normal((2, 2, n))
+    elif kind == "odeco":
+        Q = [np.linalg.qr(rng.standard_normal((m, 2)))[0] for m in (2, 2, n)]
+        T = sum(outer_atom([q[:, i] for q in Q], w)
+                for i, w in enumerate(rng.standard_normal(2)))
+    else:
+        T = sum(outer_atom([rng.standard_normal(m) for m in (2, 2, n)])
+                for _ in range(3))
+    return 10.0 ** exponent * T.transpose(perm)
+
+
+_two_by_two_draws = st.builds(
+    _two_by_two_draw, kind=st.sampled_from(["gaussian", "odeco", "rank3"]),
+    seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 7),
+    perm=st.permutations(range(3)), exponent=st.floats(-8.0, 8.0))
+
+
 class TestExactTwoByTwoSandwich:
     """The exact program for 2 x 2 x n sandwiches (``_pt_nuclear``)."""
+
+    @given(T=_two_by_two_draws)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_program_atoms_attain_the_upper_end(self, T):
+        # The atoms come from the program's own dual point: they rebuild T,
+        # weigh no more than the upper end, and with their residual bound it.
+        sw = nuclear_sandwich(T)
+        dec = sw.decomposition
+        residual = T - decomposition_sum(dec)
+        assert holder_norm(residual, 2) <= 1e-12 * holder_norm(T, 2)
+        assert dec.weight_sum <= sw.upper * (1.0 + 1e-12)
+        assert sw.upper <= (dec.weight_sum
+                            + holder_norm(residual, 1)) * (1.0 + SLACK)
+
+    @given(T=_two_by_two_draws)
+    @settings(max_examples=60, deadline=None, derandomize=True)
+    def test_search_takes_at_most_twenty_steps(self, T):
+        # Each step of the search is one SVD of a 4 x n matrix.
+        shapes = []
+        original = np.linalg.svd
+
+        def recording(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return original(a, *args, **kwargs)
+
+        program = tnn.norms._pt_nuclear
+
+        def counted(A):
+            with pytest.MonkeyPatch.context() as mp:
+                mp.setattr(np.linalg, "svd", recording)
+                return program(A)
+
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(tnn.norms, "_pt_nuclear", counted)
+            nuclear_sandwich(T)
+        steps = [s for s in shapes if s[0] == 4]
+        assert steps and len(steps) <= 20
 
     @given(seed=st.integers(0, 2 ** 32 - 1), n=st.integers(2, 7),
            perm=st.permutations(range(3)), exponent=st.floats(-8.0, 8.0))
@@ -772,11 +860,22 @@ class TestExactTwoByTwoSandwich:
         assert nuc <= sw.upper * (1.0 + SLACK)
 
     @pytest.mark.parametrize("seed", [26, 60])
-    def test_two_peak_witnesses_close_on_the_program_cap(self, seed):
-        # The program's witnesses have two maxima equal to about 1e-10,
-        # where the partial-transpose cap's primal step leaves its
-        # multiplier off; the program's own multiplier closes them.
+    def test_two_peak_witnesses_close_on_the_program_cap(self, seed,
+                                                         monkeypatch):
+        # A witness with two maxima equal to about 1e-10 can leave the
+        # partial-transpose cap's primal step with its multiplier off, and
+        # the enclosure 1e-10 to 4e-10 loose.  The program's own multiplier
+        # closes such a witness: here the enclosure is widened by 1e-10.
         _, T, S = sample_weak_pair((2, 2, 2), seed)
+        sw = nuclear_sandwich(T + S)
+        assert sw.gap <= 1e-12 * sw.upper
+        original = tnn.norms._witness_bound
+
+        def loose(Z):
+            bound, how = original(Z)
+            return bound * (1.0 + 1e-10), how
+
+        monkeypatch.setattr(tnn.norms, "_witness_bound", loose)
         sw = nuclear_sandwich(T + S)
         assert sw.gap <= 1e-12 * sw.upper
         assert "witness_bound_pt_dual" in sw.flags
@@ -784,7 +883,7 @@ class TestExactTwoByTwoSandwich:
     def test_program_cap_bounds_its_witness(self):
         for seed in range(10):
             A = _random_2x2xn(seed, 3, (2, 0, 1))
-            Z, cap, _ = tnn.norms._pt_nuclear(A)
+            Z, cap, *_ = tnn.norms._pt_nuclear(A)
             assert spectral_hopm(Z, starts=64).value <= cap
             assert cap <= 1.0 + 1e-12
 
