@@ -38,7 +38,16 @@ where its spectral norm is attained, the sweeps converge sublinearly, so a
 run they have not settled within ``_HOPM_SWEEPS`` is finished from its best
 start by BFGS on ``sigma_max(T x_fixed x)``, the function the branch and
 bound encloses, and the finished vectors are kept when the form is no lower
-there, up to rounding.
+there, up to rounding.  On a ``2 x 2 x n`` tensor HOPM first takes the
+partial-transpose primal step (``_pt_primal``); where the cap meets its
+value, to HOPM's ``tol`` relative, that value is the norm and no sweep runs.
+It is the same float the branch and bound reports as its lower end there.
+
+The branch and bound's cells need only the top singular value of many small
+matrices (``_sigma_max``): ``2 x 2`` blocks in closed form, larger ones from
+the top eigenvalue of the smaller Gram matrix, with the cells run on the
+tensor over a power of two near its largest entry so that the squares stay
+inside the float range.
 
 The nuclear norm is enclosed in a sandwich ``[lower, upper]``: the upper
 bound comes from a rank-one decomposition, bounded by total weight plus l1
@@ -148,7 +157,16 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     returned unit vectors.
     ``iterations`` counts sweeps plus finishing steps, both drawn from
     ``max_iter``, and ``converged`` is false only when that budget runs out
-    first."""
+    first.
+
+    An order-3 tensor whose two smallest modes have size 2 gets the
+    partial-transpose primal step first (``_pt_primal``), with its cap
+    (``_pt_cap``).  Where ``cap - value <= tol * cap`` the value is the
+    norm to rounding, and it is returned with its vectors as
+    ``SpectralResult(value, vectors, 1, 1)``: ``starts``, ``seed`` and
+    ``max_iter`` have no effect there.  ``value`` is then the float that
+    ``spectral_certified_upper`` reports as its lower end wherever the cap
+    decides its enclosure too.  Otherwise the sweeps run as above."""
     A = asarray(T)
     d = A.ndim
     if np.all(A == 0):
@@ -160,6 +178,12 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     if d == 2:
         U, s, Vt = np.linalg.svd(A)
         return SpectralResult(float(s[0]), (U[:, 0], Vt[0]), 1, 1)
+    if d == 3 and sorted(A.shape)[:2] == [2, 2]:
+        # The partial-transpose primal step, exact where its cap meets it.
+        attained, vectors, M, s, scale = _pt_primal(A)
+        cap = _pt_cap(M, s, A.size // 4) * scale
+        if cap - attained <= tol * cap:
+            return SpectralResult(attained, vectors, 1, 1)
     if starts < 1:
         raise ParameterError("starts must be >= 1")
 
@@ -345,25 +369,39 @@ def _partial_transpose_bound(A):
     biquadratic forms in ``2 + 2`` variables are sums of squares (Calderon
     1973), so the least such bound is exact.
 
-    Primal step: ``sigma_max(A x_0 x)^2`` with ``x = (cos t, sin t)`` is the
-    top eigenvalue of a ``2 x 2`` matrix affine in ``(cos 2t, sin 2t)``,
+    ``attained`` and the multiplier ``s`` come from the primal step
+    (``_pt_primal``); ``cap`` is ``sqrt(lambda_max(M + s W) + slack)``
+    (``_pt_cap``).  Where the primal step misses the maximum, ``s`` is off
+    the optimum and ``cap`` is still a bound, only looser."""
+    attained, _, M, s, scale = _pt_primal(A)
+    return _pt_cap(M, s, A.size // 4) * scale, attained
+
+
+def _pt_primal(A):
+    """``(attained, vectors, M, s, scale)``: the primal step of
+    ``_partial_transpose_bound`` on a ``2 x 2 x n`` tensor ``A``, its modes
+    in any order.
+
+    ``sigma_max(A x_0 x)^2`` with ``x = (cos t, sin t)`` is the top
+    eigenvalue of a ``2 x 2`` matrix affine in ``(cos 2t, sin 2t)``,
     evaluated in closed form on a grid of ``2t``; each local maximum on the
     grid is refined by Newton steps on the angle, and with ``y`` the top
-    eigenvector at the best one, ``attained`` is ``||A x_0 x x_1 y||``.
+    eigenvector at the best one, ``attained`` is ``||A x_0 x x_1 y||``,
+    the form's value at the unit ``vectors`` ``x``, ``y`` and
+    ``z = A x_0 x x_1 y / attained``, given in ``A``'s mode order.
 
-    Dual step: at the maximizer ``v = x (x) y`` with value ``g``, ``v`` is
-    a top eigenvector of ``M + s W`` for the optimal ``s``, so
+    Dual multiplier: at the maximizer ``v = x (x) y`` with value ``g``,
+    ``v`` is a top eigenvector of ``M + s W`` for the optimal ``s``, so
     ``(M - g I) v = -s W v``; as ``Wv`` has unit norm and is orthogonal to
-    ``v``, that ``s`` is ``-<Wv, Mv>``.  ``cap`` is
-    ``sqrt(lambda_max(M + s W) + slack)`` (``_pt_cap``).  Where the primal
-    step misses the maximum, ``s`` is off the optimum and ``cap`` is still a
-    bound, only looser.
+    ``v``, that ``s`` is ``-<Wv, Mv>``.
 
-    The steps run on ``A`` over its Frobenius norm, and both values are
-    scaled back: the angle steps' Python floats would overflow or divide by
-    zero on a tensor of norm near 1e40 or 1e-60."""
+    The steps run on ``A`` over its Frobenius norm ``scale``, and
+    ``attained`` is scaled back; ``M`` is the Gram matrix of the ``4 x n``
+    unfolding of that unit tensor.  The angle steps' Python floats would
+    overflow or divide by zero on a tensor of norm near 1e40 or 1e-60."""
     scale = float(np.linalg.norm(A))
-    B = A.transpose(np.argsort(A.shape, kind="stable")) / scale
+    order = np.argsort(A.shape, kind="stable")
+    B = A.transpose(order) / scale
     n = B.shape[2]
     U = B.reshape(4, n)
     M = U @ U.T
@@ -423,9 +461,11 @@ def _partial_transpose_bound(A):
     y = np.array(y) / ny if ny > 0.0 else np.array([1.0, 0.0])
     x = np.array([math.cos(0.5 * phi), math.sin(0.5 * phi)])
     v = np.outer(x, y).ravel()
-    attained = float(np.linalg.norm(v @ U))
-    return (_pt_cap(M, -float(_PT_W @ v @ (M @ v)), n) * scale,
-            attained * scale)
+    w = v @ U
+    attained = float(np.linalg.norm(w))
+    vectors = (x, y, w / attained)
+    return (attained * scale, tuple(vectors[k] for k in np.argsort(order)),
+            M, -float(_PT_W @ v @ (M @ v)), scale)
 
 
 def _pt_cap(M, s, n):
@@ -459,7 +499,12 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     and at the normalized corners are attained values, hence lower bounds.
     ``max_evals`` counts these small matrix-norm evaluations; each cell costs
     ``1 + 2^sum(n_k - 1)`` of them, so fixed-mode dimensions above 4 are
-    refused.
+    refused.  Each is the top singular value alone (``_sigma_max``): in
+    closed form for ``2 x 2`` matrices, elsewhere the square root of the top
+    eigenvalue of the smaller Gram matrix.  The Gram form squares the
+    entries, so the cells run on ``T`` over the power of two at or below its
+    largest entry magnitude, with ``tol`` and ``threshold`` divided alike and
+    both ends multiplied back; the division is exact in binary.
 
     If ``threshold`` is given, the search stops as soon as either
     ``upper <= threshold`` or ``lower > threshold`` is established.
@@ -503,7 +548,15 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
         if decided(cap, best):
             return best, max(best, cap)
 
-    A = A.transpose(fixed + sorted(order[d - 2:]))
+    # The cells run on A over the power of two at or below max|A|, a
+    # division exact in binary: the Gram matrices of _sigma_max would
+    # overflow or underflow far inside the float range.  tol, threshold and
+    # the partial-transpose values are scaled alike, and both ends back.
+    peak = math.ldexp(1.0, math.frexp(float(np.abs(A).max()))[1] - 1)
+    A = A.transpose(fixed + sorted(order[d - 2:])) / peak
+    cap, best, tol = cap / peak, best / peak, tol / peak
+    if threshold is not None:
+        threshold = threshold / peak
     ns = [dims[k] for k in fixed]
     offsets = np.cumsum([0] + [n - 1 for n in ns])
     D = int(offsets[-1])
@@ -517,7 +570,8 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     m = len(ns)
     contract = (subs + "," + ",".join("z" + s for s in subs[:m])
                 + "->z" + subs[m:])
-    # Matrices per einsum and SVD call, so that each call stays near 32 MB.
+    # Matrices per einsum and _sigma_max call, so that each call stays near
+    # 32 MB.
     chunk = max(1, 2 ** 22 // (A.shape[-2] * A.shape[-1]))
 
     def bound(faces, zc, zh):
@@ -529,8 +583,7 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
         xs = [np.take_along_axis(w, s[faces[:, k]][:, None], 2).reshape(-1, n)
               for k, (w, s, n) in enumerate(zip(ws, scatter, ns))]
         f = np.concatenate([
-            np.linalg.svd(np.einsum(contract, A, *(x[r:r + chunk] for x in xs)),
-                          compute_uv=False)[:, 0]
+            _sigma_max(np.einsum(contract, A, *(x[r:r + chunk] for x in xs)))
             for r in range(0, B * C, chunk)]).reshape(B, C)
         # f / heights is f at the points projected onto the tangent planes at
         # the cell centre; f / lengths is f at the normalized points.
@@ -559,7 +612,7 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
         top = -heap[0][0] if heap else -np.inf
         upper = min(cap, max(top, resolved))
         if not heap or evals >= max_evals or decided(upper, best):
-            return best, max(best, upper)
+            return best * peak, max(best, upper) * peak
         cells = []
         while heap and len(cells) < _BNB_BATCH:
             neg_ub, _, face, c, h = heapq.heappop(heap)
@@ -575,6 +628,20 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
                 centre = c.copy()
                 centre[j] += side * half[j]
                 cells.append((face, centre, half, -neg_ub))
+
+
+def _sigma_max(X):
+    """The largest singular value of each matrix in the batch ``X``
+    (``batch x p x q``): in closed form for ``2 x 2`` blocks, elsewhere the
+    square root of the top eigenvalue of the smaller Gram matrix.  The Gram
+    form squares the entries, so it needs them well inside the float range.
+    """
+    if X.shape[1:] == (2, 2):
+        a, b, c, d = X[:, 0, 0], X[:, 0, 1], X[:, 1, 0], X[:, 1, 1]
+        return 0.5 * (np.hypot(a + d, c - b) + np.hypot(a - d, b + c))
+    G = (X @ X.transpose(0, 2, 1) if X.shape[1] <= X.shape[2]
+         else X.transpose(0, 2, 1) @ X)
+    return np.sqrt(np.maximum(np.linalg.eigvalsh(G)[:, -1], 0.0))
 
 
 def spectral_flattening_upper(T):

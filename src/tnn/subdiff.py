@@ -327,11 +327,13 @@ def probe_tau(selector, shape, trials=8, seed=0, bisect_tol=1e-3):
     extreme gallery directions.  Each random instance is a unit rank-one
     atom ``T`` with its own certificate ``Z = T`` (``||T||_sigma = ||T||_* =
     <T, T> = 1``) and a random ``U`` in the selected subspace of its mode
-    spans.  ``U`` is normalized to unit spectral norm, so the recorded radii
-    are spectral norms of the additive part.  Each bisection step is a
-    certified decision from ``spectral_enclosure`` in threshold mode, so
-    every shape is accepted; where the branch and bound refuses the shape,
-    the decision rests on the flattening bound and the largest entry."""
+    spans.  ``U`` is divided by its HOPM value, so it has unit spectral norm
+    where HOPM is exact (``2 x 2 x n`` shapes) and a norm of at least 1
+    elsewhere: each recorded radius is at most the spectral norm of the
+    additive part it stands for.  Each bisection step is a certified
+    decision from ``spectral_enclosure`` in threshold mode, so every shape
+    is accepted; where the branch and bound refuses the shape, the decision
+    rests on the flattening bound and the largest entry."""
     shape = tuple(int(n) for n in shape)
     if trials < 1:
         raise ParameterError("need at least one trial")

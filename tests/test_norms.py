@@ -119,18 +119,45 @@ class TestSpectralHopm:
     def test_finish_converges_where_sweeps_stall(self):
         # Z + X of the yuan3 family at t = 1/2 has norm exactly 1, which the
         # sweeps approach sublinearly (2000 of them reach 0.99999998); the
-        # second-order finish reaches it in a few dozen steps.
-        res = spectral_hopm(_yuan3_zx(0.5))
+        # second-order finish reaches it in a few dozen steps.  A trailing
+        # size-1 mode keeps the tensor off the 2 x 2 x n early return.
+        res = spectral_hopm(_yuan3_zx(0.5)[..., None])
         assert res.converged
         assert _HOPM_SWEEPS < res.iterations < 200
         assert abs(res.value - 1.0) <= 1e-12
 
     def test_not_converged_on_sweep_budget(self):
         # A budget below the sweep stage's ends the run before any finish.
-        res = spectral_hopm(_yuan3_zx(0.5), max_iter=_HOPM_SWEEPS // 2)
+        res = spectral_hopm(_yuan3_zx(0.5)[..., None],
+                            max_iter=_HOPM_SWEEPS // 2)
         assert res.iterations == _HOPM_SWEEPS // 2
         assert not res.converged
         assert res.value <= 1.0 + SLACK
+
+
+class TestHopmTwoByTwo:
+    """On ``2 x 2 x n`` HOPM is the partial-transpose primal step, exact
+    where the cap meets it."""
+
+    @given(n=st.integers(2, 7), position=st.integers(0, 2),
+           seed=st.integers(0, 2 ** 32 - 1),
+           exponent=st.sampled_from([-8, 0, 8]))
+    @settings(max_examples=40, deadline=None, derandomize=True)
+    def test_exact_and_tied_to_the_enclosure(self, n, position, seed,
+                                             exponent):
+        shape = [2, 2]
+        shape.insert(position, n)
+        A = np.random.default_rng(seed).standard_normal(shape)
+        A *= 10.0 ** exponent
+        res = spectral_hopm(A)
+        assert res.value == spectral_certified_upper(A)[0]
+        for x in res.maximizers:
+            assert np.linalg.norm(x) == pytest.approx(1.0, rel=1e-15)
+        assert res.value == pytest.approx(
+            multilinear_contract(A, list(res.maximizers)), rel=1e-14)
+        assert res.iterations == 1
+        sweeps = spectral_hopm(A[..., None]).value
+        assert res.value >= sweeps * (1.0 - 1e-15)
 
 
 def _yuan3_zx(t):
@@ -380,6 +407,21 @@ class TestSpectralCertified:
         lo, up = spectral_certified_upper(T, tol=1e-9, max_evals=1)
         assert lo <= spectral_hopm(T).value <= up + 1e-12
 
+    @pytest.mark.parametrize("shape", [(4, 4, 4), (3, 5, 6), (2, 2, 2, 2),
+                                       (3, 3, 3)])
+    def test_branch_and_bound_at_any_scale(self, shape):
+        # The cells' sigma_max squares the entries; the loop's scaling keeps
+        # both ends from overflowing or underflowing.
+        T = np.random.default_rng(0).standard_normal(shape)
+        T /= np.linalg.norm(T)
+        tol = 1e-3
+        ref = spectral_certified_upper(T, tol=tol)
+        for exponent in range(-200, 201, 40):
+            f = 10.0 ** exponent
+            ends = spectral_certified_upper(f * T, tol=tol * f)
+            for end, want in zip(ends, ref):
+                assert end / f == pytest.approx(want, rel=1e-14)
+
     @given(shape=st.sampled_from([(2, 2, 2), (1, 3, 2), (3, 3, 3), (2, 3, 4),
                                   (2, 1, 3, 2), (2, 2, 2, 2)]),
            seed=st.integers(0, 2 ** 32 - 1),
@@ -393,17 +435,17 @@ class TestSpectralCertified:
         assert up - lo <= tol
 
 
-def count_svds(monkeypatch):
-    """Patch ``np.linalg.svd`` to count its calls; the branch and bound makes
-    one per batch of cells."""
+def count_cell_batches(monkeypatch):
+    """Patch the branch and bound's ``sigma_max`` kernel to count its calls;
+    it makes one per batch of cells."""
     calls = []
-    svd = np.linalg.svd
+    kernel = tnn.norms._sigma_max
 
     def counting(*args, **kwargs):
         calls.append(1)
-        return svd(*args, **kwargs)
+        return kernel(*args, **kwargs)
 
-    monkeypatch.setattr(np.linalg, "svd", counting)
+    monkeypatch.setattr(tnn.norms, "_sigma_max", counting)
     return calls
 
 
@@ -416,6 +458,21 @@ def two_peak_witness():
                      -0.4601132015365259, 0.5980758448927118,
                      0.3749110180051184, -0.47899575001196454,
                      -0.8756725710711599, -0.4379087452835284]).reshape(2, 2, 2)
+
+
+class TestSigmaMaxKernel:
+    @pytest.mark.parametrize("p, q", [(2, 2), (3, 3), (4, 4), (5, 6), (6, 5)])
+    def test_matches_lapack(self, p, q):
+        rng = np.random.default_rng(p * 10 + q)
+        X = rng.standard_normal((200, p, q))
+        # Rank-one and all-zero blocks ride along.
+        X[0] = np.outer(rng.standard_normal(p), rng.standard_normal(q))
+        X[1] = 0.0
+        X[2] = np.outer(np.eye(p)[0], np.eye(q)[-1])
+        want = np.linalg.svd(X, compute_uv=False)[:, 0]
+        got = tnn.norms._sigma_max(X)
+        assert got[1] == 0.0
+        np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
 
 
 class TestPartialTransposeBound:
@@ -437,7 +494,7 @@ class TestPartialTransposeBound:
             self, rng, monkeypatch, threshold, decided):
         T = rng.standard_normal((2, 3, 2))
         T /= spectral_hopm(T, starts=64).value
-        calls = count_svds(monkeypatch)
+        calls = count_cell_batches(monkeypatch)
         lo, up = spectral_certified_upper(T, tol=1e-9, threshold=threshold)
         assert calls == []
         assert up <= threshold if decided == "upper" else lo > threshold
@@ -445,7 +502,7 @@ class TestPartialTransposeBound:
     def test_several_maximizers_close_on_the_higher_one(self, monkeypatch):
         Z = two_peak_witness()
         hopm = spectral_hopm(Z, starts=64).value
-        calls = count_svds(monkeypatch)
+        calls = count_cell_batches(monkeypatch)
         lo, up = spectral_certified_upper(Z, tol=1e-5)
         assert calls == []
         assert lo <= hopm + SLACK and hopm <= up
@@ -462,7 +519,7 @@ class TestPartialTransposeBound:
             cap, attained - 1e-3)
         monkeypatch.setattr(tnn.norms, "_partial_transpose_bound",
                             lambda A: loose)
-        calls = count_svds(monkeypatch)
+        calls = count_cell_batches(monkeypatch)
         lo, up = spectral_certified_upper(Z, tol=1e-5)
         assert calls
         assert lo <= hopm + SLACK and hopm <= up <= loose[0]
