@@ -32,9 +32,17 @@ HOPM runs all starts together on unfoldings: each mode's transposed
 unfolding ``T_(k)^T`` is copied once per call, and each mode update is one
 BLAS product of the other modes' row-wise Khatri-Rao product with it.  The
 norms of a sweep's last updates are the values at the starts, so no sweep
-evaluates the form separately; it is evaluated once, at the final vectors,
-to rank the starts.  At a degenerate maximum, such as a subgradient's atoms
-where its spectral norm is attained, the sweeps converge sublinearly, so a
+evaluates the form separately.  The starts are ranked, and the value
+reported, by the row-wise ``<KR(x_1, ..., x_{d-1}) T_(d)^T, x_d>``: the
+last sweep's last update paired with the last mode's vectors, or the same
+BLAS product once more (``_hopm_form``); no ``einsum`` runs.
+The sweeps take a stack of same-shape tensors (``_hopm_stack``) as one
+batched ``matmul`` per mode update, each tensor leaving at the sweep where
+its own stop rule fires, so a stacked tensor's result is the one it gets
+alone; ``spectral_hopm`` is the stack of one, and ``rpca``'s concentration
+experiment sends all its trials' sign tensors through one stack.  At a
+degenerate maximum, such as a subgradient's atoms where its spectral norm
+is attained, the sweeps converge sublinearly, so a
 run they have not settled within ``_HOPM_SWEEPS`` is finished from its best
 start by BFGS on ``sigma_max(T x_fixed x)``, the function the branch and
 bound encloses, and the finished vectors are kept when the form is no lower
@@ -129,12 +137,6 @@ class SpectralResult:
     converged: bool = field(default=True, kw_only=True)
 
 
-def _hopm_value_string(d):
-    """einsum string for the form's values at a batch of starts."""
-    modes = _LETTERS[:d]
-    return modes + "," + ",".join("z" + m for m in modes) + "->z"
-
-
 def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     """Multi-start alternating (higher-order power) maximization of the
     multilinear form; returns the best local maximizer found, one vector
@@ -146,9 +148,12 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     (``N/n_k x n_k``, built once per call).  After a sweep the value at each
     start is the norm of its last update ``V``, since
     ``<A, x_1 (x) ... (x) V/||V||> = ||V||``; the sweeps stop when no value
-    moves by more than ``tol`` (relative to the largest, when above 1).  The
-    best start is the one where the form, evaluated once at the final
-    vectors, is largest in magnitude.
+    moves by more than ``tol`` (relative to the largest, when above 1)
+    since the sweep before, so the first sweep never stops them.  The
+    starts are ranked, and the best one's value reported, by one formula:
+    the row-wise ``<KR(x_1, ..., x_{d-1}) T_(d)^T, x_d>``, the form at each
+    start's final vectors, whose first factor is the last sweep's last
+    update.
 
     A run whose sweeps have not stopped after ``_HOPM_SWEEPS`` is finished
     from its best start by ``_hopm_finish``; its vectors replace the best
@@ -166,8 +171,17 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     ``SpectralResult(value, vectors, 1, 1)``: ``starts``, ``seed`` and
     ``max_iter`` have no effect there.  ``value`` is then the float that
     ``spectral_certified_upper`` reports as its lower end wherever the cap
-    decides its enclosure too.  Otherwise the sweeps run as above."""
-    A = asarray(T)
+    decides its enclosure too.  Otherwise the sweeps run as above.
+
+    This is ``_hopm_stack`` on a stack of one tensor."""
+    return _hopm_stack(asarray(T)[None], starts, tol, max_iter, seed)[0]
+
+
+def _hopm_direct(A, tol):
+    """``spectral_hopm``'s result where it needs no sweep: a zero tensor, a
+    vector, a matrix (its SVD), or a ``2 x 2 x n`` tensor whose
+    partial-transpose cap meets the primal step's value to ``tol``
+    relative; ``None`` otherwise."""
     d = A.ndim
     if np.all(A == 0):
         maxim = tuple(basis_vector(n) for n in A.shape)
@@ -184,54 +198,112 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
         cap = _pt_cap(M, s, A.size // 4) * scale
         if cap - attained <= tol * cap:
             return SpectralResult(attained, vectors, 1, 1)
+    return None
+
+
+def _hopm_form(X, unfolded):
+    """The form at each row of the vectors ``X`` (one ``rows x n_k`` array
+    per mode): ``<KR(x_1, ..., x_{d-1}) T_(d)^T, x_d>`` row by row, with
+    ``unfolded`` the last mode's transposed unfolding ``T_(d)^T``."""
+    return ((_khatri_rao_rows(X[:-1]) @ unfolded) * X[-1]).sum(axis=-1)
+
+
+def _as_stack(X):
+    """``X`` with a leading stack axis: a view, of length one for a matrix."""
+    return X.reshape((-1,) + X.shape[-2:])
+
+
+def _hopm_stack(stack, starts=32, tol=1e-12, max_iter=2000, seed=0):
+    """``spectral_hopm`` on every tensor ``stack[i]`` of a stack of tensors
+    of one shape; returns one ``SpectralResult`` per tensor, each equal to
+    ``spectral_hopm(stack[i], ...)``.
+
+    Tensors that need no sweep (``_hopm_direct``) are settled one at a
+    time.  The others sweep together, from the same starts: each mode
+    update is one batched ``matmul`` over the stack, and a tensor leaves
+    the loop at the sweep where its own stop rule fires, or on the sweep
+    budget.  Ranking and the finish then run per tensor."""
+    results = [_hopm_direct(A, tol) for A in stack]
+    todo = [i for i, res in enumerate(results) if res is None]
+    if not todo:
+        return results
     if starts < 1:
         raise ParameterError("starts must be >= 1")
 
-    value_str = _hopm_value_string(d)
+    shape = stack.shape[1:]
+    d = len(shape)
+    # A lone tensor sweeps on plain matrices and tests its stop on scalars;
+    # a stack adds a leading axis and reduces over the starts per tensor.
+    lead, starts_axis, fired = (((len(todo),), -2, np.count_nonzero)
+                                if len(todo) > 1 else ((), None, bool))
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), d]))
-    X = [rng.standard_normal((starts, n)) for n in A.shape]
+    X = [rng.standard_normal((starts, n)) for n in shape]
     # Each row over its norm, summed as np.linalg.norm sums one vector.
     X = [R / np.sqrt(R[:, None, :] @ R[:, :, None])[:, 0] for R in X]
-    # Mode k's transposed unfolding: rows run over the other modes in
+    X = [R[None].repeat(len(todo), axis=0).reshape(lead + R.shape)
+         for R in X]
+    # Mode k's transposed unfoldings: rows run over the other modes in
     # increasing order, as the Khatri-Rao rows do.
-    unfolded = [np.ascontiguousarray(np.moveaxis(A, k, -1).reshape(-1, n))
-                for k, n in enumerate(A.shape)]
+    unfolded = [np.ascontiguousarray(np.moveaxis(stack[todo], k + 1, -1)
+                                     .reshape(lead + (-1, n)))
+                for k, n in enumerate(shape)]
+    last = _as_stack(unfolded[-1])
+    # Position in `todo` of each tensor still sweeping, and what each
+    # tensor left the loop with: its vectors, last update (the last mode's
+    # KR(x_1, ..., x_{d-1}) T_(d)^T, none before a sweep), sweeps and stop.
+    live = np.arange(len(todo))
+    stacked = [_as_stack(x) for x in X]
+    left = [([x[j] for x in stacked], None, 0, False) for j in live]
     # Sign flips are absorbed: |value| is what alternating maximization
     # drives upward (flip one factor's sign to realize the positive value).
-    vals = np.abs(np.einsum(value_str, A, *X))
-    total_iters, converged = 0, False
-    for _ in range(min(max_iter, _HOPM_SWEEPS)):
-        total_iters += 1
+    vals = np.inf
+    sweeps = min(max_iter, _HOPM_SWEEPS)
+    for sweep in range(1, sweeps + 1):
         for k in range(d):
             V = _khatri_rao_rows(X[:k] + X[k + 1:]) @ unfolded[k]
-            norms = np.sqrt((V * V).sum(axis=1))
-            X[k] = V / np.where(norms == 0, 1.0, norms)[:, None]
-        converged = np.abs(norms - vals).max() < tol * max(1.0, norms.max())
+            norms = np.sqrt((V * V).sum(axis=-1, keepdims=True))
+            X[k] = V / np.where(norms == 0, 1.0, norms)
+        stop = (np.abs(norms - vals).max(axis=starts_axis)
+                < tol * norms.max(axis=starts_axis, initial=1.0))
         vals = norms
-        if converged:
+        if sweep < sweeps and not fired(stop):
+            continue
+        stop = stop.reshape(-1)
+        out = stop | (sweep == sweeps)
+        stacked = [_as_stack(x) for x in X]
+        for j in np.flatnonzero(out):
+            left[live[j]] = ([x[j] for x in stacked], _as_stack(V)[j], sweep,
+                             bool(stop[j]))
+        if out.all():
             break
-    # Starts at one maximum tie to rounding; rank them by the value the
-    # result reports, not by the update norms.
-    vals = np.abs(np.einsum(value_str, A, *X))
-    best = int(np.argmax(vals))
-    vecs = [np.array(x[best]) for x in X]
-    signed = float(np.einsum(value_str, A, *[v[None] for v in vecs]).item())
-    if not converged and max_iter > total_iters:
-        finished, steps, converged = _hopm_finish(A, vecs,
-                                                  max_iter - total_iters)
-        total_iters += steps
-        at = float(np.einsum(value_str, A, *[v[None] for v in finished]
-                             ).item())
-        # Within rounding of the sweeps' value, the finished vectors are
-        # the better settled ones.
-        if abs(at) >= abs(signed) * (1.0 - _FINISH_FLOOR):
-            vecs, signed = finished, at
-    if signed < 0:
-        vecs[0] = -vecs[0]
-    maxim = tuple(vecs)
-    value = float(abs(signed))
-    return SpectralResult(value, maxim, starts, total_iters,
-                          converged=bool(converged))
+        go = ~out
+        live, vals = live[go], vals[go]
+        X = [x[go] for x in X]
+        unfolded = [u[go] for u in unfolded]
+
+    for j, (i, (Xj, Vj, total_iters, converged)) in enumerate(zip(todo,
+                                                                   left)):
+        # Starts at one maximum tie to rounding; rank them by the value the
+        # result reports, not by the update norms.
+        values = (_hopm_form(Xj, last[j]) if Vj is None
+                  else (Vj * Xj[-1]).sum(axis=-1))
+        best = int(np.argmax(np.abs(values)))
+        vecs = [np.array(x[best]) for x in Xj]
+        signed = float(values[best])
+        if not converged and max_iter > total_iters:
+            finished, steps, converged = _hopm_finish(
+                stack[i], vecs, max_iter - total_iters)
+            total_iters += steps
+            at = float(_hopm_form([v[None] for v in finished], last[j])[0])
+            # Within rounding of the sweeps' value, the finished vectors
+            # are the better settled ones.
+            if abs(at) >= abs(signed) * (1.0 - _FINISH_FLOOR):
+                vecs, signed = finished, at
+        if signed < 0:
+            vecs[0] = -vecs[0]
+        results[i] = SpectralResult(abs(signed), tuple(vecs), starts,
+                                    total_iters, converged=bool(converged))
+    return results
 
 
 # Sweeps before a run that has not converged is finished by `_hopm_finish`.

@@ -47,7 +47,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .norms import _raised_enclosure, spectral_hopm
+from .norms import _hopm_stack, _raised_enclosure
 from .subdiff import find_z_witness
 from .subspace import (
     EntrySupport,
@@ -438,9 +438,25 @@ def certify(instance, lam=None):
 # ---------------------------------------------------------------------------
 
 def _svt(X, tau):
-    U, s, Vt = np.linalg.svd(X, full_matrices=False)
-    s = np.maximum(s - tau, 0.0)
-    return (U * s) @ Vt
+    """Singular-value thresholding ``U diag(max(s - tau, 0)) V^T`` of ``X``
+    from one ``eigh`` of the Gram matrix of ``X / tau`` on its smaller side.
+
+    With ``w`` the Gram eigenvalues (``(s / tau)^2``) and ``V_k`` the
+    eigenvectors of those above 1, the thresholded matrix is
+    ``X V_k diag(1 - w_k^{-1/2}) V_k^T`` (or its mirror ``V_k ... V_k^T X``
+    for a wide ``X``): no SVD and no left singular vectors.  Every kept
+    singular value is at least ``tau``, where ``1 - w^{-1/2}`` has a
+    derivative of at most 1/2, so an eigenvalue error ``delta`` moves the
+    result by at most ``tau delta / 2`` per direction; ``eigh``'s error is
+    about ``eps ||X / tau||^2``."""
+    Y = X / tau
+    wide = X.shape[0] < X.shape[1]
+    w, V = np.linalg.eigh(Y @ Y.T if wide else Y.T @ Y)
+    keep = w > 1.0
+    Vk, shrink = V[:, keep], 1.0 - w[keep] ** -0.5
+    if wide:
+        return Vk @ (shrink[:, None] * (Vk.T @ X))
+    return ((X @ Vk) * shrink) @ Vk.T
 
 
 def _soft(X, tau):
@@ -452,16 +468,37 @@ def solve_matrix_rpca(M, lam=None, tol=1e-9, max_iter=2000):
     entrywise soft thresholding with a scaled dual update, at the penalty
     ``mu = size / (4 ||M||_1)``.  Returns
     ``(L_hat, S_hat, residuals)``; non-convergence raises with the last
-    iterate attached."""
+    iterate attached.
+
+    The iteration runs on ``M`` over ``2^k``, the power of two at or below
+    ``max |M|``, which is exact in binary, and ``L`` and ``S`` are scaled
+    back.  On that scaled ``M`` it stops when both the primal residual
+    ``||M - L - S||_F / ||M||_F`` and the dual residual
+    ``mu ||S - S_prev||_F / ||M||_F`` are at most ``tol``; ``residuals``
+    lists the primal one per step.  The dual residual scales as one over
+    the scale of ``M``, so without the scaling the stop, and with it the
+    result, would depend on that scale; with it, the result and the
+    iteration count do not, from ``10^-300 M`` to ``10^300 M``.
+
+    Each singular-value thresholding (``_svt``) is one symmetric
+    eigendecomposition of the smaller Gram matrix of ``X / tau``.  Its
+    eigenvalue error is about ``eps sigma_max(X / tau)^2`` against the
+    threshold 1, which moves ``L`` by about ``eps sigma_max^2 / tau`` at
+    most: rounding level while ``sigma_max / tau`` is moderate.  At the
+    first step ``sigma_max(M) / tau <= M.size / 4``, since
+    ``sigma_max(M) <= ||M||_1``."""
     M = np.asarray(M, dtype=np.float64)
     if M.ndim != 2:
         raise ParameterError("matrix solver needs a 2-way array")
     if lam is None:
         lam = default_lambda(M.shape)
     lam = float(lam)
-    norm_M = np.linalg.norm(M)
-    if norm_M == 0.0:
+    peak = float(np.abs(M).max(initial=0.0))
+    if peak == 0.0:
         return np.zeros_like(M), np.zeros_like(M), [0.0]
+    scale = float(np.ldexp(1.0, np.frexp(peak)[1] - 1))
+    M = M / scale
+    norm_M = np.linalg.norm(M)
     mu = float(M.size / (4.0 * np.abs(M).sum()))
     L = np.zeros_like(M)
     S = np.zeros_like(M)
@@ -480,10 +517,10 @@ def solve_matrix_rpca(M, lam=None, tol=1e-9, max_iter=2000):
         # dual residual -- the scaled change in S -- must vanish too.
         dual = mu * np.linalg.norm(S - S_prev) / norm_M
         if res <= tol and dual <= tol:
-            return L, S, residuals
+            return L * scale, S * scale, residuals
     raise ConvergenceError(
         f"matrix solver did not reach {tol:g} in {max_iter} iterations",
-        best=(L, S, residuals),
+        best=(L * scale, S * scale, residuals),
     )
 
 
@@ -504,9 +541,11 @@ def concentration_trial(L, q, trials=20, seed=0):
     the identifiability analysis, under Bernoulli(``q``) supports.
 
     Per trial records ``||p_L (p_full - q^{-1} p_I) p_L||``,
-    ``||p_L p_{I perp}||``, and the spectral value of a fresh sign tensor.
-    Theoretical envelopes are reported for display only; the constants in
-    the corresponding tail bounds are not pinned down.
+    ``||p_L p_{I perp}||``, and the spectral value of a fresh sign tensor
+    (``spectral_hopm``'s value; the trials' sign tensors sweep together as
+    one stack through ``_hopm_stack``, each to its own stop).  Theoretical
+    envelopes are reported for display only; the constants in the
+    corresponding tail bounds are not pinned down.
     """
     A = asarray(L)
     if not 0.0 < q <= 1.0:
@@ -516,18 +555,17 @@ def concentration_trial(L, q, trials=20, seed=0):
     family = family_from_tensor(A)
     shape = A.shape
     root = np.random.SeedSequence([int(seed), *shape])
-    records = []
+    records, signs = [], []
     for child in root.spawn(int(trials)):
         rng = np.random.default_rng(child)
         dev, leak = _sampling_norms(family, rng.random(shape) < q, q)
-        E = np.where(
+        signs.append(np.where(
             rng.random(shape) < 0.5, -1.0, 1.0
-        ) * (rng.random(shape) < q)
-        sig_E = spectral_hopm(asarray(E)).value
-        records.append(
-            {"deviation": float(dev), "leakage": float(leak),
-             "sign_spectral": float(sig_E)}
-        )
+        ) * (rng.random(shape) < q))
+        records.append({"deviation": float(dev), "leakage": float(leak)})
+    # One HOPM over the stack of every trial's sign tensor.
+    for rec, res in zip(records, _hopm_stack(np.stack(signs))):
+        rec["sign_spectral"] = float(res.value)
     leak_envelope = float(np.sqrt(max(1.0 - q + q * 0.5, 0.0)))
     sign_shape = float(np.sqrt(sum(shape)))
     return {

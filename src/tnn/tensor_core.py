@@ -131,11 +131,12 @@ def normalize(v):
 def _khatri_rao_rows(factors):
     """Row-wise Khatri-Rao product of matrices with a common row count: row
     ``z`` is the Kronecker product of the factors' rows ``z``, the first
-    factor's column index varying slowest."""
+    factor's column index varying slowest.  Leading axes, common to all
+    factors, index stacks of such matrices."""
     P = factors[0]
     for F in factors[1:]:
-        P = (P[:, :, None] * F[:, None, :]).reshape(
-            len(P), P.shape[1] * F.shape[1])
+        P = (P[..., :, None] * F[..., None, :]).reshape(
+            P.shape[:-1] + (P.shape[-1] * F.shape[-1],))
     return P
 
 

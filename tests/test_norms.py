@@ -37,7 +37,7 @@ from tnn.norms import (
     SpectralResult,
     _greedy_atoms,
     _hopm_finish,
-    _hopm_value_string,
+    _hopm_stack,
     _sign_witness,
 )
 from tnn.tensor_core import normalize
@@ -165,6 +165,12 @@ def _yuan3_zx(t):
     return asarray(np.asarray(g["Z"]) + np.asarray(g["X"]))
 
 
+def _hopm_value_string(d):
+    """einsum string for the form's values at a batch of starts."""
+    modes = "abcdefgh"[:d]
+    return modes + "," + ",".join("z" + m for m in modes) + "->z"
+
+
 def _einsum_hopm(A, starts, tol, max_iter=2000):
     """The multi-start HOPM iteration written with one einsum per mode update
     and per value sweep: the reference the unfolding kernel must reproduce.
@@ -283,6 +289,62 @@ class TestHopmKernel:
         # the form at the returned maximizers.
         assert res.value == pytest.approx(
             abs(multilinear_contract(A, list(res.maximizers))), rel=1e-12)
+
+
+class TestHopmStack:
+    """``_hopm_stack`` sweeps a stack of same-shape tensors together, each to
+    its own stop, and gives each one ``spectral_hopm``'s result on it
+    alone."""
+
+    @given(shape=st.lists(st.integers(2, 6), min_size=3, max_size=4)
+           .map(tuple),
+           size=st.integers(1, 4),
+           seed=st.integers(0, 2 ** 32 - 1),
+           signs=st.booleans())
+    @settings(max_examples=30, deadline=None, derandomize=True)
+    def test_each_tensor_as_alone(self, shape, size, seed, signs):
+        rng = np.random.default_rng(seed)
+        # Tensors of different scales stop at different sweeps.
+        stack = (rng.standard_normal((size, *shape))
+                 * 10.0 ** rng.integers(-2, 3, size=size)[
+                     (slice(None),) + (None,) * len(shape)])
+        if signs:
+            stack = np.sign(stack)
+        results = _hopm_stack(stack)
+        assert len(results) == size
+        for A, res in zip(stack, results):
+            alone = spectral_hopm(A)
+            assert res.value == pytest.approx(alone.value, rel=1e-14)
+            assert res.starts_used == alone.starts_used
+            assert res.converged == alone.converged
+            assert res.iterations == alone.iterations
+
+    def test_exact_two_by_two_path_per_tensor(self, monkeypatch):
+        seen = []
+        original = tnn.norms._pt_primal
+
+        def recording(A):
+            seen.append(A.shape)
+            return original(A)
+
+        monkeypatch.setattr(tnn.norms, "_pt_primal", recording)
+        stack = np.random.default_rng(3).standard_normal((3, 2, 5, 2))
+        results = _hopm_stack(stack)
+        assert seen == [(2, 5, 2)] * 3
+        for A, res in zip(stack, results):
+            assert res.iterations == 1
+            assert res.value == spectral_certified_upper(A)[0]
+
+    def test_direct_and_swept_tensors_mix(self):
+        rng = np.random.default_rng(4)
+        stack = np.stack([rng.standard_normal((3, 4, 5)), np.zeros((3, 4, 5)),
+                          rng.standard_normal((3, 4, 5))])
+        first, zero, last = _hopm_stack(stack, max_iter=7)
+        assert zero.value == 0.0 and zero.iterations == 0
+        for A, res in zip(stack[[0, 2]], (first, last)):
+            alone = spectral_hopm(A, max_iter=7)
+            assert res.value == alone.value
+            assert (res.iterations, res.converged) == (7, False)
 
 
 class TestHopmFinish:

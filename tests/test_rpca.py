@@ -29,9 +29,10 @@ from tnn import (
     operator_norm_chain,
     outer_atom,
     solve_matrix_rpca,
+    spectral_hopm,
     support_project,
 )
-from tnn.rpca import _factor_rows, _sampling_norms, _sigma_max
+from tnn.rpca import _factor_rows, _sampling_norms, _sigma_max, _svt
 from conftest import e
 
 
@@ -398,6 +399,79 @@ class TestCertify:
             certify(inst)
 
 
+def _svt_reference(X, tau):
+    """Singular-value thresholding by the SVD, the form ``_svt`` replaces:
+    ``U diag(max(s - tau, 0)) V^T``."""
+    U, s, Vt = np.linalg.svd(X, full_matrices=False)
+    return (U * np.maximum(s - tau, 0.0)) @ Vt
+
+
+def _with_singular_values(rng, m, n, s):
+    """An ``m x n`` matrix with the singular values ``s`` (padded with
+    zeros) and seeded Haar singular vectors."""
+    U = np.linalg.qr(rng.standard_normal((m, m)))[0]
+    V = np.linalg.qr(rng.standard_normal((n, n)))[0]
+    S = np.zeros((m, n))
+    S[np.arange(len(s)), np.arange(len(s))] = s
+    return U @ S @ V.T
+
+
+def _svt_cases():
+    rng = np.random.default_rng(11)
+    G = rng.standard_normal((40, 25))
+    spike = rng.standard_normal((20, 20))
+    spike[3, 7] += 1e4
+    lone = 1e-3 * rng.standard_normal((20, 20))
+    lone[5, 2] = 1e8
+    at_tau = [1.0, 1.0 + 1e-15, 1.0 - 1e-15, 1.0 + 1e-9, 1.0 - 1e-9, 2.0,
+              0.5]
+    return {
+        "square": (rng.standard_normal((30, 30)), 2.0),
+        "tall": (G, 2.5),
+        "wide": (G.T, 2.5),
+        "rank_deficient": (_with_singular_values(rng, 20, 30, [5, 3, 0.7]),
+                           1.0),
+        "repeated": (_with_singular_values(rng, 25, 18,
+                                           [3, 3, 3, 2, 2, 0.5, 0.5]), 1.0),
+        "at_threshold": (_with_singular_values(rng, 12, 15, at_tau), 1.0),
+        "zero": (np.zeros((6, 9)), 0.3),
+        "spike_kept_with_noise": (spike, 0.5),
+        "lone_spike": (lone, 1.0),
+        "scale_up": (1e150 * G, 1e150 * 2.5),
+        "scale_down": (1e-150 * G.T, 1e-150 * 2.5),
+    }
+
+
+class TestSvt:
+    """The Gram-eigendecomposition thresholding against the SVD form, to
+    1e-12 of the largest singular value.  Its error is about
+    ``eps sigma_max^2 / tau`` (the spike case keeps ``sigma_max / tau`` at
+    2e4 with singular values near ``tau`` kept)."""
+
+    @pytest.mark.parametrize("name", sorted(_svt_cases()))
+    def test_matches_svd_form(self, name):
+        X, tau = _svt_cases()[name]
+        ref = _svt_reference(X, tau)
+        got = _svt(X, tau)
+        assert got.shape == X.shape
+        scale = np.linalg.norm(X, 2) if X.any() else 1.0
+        assert np.max(np.abs(got - ref)) <= 1e-12 * scale
+
+    def test_solver_runs_no_svd(self, monkeypatch):
+        calls = []
+        original = np.linalg.svd
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, "svd", counting)
+        inst = generate_instance((40, 40), 2, 0.05, factor_style="gaussian",
+                                 seed=1)
+        solve_matrix_rpca(inst.M, lam=1.0 / np.sqrt(40))
+        assert calls == []
+
+
 class TestMatrixSolver:
     def test_low_rank_only(self, rng):
         u = rng.standard_normal(20)
@@ -440,6 +514,21 @@ class TestMatrixSolver:
         with pytest.raises(ParameterError):
             solve_matrix_rpca(np.zeros((2, 2, 2)))
 
+    def test_any_scale(self):
+        # The iteration runs on M over a power of two near max|M|, so the
+        # dual stop test, which is not dimensionless, sees one scale.
+        inst = generate_instance((40, 40), 2, 0.05, factor_style="gaussian",
+                                 seed=1)
+        lam = 1.0 / np.sqrt(40)
+        L0, S0, res0 = solve_matrix_rpca(inst.M, lam=lam)
+        for exp in range(-300, 301, 50):
+            L, S, res = solve_matrix_rpca(inst.M * 10.0 ** exp, lam=lam)
+            assert len(res) == len(res0)
+            assert (np.linalg.norm(L / 10.0 ** exp - L0)
+                    <= 1e-12 * np.linalg.norm(L0))
+            assert (np.linalg.norm(S / 10.0 ** exp - S0)
+                    <= 1e-12 * np.linalg.norm(S0))
+
 
 class TestConcentration:
     def test_full_support_probability_is_exact(self):
@@ -460,6 +549,29 @@ class TestConcentration:
         assert set(out["envelopes"]) == {
             "leakage_half_eps", "sign_spectral_shape"
         }
+
+    @pytest.mark.parametrize("shape, q, trials, seed", [
+        ((8, 8, 8), 0.9, 3, 1), ((6, 6, 6), 0.5, 5, 2),
+        ((3, 3, 3), 0.1, 20, 0), ((2, 2, 2), 0.3, 12, 5),
+        ((2, 3, 4), 0.6, 7, 3)])
+    def test_records_as_one_hopm_per_trial(self, shape, q, trials, seed):
+        # The stacked sign tensors give each trial the value spectral_hopm
+        # gives it alone; the small shapes mix zero tensors and 2x2x2
+        # tensors, which take HOPM's direct paths, into the stack.
+        L = generate_instance(shape, 1, 0.0, seed=1).L
+        family = family_from_tensor(L)
+        expected = []
+        for child in np.random.SeedSequence([seed, *shape]).spawn(trials):
+            rng = np.random.default_rng(child)
+            dev, leak = _sampling_norms(family, rng.random(shape) < q, q)
+            E = np.where(rng.random(shape) < 0.5, -1.0, 1.0) * (
+                rng.random(shape) < q)
+            expected.append((dev, leak, spectral_hopm(E).value))
+        out = concentration_trial(L, q, trials=trials, seed=seed)
+        for rec, (dev, leak, sig) in zip(out["records"], expected,
+                                         strict=True):
+            assert rec["deviation"] == dev and rec["leakage"] == leak
+            assert rec["sign_spectral"] == pytest.approx(sig, rel=1e-14)
 
     def test_bad_probability(self):
         with pytest.raises(ParameterError):
