@@ -135,14 +135,11 @@ def norms_spectral(source, tol, seed, starts, certify, pretty):
 
 @norms_group.command("nuclear")
 @click.argument("source")
-@click.option("--tol", default=1e-8, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--max-atoms", default=64, show_default=True)
 @click.option("--pretty", is_flag=True)
 @adapter
-def norms_nuclear(source, tol, seed, max_atoms, pretty):
+def norms_nuclear(source, pretty):
     T = load_tensor(source)
-    sw = norms.nuclear_sandwich(T, tol=tol, seed=seed, max_atoms=max_atoms)
+    sw = norms.nuclear_sandwich(T)
     doc = {
         "kind": "nuclear", "source": source,
         "lower": sw.lower, "upper": sw.upper, "mid": sw.mid, "gap": sw.gap,
@@ -378,9 +375,10 @@ def rpca_group():
 def rpca_gen(dims, r, rho, m, seed, style, out, pretty):
     inst = rpca.generate_instance(dims, r, rho, m=m, factor_style=style,
                                   seed=seed)
+    # Appended, not with_suffix: that replaces a dotted prefix's last part.
     prefix = Path(out)
-    l_file = prefix.with_suffix(".L.tensor")
-    s_file = prefix.with_suffix(".S.tensor")
+    l_file = prefix.with_name(prefix.name + ".L.tensor")
+    s_file = prefix.with_name(prefix.name + ".S.tensor")
     write_tensor_file(l_file, inst.L)
     write_tensor_file(s_file, inst.S)
     archive = {
@@ -389,7 +387,7 @@ def rpca_gen(dims, r, rho, m, seed, style, out, pretty):
         "L_file": l_file.name, "S_file": s_file.name,
         "masks": [sorted(mask.indices()) for mask in inst.batch_masks],
     }
-    arc_file = prefix.with_suffix(".json")
+    arc_file = prefix.with_name(prefix.name + ".json")
     arc_file.write_text(
         json.dumps(archive, sort_keys=True, default=_json_default)
     )
@@ -483,6 +481,7 @@ def rpca_concentration(dims, r, q, trials, seed, pretty):
 @adapter
 def reproduce(pytest_args):
     """Run the full acceptance suite (requires the source checkout)."""
+    import shlex
     import subprocess
 
     test_file = Path(__file__).resolve().parents[2] / "tests" \
@@ -494,7 +493,7 @@ def reproduce(pytest_args):
         )
     cmd = [sys.executable, "-m", "pytest", "-v", str(test_file)]
     if pytest_args:
-        cmd.extend(pytest_args.split())
+        cmd.extend(shlex.split(pytest_args))
     proc = subprocess.run(cmd, check=False)
     return 1 if proc.returncode else 0
 

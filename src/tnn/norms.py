@@ -13,12 +13,12 @@ branch and bound, capped by the flattening bound, where the branch and bound
 accepts the shape, and the flattening bound elsewhere.
 
 For a ``2 x 2 x n`` tensor the branch and bound first computes the
-partial-transpose cap (``_partial_transpose_bound``): with ``M`` the Gram
-matrix of the ``4 x n`` unfolding, ``||T||_sigma^2 <= lambda_max(M + s W)``
-for the one symmetric ``W`` that product vectors annihilate, and the least
-such bound is exact.  A closed-form primal step on the first mode's circle
-gives an attained value and the multiplier ``s``; the cap is one ``eigvalsh``
-plus a rounding slack.  Where cap and attained value decide, no cell is
+partial-transpose cap (``_pt_primal``): with ``M`` the Gram matrix of the
+``4 x n`` unfolding, ``||T||_sigma^2 <= lambda_max(M + s W)`` for the one
+symmetric ``W`` that product vectors annihilate, and the least such bound is
+exact.  A closed-form primal step on the first mode's circle gives an
+attained value and the multiplier ``s``; the cap is one ``eigvalsh`` plus a
+rounding slack.  Where cap and attained value decide, no cell is
 evaluated; otherwise the cap enters the branch and bound's stop tests only.
 
 A tensor with a rank-deficient mode is first compressed to its
@@ -66,18 +66,18 @@ multilinear rank is sandwiched by an exact one-variable program
 (``_pt_nuclear``): ``||T||_*`` is the maximum over ``s`` in ``[-1, 1]`` of
 the concave ``||(I - s W)^{1/2} U||_*`` (``U`` the ``4 x n`` unfolding,
 ``W`` as for the cap above), whose maximizer gives a witness, with the cap
-at the program's own ``s`` as its proof, and an SDP dual point that bounds
-``||T||_*`` from above by weak duality and splits into rank-one atoms of no
-more total weight.  Other shapes of full multilinear rank get a greedy
-rank-one decomposition, which takes HOPM's one maximizer on the residual
-per step and refits all weights by least squares, and the sign witness of
-its atoms.  Every witness but the scaled base is certified once by
-``spectral_enclosure``.  The lower end is the best certified ratio
-``<T, Z> / ||Z||_sigma``, attained by the witness returned.  These
-candidates are built on a tensor of full multilinear rank, whose span
-subspace ``T(T)`` (the tensors whose mode-k spans lie inside those of
-``T``) is the whole space; the witness of a compressed tensor is the core's
-lifted by ``x_k U_k``, which lies in ``T(T)`` and keeps its spectral norm.
+at the program's own ``s`` as its proof, and an SDP dual point that splits
+into rank-one atoms, whose total weight plus l1 residual is the upper end.
+Other shapes of full multilinear rank get a greedy rank-one decomposition,
+which takes HOPM's one maximizer on the residual per step and refits all
+weights by least squares, and the sign witness of its atoms.  Every witness
+but the scaled base is certified once by ``spectral_enclosure``.  The lower
+end is the best certified ratio ``<T, Z> / ||Z||_sigma``, attained by the
+witness returned.  These candidates are built on a tensor of full
+multilinear rank, whose span subspace ``T(T)`` (the tensors whose mode-k
+spans lie inside those of ``T``) is the whole space; the witness of a
+compressed tensor is the core's lifted by ``x_k U_k``, which lies in
+``T(T)`` and keeps its spectral norm.
 """
 
 from __future__ import annotations
@@ -194,8 +194,7 @@ def _hopm_direct(A, tol):
         return SpectralResult(float(s[0]), (U[:, 0], Vt[0]), 1, 1)
     if d == 3 and sorted(A.shape)[:2] == [2, 2]:
         # The partial-transpose primal step, exact where its cap meets it.
-        attained, vectors, M, s, scale = _pt_primal(A)
-        cap = _pt_cap(M, s, A.size // 4) * scale
+        attained, vectors, cap = _pt_primal(A)
         if cap - attained <= tol * cap:
             return SpectralResult(attained, vectors, 1, 1)
     return None
@@ -429,9 +428,10 @@ _PT_W = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0],
 _PT_NEWTON = 30  # Newton steps on the angle at most
 
 
-def _partial_transpose_bound(A):
-    """Certified ``(cap, attained)`` for ``||A||_sigma``, ``A`` of shape
-    ``(2, 2, n)`` up to a permutation of its modes.
+def _pt_primal(A):
+    """``(attained, vectors, cap)`` for ``||A||_sigma``, ``A`` of shape
+    ``(2, 2, n)`` up to a permutation of its modes: an attained value, its
+    unit vectors and a certified cap.
 
     With ``U`` the ``4 x n`` unfolding of the sorted tensor and
     ``M = U U^T``, ``||A||_sigma^2 = max (x (x) y)^T M (x (x) y)`` over unit
@@ -439,28 +439,18 @@ def _partial_transpose_bound(A):
     ``||A||_sigma^2 <= lambda_max(M + s W)`` for every ``s`` (Doherty,
     Parrilo & Spedalieri 2004; Ling, Nie, Qi & Ye 2009).  Nonnegative
     biquadratic forms in ``2 + 2`` variables are sums of squares (Calderon
-    1973), so the least such bound is exact.
+    1973), so the least such bound is exact.  ``cap`` is
+    ``sqrt(lambda_max(M + s W) + slack)`` (``_pt_cap``) at the multiplier
+    ``s`` of the primal step below.  Where that step misses the maximum,
+    ``s`` is off the optimum and ``cap`` is still a bound, only looser.
 
-    ``attained`` and the multiplier ``s`` come from the primal step
-    (``_pt_primal``); ``cap`` is ``sqrt(lambda_max(M + s W) + slack)``
-    (``_pt_cap``).  Where the primal step misses the maximum, ``s`` is off
-    the optimum and ``cap`` is still a bound, only looser."""
-    attained, _, M, s, scale = _pt_primal(A)
-    return _pt_cap(M, s, A.size // 4) * scale, attained
-
-
-def _pt_primal(A):
-    """``(attained, vectors, M, s, scale)``: the primal step of
-    ``_partial_transpose_bound`` on a ``2 x 2 x n`` tensor ``A``, its modes
-    in any order.
-
-    ``sigma_max(A x_0 x)^2`` with ``x = (cos t, sin t)`` is the top
-    eigenvalue of a ``2 x 2`` matrix affine in ``(cos 2t, sin 2t)``,
-    evaluated in closed form on a grid of ``2t``; each local maximum on the
-    grid is refined by Newton steps on the angle, and with ``y`` the top
-    eigenvector at the best one, ``attained`` is ``||A x_0 x x_1 y||``,
-    the form's value at the unit ``vectors`` ``x``, ``y`` and
-    ``z = A x_0 x x_1 y / attained``, given in ``A``'s mode order.
+    Primal step: ``sigma_max(A x_0 x)^2`` with ``x = (cos t, sin t)`` is
+    the top eigenvalue of a ``2 x 2`` matrix affine in
+    ``(cos 2t, sin 2t)``, evaluated in closed form on a grid of ``2t``; each
+    local maximum on the grid is refined by Newton steps on the angle, and
+    with ``y`` the top eigenvector at the best one, ``attained`` is
+    ``||A x_0 x x_1 y||``, the form's value at the unit ``vectors`` ``x``,
+    ``y`` and ``z = A x_0 x x_1 y / attained``, given in ``A``'s mode order.
 
     Dual multiplier: at the maximizer ``v = x (x) y`` with value ``g``,
     ``v`` is a top eigenvector of ``M + s W`` for the optimal ``s``, so
@@ -468,9 +458,9 @@ def _pt_primal(A):
     ``v``, that ``s`` is ``-<Wv, Mv>``.
 
     The steps run on ``A`` over its Frobenius norm ``scale``, and
-    ``attained`` is scaled back; ``M`` is the Gram matrix of the ``4 x n``
-    unfolding of that unit tensor.  The angle steps' Python floats would
-    overflow or divide by zero on a tensor of norm near 1e40 or 1e-60."""
+    ``attained`` and ``cap`` are scaled back.  The angle steps' Python
+    floats would overflow or divide by zero on a tensor of norm near 1e40
+    or 1e-60."""
     scale = float(np.linalg.norm(A))
     order = np.argsort(A.shape, kind="stable")
     B = A.transpose(order) / scale
@@ -537,7 +527,7 @@ def _pt_primal(A):
     attained = float(np.linalg.norm(w))
     vectors = (x, y, w / attained)
     return (attained * scale, tuple(vectors[k] for k in np.argsort(order)),
-            M, -float(_PT_W @ v @ (M @ v)), scale)
+            _pt_cap(M, -float(_PT_W @ v @ (M @ v)), n) * scale)
 
 
 def _pt_cap(M, s, n):
@@ -578,17 +568,18 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     largest entry magnitude, with ``tol`` and ``threshold`` divided alike and
     both ends multiplied back; the division is exact in binary.
 
-    If ``threshold`` is given, the search stops as soon as either
+    ``tol`` is absolute: the search stops once ``upper - lower <= tol``.
+    If ``threshold`` is given, it also stops as soon as either
     ``upper <= threshold`` or ``lower > threshold`` is established.
 
     An order-3 tensor whose two smallest modes have size 2 gets the
-    partial-transpose cap and an attained value first
-    (``_partial_transpose_bound``): exact up to a backward-error slack of
-    order ``(n + 4) eps`` relative in the squared norm.  When they decide
-    (``cap - attained <= tol``, or in threshold mode ``cap <= threshold`` or
-    ``attained > threshold``), no cell is evaluated.  Otherwise the branch
-    and bound starts from the attained value, and the cap enters only its
-    stop tests and its returned upper end, never the cells' priorities.
+    partial-transpose cap and an attained value first (``_pt_primal``):
+    exact up to a backward-error slack of order ``(n + 4) eps`` relative in
+    the squared norm.  When they decide (``cap - attained <= tol``, or in
+    threshold mode ``cap <= threshold`` or ``attained > threshold``), no
+    cell is evaluated.  Otherwise the branch and bound starts from the
+    attained value, and the cap enters only its stop tests and its returned
+    upper end, never the cells' priorities.
     """
     A = asarray(T)
     d = A.ndim
@@ -616,7 +607,7 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     # into breadth-first search.
     cap, best = np.inf, 0.0
     if d == 3 and sorted(dims)[:2] == [2, 2]:
-        cap, best = _partial_transpose_bound(A)
+        best, _, cap = _pt_primal(A)
         if decided(cap, best):
             return best, max(best, cap)
 
@@ -775,7 +766,8 @@ def spectral_enclosure(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     Where the branch and bound accepts the shape (``method == "bnb"``),
     ``lower`` is its attained value and ``upper`` the smaller of its bound
     and the flattening bound; ``tol``, ``max_evals`` and ``threshold`` are
-    passed to ``spectral_certified_upper``.  Where it refuses the shape
+    passed to ``spectral_certified_upper``, whose ``tol`` is absolute (it
+    stops once ``upper - lower <= tol``).  Where it refuses the shape
     (``method == "flattening"``), ``lower`` is the largest entry magnitude,
     attained by basis vectors, and ``upper`` the flattening bound.
 
@@ -862,29 +854,32 @@ def _certified_witness(A, Z):
 
 
 _GREEDY_STARTS = 16  # HOPM starts per greedy step
+_GREEDY_ATOMS = 64  # greedy steps at most
+_GREEDY_TOL = 1e-8  # l1 norm of the unit-scale residual that ends the pursuit
 
 
-def _greedy_atoms(A, tol, max_atoms, seed):
+def _greedy_atoms(A):
     """Greedy rank-one pursuit with fully corrective least-squares refit;
     returns ``(atoms, C, weights)``: the atoms' unit factors, their raveled
     outer products as the columns of ``C`` and the weights of the last
     refit, which minimize ``||A.ravel() - C @ weights||_2``.
 
-    Each step adds one atom, HOPM's maximizer on the residual; the pursuit
-    stops when that atom is (up to sign) one it already holds.  The pursuit
-    runs on the residual over ``||A||_F``, so that HOPM's stop rule, which
-    is absolute below 1, and with it the atoms do not depend on the scale
-    of ``A``."""
+    Each step adds one atom, HOPM's maximizer on the residual (seeded
+    ``1000 * step``); the pursuit stops when that atom is (up to sign) one
+    it already holds, after ``_GREEDY_ATOMS`` steps, or once the residual's
+    l1 norm is at most ``_GREEDY_TOL``.  The pursuit runs on the residual
+    over ``||A||_F``, so that HOPM's stop rule, which is absolute below 1,
+    and with it the atoms do not depend on the scale of ``A``."""
     l2 = holder_norm(A, 2)
     t = A.ravel()
     atoms = []
     C, weights = np.zeros((t.size, 0)), np.zeros(0)
     residual = A / l2
-    for it in range(max_atoms):
-        if holder_norm(residual, 1) <= tol:
+    for it in range(_GREEDY_ATOMS):
+        if holder_norm(residual, 1) <= _GREEDY_TOL:
             break
         res = spectral_hopm(residual, starts=_GREEDY_STARTS, tol=1e-13,
-                            seed=seed + 1000 * it)
+                            seed=1000 * it)
         if res.value <= 1e-14:
             break
         # Row i is atom i's outer product raveled, bitwise
@@ -925,7 +920,7 @@ def _nonzero_atoms(atoms, C, weights):
     return [a for a, k in zip(atoms, keep) if k], C[:, keep], weights[keep]
 
 
-def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
+def nuclear_sandwich(T):
     """Certified interval ``[lower, upper]`` enclosing the nuclear norm.
 
     A tensor with a rank-deficient mode is sandwiched through its core
@@ -941,14 +936,12 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
     least ``||T||_F``).  A ``2 x 2 x n`` tensor (modes in any order) is
     sandwiched by ``_pt_nuclear`` alone, to rounding (about 1e-12
     relative): its witness is the other candidate, and its atoms are the
-    decomposition.  The upper end is the least of ``||T||_1``, the atoms'
-    total weight plus their l1 residual, and the program's SDP dual bound,
-    flagged ``upper_pt_dual`` where that bound is the least.  ``tol``,
-    ``max_atoms`` and ``seed`` have no effect there.  Every other tensor
-    gets a greedy rank-one pursuit for the decomposition and the upper end,
-    the least-squares weights' total plus their l1 residual, and the
-    greedy sign witness as the other candidate.  All witnesses but the
-    scaled base are certified once by ``spectral_enclosure``
+    decomposition.  The upper end is the lesser of ``||T||_1`` and the
+    atoms' total weight plus their l1 residual.  Every other tensor gets a
+    greedy rank-one pursuit (``_greedy_atoms``) for the decomposition and
+    the upper end, the least-squares weights' total plus their l1 residual,
+    and the greedy sign witness as the other candidate.  All witnesses but
+    the scaled base are certified once by ``spectral_enclosure``
     (``_certified_witness``); the program's witness keeps the program's own
     cap instead where that is smaller, flagged ``witness_bound_pt_dual``.
     The best certified ratio ``<T, Z> / ||Z||_sigma``, capped by the upper
@@ -965,7 +958,7 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
     core = _core(A, svals)
     if core is None:
         flat = min(float(s[0]) for s in svals)
-        return _sandwich(A, flat, tol, max_atoms, seed)
+        return _sandwich(A, flat)
 
     G, bases = core
     if G.ndim <= 2:
@@ -973,7 +966,7 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
         w_up, how = _witness_bound(sw.dual_witness)
         flags = (f"witness_bound_{how}",)
     else:
-        sw = _sandwich(G, spectral_flattening_upper(G), tol, max_atoms, seed)
+        sw = _sandwich(G, spectral_flattening_upper(G))
         w_up, flags = sw.witness_spectral_upper, sw.flags
     W = _lift(sw.dual_witness, bases)
     upper = sw.upper + holder_norm(A - _lift(G, bases), 1)
@@ -988,7 +981,7 @@ def nuclear_sandwich(T, tol=1e-8, max_atoms=64, seed=0):
                            float(w_up), flags)
 
 
-def _sandwich(A, flat, tol, max_atoms, seed):
+def _sandwich(A, flat):
     """``nuclear_sandwich`` of a nonzero tensor of order at least three and
     full multilinear rank, given its flattening bound ``flat``."""
     flags = []
@@ -996,7 +989,7 @@ def _sandwich(A, flat, tol, max_atoms, seed):
     cands = [(inner(A, A) / flat, A, flat, "flattening")]
     upper = holder_norm(A, 1)
     if A.ndim == 3 and sorted(A.shape)[:2] == [2, 2]:
-        Z, z_cap, pt_upper, atoms = _pt_nuclear(A)
+        Z, z_cap, atoms = _pt_nuclear(A)
         cand = _certified_witness(A, Z)
         if z_cap < cand[2]:
             cand = (inner(A, Z) / z_cap, Z, z_cap, "pt_dual")
@@ -1005,11 +998,8 @@ def _sandwich(A, flat, tol, max_atoms, seed):
         upper = min(decomposition.weight_sum
                     + holder_norm(A - decomposition_sum(decomposition), 1),
                     upper)
-        if pt_upper < upper:
-            upper = pt_upper
-            flags.append("upper_pt_dual")
     else:
-        atoms, C, weights = _greedy_atoms(A, tol, max_atoms, seed)
+        atoms, C, weights = _greedy_atoms(A)
         if atoms:
             upper = min(float(np.sum(np.abs(weights))
                               + np.sum(np.abs(A.ravel() - C @ weights))),
@@ -1031,17 +1021,16 @@ def _sandwich(A, flat, tol, max_atoms, seed):
 
 
 def _pt_nuclear(A):
-    """``(Z, cap, upper, atoms)`` for a ``2 x 2 x n`` tensor ``A`` of full
+    """``(Z, cap, atoms)`` for a ``2 x 2 x n`` tensor ``A`` of full
     multilinear rank, its modes in any order: a dual witness ``Z`` (unit
     spectral norm up to rounding), a certified upper bound ``cap`` on
-    ``||Z||_sigma``, a certified upper bound ``upper`` on ``||A||_*`` and a
-    rank-one decomposition of ``A`` whose total weight is at most that bound
-    up to rounding.
+    ``||Z||_sigma`` and a rank-one decomposition of ``A`` whose total weight
+    is at most the least weak-duality bound below, up to rounding.
 
     With ``U`` the ``4 x n`` unfolding of the sorted tensor and
     ``W = _PT_W``, a tensor ``Z`` with unfolding ``V`` has
     ``||Z||_sigma <= 1`` exactly when ``V V^T + s W <= I`` for some ``s``
-    (``_partial_transpose_bound``; exact by Calderon 1973).  As ``W^2 = I``,
+    (``_pt_primal``; exact by Calderon 1973).  As ``W^2 = I``,
     ``I - s W >= 0`` means ``s`` in ``[-1, 1]``, and
     ``R(s) = (I - s W)^{1/2} = sqrt(1 - s) (I + W)/2 + sqrt(1 + s) (I - W)/2``,
     so ``||A||_* = max_s g(s)`` with ``g(s) = ||R(s) U||_*``, a concave
@@ -1051,8 +1040,8 @@ def _pt_nuclear(A):
     ``cap`` is ``_pt_cap(V V^T, s)``, the program's own proof, which needs
     no primal step.
 
-    Upper end, by weak duality (the nuclear norm's SDP form, Recht, Fazel &
-    Parrilo, SIAM Rev. 2010): for any ``F`` and ``G``, ``P = F F^T`` and
+    Weak duality (the nuclear norm's SDP form, Recht, Fazel & Parrilo,
+    SIAM Rev. 2010): for any ``F`` and ``G``, ``P = F F^T`` and
     ``Q = G G^T`` make ``[[P, F G^T], [G F^T, Q]]`` positive semidefinite,
     and adding ``|<P, W>|/4 (I - sign(<P, W>) W) >= 0`` to ``P`` zeroes
     ``<P, W>``, so ``||A||_* <= (tr P + |<P, W>| + tr Q)/2
@@ -1063,22 +1052,22 @@ def _pt_nuclear(A):
     meets ``g`` at the maximum.  A slack ``4 (n + 4) eps (tr P + tr Q)``
     covers the rounding of ``U``, ``F G^T`` and the sums.
 
-    The atoms come from the step of least bound (``_pt_atoms``).  The
-    search is a safeguarded secant search (Illinois, with a bisection
+    The search is a safeguarded secant search (Illinois, with a bisection
     fallback) on ``<P, W> sqrt(1 - s^2)``, whose sign is that of ``-g'``
     and which, unlike ``<P, W>``, stays bounded at the ends, where ``R`` is
     singular; ``s`` is kept ``1e-12`` inside them.  It evaluates both ends
     first: a sign that does not change between them puts the maximum at an
     end.  It stops when the bracket is ``1e-12`` wide, or when the least
-    bound is within twice its rounding slack of the largest ``g``.  Every
-    step's bound holds, so the least is returned, and ``Z`` and ``cap`` are
-    the step's of largest ``g``: the search sets the tightness, never the
-    correctness."""
+    bound is within twice its rounding slack of the largest ``g``.  The
+    atoms come from the step of least bound (``_pt_atoms``), and ``Z`` and
+    ``cap`` from the step of largest ``g``: the search sets the tightness,
+    never the correctness.  The bound itself is not returned, since it never
+    fell below the atoms' own end, their total weight plus l1 residual."""
     order = np.argsort(A.shape, kind="stable")
     B = A.transpose(order)
     n = B.shape[2]
-    # Unit Frobenius norm inside; the bound and the weights are scaled back,
-    # the witness is scale-free.
+    # Unit Frobenius norm inside; the weights are scaled back, the witness is
+    # scale-free.
     scale = float(np.linalg.norm(B))
     U = B.reshape(4, n) / scale
     lo, hi = -1.0 + 1e-12, 1.0 - 1e-12
@@ -1106,8 +1095,7 @@ def _pt_nuclear(A):
     top = max(steps, key=lambda t: t.g)
     least = min(steps, key=lambda t: t.bound)
     return (top.V.reshape(B.shape).transpose(np.argsort(order)),
-            _pt_cap(top.V @ top.V.T, top.s, n), least.bound * scale,
-            _pt_atoms(least, order, scale))
+            _pt_cap(top.V @ top.V.T, top.s, n), _pt_atoms(least, order, scale))
 
 
 @dataclass(frozen=True)

@@ -4,8 +4,10 @@ import numpy as np
 import pytest
 from click.testing import CliRunner
 
-from tnn import asarray, gallery, spectral_hopm, write_tensor_file
+from tnn import (asarray, gallery, is_subgradient, outer_atom, probe_tau,
+                 spectral_hopm, write_tensor_file, z_membership)
 from tnn.cli import main
+from tnn.subspace import order_ge2_sum
 
 
 @pytest.fixture
@@ -56,6 +58,12 @@ class TestNormsCommands:
         assert doc["lower"] == pytest.approx(1.0, abs=1e-6)
         assert doc["upper"] == pytest.approx(1.0, abs=1e-6)
 
+    def test_nuclear_offers_no_sandwich_options(self, runner):
+        res = run(runner, ["norms", "nuclear", "--help"])
+        assert res.exit_code == 0
+        for retired in ("--tol", "--seed", "--max-atoms"):
+            assert retired not in res.output
+
     def test_missing_file_is_invalid_input(self, runner):
         res = run(runner, ["norms", "spectral", "no/such/file.tensor"])
         assert res.exit_code == 2
@@ -99,6 +107,33 @@ class TestCheckCommands:
         assert bad.exit_code == 1
         assert json.loads(bad.output)["verdict"] == "fail"
 
+    def test_subgrad_from_files(self, runner, tmp_path):
+        T = outer_atom([np.array([1.0, 0.0])] * 3)
+        write_tensor_file(tmp_path / "T.tensor", T)
+        for scale, verdict, code in ((1.0, "pass", 0), (1.5, "fail", 1)):
+            write_tensor_file(tmp_path / "G.tensor", scale * T)
+            res = run(runner, ["check", "subgrad",
+                               "--candidate", str(tmp_path / "G.tensor"),
+                               "--base", str(tmp_path / "T.tensor")])
+            assert res.exit_code == code
+            doc = json.loads(res.output)
+            assert doc["verdict"] == verdict
+            assert doc["pairing"] == is_subgradient(scale * T, T).pairing
+
+    def test_zmember_from_files(self, runner, tmp_path):
+        g = gallery("notsingle", t=0.5)
+        write_tensor_file(tmp_path / "Z.tensor", g["Z"])
+        write_tensor_file(tmp_path / "T.tensor", g["T"])
+        res = run(runner, ["check", "zmember",
+                           "--Z", str(tmp_path / "Z.tensor"),
+                           "--T", str(tmp_path / "T.tensor"),
+                           "--tol", "0.05"])
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        assert doc["verdict"] == "pass"
+        assert doc["pairing"] == z_membership(g["Z"], g["T"], tol=0.05)[
+            "pairing"]
+
     def test_zmember_gallery(self, runner):
         res = run(runner, ["check", "zmember", "--gallery", "notsingle",
                            "--t", "0.5", "--tol", "0.05"])
@@ -140,6 +175,17 @@ class TestCheckCommands:
         doc = json.loads(res.output)
         assert doc["feasible_max"] == pytest.approx(1.0, abs=1e-3)
 
+    def test_tau_probe_order_two_sum(self, runner):
+        res = run(runner, ["check", "tau-probe", "--selector", "sum:ge2",
+                           "--dims", "2,2,2", "--trials", "1"])
+        assert res.exit_code == 0
+        doc = json.loads(res.output)
+        assert doc["selector"] == "sum:[1,2;1,3;2,3;1,2,3]"
+        est = probe_tau(order_ge2_sum(3), (2, 2, 2), trials=1)
+        assert doc["trials"] == est.trials
+        assert doc["feasible_max"] == est.feasible_max
+        assert doc["infeasible_min"] == est.infeasible_min
+
     def test_tau_probe_past_branch_and_bound_limit(self, runner):
         res = run(runner, ["check", "tau-probe", "--selector", "upperU:1,2",
                            "--dims", "5,5,6", "--trials", "1"])
@@ -176,6 +222,23 @@ class TestRpcaCommands:
         assert doc["conditions"]["span_distance"]["ok"]
         assert doc["conditions"]["support_match"]["ok"]
 
+    def test_gen_keeps_dotted_prefixes_apart(self, runner, tmp_path):
+        # Two prefixes that differ only after a dot write separate files.
+        for seed in (1, 2):
+            res = run(runner, ["rpca", "gen", "--dims", "4,4,4",
+                               "--seed", str(seed),
+                               "--out", str(tmp_path / f"run.{seed}")])
+            assert res.exit_code == 0
+            assert json.loads(res.output)["archive"] == str(
+                tmp_path / f"run.{seed}.json")
+        assert sorted(p.name for p in tmp_path.iterdir()) == [
+            "run.1.L.tensor", "run.1.S.tensor", "run.1.json",
+            "run.2.L.tensor", "run.2.S.tensor", "run.2.json"]
+        for seed in (1, 2):
+            arc = json.loads((tmp_path / f"run.{seed}.json").read_text())
+            assert arc["seed"] == seed
+            assert arc["L_file"] == f"run.{seed}.L.tensor"
+
     def test_certify_rejects_tampered_archive(self, runner, tmp_path):
         prefix = tmp_path / "inst"
         run(runner, ["rpca", "gen", "--dims", "8,8,8", "--rho", "0.1",
@@ -206,3 +269,19 @@ class TestReproduce:
     def test_collect_only_finds_acceptance_suite(self, runner):
         res = run(runner, ["reproduce", "--pytest-args", "--collect-only -q"])
         assert res.exit_code == 0
+
+    def test_pytest_args_split_like_a_shell(self, runner, monkeypatch):
+        import subprocess
+
+        calls = []
+
+        def fake_run(cmd, check):
+            calls.append(cmd)
+            return subprocess.CompletedProcess(cmd, 0)
+
+        monkeypatch.setattr(subprocess, "run", fake_run)
+        res = run(runner, ["reproduce", "--pytest-args",
+                           "-k 'Sphere and values' -q"])
+        assert res.exit_code == 0
+        assert len(calls) == 1
+        assert calls[0][-3:] == ["-k", "Sphere and values", "-q"]

@@ -19,6 +19,7 @@ from tnn import (
     sample_weak_pair,
     weak_decomposability_constant,
 )
+from tnn.decomp import _nuclear_three_way
 from conftest import e
 
 
@@ -211,6 +212,25 @@ class TestNuclearDecomp:
         report = check_nuclear_decomp(T, S, family, (1, 2))
         if report.verdict == "inconclusive":
             assert report.details["gap_total"] > 0.0
+
+    def test_wide_greedy_sandwiches_are_inconclusive(self):
+        # Off 2 x 2 x n the sum's greedy sandwich is wide: the intervals
+        # overlap but their widths add up to more than 1e-2.
+        family, T, S = sample_pair((3, 3, 3), (2, 2, 2), (0, 1), seed=0)
+        report = check_nuclear_decomp(T, S, family, (0, 1))
+        assert report.verdict == "inconclusive"
+        assert report.details["gap_total"] > 1e-2
+        assert report.lhs[0] <= report.rhs[1]
+        assert report.rhs[0] <= report.lhs[1]
+
+    @pytest.mark.parametrize("lhs, rhs", [((1.0, 1.0), (1.5, 1.5)),
+                                          ((2.0, 2.1), (1.0, 1.05))])
+    def test_intervals_apart_by_more_than_tol_fail(self, lhs, rhs):
+        disc = abs(sum(lhs) - sum(rhs)) / 2
+        verdict, gap_total = _nuclear_three_way(lhs, rhs, disc, 1e-3)
+        assert verdict == "fail"
+        assert gap_total == pytest.approx((lhs[1] - lhs[0])
+                                          + (rhs[1] - rhs[0]))
 
 
 class TestNuclearLowerBound:

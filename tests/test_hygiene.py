@@ -293,18 +293,28 @@ def test_branch_and_bound_signature_is_pinned():
         "(T, tol=0.0001, max_evals=2000000, threshold=None)")
 
 
+def test_nuclear_sandwich_signature_is_pinned():
+    """The sandwich takes the tensor alone: no tolerance, budget or seed."""
+    import inspect
+
+    import tnn
+
+    assert str(inspect.signature(tnn.nuclear_sandwich)) == "(T)"
+
+
 def test_partial_transpose_bound_stays_private():
-    """The 2x2xn cap is reached only through ``spectral_certified_upper``:
-    no public name of ``tnn`` or ``tnn.norms`` carries it."""
+    """The 2x2xn cap and its primal step (``_pt_primal``) are reached only
+    through ``spectral_certified_upper`` and HOPM's direct path: no public
+    name of ``tnn`` or ``tnn.norms`` carries them."""
     import tnn
     import tnn.norms
 
-    assert not hasattr(tnn, "_partial_transpose_bound")
+    assert not hasattr(tnn, "_pt_primal")
     assert tnn.norms.__all__ == [
         "SpectralResult", "NuclearSandwich", "spectral_hopm",
         "spectral_certified_upper", "spectral_flattening_upper",
         "spectral_enclosure", "nuclear_sandwich", "duality_gap_check",
         "restricted_norm_check"]
     found = [owner for _, owner in references(
-        (SRC / "norms.py").read_text(), "_partial_transpose_bound")]
-    assert found == ["spectral_certified_upper"]
+        (SRC / "norms.py").read_text(), "_pt_primal")]
+    assert found == ["_hopm_direct", "spectral_certified_upper"]

@@ -87,6 +87,12 @@ class TestSpectralHopm:
         res = spectral_hopm(np.zeros((2, 2)))
         assert res.value == 0.0
 
+    def test_vector_is_its_euclidean_norm(self):
+        res = spectral_hopm(np.array([3.0, -4.0]))
+        assert res.value == 5.0
+        np.testing.assert_array_equal(res.maximizers[0], [0.6, -0.8])
+        assert (res.starts_used, res.iterations) == (1, 1)
+
     def test_matrix_matches_svd(self, rng):
         A = rng.standard_normal((4, 5))
         res = spectral_hopm(asarray(A))
@@ -576,15 +582,14 @@ class TestPartialTransposeBound:
         # tests only.
         Z = two_peak_witness()
         hopm = spectral_hopm(Z, starts=64).value
-        cap, attained = tnn.norms._partial_transpose_bound(Z)
-        loose = (cap + 1e-3, attained) if missed == "cap" else (
-            cap, attained - 1e-3)
-        monkeypatch.setattr(tnn.norms, "_partial_transpose_bound",
-                            lambda A: loose)
+        attained, vectors, cap = tnn.norms._pt_primal(Z)
+        loose = (attained, vectors, cap + 1e-3) if missed == "cap" else (
+            attained - 1e-3, vectors, cap)
+        monkeypatch.setattr(tnn.norms, "_pt_primal", lambda A: loose)
         calls = count_cell_batches(monkeypatch)
         lo, up = spectral_certified_upper(Z, tol=1e-5)
         assert calls
-        assert lo <= hopm + SLACK and hopm <= up <= loose[0]
+        assert lo <= hopm + SLACK and hopm <= up <= loose[2]
         assert up - lo <= 1e-5
 
     def test_limitation_sandwich_gap(self):
@@ -830,7 +835,7 @@ class TestNuclearSandwich:
 
         monkeypatch.setattr(tnn.norms, "spectral_hopm", counting)
         _, T, S = sample_pair((2, 2, 2), (1, 1, 2), frozenset({0, 1}), seed=4)
-        atoms, _, _ = _greedy_atoms(asarray(T + S), 1e-8, 64, 0)
+        atoms, _, _ = _greedy_atoms(asarray(T + S))
         assert atoms
         assert len(atoms) <= len(calls)
 
@@ -841,7 +846,7 @@ class TestNuclearSandwich:
         # least-squares fit to T over them, bit for bit.
         for seed in range(5):
             A = np.random.default_rng(seed).standard_normal(shape)
-            atoms, C, weights = _greedy_atoms(A, 1e-8, 64, 0)
+            atoms, C, weights = _greedy_atoms(A)
             assert C.shape == (A.size, len(atoms))
             for column, factors in zip(C.T, atoms):
                 np.testing.assert_array_equal(column,

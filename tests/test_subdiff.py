@@ -143,6 +143,27 @@ class TestIsSubgradient:
         with pytest.raises(ParameterError):
             is_subgradient(np.ones((2, 2, 2)), np.zeros((2, 2, 2)))
 
+    def test_unit_hopm_value_under_flattening_is_inconclusive(self):
+        # The pairing is the atom's nuclear norm, 1, and HOPM reads
+        # ||G||_sigma = 1, but the flattening bound cannot confirm it.
+        G, T = unit_hopm_full_rank_555()
+        report = is_subgradient(G, T)
+        assert report.verdict == "inconclusive"
+        assert report.pairing >= report.nuclear_interval[0] - 1e-3
+        sig_lo, sig_up = report.spectral_interval
+        assert sig_lo <= 1.0 + 1e-3 < sig_up
+        assert report.notes == ("spectral_upper_flattening",)
+
+
+def unit_hopm_full_rank_555():
+    """A full-rank 5 x 5 x 6 Gaussian tensor over its HOPM value, and the
+    unit atom at its HOPM maximizer, which it pairs to 1.  The branch and
+    bound refuses the shape, so its spectral upper end is the flattening
+    bound, above 1 + 1e-3."""
+    G = np.random.default_rng(0).standard_normal((5, 5, 6))
+    G = G / spectral_hopm(G).value
+    return G, outer_atom(list(spectral_hopm(G).maximizers))
+
 
 @pytest.mark.parametrize("check", [is_subgradient, z_membership],
                          ids=["is_subgradient", "z_membership"])
@@ -233,6 +254,19 @@ class TestZMembership:
         T = outer_atom([e(2, 0)] * 3)
         Z = outer_atom([e(2, 1)] * 3)
         assert z_membership(Z, T)["verdict"] == "fail"
+
+    def test_unit_hopm_value_under_flattening_is_inconclusive(self):
+        # G has full multilinear rank, so it lies in its own span subspace
+        # and <G, G> falls inside G's wide greedy sandwich; HOPM reads
+        # ||G||_sigma = 1, but the flattening bound cannot confirm it.
+        G, _ = unit_hopm_full_rank_555()
+        report = z_membership(G, G)
+        assert report["verdict"] == "inconclusive"
+        lower, upper = report["nuclear_interval"]
+        assert lower - 1e-3 <= report["pairing"] <= upper + 1e-3
+        sig_lo, sig_up = report["spectral_interval"]
+        assert 1.0 - 1e-3 <= sig_lo <= 1.0 + 1e-3 < sig_up
+        assert report["spectral_method"] == "flattening"
 
 
 class TestFindZWitness:
