@@ -166,9 +166,11 @@ def _split_pair(T, S, family, index_set):
 def check_spectral_decomp(T, S, family, index_set, tol=1e-6):
     """Check ``||T + S||_sigma = max(||T||_sigma, ||S||_sigma)``.
 
-    The discrepancy compares best-of-starts values, each raised to the
-    attained lower end of its enclosure; ``lhs`` and ``rhs`` are certified
-    intervals from ``spectral_enclosure``, at every size.
+    The discrepancy compares the attained lower ends of the enclosures
+    (``_raised_enclosure``): the branch and bound's finished best point, or
+    on a flattening enclosure the multi-start HOPM value; ``lhs`` and
+    ``rhs`` are certified intervals from ``spectral_enclosure``, at every
+    size.
     """
     I, T, S = _split_pair(T, S, family, index_set)
     (v_sum, up_sum), (v_t, up_t), (v_s, up_s) = (

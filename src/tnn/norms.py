@@ -10,7 +10,12 @@ flattening bound ``min_k sigma_max(T_(k))`` is a cruder upper bound that
 holds at any size.  ``spectral_enclosure`` is the one place that chooses
 between them, and the library's only caller of the branch and bound: the
 branch and bound, capped by the flattening bound, where the branch and bound
-accepts the shape, and the flattening bound elsewhere.
+accepts the shape, and the flattening bound elsewhere.  The branch and
+bound's lower end is a finished local maximum: before it returns, its best
+attained point is finished by the same BFGS steps that finish HOPM
+(``_hopm_finish``), so the decisions built on an enclosure
+(``_raised_enclosure``) run HOPM only on a flattening enclosure, whose lower
+end is just the largest entry.
 
 For a ``2 x 2 x n`` tensor the branch and bound first computes the
 partial-transpose cap (``_pt_primal``): with ``M`` the Gram matrix of the
@@ -338,7 +343,8 @@ def _hopm_finish(A, vecs, budget):
 
     Returns the vectors (the top singular pair in the two largest modes),
     the number of steps taken, at most ``budget``, and whether the steps
-    stopped before the budget ran out."""
+    stopped before the budget ran out.  A start where the form is zero to
+    rounding takes no step."""
     d = A.ndim
     order = np.argsort(A.shape, kind="stable")
     fixed, free = sorted(order[:d - 2]), sorted(order[d - 2:])
@@ -375,6 +381,10 @@ def _hopm_finish(A, vecs, budget):
 
     y = np.zeros(sum(len(x) - 1 for x in x0))
     f, g, out = evaluate(y)
+    if f <= _FINISH_FLOOR * np.linalg.norm(flat):
+        # The contraction vanishes to rounding: sigma_max has no gradient
+        # there to follow, and the start is returned as it is.
+        return [out[j] for j in np.argsort(fixed + free)], 0, False
     # Inverse Hessian of -f; f is 1-homogeneous, so its curvature scales
     # with f.
     H = np.eye(y.size) / f
@@ -420,6 +430,7 @@ def _hopm_finish(A, vecs, budget):
 # ---------------------------------------------------------------------------
 
 _BNB_BATCH = 128  # cells evaluated per vectorized round
+_BNB_FINISH_STEPS = 2000  # steps of each _hopm_finish on the lower end
 
 # The one symmetric W (up to scale) with (x (x) y)^T W (x (x) y) = 0 for all
 # x, y in R^2: the partial-transpose difference S - S^Gamma for 2 x 2 modes.
@@ -572,14 +583,26 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     If ``threshold`` is given, it also stops as soon as either
     ``upper <= threshold`` or ``lower > threshold`` is established.
 
+    The stop tests use the cells' best attained value.  The lower end
+    returned is that value or, where larger, a finished one: the unit
+    vectors of the best attained point (a cell centre or a normalized
+    corner) are finished by ``_hopm_finish`` to a local maximum, and so is
+    the centre of the open cell with the largest bound when that bound
+    exceeds the finished value by more than ``tol`` (the best point can sit
+    on a lower peak).  The finished value is the form at the finished unit
+    vectors less its backward error ``(N + sum_k n_k + d) eps ||A||_F``, so
+    it is still an attained lower bound.  The upper end does not depend on
+    the finish.
+
     An order-3 tensor whose two smallest modes have size 2 gets the
     partial-transpose cap and an attained value first (``_pt_primal``):
     exact up to a backward-error slack of order ``(n + 4) eps`` relative in
     the squared norm.  When they decide (``cap - attained <= tol``, or in
     threshold mode ``cap <= threshold`` or ``attained > threshold``), no
-    cell is evaluated.  Otherwise the branch and bound starts from the
-    attained value, and the cap enters only its stop tests and its returned
-    upper end, never the cells' priorities.
+    cell is evaluated, and the attained value is the lower end, unfinished.
+    Otherwise the branch and bound starts from the attained value and its
+    vectors, and the cap enters only its stop tests and its returned upper
+    end, never the cells' priorities.
     """
     A = asarray(T)
     d = A.ndim
@@ -605,11 +628,12 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     # decide at once.  Otherwise the cap enters the stop tests only: capping
     # the cells' priorities ties them at the cap and turns best-first search
     # into breadth-first search.
-    cap, best = np.inf, 0.0
+    cap, best, point = np.inf, 0.0, None
     if d == 3 and sorted(dims)[:2] == [2, 2]:
-        best, _, cap = _pt_primal(A)
+        best, vectors, cap = _pt_primal(A)
         if decided(cap, best):
             return best, max(best, cap)
+        point = [vectors[k] for k in fixed]
 
     # The cells run on A over the power of two at or below max|A|, a
     # division exact in binary: the Gram matrices of _sigma_max would
@@ -637,14 +661,22 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     # 32 MB.
     chunk = max(1, 2 ** 22 // (A.shape[-2] * A.shape[-1]))
 
-    def bound(faces, zc, zh):
-        """Cell upper bounds and the best attained value over a batch."""
-        Z = zc[:, None, :] + signs[None] * zh[:, None, :]
+    def points(faces, Z):
+        """The points ``(1, z)`` at the offsets ``Z`` (cells x points x D)
+        in each fixed mode, as stored (``ws``) and with the 1 moved to each
+        cell's face (``xs``, one point a row)."""
         B, C = Z.shape[:2]
         ws = [np.concatenate([np.ones((B, C, 1)), Z[:, :, a:a + n - 1]], 2)
               for a, n in zip(offsets, ns)]
         xs = [np.take_along_axis(w, s[faces[:, k]][:, None], 2).reshape(-1, n)
               for k, (w, s, n) in enumerate(zip(ws, scatter, ns))]
+        return ws, xs
+
+    def bound(faces, zc, zh):
+        """Cell upper bounds, and the best attained value over a batch with
+        its vectors on the fixed modes."""
+        ws, xs = points(faces, zc[:, None, :] + signs[None] * zh[:, None, :])
+        B, C = ws[0].shape[:2]
         f = np.concatenate([
             _sigma_max(np.einsum(contract, A, *(x[r:r + chunk] for x in xs)))
             for r in range(0, B * C, chunk)]).reshape(B, C)
@@ -655,7 +687,22 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
                            / np.linalg.norm(w[:, 0], axis=1)[:, None]
                            for w in ws], axis=0)
         upper = (f[:, 1:] / heights[:, 1:]).max(axis=1)
-        return upper, float((f / lengths).max())
+        attained = (f / lengths).reshape(-1)
+        i = int(np.argmax(attained))
+        return upper, float(attained[i]), [x[i] for x in xs]
+
+    def finished(start):
+        """The form at the unit vectors ``_hopm_finish`` reaches from the
+        fixed-mode vectors ``start``, normalized."""
+        start = [x / np.linalg.norm(x) for x in start]
+        vecs = _hopm_finish(A, start, _BNB_FINISH_STEPS)[0]
+        return float(_hopm_form([v[None] for v in vecs],
+                                A.reshape(-1, A.shape[-1]))[0])
+
+    # Backward error of the form at unit vectors: its N-term sum, and the
+    # norms and divisions that made the vectors unit.
+    rounding = ((A.size + sum(A.shape) + d) * np.finfo(float).eps
+                * float(np.linalg.norm(A)))
 
     heap, tick = [], itertools.count()
     resolved = 0.0
@@ -667,15 +714,25 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     while True:
         if cells:
             faces, zc, zh, caps = (np.array(a) for a in zip(*cells))
-            ubs, value = bound(faces, zc, zh)
+            ubs, value, at = bound(faces, zc, zh)
             evals += len(cells) * len(signs)
-            best = max(best, value)
+            if point is None or value > best:
+                best, point = value, at
             for u, f, c, h in zip(np.minimum(ubs, caps), faces, zc, zh):
                 heapq.heappush(heap, (-float(u), next(tick), f, c, h))
         top = -heap[0][0] if heap else -np.inf
         upper = min(cap, max(top, resolved))
         if not heap or evals >= max_evals or decided(upper, best):
-            return best * peak, max(best, upper) * peak
+            # The lower end is the best attained value finished to a local
+            # maximum, and the top open cell's centre finished too where
+            # its bound (or the cap) leaves more than tol above that.
+            lower = finished(point)
+            if heap and min(cap, top) - lower > tol:
+                _, _, face, c, _ = heap[0]
+                centre = points(np.array([face]), c[None, None])[1]
+                lower = max(lower, finished([x[0] for x in centre]))
+            return (max(best, lower - rounding) * peak,
+                    max(best, upper) * peak)
         cells = []
         while heap and len(cells) < _BNB_BATCH:
             neg_ub, _, face, c, h = heapq.heappop(heap)
@@ -764,10 +821,11 @@ def spectral_enclosure(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     """Certified ``(lower, upper, method)`` for the spectral norm, at any size.
 
     Where the branch and bound accepts the shape (``method == "bnb"``),
-    ``lower`` is its attained value and ``upper`` the smaller of its bound
-    and the flattening bound; ``tol``, ``max_evals`` and ``threshold`` are
-    passed to ``spectral_certified_upper``, whose ``tol`` is absolute (it
-    stops once ``upper - lower <= tol``).  Where it refuses the shape
+    ``lower`` is its attained value, finished to a local maximum, and
+    ``upper`` the smaller of its bound and the flattening bound; ``tol``,
+    ``max_evals`` and ``threshold`` are passed to
+    ``spectral_certified_upper``, whose ``tol`` is absolute (it stops once
+    ``upper - lower <= tol``).  Where it refuses the shape
     (``method == "flattening"``), ``lower`` is the largest entry magnitude,
     attained by basis vectors, and ``upper`` the flattening bound.
 
@@ -793,11 +851,16 @@ def spectral_enclosure(T, tol=1e-4, max_evals=2_000_000, threshold=None):
 
 
 def _raised_enclosure(T, tol, max_evals=2_000_000, threshold=None):
-    """``spectral_enclosure`` with its lower end raised to the multi-start
-    HOPM value where that is larger (both are attained values)."""
+    """``spectral_enclosure`` whose lower end is an attained value near a
+    local maximum at every size: a ``"bnb"`` enclosure's already is (the
+    branch and bound finishes its best point), and a ``"flattening"`` one's,
+    the largest entry, is raised to the multi-start HOPM value where that
+    is larger."""
     lo, up, method = spectral_enclosure(T, tol=tol, max_evals=max_evals,
                                         threshold=threshold)
-    return max(lo, spectral_hopm(T).value), up, method
+    if method == "flattening":
+        lo = max(lo, spectral_hopm(T).value)
+    return lo, up, method
 
 
 # ---------------------------------------------------------------------------

@@ -366,8 +366,10 @@ def certify(instance, lam=None):
     """Build ``D = D1 + D2`` and evaluate the five optimality conditions.
 
     The spectral condition's upper bound is certified at every size by
-    ``spectral_enclosure``; its lower bound is the larger of the enclosure's
-    and the multi-start value.  Only when the bounds straddle the 1/2
+    ``spectral_enclosure``; its lower bound is an attained value
+    (``_raised_enclosure``): the branch and bound's finished best point, or
+    on a flattening enclosure the larger of the largest entry and the
+    multi-start HOPM value.  Only when the bounds straddle the 1/2
     threshold is the condition decided on the lower bound (the best value
     attained) and flagged as uncertified.
     """
@@ -391,7 +393,7 @@ def certify(instance, lam=None):
     off = D - PD
     sig_lo, sig_up, _ = _raised_enclosure(off, 1e-3)
     # Decide against the 1/2 threshold with certified bounds when they are
-    # sharp enough; otherwise fall back to the multi-start value and flag
+    # sharp enough; otherwise fall back to the attained lower end and flag
     # the condition as uncertified rather than pretending.
     if sig_up < 0.5:
         sig_val, sig_cert, sig_ok = sig_up, True, True

@@ -87,7 +87,9 @@ class SubgradientReport:
 def _spectral_decision(G, threshold, tol):
     """Bounds for ||G||_sigma sharp enough to compare against
     ``threshold + tol``, and the method of the certified upper bound ("bnb"
-    or "flattening")."""
+    or "flattening").  The lower end is attained: the branch and bound's
+    finished best point, or on a flattening enclosure the multi-start HOPM
+    value (``_raised_enclosure``)."""
     return _raised_enclosure(G, tol / 2, max_evals=600_000,
                              threshold=threshold + tol / 2)
 

@@ -490,6 +490,38 @@ class TestSpectralCertified:
             for end, want in zip(ends, ref):
                 assert end / f == pytest.approx(want, rel=1e-14)
 
+    @pytest.mark.parametrize("shape", [(2, 2, 2, 2), (3, 3, 3), (3, 4, 5),
+                                       (4, 4, 4), (2, 3, 4), (2, 2, 2, 3),
+                                       (3, 3, 3, 3)], ids=str)
+    def test_lower_end_is_a_finished_maximum(self, shape):
+        # The lower end is the cells' best point finished by BFGS, and the
+        # top open cell's centre finished too where its bound leaves more
+        # than tol: (3, 4, 5) seed 2 at 1.01x reaches HOPM's maximum only
+        # from that cell.
+        for seed in range(3):
+            T = np.random.default_rng([seed, *shape]).standard_normal(shape)
+            hopm = spectral_hopm(T, starts=64).value
+            for threshold in (None, 0.99 * hopm, 1.01 * hopm):
+                lo, _ = spectral_certified_upper(T, tol=1e-3,
+                                                 threshold=threshold)
+                assert lo >= hopm * (1.0 - 1e-12)
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_top_cell_centre_where_the_form_vanishes(self, seed):
+        # e0 (x) e1 (x) M + e1 (x) e0 (x) N: the four first cells tie, the
+        # top one is face (0, 0), and the form is zero at its centre.  Its
+        # finish must not start there; the norm is max(|M|, |N|), attained
+        # at the centres of faces (0, 1) and (1, 0).
+        rng = np.random.default_rng(seed)
+        M, N = rng.standard_normal((2, 3, 3))
+        T = (np.einsum("i,j,kl->ijkl", e(2, 0), e(2, 1), M)
+             + np.einsum("i,j,kl->ijkl", e(2, 1), e(2, 0), N))
+        norm = max(np.linalg.norm(M, 2), np.linalg.norm(N, 2))
+        for kw in ({"max_evals": 1}, {"threshold": 0.5 * norm}):
+            lo, up = spectral_certified_upper(T, **kw)
+            assert lo == pytest.approx(norm, rel=1e-12)
+            assert up >= lo
+
     @given(shape=st.sampled_from([(2, 2, 2), (1, 3, 2), (3, 3, 3), (2, 3, 4),
                                   (2, 1, 3, 2), (2, 2, 2, 2)]),
            seed=st.integers(0, 2 ** 32 - 1),

@@ -139,6 +139,15 @@ class TestIsSubgradient:
         assert abs(report.spectral_interval[1] - 1.0) <= 1e-12
         assert report.notes == ()
 
+    def test_rank_one_large_modes_interval_not_inverted(self):
+        # The core's enclosure is closed to rounding: a HOPM value on T
+        # lands above its upper end in 8 of these 40, the enclosure's own
+        # lower end in none.
+        for seed in range(40):
+            T = rank_one(np.random.default_rng(seed), (5, 5, 6))
+            lo, up = is_subgradient(T, T).spectral_interval
+            assert lo <= up
+
     def test_zero_base_rejected(self):
         with pytest.raises(ParameterError):
             is_subgradient(np.ones((2, 2, 2)), np.zeros((2, 2, 2)))
@@ -182,6 +191,45 @@ def test_pairing_below_the_certified_lower_end_fails(check):
     report = check(G, T, tol=tol, sandwich=sw)
     verdict = report["verdict"] if isinstance(report, dict) else report.verdict
     assert verdict == "fail"
+
+
+def count_hopm(monkeypatch):
+    """Patch ``spectral_hopm`` in ``tnn.norms`` to count its calls."""
+    calls = []
+    hopm = tnn.norms.spectral_hopm
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return hopm(*args, **kwargs)
+
+    monkeypatch.setattr(tnn.norms, "spectral_hopm", counting)
+    return calls
+
+
+class TestDecisionHopm:
+    """The spectral decisions run HOPM on flattening enclosures only: the
+    branch and bound finishes its own lower end."""
+
+    def test_none_where_the_branch_and_bound_runs(self, monkeypatch):
+        g4 = gallery("yuan4", t=0.35)
+        G4, T4 = np.asarray(g4["Z"]) + np.asarray(g4["X"]), g4["T"]
+        g3 = gallery("notsingle", t=0.5)
+        sw4, sw3 = nuclear_sandwich(T4), nuclear_sandwich(g3["T"])
+        calls = count_hopm(monkeypatch)
+        assert is_subgradient(G4, T4, sandwich=sw4).verdict == "fail"
+        report = z_membership(g3["Z"], g3["T"], tol=0.05, sandwich=sw3)
+        assert report["verdict"] == "pass"
+        assert report["spectral_method"] == "bnb"
+        assert calls == []
+
+    def test_one_on_a_flattening_enclosure(self, rng, monkeypatch):
+        G = rng.standard_normal((5, 6, 7))
+        T = rank_one(rng, (5, 6, 7))
+        sw = nuclear_sandwich(T)
+        calls = count_hopm(monkeypatch)
+        report = is_subgradient(G, T, sandwich=sw)
+        assert report.notes == ("spectral_upper_flattening",)
+        assert len(calls) == 1
 
 
 class TestZMembership:
