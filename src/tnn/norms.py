@@ -5,17 +5,21 @@ estimated from below by multi-start alternating maximization (HOPM) and
 enclosed by a second-order branch and bound: the two largest modes are
 contracted into an exact matrix spectral norm, and the unit spheres of the
 other modes are searched in cells on cube faces, each bounded by the values
-at its corners projected onto the tangent plane at its centre.  The
-flattening bound ``min_k sigma_max(T_(k))`` is a cruder upper bound that
-holds at any size.  ``spectral_enclosure`` is the one place that chooses
-between them, and the library's only caller of the branch and bound: the
-branch and bound, capped by the flattening bound, where the branch and bound
-accepts the shape, and the flattening bound elsewhere.  The branch and
-bound's lower end is a finished local maximum: before it returns, its best
-attained point is finished by the same BFGS steps that finish HOPM
-(``_hopm_finish``), so the decisions built on an enclosure
-(``_raised_enclosure``) run HOPM only on a flattening enclosure, whose lower
-end is just the largest entry.
+at its corners projected onto the tangent plane at its centre.  The open
+cells are the rows of one array that keeps those corner values, so a split
+prices only the two child centres and the corners on the split plane.  Each
+value is a top singular value (``_sigma_max``: ``2 x 2`` blocks in closed
+form, larger ones from the smaller Gram matrix), taken on the tensor
+over a power of two near its largest entry so that the squares stay inside
+the float range.  The flattening bound ``min_k sigma_max(T_(k))`` is a
+cruder upper bound that holds at any size.  ``spectral_enclosure``, the
+library's only caller of the branch and bound, chooses between them: the
+branch and bound, capped by the flattening bound, where it accepts the
+shape, and the flattening bound elsewhere.  The branch and bound's lower end
+is a finished local maximum: before it returns, its best attained point is
+finished by the same BFGS steps that finish HOPM (``_hopm_finish``), so the
+decisions built on an enclosure (``_raised_enclosure``) run HOPM only on a
+flattening enclosure, whose lower end is just the largest entry.
 
 For a ``2 x 2 x n`` tensor the branch and bound first computes the
 partial-transpose cap (``_pt_primal``): with ``M`` the Gram matrix of the
@@ -33,61 +37,37 @@ restricted-subspace facts.  ``spectral_enclosure`` and ``nuclear_sandwich``
 both work on ``G`` and widen their ends by the part of ``T`` outside the
 bases, so the choice above is made on the multilinear rank, not the shape.
 
-HOPM runs all starts together on unfoldings: each mode's transposed
-unfolding ``T_(k)^T`` is copied once per call, and each mode update is one
-BLAS product of the other modes' row-wise Khatri-Rao product with it.  The
-norms of a sweep's last updates are the values at the starts, so no sweep
-evaluates the form separately.  The starts are ranked, and the value
-reported, by the row-wise ``<KR(x_1, ..., x_{d-1}) T_(d)^T, x_d>``: the
-last sweep's last update paired with the last mode's vectors, or the same
-BLAS product once more (``_hopm_form``); no ``einsum`` runs.
-The sweeps take a stack of same-shape tensors (``_hopm_stack``) as one
-batched ``matmul`` per mode update, each tensor leaving at the sweep where
-its own stop rule fires, so a stacked tensor's result is the one it gets
-alone; ``spectral_hopm`` is the stack of one, and ``rpca``'s concentration
-experiment sends all its trials' sign tensors through one stack.  At a
-degenerate maximum, such as a subgradient's atoms where its spectral norm
-is attained, the sweeps converge sublinearly, so a
-run they have not settled within ``_HOPM_SWEEPS`` is finished from its best
-start by BFGS on ``sigma_max(T x_fixed x)``, the function the branch and
-bound encloses, and the finished vectors are kept when the form is no lower
-there, up to rounding.  On a ``2 x 2 x n`` tensor HOPM first takes the
-partial-transpose primal step (``_pt_primal``); where the cap meets its
-value, to HOPM's ``tol`` relative, that value is the norm and no sweep runs.
-It is the same float the branch and bound reports as its lower end there.
+HOPM runs all starts together on unfoldings: each mode update is one BLAS
+product of the other modes' row-wise Khatri-Rao product with the mode's
+transposed unfolding, and the starts are ranked by the form at their vectors
+(``_hopm_form``); no ``einsum`` runs.  A stack of same-shape tensors sweeps
+as one batched ``matmul`` per update (``_hopm_stack``), each tensor leaving
+at its own stop, so its result is the one it gets alone; ``rpca``'s
+concentration experiment sends all its trials through one stack.  A run the
+sweeps have not settled within ``_HOPM_SWEEPS``, as at a degenerate
+maximum, is finished from its best start by BFGS on ``sigma_max(T x_fixed
+x)``, the function the branch and bound encloses.  On a ``2 x 2 x n``
+tensor HOPM first takes the partial-transpose primal step (``_pt_primal``);
+where the cap meets its value, that value is the norm, the same float the
+branch and bound reports there, and no sweep runs.
 
-The branch and bound's cells need only the top singular value of many small
-matrices (``_sigma_max``): ``2 x 2`` blocks in closed form, larger ones from
-the top eigenvalue of the smaller Gram matrix, with the cells run on the
-tensor over a power of two near its largest entry so that the squares stay
-inside the float range.
-
-The nuclear norm is enclosed in a sandwich ``[lower, upper]``: the upper
-bound comes from a rank-one decomposition, bounded by total weight plus l1
-residual; the lower bound from a dual witness divided by a certified upper
-bound on its spectral norm.  One candidate witness is the scaled base
-``T``, certified by the flattening bound.  A ``2 x 2 x n`` tensor of full
-multilinear rank is sandwiched by an exact one-variable program
-(``_pt_nuclear``): ``||T||_*`` is the maximum over ``s`` in ``[-1, 1]`` of
-the concave ``||(I - s W)^{1/2} U||_*`` (``U`` the ``4 x n`` unfolding,
-``W`` as for the cap above), whose maximizer gives a witness, with the cap
-at the program's own ``s`` as its proof, and an SDP dual point that splits
-into rank-one atoms, whose total weight plus l1 residual is the upper end.
-Other shapes of full multilinear rank get a greedy rank-one decomposition,
-which takes HOPM's one maximizer on the residual per step and refits all
-weights by least squares, and the sign witness of its atoms.  Every witness
-but the scaled base is certified once by ``spectral_enclosure``.  The lower
-end is the best certified ratio ``<T, Z> / ||Z||_sigma``, attained by the
-witness returned.  These candidates are built on a tensor of full
-multilinear rank, whose span subspace ``T(T)`` (the tensors whose mode-k
-spans lie inside those of ``T``) is the whole space; the witness of a
-compressed tensor is the core's lifted by ``x_k U_k``, which lies in
-``T(T)`` and keeps its spectral norm.
+The nuclear norm is enclosed in a sandwich ``[lower, upper]``
+(``nuclear_sandwich``): the upper end is a rank-one decomposition's total
+weight plus its l1 residual, the lower end a dual witness's pairing with
+``T`` over a certified upper bound on its spectral norm.  A ``2 x 2 x n``
+tensor of full multilinear rank is sandwiched by an exact one-variable
+program (``_pt_nuclear``): ``||T||_*`` is the maximum over ``s`` in
+``[-1, 1]`` of the concave ``||(I - s W)^{1/2} U||_*`` (``U`` the ``4 x n``
+unfolding, ``W`` as for the cap above).  Other shapes of full multilinear
+rank get a greedy rank-one pursuit and the sign witness of its atoms.  The
+witnesses are built on a tensor of full multilinear rank, whose span
+subspace ``T(T)`` (the tensors whose mode-k spans lie inside those of
+``T``) is the whole space; the witness of a compressed tensor is the core's
+lifted by ``x_k U_k``, which lies in ``T(T)`` and keeps its spectral norm.
 """
 
 from __future__ import annotations
 
-import heapq
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -429,7 +409,7 @@ def _hopm_finish(A, vecs, budget):
 # Rigorous upper bounds: second-order branch and bound on cube faces.
 # ---------------------------------------------------------------------------
 
-_BNB_BATCH = 128  # cells evaluated per vectorized round
+_BNB_BATCH = 64  # cells split per vectorized round
 _BNB_FINISH_STEPS = 2000  # steps of each _hopm_finish on the lower end
 
 # The one symmetric W (up to scale) with (x (x) y)^T W (x (x) y) = 0 for all
@@ -562,47 +542,49 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     spectral norm, convex, 1-homogeneous and even in each ``x_k``.  By
     evenness each fixed unit sphere is covered by the ``+1`` faces of the
     cube ``[-1, 1]^n`` (a point ``y`` of a face stands for ``y / ||y||``), and
-    a cell is a product of boxes on those faces, split at its widest side.
-    Centrally projecting a box's corners onto the tangent plane at the unit
-    vector ``u`` through its centre (``p -> p / <p, u>``) gives points whose
-    convex hull contains the projection of the whole box, whose values dominate
-    the sphere values, so by per-mode convexity the largest ``f`` over the
-    projected corner products bounds ``f`` on the cell, with an overshoot of
-    order ``theta^2`` in the cell's angular radius.  ``f`` at the cell centre
-    and at the normalized corners are attained values, hence lower bounds.
-    ``max_evals`` counts these small matrix-norm evaluations; each cell costs
-    ``1 + 2^sum(n_k - 1)`` of them, so fixed-mode dimensions above 4 are
-    refused.  Each is the top singular value alone (``_sigma_max``): in
-    closed form for ``2 x 2`` matrices, elsewhere the square root of the top
-    eigenvalue of the smaller Gram matrix.  The Gram form squares the
-    entries, so the cells run on ``T`` over the power of two at or below its
-    largest entry magnitude, with ``tol`` and ``threshold`` divided alike and
-    both ends multiplied back; the division is exact in binary.
+    a cell is a product of boxes on those faces, with ``D = sum(n_k - 1)``
+    coordinates.  Centrally projecting a box's corners onto the tangent plane
+    at the unit vector ``u`` through its centre (``p -> p / <p, u>``) gives
+    points whose convex hull contains the projection of the whole box, whose
+    values dominate the sphere values, so by per-mode convexity the largest
+    ``f`` over the projected corner products bounds ``f`` on the cell, with
+    an overshoot of order ``theta^2`` in the cell's angular radius.  ``f`` at
+    the cell centre and at the normalized corners are attained values, hence
+    lower bounds.
+
+    The open cells are one array, a row a cell in push order: its bound,
+    faces, centre, half-widths and ``f`` at its ``2^D`` corners.  Each round
+    splits the ``_BNB_BATCH`` live cells of largest bound (the earlier pushed
+    first among equal bounds) at their widest side and prices only the new
+    points: the two child centres and the ``2^(D-1)`` corners on the split
+    plane, which the children share; their other corners keep the parent's
+    values.  ``max_evals`` still counts ``1 + 2^D`` evaluations per cell,
+    though shared corners are priced once; fixed-mode dimensions above 4 are
+    refused.  Each evaluation is a top singular value (``_sigma_max``), whose
+    Gram form squares the entries, so the cells run on ``T`` over the power
+    of two at or below its largest entry magnitude, with ``tol`` and
+    ``threshold`` divided alike and both ends multiplied back, exactly.
 
     ``tol`` is absolute: the search stops once ``upper - lower <= tol``.
     If ``threshold`` is given, it also stops as soon as either
     ``upper <= threshold`` or ``lower > threshold`` is established.
 
     The stop tests use the cells' best attained value.  The lower end
-    returned is that value or, where larger, a finished one: the unit
-    vectors of the best attained point (a cell centre or a normalized
-    corner) are finished by ``_hopm_finish`` to a local maximum, and so is
-    the centre of the open cell with the largest bound when that bound
-    exceeds the finished value by more than ``tol`` (the best point can sit
-    on a lower peak).  The finished value is the form at the finished unit
-    vectors less its backward error ``(N + sum_k n_k + d) eps ||A||_F``, so
-    it is still an attained lower bound.  The upper end does not depend on
-    the finish.
+    returned is that value or, where larger, a finished one: the best
+    attained point (a cell centre or a normalized corner) is finished by
+    ``_hopm_finish`` to a local maximum, and so is the top open cell's
+    centre when its bound exceeds the finished value by more than ``tol``
+    (the best point can sit on a lower peak).  The finished value, the form
+    at the finished unit vectors less its backward error
+    ``(N + sum_k n_k + d) eps ||A||_F``, is still attained.  The upper end
+    does not depend on the finish.
 
     An order-3 tensor whose two smallest modes have size 2 gets the
-    partial-transpose cap and an attained value first (``_pt_primal``):
-    exact up to a backward-error slack of order ``(n + 4) eps`` relative in
-    the squared norm.  When they decide (``cap - attained <= tol``, or in
-    threshold mode ``cap <= threshold`` or ``attained > threshold``), no
-    cell is evaluated, and the attained value is the lower end, unfinished.
-    Otherwise the branch and bound starts from the attained value and its
-    vectors, and the cap enters only its stop tests and its returned upper
-    end, never the cells' priorities.
+    partial-transpose cap and an attained value first (``_pt_primal``).
+    Where they meet the stop tests, no cell is evaluated and the attained
+    value is the lower end, unfinished.  Otherwise the branch and bound
+    starts from the attained value and its vectors, and the cap enters only
+    its stop tests and its upper end, never the cells' priorities.
     """
     A = asarray(T)
     d = A.ndim
@@ -624,10 +606,8 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
         return upper - best <= tol or (
             threshold is not None and (upper <= threshold or best > threshold))
 
-    # A 2 x 2 x n tensor's partial-transpose cap and attained value usually
-    # decide at once.  Otherwise the cap enters the stop tests only: capping
-    # the cells' priorities ties them at the cap and turns best-first search
-    # into breadth-first search.
+    # Capping the cells' priorities by the partial-transpose cap would tie
+    # them at the cap and turn best-first search into breadth-first search.
     cap, best, point = np.inf, 0.0, None
     if d == 3 and sorted(dims)[:2] == [2, 2]:
         best, vectors, cap = _pt_primal(A)
@@ -635,10 +615,6 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
             return best, max(best, cap)
         point = [vectors[k] for k in fixed]
 
-    # The cells run on A over the power of two at or below max|A|, a
-    # division exact in binary: the Gram matrices of _sigma_max would
-    # overflow or underflow far inside the float range.  tol, threshold and
-    # the partial-transpose values are scaled alike, and both ends back.
     peak = math.ldexp(1.0, math.frexp(float(np.abs(A).max()))[1] - 1)
     A = A.transpose(fixed + sorted(order[d - 2:])) / peak
     cap, best, tol = cap / peak, best / peak, tol / peak
@@ -653,43 +629,56 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     # Row 0 picks the cell centre, the other rows its corners.
     signs = np.array([(0.0,) * D]
                      + list(itertools.product((-1.0, 1.0), repeat=D)))
+    # A split at offset j prices lo + moves[j] * half: the lower child's
+    # centre lo, the split plane's points in its corner order (j-th sign +1)
+    # and the upper child's centre.  gather[j] picks both children's centre
+    # and corner values from the parent's corner values and the new ones;
+    # centres and half-widths are dyadic, so a shared point is one float.
+    C, K = len(signs) - 1, (len(signs) - 1) // 2
+    moves, gather = np.zeros((D, K + 2, D)), np.zeros((D, 2, C + 1), int)
+    for j, up in enumerate(signs[1:].T > 0):
+        moves[j, 1:-1], moves[j, -1, j] = signs[1:][up], 2.0
+        plane = np.zeros(C, int)
+        plane[up] = plane[~up] = C + 1 + np.arange(K)
+        gather[j, :, 0] = C, C + K + 1
+        gather[j, :, 1:] = np.where(up, [plane, range(C)], [range(C), plane])
+    gather = gather.reshape(D, 2 * C + 2)
     subs = _LETTERS[:d]
     m = len(ns)
     contract = (subs + "," + ",".join("z" + s for s in subs[:m])
                 + "->z" + subs[m:])
-    # Matrices per einsum and _sigma_max call, so that each call stays near
-    # 32 MB.
+    # Matrices per einsum and _sigma_max call: about 32 MB.
     chunk = max(1, 2 ** 22 // (A.shape[-2] * A.shape[-1]))
 
-    def points(faces, Z):
-        """The points ``(1, z)`` at the offsets ``Z`` (cells x points x D)
-        in each fixed mode, as stored (``ws``) and with the 1 moved to each
-        cell's face (``xs``, one point a row)."""
-        B, C = Z.shape[:2]
-        ws = [np.concatenate([np.ones((B, C, 1)), Z[:, :, a:a + n - 1]], 2)
-              for a, n in zip(offsets, ns)]
-        xs = [np.take_along_axis(w, s[faces[:, k]][:, None], 2).reshape(-1, n)
-              for k, (w, s, n) in enumerate(zip(ws, scatter, ns))]
-        return ws, xs
+    def lift(Z):
+        """Per fixed mode, the points ``(1, z)`` at the offsets ``Z``."""
+        ones = np.ones(Z.shape[:2] + (1,))
+        return [np.concatenate([ones, Z[:, :, a:a + n - 1]], 2)
+                for a, n in zip(offsets, ns)]
 
-    def bound(faces, zc, zh):
-        """Cell upper bounds, and the best attained value over a batch with
-        its vectors on the fixed modes."""
-        ws, xs = points(faces, zc[:, None, :] + signs[None] * zh[:, None, :])
-        B, C = ws[0].shape[:2]
+    def placed(faces, ws):
+        """``ws`` with the 1 moved to each cell's face, a point a row."""
+        return [np.take_along_axis(w, s[fk][:, None], 2).reshape(-1, n)
+                for fk, w, s, n in zip(faces.T, ws, scatter, ns)]
+
+    def price(faces, Z):
+        """f at the cells' points ``Z``, f / lengths, and the points."""
+        ws = lift(Z)
+        xs = placed(faces, ws)
         f = np.concatenate([
             _sigma_max(np.einsum(contract, A, *(x[r:r + chunk] for x in xs)))
-            for r in range(0, B * C, chunk)]).reshape(B, C)
-        # f / heights is f at the points projected onto the tangent planes at
-        # the cell centre; f / lengths is f at the normalized points.
+            for r in range(0, len(xs[0]), chunk)]).reshape(Z.shape[:2])
         lengths = np.prod([np.linalg.norm(w, axis=2) for w in ws], axis=0)
+        return f, (f / lengths).reshape(-1), xs
+
+    def bound(zc, zh, f):
+        """Cell bounds from f at the centres and corners; f / heights is f at
+        a corner projected onto the tangent plane at the centre."""
+        ws = lift(zc[:, None, :] + signs[None] * zh[:, None, :])
         heights = np.prod([np.einsum("bcn,bn->bc", w, w[:, 0])
                            / np.linalg.norm(w[:, 0], axis=1)[:, None]
                            for w in ws], axis=0)
-        upper = (f[:, 1:] / heights[:, 1:]).max(axis=1)
-        attained = (f / lengths).reshape(-1)
-        i = int(np.argmax(attained))
-        return upper, float(attained[i]), [x[i] for x in xs]
+        return (f[:, 1:] / heights[:, 1:]).max(axis=1)
 
     def finished(start):
         """The form at the unit vectors ``_hopm_finish`` reaches from the
@@ -704,50 +693,60 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     rounding = ((A.size + sum(A.shape) + d) * np.finfo(float).eps
                 * float(np.linalg.norm(A)))
 
-    heap, tick = [], itertools.count()
-    resolved = 0.0
-    evals = 0
-    # A cell: its face in each fixed mode, box centre, box half-widths, and
-    # its parent's bound, which holds for the cell too.
-    cells = [(f, np.zeros(D), np.ones(D), np.inf)
-             for f in itertools.product(*map(range, ns))]
+    # The open cells, a row each in push order: bound, faces, box centre,
+    # half-widths and f at the box corners (columns `cols`).
+    edges = np.cumsum([0, 1, m, D, D, C])
+    cols = list(map(slice, edges[:-1], edges[1:]))
+    cells, resolved, evals, caps = np.empty((0, edges[-1])), 0.0, 0, np.inf
+    faces = np.array(list(itertools.product(*map(range, ns))))
+    zc, zh = np.zeros((len(faces), D)), np.ones((len(faces), D))
+    f, attained, xs = price(faces, np.tile(signs, (len(faces), 1, 1)))
     while True:
-        if cells:
-            faces, zc, zh, caps = (np.array(a) for a in zip(*cells))
-            ubs, value, at = bound(faces, zc, zh)
-            evals += len(cells) * len(signs)
-            if point is None or value > best:
-                best, point = value, at
-            for u, f, c, h in zip(np.minimum(ubs, caps), faces, zc, zh):
-                heapq.heappush(heap, (-float(u), next(tick), f, c, h))
-        top = -heap[0][0] if heap else -np.inf
+        if len(faces):
+            evals += len(faces) * len(signs)
+            i = int(np.argmax(attained))
+            if point is None or attained[i] > best:
+                best, point = float(attained[i]), [x[i] for x in xs]
+            u = np.minimum(bound(zc, zh, f), caps)
+            cells = np.concatenate([cells, np.concatenate(
+                [u[:, None], faces, zc, zh, f[:, 1:]], 1)])
+        u = cells[:, 0]
+        top = float(u.max(initial=-np.inf))
         upper = min(cap, max(top, resolved))
-        if not heap or evals >= max_evals or decided(upper, best):
+        if not len(u) or evals >= max_evals or decided(upper, best):
             # The lower end is the best attained value finished to a local
             # maximum, and the top open cell's centre finished too where
             # its bound (or the cap) leaves more than tol above that.
             lower = finished(point)
-            if heap and min(cap, top) - lower > tol:
-                _, _, face, c, _ = heap[0]
-                centre = points(np.array([face]), c[None, None])[1]
+            if len(u) and min(cap, top) - lower > tol:
+                k = int(np.argmax(u))
+                ws = lift(cells[k:k + 1, None, cols[2]])
+                centre = placed(cells[k:k + 1, cols[1]].astype(int), ws)
                 lower = max(lower, finished([x[0] for x in centre]))
             return (max(best, lower - rounding) * peak,
                     max(best, upper) * peak)
-        cells = []
-        while heap and len(cells) < _BNB_BATCH:
-            neg_ub, _, face, c, h = heapq.heappop(heap)
-            if -neg_ub - best <= tol or (
-                threshold is not None and -neg_ub <= threshold
-            ):
-                resolved = max(resolved, -neg_ub)
-                continue
-            j = int(np.argmax(h))
-            half = h.copy()
-            half[j] *= 0.5
-            for side in (-1.0, 1.0):
-                centre = c.copy()
-                centre[j] += side * half[j]
-                cells.append((face, centre, half, -neg_ub))
+        # Dead cells are a down-set in u: the first _BNB_BATCH live ones in
+        # (-u, push) order split, or all live ones and the dead are resolved.
+        dead = (u - best <= tol) | (threshold is not None and u <= threshold)
+        pick = np.argsort(-u, kind="stable")[:_BNB_BATCH]
+        pick = pick[~dead[pick]]
+        keep = np.full(len(u), len(pick) == _BNB_BATCH)
+        if len(pick) < _BNB_BATCH:
+            resolved = float(u[dead].max(initial=resolved))
+        keep[pick] = False
+        parents, cells = cells[pick], cells[keep]
+        caps, faces, zc, zh, F = (parents[:, c] for c in cols)
+        if not len(pick):
+            continue
+        # Split each parent at its widest side; its bound caps the children.
+        j = np.argmax(zh, axis=1)
+        step = 0.5 * zh * (moves[j, -1] > 0)
+        zh = zh - step
+        Z = (zc - step)[:, None] + moves[j] * zh[:, None]
+        new, attained, xs = price(faces.astype(int), Z)
+        f = np.concatenate([F, new], 1)[np.arange(len(j))[:, None], gather[j]]
+        f, zc = f.reshape(-1, len(signs)), Z[:, [0, -1]].reshape(-1, D)
+        faces, zh, caps = faces.repeat(2, 0), zh.repeat(2, 0), caps.repeat(2)
 
 
 def _sigma_max(X):

@@ -421,6 +421,109 @@ class TestHopmFinish:
             assert abs(multilinear_contract(Z, vecs)) >= 1.0 - 1e-15
 
 
+# spectral_certified_upper's (lower, upper) as float.hex on default_rng(0)
+# draws of D = 1 to 4 cell coordinates in 1 to 3 fixed modes, and on yuan4's
+# Z + X at t = 1/3, whose symmetric cells tie in bound so that ties break by
+# push order.  The thresholds lie near 0.99 and 1.01 times the HOPM value.
+# Any change to the search order or to the arithmetic of a cell moves them.
+PINNED_THRESHOLDS = {
+    (2, 3, 4): (2.7538, 2.80943),
+    (3, 3, 3): (3.39986, 3.46854),
+    (2, 2, 2, 2): (2.99683, 3.05737),
+    (4, 4, 4): (3.66494, 3.73898),
+    (2, 2, 2, 2, 2): (3.11324, 3.17614),
+    (3, 3, 3, 3): (4.26004, 4.3461),
+    "yuan4": (0.99, 1.01),
+}
+PINNED_ENDS = {
+    ((2, 3, 4), "tol"):
+        ("0x1.640bf2e315bd4p+1", "0x1.6411e8fcf04b5p+1"),
+    ((2, 3, 4), "below"):
+        ("0x1.640bf2e315bd2p+1", "0x1.b4cb92a9ff84bp+1"),
+    ((2, 3, 4), "above"):
+        ("0x1.640bf2e315bd3p+1", "0x1.652ba1df13922p+1"),
+    ((2, 3, 4), "one_eval"):
+        ("0x1.640bf2e315bd2p+1", "0x1.b4cb92a9ff84bp+1"),
+    ((2, 3, 4), "budget"):
+        ("0x1.640bf2e315bd2p+1", "0x1.640e033c38c2bp+1"),
+    ((3, 3, 3), "tol"):
+        ("0x1.b793f2dad058cp+1", "0x1.b7a6b8dc08c39p+1"),
+    ((3, 3, 3), "below"):
+        ("0x1.b793f2dad058ep+1", "0x1.c0b84c0d69e8fp+1"),
+    ((3, 3, 3), "above"):
+        ("0x1.b793f2dad058cp+1", "0x1.baf6ba67c4188p+1"),
+    ((3, 3, 3), "one_eval"):
+        ("0x1.b793f2dad058fp+1", "0x1.519a1d12fbda5p+2"),
+    ((3, 3, 3), "budget"):
+        ("0x1.b793f2dad058dp+1", "0x1.b79573844b718p+1"),
+    ((2, 2, 2, 2), "tol"):
+        ("0x1.837813ff84293p+1", "0x1.838f359293385p+1"),
+    ((2, 2, 2, 2), "below"):
+        ("0x1.837813ff84295p+1", "0x1.8d7a6cc935262p+1"),
+    ((2, 2, 2, 2), "above"):
+        ("0x1.837813ff84293p+1", "0x1.8729e65c1967cp+1"),
+    ((2, 2, 2, 2), "one_eval"):
+        ("0x1.837813ff84293p+1", "0x1.4dfd85dd6e578p+2"),
+    ((2, 2, 2, 2), "budget"):
+        ("0x1.837813ff84292p+1", "0x1.8379f40ffbdc2p+1"),
+    ((4, 4, 4), "tol"):
+        ("0x1.d9d9e15703d8bp+1", "0x1.d9f2920045c12p+1"),
+    ((4, 4, 4), "below"):
+        ("0x1.d9d9e15703d8fp+1", "0x1.f54a8286d04cap+1"),
+    ((4, 4, 4), "above"):
+        ("0x1.d9d9e15703d8ep+1", "0x1.de8fd6b102599p+1"),
+    ((4, 4, 4), "one_eval"):
+        ("0x1.d9d9e15703d8ap+1", "0x1.b193b0d8c1413p+2"),
+    ((4, 4, 4), "budget"):
+        ("0x1.d9d9e15703d89p+1", "0x1.e210670054239p+1"),
+    ((2, 2, 2, 2, 2), "tol"):
+        ("0x1.928525eb57e29p+1", "0x1.929fce485f4ddp+1"),
+    ((2, 2, 2, 2, 2), "below"):
+        ("0x1.928525eb57e2ep+1", "0x1.cdaac9db3cf08p+1"),
+    ((2, 2, 2, 2, 2), "above"):
+        ("0x1.928525eb57e2ep+1", "0x1.967f18e0b2d07p+1"),
+    ((2, 2, 2, 2, 2), "one_eval"):
+        ("0x1.928525eb57e2ap+1", "0x1.d5cc70b41a524p+2"),
+    ((2, 2, 2, 2, 2), "budget"):
+        ("0x1.928525eb57e2bp+1", "0x1.937f03c1d07cep+1"),
+    ((3, 3, 3, 3), "tol"):
+        ("0x1.13657f921e7dep+2", "0x1.13738e3fb7b79p+2"),
+    ((3, 3, 3, 3), "below"):
+        ("0x1.13657f921e7e3p+2", "0x1.2d63365e325f4p+2"),
+    ((3, 3, 3, 3), "above"):
+        ("0x1.13657f921e7e2p+2", "0x1.162581543150fp+2"),
+    ((3, 3, 3, 3), "one_eval"):
+        ("0x1.13657f921e7e3p+2", "0x1.8344a7ed25466p+3"),
+    ((3, 3, 3, 3), "budget"):
+        ("0x1.13657f921e7e1p+2", "0x1.43f6a842dced0p+2"),
+    ("yuan4", "tol"):
+        ("0x1.0000000000000p+0", "0x1.0040000000000p+0"),
+    ("yuan4", "below"):
+        ("0x1.0000000000000p+0", "0x1.aaaaaaaaaaaaap+0"),
+    ("yuan4", "above"):
+        ("0x1.0000000000000p+0", "0x1.0283f19769bc8p+0"),
+    ("yuan4", "one_eval"):
+        ("0x1.0000000000000p+0", "0x1.aaaaaaaaaaaaap+0"),
+    ("yuan4", "budget"):
+        ("0x1.0000000000000p+0", "0x1.0004f0b0edce0p+0"),
+}
+
+PINNED_MODES = {
+    "tol": lambda name: {"tol": 1e-3},
+    "below": lambda name: {"threshold": PINNED_THRESHOLDS[name][0]},
+    "above": lambda name: {"threshold": PINNED_THRESHOLDS[name][1]},
+    "one_eval": lambda name: {"max_evals": 1},
+    "budget": lambda name: {"max_evals": 5000},
+}
+
+
+def pinned_tensor(name):
+    if name == "yuan4":
+        g = gallery("yuan4", t=1 / 3)
+        return g["Z"] + g["X"]
+    return np.random.default_rng(0).standard_normal(name)
+
+
 class TestSpectralCertified:
     def test_encloses_closed_form(self):
         T = asarray(perm_sum_tensor(1.0))
@@ -522,6 +625,35 @@ class TestSpectralCertified:
             assert lo == pytest.approx(norm, rel=1e-12)
             assert up >= lo
 
+    @pytest.mark.parametrize("name, mode", list(PINNED_ENDS),
+                             ids=[f"{n}-{m}" for n, m in PINNED_ENDS])
+    def test_pinned_ends(self, name, mode):
+        lo, up = spectral_certified_upper(pinned_tensor(name),
+                                          **PINNED_MODES[mode](name))
+        assert (lo.hex(), up.hex()) == PINNED_ENDS[name, mode]
+
+    def test_prices_each_cell_point_once(self, monkeypatch):
+        # The first batch prices each face's centre and 2^D corners; a later
+        # one only its parents' two child centres and the 2^(D-1) corners on
+        # each split plane, which the children share.
+        T = np.random.default_rng(0).standard_normal((4, 4, 4))
+        D, faces, batch = 3, 4, tnn.norms._BNB_BATCH
+        calls = count_cell_batches(monkeypatch)
+        spectral_certified_upper(T, tol=1e-3)
+        assert calls[0] == faces * (1 + 2 ** D)
+        parents = [c // (2 + 2 ** (D - 1)) for c in calls[1:]]
+        assert [p * (2 + 2 ** (D - 1)) for p in parents] == calls[1:]
+        assert all(1 <= p <= batch for p in parents)
+        # max_evals still counts 1 + 2^D per cell: a budget of the nominal
+        # count after k batches stops after batch k.
+        nominal = np.cumsum([faces] + [2 * p for p in parents]) * (1 + 2 ** D)
+        assert sum(calls) <= 0.4 * nominal[-1]
+        for k in (1, 2, len(calls) // 2):
+            calls.clear()
+            spectral_certified_upper(T, tol=1e-3,
+                                     max_evals=int(nominal[k - 1]))
+            assert len(calls) == k
+
     @given(shape=st.sampled_from([(2, 2, 2), (1, 3, 2), (3, 3, 3), (2, 3, 4),
                                   (2, 1, 3, 2), (2, 2, 2, 2)]),
            seed=st.integers(0, 2 ** 32 - 1),
@@ -536,14 +668,15 @@ class TestSpectralCertified:
 
 
 def count_cell_batches(monkeypatch):
-    """Patch the branch and bound's ``sigma_max`` kernel to count its calls;
-    it makes one per batch of cells."""
+    """Patch the branch and bound's ``sigma_max`` kernel to record the
+    number of matrices it is passed at each call; it makes one call per
+    batch of cells (on inputs of up to 32 MB)."""
     calls = []
     kernel = tnn.norms._sigma_max
 
-    def counting(*args, **kwargs):
-        calls.append(1)
-        return kernel(*args, **kwargs)
+    def counting(X):
+        calls.append(len(X))
+        return kernel(X)
 
     monkeypatch.setattr(tnn.norms, "_sigma_max", counting)
     return calls
