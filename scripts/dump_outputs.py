@@ -1,0 +1,77 @@
+"""Print the library's outputs on a fixed set of inputs, and a hash of them.
+
+    python3 scripts/dump_outputs.py
+
+Run it in two checkouts: a change meant to keep every output bit-identical
+must print the same last line in both.  The lines are:
+
+* the status, record and notes of every operation of the benchmark's
+  ``bnb``, ``nuclear`` and ``rpca`` workloads at seeds 1 and 2 (the inputs of
+  ``perfbench.workloads.build``, judged by each operation's own check);
+* on 200 seeded tensors (``default_rng(1000 + i)``, the shapes cycling
+  through ``SHAPES``): ``float.hex`` of ``nuclear_sandwich``'s ends with its
+  flags, of ``spectral_enclosure(T, tol=1e-6)`` with its method, and of
+  ``spectral_hopm``'s value with its iterations;
+* last, the number of lines above and their sha256.
+
+Every BLAS thread variable is set to 1, as the benchmark sets them.  The
+``rpca`` workload certifies a 16x16x17 instance, which peaks near 1 GB.
+"""
+
+import hashlib
+import os
+import sys
+from pathlib import Path
+
+for _var in ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+             "NUMEXPR_NUM_THREADS", "VECLIB_MAXIMUM_THREADS"):
+    os.environ[_var] = "1"
+
+ROOT = Path(__file__).resolve().parent.parent
+sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
+
+import numpy as np  # noqa: E402
+
+import tnn  # noqa: E402
+from perfbench.workloads import build  # noqa: E402
+
+SEEDS = (1, 2)
+SHAPES = ((2, 2, 2), (2, 3, 2), (2, 2, 4), (3, 3, 3), (2, 2, 2, 2),
+          (2, 3, 4))
+TENSORS = 200
+
+
+def hexes(*values):
+    return " ".join(float(v).hex() for v in values)
+
+
+def lines():
+    for workload in ("bnb", "nuclear", "rpca"):
+        for seed in SEEDS:
+            for op in build(workload, seed):
+                out = op.check(op.call())
+                yield (f"{workload} {seed} {op.name} {out.status} "
+                       f"{out.record!r} {out.notes!r}")
+    for i in range(TENSORS):
+        T = np.random.default_rng(1000 + i).standard_normal(
+            SHAPES[i % len(SHAPES)])
+        sw = tnn.nuclear_sandwich(T)
+        lo, up, method = tnn.spectral_enclosure(T, tol=1e-6)
+        res = tnn.spectral_hopm(T)
+        yield f"sandwich {i} {hexes(sw.lower, sw.upper)} {sw.flags!r}"
+        yield f"enclosure {i} {hexes(lo, up)} {method}"
+        yield f"hopm {i} {hexes(res.value)} {res.iterations}"
+
+
+def main():
+    digest = hashlib.sha256()
+    count = 0
+    for line in lines():
+        print(line, flush=True)
+        digest.update(line.encode() + b"\n")
+        count += 1
+    print(f"{count} lines sha256 {digest.hexdigest()}")
+
+
+if __name__ == "__main__":
+    main()

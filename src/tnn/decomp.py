@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ParameterError, PreconditionError
-from .norms import _raised_enclosure, nuclear_sandwich
+from .norms import nuclear_sandwich, spectral_enclosure
 from .subspace import (
     ModeFamily,
     ModeSubspace,
@@ -166,15 +166,14 @@ def _split_pair(T, S, family, index_set):
 def check_spectral_decomp(T, S, family, index_set, tol=1e-6):
     """Check ``||T + S||_sigma = max(||T||_sigma, ||S||_sigma)``.
 
-    The discrepancy compares the attained lower ends of the enclosures
-    (``_raised_enclosure``): the branch and bound's finished best point, or
-    on a flattening enclosure the multi-start HOPM value; ``lhs`` and
-    ``rhs`` are certified intervals from ``spectral_enclosure``, at every
-    size.
+    ``lhs`` and ``rhs`` are certified intervals from
+    ``spectral_enclosure``, at every size, and the discrepancy compares
+    their lower ends, which are attained values: the branch and bound's
+    finished best point, or past its limit the multi-start HOPM value.
     """
     I, T, S = _split_pair(T, S, family, index_set)
     (v_sum, up_sum), (v_t, up_t), (v_s, up_s) = (
-        _raised_enclosure(A, 1e-4)[:2] for A in (T + S, T, S))
+        spectral_enclosure(A, tol=1e-4)[:2] for A in (T + S, T, S))
     disc = abs(v_sum - max(v_t, v_s))
     verdict = "pass" if disc <= tol else "fail"
     return DecompReport(

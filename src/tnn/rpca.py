@@ -47,7 +47,7 @@ from .errors import (
     ParameterError,
     PreconditionError,
 )
-from .norms import _hopm_stack, _raised_enclosure
+from .norms import _hopm_stack, spectral_enclosure
 from .subdiff import find_z_witness
 from .subspace import (
     EntrySupport,
@@ -365,11 +365,11 @@ def neumann_certificate(instance, lam=None):
 def certify(instance, lam=None):
     """Build ``D = D1 + D2`` and evaluate the five optimality conditions.
 
-    The spectral condition's upper bound is certified at every size by
-    ``spectral_enclosure``; its lower bound is an attained value
-    (``_raised_enclosure``): the branch and bound's finished best point, or
-    on a flattening enclosure the larger of the largest entry and the
-    multi-start HOPM value.  Only when the bounds straddle the 1/2
+    The spectral condition is bounded at every size by
+    ``spectral_enclosure``: a certified upper end, and a lower end that is
+    an attained value (the branch and bound's finished best point, or on a
+    flattening enclosure the larger of the largest entry and the
+    multi-start HOPM value).  Only when the bounds straddle the 1/2
     threshold is the condition decided on the lower bound (the best value
     attained) and flagged as uncertified.
     """
@@ -391,7 +391,7 @@ def certify(instance, lam=None):
     PD = p_L(D)
     dist_span = holder_norm(PD - Z, 2)
     off = D - PD
-    sig_lo, sig_up, _ = _raised_enclosure(off, 1e-3)
+    sig_lo, sig_up, _ = spectral_enclosure(off, tol=1e-3)
     # Decide against the 1/2 threshold with certified bounds when they are
     # sharp enough; otherwise fall back to the attained lower end and flag
     # the condition as uncertified rather than pretending.

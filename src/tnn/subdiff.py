@@ -24,12 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import LookupError_, ParameterError, PreconditionError
-from .norms import (
-    _raised_enclosure,
-    nuclear_sandwich,
-    spectral_enclosure,
-    spectral_hopm,
-)
+from .norms import nuclear_sandwich, spectral_enclosure, spectral_hopm
 from .subspace import (
     Selector,
     basic,
@@ -87,11 +82,10 @@ class SubgradientReport:
 def _spectral_decision(G, threshold, tol):
     """Bounds for ||G||_sigma sharp enough to compare against
     ``threshold + tol``, and the method of the certified upper bound ("bnb"
-    or "flattening").  The lower end is attained: the branch and bound's
-    finished best point, or on a flattening enclosure the multi-start HOPM
-    value (``_raised_enclosure``)."""
-    return _raised_enclosure(G, tol / 2, max_evals=600_000,
-                             threshold=threshold + tol / 2)
+    or "flattening"): ``spectral_enclosure`` in threshold mode, whose lower
+    end is an attained value at every size."""
+    return spectral_enclosure(G, tol=tol / 2, max_evals=600_000,
+                              threshold=threshold + tol / 2)
 
 
 def is_subgradient(G, T, tol=1e-3, sandwich=None):
@@ -335,10 +329,14 @@ def probe_tau(selector, shape, trials=8, seed=0, bisect_tol=1e-3):
     additive part it stands for.  Each bisection step is a certified
     decision from ``spectral_enclosure`` in threshold mode, so every shape
     is accepted; where the branch and bound refuses the shape, the decision
-    rests on the flattening bound and the largest entry."""
+    rests on the flattening bound above and the multi-start HOPM value
+    below.  ``bisect_tol`` must be positive: a bisection to zero width never
+    ends once its ends are adjacent floats."""
     shape = tuple(int(n) for n in shape)
     if trials < 1:
         raise ParameterError("need at least one trial")
+    if not bisect_tol > 0:
+        raise ParameterError("bisect_tol must be > 0")
     if any(len(I) == 0 for I in selector.sets):
         raise ParameterError("selector must be orthogonal to the span part")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), *shape]))

@@ -193,6 +193,12 @@ class TestCheckCommands:
         doc = json.loads(res.output)
         assert doc["feasible_max"] == pytest.approx(1.0, abs=1e-3)
 
+    def test_tau_probe_refuses_zero_bisect_tol(self, runner):
+        res = run(runner, ["check", "tau-probe", "--selector", "upperU:1,2",
+                           "--dims", "2,2,2", "--trials", "1",
+                           "--bisect-tol", "0"])
+        assert res.exit_code == 2
+
     def test_lower_bound_on_gallery(self, runner):
         res = run(runner, ["check", "lower-bound", "gallery:limitation",
                            "--I", "1,2"])

@@ -99,6 +99,19 @@ def test_only_the_enclosure_calls_the_branch_and_bound():
     assert found == ["norms.spectral_enclosure"]
 
 
+def test_the_enclosure_is_the_one_lower_end_policy():
+    """No module keeps a second lower-end policy beside
+    ``spectral_enclosure``, and the decision modules run HOPM only to scale
+    ``probe_tau``'s directions."""
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "_raised_enclosure" in path.read_text()] == []
+    found = {stem: {owner for _, owner in references(
+                 (SRC / f"{stem}.py").read_text(), "spectral_hopm")}
+             for stem in ("subdiff", "decomp", "rpca")}
+    assert found == {"subdiff": {"probe_tau"}, "decomp": set(),
+                     "rpca": set()}
+
+
 def test_only_the_sandwich_certifies_dual_witnesses():
     found = {path.stem
              for path in sorted(SRC.glob("*.py"))

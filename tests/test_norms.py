@@ -140,6 +140,13 @@ class TestSpectralHopm:
         assert not res.converged
         assert res.value <= 1.0 + SLACK
 
+    @pytest.mark.parametrize("T", [np.ones((2, 2, 3)), np.ones((2, 3)),
+                                   np.ones(3), np.zeros((2, 2, 2))],
+                             ids=["2x2x3", "matrix", "vector", "zero"])
+    def test_starts_checked_where_no_sweep_runs(self, T):
+        with pytest.raises(ParameterError):
+            spectral_hopm(T, starts=0)
+
 
 class TestHopmTwoByTwo:
     """On ``2 x 2 x n`` HOPM is the partial-transpose primal step, exact
@@ -231,13 +238,13 @@ def off_span_12():
     bounds at 12^3."""
     import tnn.rpca
     seen = []
-    original = tnn.rpca._raised_enclosure
-    tnn.rpca._raised_enclosure = lambda T, *a, **k: seen.append(T) or original(
+    original = tnn.rpca.spectral_enclosure
+    tnn.rpca.spectral_enclosure = lambda T, *a, **k: seen.append(T) or original(
         T, *a, **k)
     try:
         tnn.rpca.certify(generate_instance((12, 12, 12), 1, 0.02, m=3, seed=1))
     finally:
-        tnn.rpca._raised_enclosure = original
+        tnn.rpca.spectral_enclosure = original
     return asarray(seen[0])
 
 
@@ -789,11 +796,22 @@ class TestSpectralEnclosure:
         T = asarray(rng.standard_normal((5, 6, 7)))
         lo, up, method = spectral_enclosure(T)
         assert method == "flattening"
-        assert lo == holder_norm(T, np.inf)
-        assert up == spectral_flattening_upper(T)
         hopm = spectral_hopm(T).value
-        assert lo <= hopm + SLACK
+        assert lo == max(holder_norm(T, np.inf), hopm)
+        assert up == spectral_flattening_upper(T)
         assert hopm <= up + SLACK
+
+    @pytest.mark.parametrize("seed", range(3))
+    @pytest.mark.parametrize("shape", [(5, 5, 6), (5, 6, 7), (6, 6, 6)],
+                             ids=str)
+    def test_flattening_lower_end_is_the_hopm_value(self, shape, seed):
+        # Past the branch and bound's limit the largest entry is raised to
+        # the multi-start HOPM value, at every caller.
+        T = np.random.default_rng(seed).standard_normal(shape)
+        lo, up, method = spectral_enclosure(T)
+        assert method == "flattening"
+        assert lo == max(holder_norm(T, np.inf), spectral_hopm(T).value)
+        assert lo <= up
 
     @pytest.mark.parametrize("shape", [(5, 5, 6), (12, 12, 12)], ids=str)
     def test_rank_one_large_modes_enclosed_on_core(self, shape):

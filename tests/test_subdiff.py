@@ -20,6 +20,7 @@ from tnn import (
     inner,
     is_subgradient,
     nuclear_sandwich,
+    order_ge2_sum,
     outer_atom,
     probe_tau,
     solve_sphere_program,
@@ -446,6 +447,23 @@ class TestProbeTau:
 
         with pytest.raises(ParameterError):
             probe_tau(basic(()), (2, 2, 2), trials=1)
+
+    @pytest.mark.parametrize("bisect_tol", [0.0, -1e-3, float("nan")],
+                             ids=str)
+    def test_bisect_tol_must_be_positive(self, bisect_tol):
+        # A zero-width bisection never ends: its midpoint rounds onto an
+        # end once the two are adjacent floats.
+        with pytest.raises(ParameterError):
+            probe_tau(upper_u(frozenset({0, 1})), (2, 2, 2), trials=1,
+                      bisect_tol=bisect_tol)
+
+    def test_refutes_below_the_top_past_branch_and_bound_limit(self):
+        # The HOPM lower end of a flattening enclosure proves a stretch
+        # infeasible below the top of the range, where the largest entry
+        # alone decided nothing.
+        est = probe_tau(order_ge2_sum(3), (5, 5, 5), trials=2, seed=0)
+        assert est.infeasible_min < 2.0
+        assert est.infeasible_min >= est.feasible_max - 1e-9
 
 
 class TestSphereParagraphs:
