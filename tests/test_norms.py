@@ -661,6 +661,19 @@ class TestSpectralCertified:
                                      max_evals=int(nominal[k - 1]))
             assert len(calls) == k
 
+    def test_cached_tables_hold_no_cell_points(self):
+        # The cache keeps what depends on the fixed-mode sizes only.  The
+        # first batch's lifted points grow with faces x 2^D (about 134 MB
+        # for six fixed modes of 4): each call lifts its own and drops them.
+        T = np.random.default_rng(1).standard_normal((3, 2, 3, 4))
+        spectral_certified_upper(T, tol=1e-3)
+        offsets, scatter, signs, moves, gather, faces, cols = \
+            tnn.norms._cell_tables((3, 2))
+        assert signs.shape == (1 + 2 ** 3, 3) and faces.shape == (6, 2)
+        tables = [offsets, *scatter, signs, moves, gather, faces]
+        assert not any(t.flags.writeable for t in tables)
+        assert all(t.shape[:2] != (len(faces), len(signs)) for t in tables)
+
     @given(shape=st.sampled_from([(2, 2, 2), (1, 3, 2), (3, 3, 3), (2, 3, 4),
                                   (2, 1, 3, 2), (2, 2, 2, 2)]),
            seed=st.integers(0, 2 ** 32 - 1),
@@ -713,6 +726,26 @@ class TestSigmaMaxKernel:
         got = tnn.norms._sigma_max(X)
         assert got[1] == 0.0
         np.testing.assert_allclose(got, want, rtol=1e-14, atol=0.0)
+
+
+class TestModeSingularValues:
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 3, 3), (4, 4, 4),
+                                       (2, 2, 5), (2, 3, 4), (5, 2, 2),
+                                       (2, 2, 2, 2), (3, 2, 3, 2),
+                                       (2, 3, 4, 5)], ids=str)
+    def test_equal_the_per_flattening_svd(self, shape):
+        # Bit for bit: the flattenings of one shape are factored in one
+        # stacked SVD, which must give each the floats it gets alone.
+        for seed in range(4):
+            rng = np.random.default_rng([seed, *shape])
+            A = rng.standard_normal(shape)
+            if seed % 2:
+                A = outer_atom([rng.standard_normal(n) for n in shape])
+            got = tnn.norms._flattening_svds(A)
+            assert len(got) == len(shape)
+            for k in range(len(shape)):
+                want = np.linalg.svd(mode_matricize(A, k), compute_uv=False)
+                assert got[k].tobytes() == want.tobytes()
 
 
 class TestPartialTransposeBound:
@@ -828,7 +861,44 @@ class TestSpectralEnclosure:
         assert spectral_enclosure(np.zeros(shape)) == (0.0, 0.0, method)
 
 
+# nuclear_sandwich's (lower, upper) as float.hex: default_rng(0) draws on
+# the exact 2 x 2 x n program (the size-n mode last or in the middle) and the
+# greedy 3 x 3 x 3 path, and sample_pair's T and S, rank one and sandwiched
+# through their core, and T + S, on the program.
+PINNED_SANDWICHES = {
+    "(2, 2, 2)": ("0x1.4dfd2393c1291p+1", "0x1.4dfd2393c140fp+1"),
+    "(2, 2, 3)": ("0x1.bff47fc2fefd4p+1", "0x1.bff47fc2ff015p+1"),
+    "(2, 2, 4)": ("0x1.8cfeefbbb0af5p+2", "0x1.8cfeefbbb0b3bp+2"),
+    "(2, 4, 2)": ("0x1.8d83185bcacf1p+2", "0x1.8d83185bcad7cp+2"),
+    "(3, 3, 3)": ("0x1.594d4aac66ab8p+2", "0x1.2198449dc7828p+3"),
+    "pair0-T": ("0x1.ff7f6e1fbcb85p+0", "0x1.ff7f6e1fbcb97p+0"),
+    "pair0-S": ("0x1.490b6321ee3e3p-2", "0x1.490b6321ee3ecp-2"),
+    "pair0-T+S": ("0x1.28e123741c23bp+1", "0x1.28e123741c246p+1"),
+    "pair1-T": ("0x1.6906e9458da78p+1", "0x1.6906e9458da7ap+1"),
+    "pair1-S": ("0x1.24e1fe92b62a8p+0", "0x1.24e1fe92b62b1p+0"),
+    "pair1-T+S": ("0x1.fb77e88ee8bc8p+1", "0x1.fb77e88ee8bf2p+1"),
+    "pair2-T": ("0x1.602164d7ba2dbp-1", "0x1.602164d7ba2dcp-1"),
+    "pair2-S": ("0x1.b7dc325b0ee98p+0", "0x1.b7dc325b0eea0p+0"),
+    "pair2-T+S": ("0x1.33f6726376001p+1", "0x1.33f6726376006p+1"),
+}
+
+
+def pinned_sandwich_tensor(name):
+    if name.startswith("pair"):
+        seed, part = int(name[4]), name[6:]
+        _, T, S = sample_pair((2, 2, 2), (1, 1, 2), (0, 1), seed)
+        return {"T": T, "S": S, "T+S": T + S}[part]
+    shape = tuple(int(n) for n in name.strip("()").split(","))
+    return np.random.default_rng(0).standard_normal(shape)
+
+
 class TestNuclearSandwich:
+    @pytest.mark.parametrize("name", list(PINNED_SANDWICHES))
+    def test_pinned_sandwich_ends(self, name):
+        # Bit for bit: a change meant to keep every float keeps these.
+        sw = nuclear_sandwich(pinned_sandwich_tensor(name))
+        assert (sw.lower.hex(), sw.upper.hex()) == PINNED_SANDWICHES[name]
+
     @pytest.mark.parametrize("case", range(3))
     def test_witness_in_span_subspace_sets_lower_end(
             self, case, rank_deficient_sandwiches):

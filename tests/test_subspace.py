@@ -19,6 +19,7 @@ from tnn import (
     format_selector,
     inner,
     lower_u,
+    mode_matricize,
     operator_norm_chain,
     outer_atom,
     parse_selector,
@@ -26,6 +27,7 @@ from tnn import (
     support_project,
     upper_u,
 )
+from tnn.subspace import RANK_TOL
 from conftest import e
 
 
@@ -92,6 +94,26 @@ class TestFamilyFromTensor:
         )
         family = family_from_tensor(asarray(T))
         assert all(s.dim == 2 for s in family.subspaces)
+
+    @pytest.mark.parametrize("shape", [(2, 2, 2), (3, 3, 3), (4, 4, 4),
+                                       (2, 2, 5), (2, 3, 4), (3, 2, 3),
+                                       (2, 2, 2, 2), (3, 2, 3, 2)], ids=str)
+    def test_bases_are_the_per_flattening_thin_svd(self, shape):
+        # Bit for bit: the flattenings of one shape are factored in one
+        # stacked SVD, which must give each the floats it gets alone.
+        for seed in range(4):
+            rng = np.random.default_rng([seed, *shape])
+            T = rng.standard_normal(shape)
+            if seed % 2:
+                T = sum(outer_atom([rng.standard_normal(n) for n in shape])
+                        for _ in range(2))
+            family = family_from_tensor(T)
+            for k, sub in enumerate(family.subspaces):
+                U, s, _ = np.linalg.svd(mode_matricize(T, k),
+                                        full_matrices=False)
+                r = int(np.sum(s > RANK_TOL * s[0]))
+                want = np.ascontiguousarray(U[:, :r])
+                assert sub.basis.tobytes() == want.tobytes()
 
 
 class TestProject:

@@ -198,6 +198,22 @@ class TestModeProduct:
         with pytest.raises(DimensionError):
             mode_product(np.ones((2, 2)), 0, np.ones((2, 3)))
 
+    @pytest.mark.parametrize("shape", [(4,), (3, 5), (2, 2, 2), (3, 3, 3),
+                                       (2, 3, 4), (4, 1, 3), (2, 2, 2, 2),
+                                       (2, 3, 2, 4)], ids=str)
+    def test_equals_the_moveaxis_form(self, shape):
+        # Bit for bit: the cached transpositions must give the floats of
+        # moving mode k last with np.moveaxis, multiplying and moving back.
+        rng = np.random.default_rng(list(shape))
+        T = rng.standard_normal(shape)
+        for k, n in enumerate(shape):
+            for rows in (1, n, n + 2):
+                M = rng.standard_normal((rows, n))
+                want = np.moveaxis(np.moveaxis(T, k, -1) @ M.T, -1, k)
+                got = mode_product(T, k, M)
+                assert got.flags.c_contiguous and got.shape == want.shape
+                assert got.tobytes() == np.ascontiguousarray(want).tobytes()
+
 
 class TestMultilinearContract:
     def test_full_contraction_unit(self):
