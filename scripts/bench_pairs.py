@@ -7,11 +7,16 @@
 the change).  Each pair runs ``perfbench/run.py`` once in each, base first in
 even pairs and change first in odd ones; the pairs cycle through the seeds.
 Every run is recorded with its end-to-end metrics, its per-operation medians
-(``op_median_s``) and its output digest.  Per workload, and per workload and
-seed, the summary gives each side's median and quartiles of every metric, the
-pairs the change won (ties count for neither side; the better direction is
-read from the change's ``BENCHMARK.json``), whether that meets the rule for
-claiming a gain, and per operation the median of the runs' medians.
+(``op_median_s``), the median of its reference timings (``ref_median_s``, the
+work ``wall_rel`` divides by) and its output digest.  Per workload, and per
+workload and seed, the summary gives each side's median and quartiles of every
+metric, the pairs the change won (ties count for neither side; the better
+direction is read from the change's ``BENCHMARK.json``), whether that meets
+the rule for claiming a gain, and per operation the median of the runs'
+medians, in seconds (``op_median_s``) and in units of each run's reference
+time (``op_median_rel``).  Raw seconds compare the machine's speed as well as
+the code's; the reference units divide the machine's speed out, as
+``wall_rel`` does.
 
 The output file is rewritten after every run, so an interrupted invocation
 keeps what it measured; runs already in the file are kept, so several
@@ -77,7 +82,7 @@ def summarise(runs, better):
                  "seeds": sorted({p["base"]["seed"] for p in pairs}),
                  "outputs_equal": len({p[s]["digest"]["outputs"]
                                        for p in pairs for s in p}) == 1,
-                 "metrics": {}, "op_median_s": {}}
+                 "metrics": {}, "op_median_s": {}, "op_median_rel": {}}
         for name in pairs[0]["change"]["metrics"]:
             sides = {s: [p[s]["metrics"][name] for p in pairs]
                      for s in ("base", "change")}
@@ -96,6 +101,10 @@ def summarise(runs, better):
         for op in pairs[0]["change"]["op_median_s"]:
             entry["op_median_s"][op] = {
                 s: median(p[s]["op_median_s"][op] for p in pairs)
+                for s in ("base", "change")}
+            entry["op_median_rel"][op] = {
+                s: median(p[s]["op_median_s"][op] / p[s]["ref_median_s"]
+                          for p in pairs)
                 for s in ("base", "change")}
         summary[key] = entry
     return summary
@@ -137,6 +146,8 @@ def main(argv=None):
                 "metrics": {k: v["value"]
                             for k, v in result["metrics"].items()},
                 "op_median_s": report["op_median_s"],
+                "ref_median_s": median(t for refs in report["passes"]["ref_s"]
+                                       for t in refs),
                 "digest": report["digest"],
             })
             record["environment"] = report["environment"]

@@ -1,0 +1,120 @@
+"""Compare the output records of two checkouts, for a change that moves floats.
+
+    python3 scripts/dump_outputs.py --out base.jsonl     # in the parent
+    python3 scripts/dump_outputs.py --out change.jsonl   # in the change
+    python3 scripts/compare_outputs.py base.jsonl change.jsonl
+
+Records are matched on their ``kind`` and ``key``.  Per kind, the report
+gives the number of inputs, the largest relative movement of each end
+(``|change - base| / |base|``) and how many records changed each field that
+does not scale (verdict, flags, method, ...).  It then lists every lower
+end that fell and every upper end that rose, and the inputs found in one
+file only.
+
+The exit status is 1 when a verdict changed, or when the two certified
+intervals of one input are disjoint: both enclose the same number, so one
+of them is false.  It is 2 on a malformed line (not a JSON object with a
+string ``kind`` and ``key`` and at most two ``float.hex`` ends) or a
+repeated input, and 0 otherwise.
+"""
+
+import argparse
+import json
+import sys
+
+
+class Malformed(Exception):
+    """A line that is not an output record."""
+
+
+def load(path):
+    """The records of a ``dump_outputs.py --out`` file by ``(kind, key)``,
+    their ends parsed to floats."""
+    records = {}
+    with open(path, encoding="utf-8") as fh:
+        for number, line in enumerate(fh, 1):
+            try:
+                record = json.loads(line)
+                name = (record["kind"], record["key"])
+                ends = [float.fromhex(v) for v in record.get("ends", [])]
+                if not all(isinstance(v, str) for v in name) or len(ends) > 2:
+                    raise ValueError
+            except (ValueError, KeyError, TypeError) as exc:
+                raise Malformed(f"{path}:{number}: not an output record: "
+                                f"{line.strip()[:80]!r}") from exc
+            if name in records:
+                raise Malformed(f"{path}:{number}: repeated input {name}")
+            records[name] = dict(record, ends=ends)
+    return records
+
+
+def movement(base, change):
+    """``|change - base| / |base|``, or ``|change|`` where ``base`` is 0."""
+    if base == change:
+        return 0.0
+    return abs(change - base) / abs(base) if base else abs(change)
+
+
+def compare(base, change):
+    """``(report lines, failures)`` for two loaded record sets."""
+    kinds, fell, rose, failures = {}, [], [], []
+    for name in sorted(base.keys() & change.keys()):
+        b, c = base[name], change[name]
+        kind = kinds.setdefault(name[0], {"inputs": 0, "lower": 0.0,
+                                          "upper": 0.0, "changed": {}})
+        kind["inputs"] += 1
+        label = " ".join(name)
+        for field in sorted((b.keys() | c.keys()) - {"kind", "key", "ends"}):
+            if b.get(field) != c.get(field):
+                kind["changed"][field] = kind["changed"].get(field, 0) + 1
+                if field == "verdict":
+                    failures.append(f"verdict changed: {label}: "
+                                    f"{b.get(field)} -> {c.get(field)}")
+        for side, x, y in zip(("lower", "upper"), b["ends"], c["ends"]):
+            kind[side] = max(kind[side], movement(x, y))
+            if (y < x) if side == "lower" else (y > x):
+                (fell if side == "lower" else rose).append(
+                    f"  {label}: {x.hex()} -> {y.hex()} "
+                    f"({movement(x, y):.3g})")
+        if len(b["ends"]) == len(c["ends"]) == 2 and (
+                c["ends"][1] < b["ends"][0] or b["ends"][1] < c["ends"][0]):
+            failures.append(f"disjoint intervals: {label}: {b['ends']} and "
+                            f"{c['ends']}")
+
+    lines = [f"{'kind':<10} {'inputs':>6} {'lower moved':>11} "
+             f"{'upper moved':>11}  changed"]
+    for name, kind in sorted(kinds.items()):
+        changed = ", ".join(f"{f} {n}" for f, n in sorted(
+            kind["changed"].items())) or "-"
+        lines.append(f"{name:<10} {kind['inputs']:>6} {kind['lower']:>11.3g} "
+                     f"{kind['upper']:>11.3g}  {changed}")
+    lines.append(f"lower ends that fell: {len(fell)}")
+    lines += fell
+    lines.append(f"upper ends that rose: {len(rose)}")
+    lines += rose
+    for side, only in (("base", base.keys() - change.keys()),
+                       ("change", change.keys() - base.keys())):
+        if only:
+            lines.append(f"only in {side}: {len(only)}")
+            lines += [f"  {' '.join(name)}" for name in sorted(only)]
+    return lines, failures
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("base")
+    parser.add_argument("change")
+    args = parser.parse_args(argv)
+    try:
+        base, change = load(args.base), load(args.change)
+    except Malformed as exc:
+        print(f"malformed: {exc}")
+        return 2
+    lines, failures = compare(base, change)
+    print("\n".join(lines + failures))
+    print("FAIL" if failures else "OK")
+    return 1 if failures else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,9 +1,11 @@
 """Print the library's outputs on a fixed set of inputs, and a hash of them.
 
-    python3 scripts/dump_outputs.py
+    python3 scripts/dump_outputs.py [--out FILE]
 
 Run it in two checkouts: a change meant to keep every output bit-identical
-must print the same last line in both.  The lines are:
+must print the same last line in both.  A change that moves floats writes
+``--out`` in both and compares the files with ``scripts/compare_outputs.py``.
+The lines are:
 
 * the status, record and notes of every operation of the benchmark's
   ``bnb``, ``nuclear`` and ``rpca`` workloads at seeds 1 and 2 (the inputs of
@@ -14,12 +16,22 @@ must print the same last line in both.  The lines are:
   ``spectral_hopm``'s value with its iterations;
 * last, the number of lines above and their sha256.
 
+``--out FILE`` also writes every line but the last as a JSON record, one a
+line: its ``kind`` (the workload, ``sandwich``, ``enclosure`` or ``hopm``)
+and ``key`` (seed and operation, or tensor index), its interval's ``ends``
+as ``float.hex`` (HOPM's value alone, a lower end), and what does not
+scale: a workload operation's ``verdict`` (its status) and ``record`` and
+``notes`` as strings, a sandwich's ``flags``, an enclosure's ``method`` and
+HOPM's ``iterations``.
+
 Every BLAS thread variable is set to 1, as the benchmark sets them.  The
 whole script, the ``rpca`` workload's 16x16x17 ``certify`` included, ran in
 5.7-8.0 s with a 41 MB peak resident set on a shared 2-core Xeon.
 """
 
+import argparse
 import hashlib
+import json
 import os
 import sys
 from pathlib import Path
@@ -47,30 +59,53 @@ def hexes(*values):
 
 
 def lines():
+    """``(line, record)`` per output: the printed line and its record."""
     for workload in ("bnb", "nuclear", "rpca"):
         for seed in SEEDS:
             for op in build(workload, seed):
                 out = op.check(op.call())
                 yield (f"{workload} {seed} {op.name} {out.status} "
-                       f"{out.record!r} {out.notes!r}")
+                       f"{out.record!r} {out.notes!r}",
+                       {"kind": workload, "key": f"{seed} {op.name}",
+                        "verdict": out.status, "record": repr(out.record),
+                        "notes": repr(out.notes)})
     for i in range(TENSORS):
         T = np.random.default_rng(1000 + i).standard_normal(
             SHAPES[i % len(SHAPES)])
         sw = tnn.nuclear_sandwich(T)
         lo, up, method = tnn.spectral_enclosure(T, tol=1e-6)
         res = tnn.spectral_hopm(T)
-        yield f"sandwich {i} {hexes(sw.lower, sw.upper)} {sw.flags!r}"
-        yield f"enclosure {i} {hexes(lo, up)} {method}"
-        yield f"hopm {i} {hexes(res.value)} {res.iterations}"
+        key = str(i)
+        yield (f"sandwich {i} {hexes(sw.lower, sw.upper)} {sw.flags!r}",
+               {"kind": "sandwich", "key": key,
+                "ends": hexes(sw.lower, sw.upper).split(),
+                "flags": list(sw.flags)})
+        yield (f"enclosure {i} {hexes(lo, up)} {method}",
+               {"kind": "enclosure", "key": key,
+                "ends": hexes(lo, up).split(), "method": method})
+        yield (f"hopm {i} {hexes(res.value)} {res.iterations}",
+               {"kind": "hopm", "key": key, "ends": [hexes(res.value)],
+                "iterations": res.iterations})
 
 
-def main():
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
+    parser.add_argument("--out", type=Path,
+                        help="also write the outputs as JSON records here")
+    args = parser.parse_args(argv)
     digest = hashlib.sha256()
     count = 0
-    for line in lines():
-        print(line, flush=True)
-        digest.update(line.encode() + b"\n")
-        count += 1
+    records = open(args.out, "w", encoding="utf-8") if args.out else None
+    try:
+        for line, record in lines():
+            print(line, flush=True)
+            digest.update(line.encode() + b"\n")
+            count += 1
+            if records:
+                records.write(json.dumps(record, sort_keys=True) + "\n")
+    finally:
+        if records:
+            records.close()
     print(f"{count} lines sha256 {digest.hexdigest()}")
 
 

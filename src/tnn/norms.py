@@ -9,17 +9,17 @@ at its corners projected onto the tangent plane at its centre.  The open
 cells are the rows of one array that keeps those corner values, so a split
 prices only the two child centres and the corners on the split plane.  Each
 value is a top singular value (``_sigma_max``: ``2 x 2`` blocks in closed
-form, larger ones from the smaller Gram matrix), taken on the tensor
-over a power of two near its largest entry so that the squares stay inside
-the float range.  The flattening bound ``min_k sigma_max(T_(k))`` is a
-cruder upper bound that holds at any size.  ``spectral_enclosure``, the
-library's only caller of the branch and bound, sets both ends of every
-enclosure: the branch and bound, capped by the flattening bound, where it
-accepts the shape, and the flattening bound elsewhere.  Its lower end is an
-attained value near a local maximum at every size.  The branch and bound's
-best point is finished by the same BFGS steps that finish HOPM
-(``_hopm_finish``) before it returns; past the branch and bound's limit the
-largest entry is raised to the multi-start HOPM value.
+form, larger ones from the smaller Gram matrix).  The flattening bound
+``min_k sigma_max(T_(k))`` is a cruder upper bound that holds at any size.
+``spectral_enclosure``, the library's only caller of the branch and bound,
+sets both ends of every enclosure: the branch and bound, capped by the
+flattening bound, where it accepts the shape, and the flattening bound
+elsewhere.  Its lower end is an attained value near a local maximum at every
+size.  The branch and bound's best point is finished by the same BFGS steps
+that finish HOPM (``_hopm_finish``) before it returns; past the branch and
+bound's limit the largest entry is raised to the multi-start HOPM value.
+The four engines run at one scale, the tensor over a power of two
+(``_unit_scale``), and multiply their results back.
 
 For a ``2 x 2 x n`` tensor the branch and bound first computes the
 partial-transpose cap (``_pt_primal``): with ``M`` the Gram matrix of the
@@ -70,7 +70,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
@@ -82,6 +82,7 @@ from .tensor_core import (
     RankOneAtom,
     _flattening_svds,
     _khatri_rao_rows,
+    _unit_scale,
     asarray,
     basis_vector,
     decomposition_sum,
@@ -134,12 +135,12 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     (``N/n_k x n_k``, built once per call).  After a sweep the value at each
     start is the norm of its last update ``V``, since
     ``<A, x_1 (x) ... (x) V/||V||> = ||V||``; the sweeps stop when no value
-    moves by more than ``tol`` (relative to the largest, when above 1)
-    since the sweep before, so the first sweep never stops them.  The
-    starts are ranked, and the best one's value reported, by one formula:
-    the row-wise ``<KR(x_1, ..., x_{d-1}) T_(d)^T, x_d>``, the form at each
-    start's final vectors, whose first factor is the last sweep's last
-    update.
+    moves by more than ``tol`` (relative to the largest, when above 1, as
+    on ``_unit_scale``'s tensor) since the sweep before, so the first sweep
+    never stops them.  The starts are ranked, and the best one's value
+    reported, by one formula: the row-wise
+    ``<KR(x_1, ..., x_{d-1}) T_(d)^T, x_d>``, the form at each start's final
+    vectors, whose first factor is the last sweep's last update.
 
     A run whose sweeps have not stopped after ``_HOPM_SWEEPS`` is finished
     from its best start by ``_hopm_finish``; its vectors replace the best
@@ -164,10 +165,10 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     return _hopm_stack(asarray(T)[None], starts, tol, max_iter, seed)[0]
 
 
-def _hopm_direct(A, tol):
-    """``spectral_hopm``'s result where it needs no sweep: a zero tensor, a
-    vector, a matrix (its SVD), or a ``2 x 2 x n`` tensor whose
-    partial-transpose cap meets the primal step's value to ``tol``
+def _hopm_direct(A, tol, scale):
+    """``spectral_hopm``'s result on ``A scale`` where it needs no sweep:
+    a zero tensor, a vector, a matrix (its SVD), or a ``2 x 2 x n`` tensor
+    whose partial-transpose cap meets the primal step's value to ``tol``
     relative; ``None`` otherwise."""
     d = A.ndim
     if not A.any():
@@ -175,15 +176,16 @@ def _hopm_direct(A, tol):
         return SpectralResult(0.0, maxim, 0, 0)
     if d == 1:
         val = float(np.linalg.norm(A))
-        return SpectralResult(val, (A / val,), 1, 1)
+        return SpectralResult(min(val * scale, _MAX), (A / val,), 1, 1)
     if d == 2:
         U, s, Vt = np.linalg.svd(A)
-        return SpectralResult(float(s[0]), (U[:, 0], Vt[0]), 1, 1)
+        return SpectralResult(min(float(s[0]) * scale, _MAX),
+                              (U[:, 0], Vt[0]), 1, 1)
     if d == 3 and sorted(A.shape)[:2] == [2, 2]:
         # The partial-transpose primal step, exact where its cap meets it.
         attained, vectors, cap = _pt_primal(A)
         if cap - attained <= tol * cap:
-            return SpectralResult(attained, vectors, 1, 1)
+            return SpectralResult(min(attained * scale, _MAX), vectors, 1, 1)
     return None
 
 
@@ -211,7 +213,9 @@ def _hopm_stack(stack, starts=32, tol=1e-12, max_iter=2000, seed=0):
     budget.  Ranking and the finish then run per tensor."""
     if starts < 1:
         raise ParameterError("starts must be >= 1")
-    results = [_hopm_direct(A, tol) for A in stack]
+    stack, scales = zip(*map(_unit_scale, stack))
+    stack = np.array(stack)
+    results = [_hopm_direct(A, tol, c) for A, c in zip(stack, scales)]
     todo = [i for i, res in enumerate(results) if res is None]
     if not todo:
         return results
@@ -292,8 +296,9 @@ def _hopm_stack(stack, starts=32, tol=1e-12, max_iter=2000, seed=0):
                 vecs, signed = finished, at
         if signed < 0:
             vecs[0] = -vecs[0]
-        results[i] = SpectralResult(abs(signed), tuple(vecs), starts,
-                                    total_iters, converged=bool(converged))
+        results[i] = SpectralResult(min(abs(signed) * scales[i], _MAX),
+                                    tuple(vecs), starts, total_iters,
+                                    converged=bool(converged))
     return results
 
 
@@ -430,6 +435,7 @@ _PT_I_PLUS_W, _PT_I_MINUS_W = np.eye(4) + _PT_W, np.eye(4) - _PT_W
 _PT_GRID = np.arange(64) * (np.pi / 32)
 _PT_COS, _PT_SIN = np.cos(_PT_GRID), np.sin(_PT_GRID)
 _EPS = np.finfo(float).eps
+_MAX = float(np.finfo(float).max)  # the cap of a lower end scaled back
 
 
 def _size_order(shape):
@@ -469,9 +475,8 @@ def _pt_primal(A):
     ``v``, that ``s`` is ``-<Wv, Mv>``.
 
     The steps run on ``A`` over its Frobenius norm ``scale``, and
-    ``attained`` and ``cap`` are scaled back.  The angle steps' Python
-    floats would overflow or divide by zero on a tensor of norm near 1e40
-    or 1e-60."""
+    ``attained`` and ``cap`` are scaled back: that fixes the program's
+    floats, while ``_unit_scale`` in the callers sets the range."""
     scale = float(np.linalg.norm(A))
     order, back = _size_order(A.shape)
     B = A.transpose(order) / scale
@@ -584,9 +589,7 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     values.  ``max_evals`` still counts ``1 + 2^D`` evaluations per cell,
     though shared corners are priced once; fixed-mode dimensions above 4 are
     refused.  Each evaluation is a top singular value (``_sigma_max``), whose
-    Gram form squares the entries, so the cells run on ``T`` over the power
-    of two at or below its largest entry magnitude, with ``tol`` and
-    ``threshold`` divided alike and both ends multiplied back, exactly.
+    Gram form squares the entries, in range after ``_unit_scale``.
 
     ``tol`` is absolute: the search stops once ``upper - lower <= tol``.
     If ``threshold`` is given, it also stops as soon as either
@@ -609,11 +612,13 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     starts from the attained value and its vectors, and the cap enters only
     its stop tests and its upper end, never the cells' priorities.
     """
-    A = asarray(T)
+    A, scale = _unit_scale(asarray(T))
+    tol = tol / scale
+    threshold = None if threshold is None else threshold / scale
     d = A.ndim
     if d <= 2:
         v = float(np.linalg.norm(A, 2))
-        return v, v
+        return min(v * scale, _MAX), v * scale
 
     dims = A.shape
     order = _size_order(dims)[0]
@@ -635,14 +640,10 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     if d == 3 and sorted(dims)[:2] == [2, 2]:
         best, vectors, cap = _pt_primal(A)
         if decided(cap, best):
-            return best, max(best, cap)
+            return min(best * scale, _MAX), max(best, cap) * scale
         point = [vectors[k] for k in fixed]
 
-    peak = math.ldexp(1.0, math.frexp(float(np.abs(A).max()))[1] - 1)
-    A = A.transpose(fixed + sorted(order[d - 2:])) / peak
-    cap, best, tol = cap / peak, best / peak, tol / peak
-    if threshold is not None:
-        threshold = threshold / peak
+    A = np.ascontiguousarray(A.transpose(fixed + sorted(order[d - 2:])))
     ns = tuple(dims[k] for k in fixed)
     offsets, scatter, signs, moves, gather, faces, cols = _cell_tables(ns)
     D = signs.shape[1]
@@ -687,8 +688,7 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
 
     # Backward error of the form at unit vectors: its N-term sum, and the
     # norms and divisions that made the vectors unit.
-    rounding = ((A.size + sum(A.shape) + d) * _EPS
-                * float(np.linalg.norm(A)))
+    rounding = float((A.size + sum(A.shape) + d) * _EPS * np.linalg.norm(A))
 
     # The open cells, a row each in push order (columns `cols`).  The first
     # batch is every face's centre and corners, lifted once for `price` and
@@ -720,8 +720,8 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
                 ws = _face_points(cells[k:k + 1, None, cols[2]], offsets, ns)
                 centre = placed(cells[k:k + 1, cols[1]].astype(int), ws)
                 lower = max(lower, finished([x[0] for x in centre]))
-            return (max(best, lower - rounding) * peak,
-                    max(best, upper) * peak)
+            return (min(max(best, lower - rounding) * scale, _MAX),
+                    max(best, upper) * scale)
         # Dead cells are a down-set in u: the first _BNB_BATCH live ones in
         # (-u, push) order split, or all live ones and the dead are resolved.
         dead = (u - best <= tol) | (threshold is not None and u <= threshold)
@@ -879,7 +879,9 @@ def spectral_enclosure(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     widened on each side by ``||T - lift(G)||_F``, the part of ``T`` outside
     the span bases.  HOPM runs on ``T`` itself.
     """
-    A = asarray(T)
+    A, scale = _unit_scale(asarray(T))
+    tol = tol / scale
+    threshold = None if threshold is None else threshold / scale
     svals = _flattening_svds(A)
     core = _core(A, svals)
     if core is None:
@@ -890,10 +892,11 @@ def spectral_enclosure(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     try:
         lo, up = spectral_certified_upper(G, tol=tol, max_evals=max_evals,
                                           threshold=threshold)
+        lo, up, method = lo - slack, min(up, flat) + slack, "bnb"
     except ParameterError:
         lo = max(holder_norm(G, np.inf) - slack, spectral_hopm(A).value)
-        return lo, flat + slack, "flattening"
-    return lo - slack, min(up, flat) + slack, "bnb"
+        up, method = flat + slack, "flattening"
+    return min(lo * scale, _MAX), up * scale, method
 
 
 # ---------------------------------------------------------------------------
@@ -951,7 +954,7 @@ def _certified_witness(A, Z):
 
 _GREEDY_STARTS = 16  # HOPM starts per greedy step
 _GREEDY_ATOMS = 64  # greedy steps at most
-_GREEDY_TOL = 1e-8  # l1 norm of the unit-scale residual that ends the pursuit
+_GREEDY_TOL = 1e-8  # l1 norm of the scaled residual that ends the pursuit
 
 
 def _greedy_atoms(A):
@@ -963,14 +966,12 @@ def _greedy_atoms(A):
     Each step adds one atom, HOPM's maximizer on the residual (seeded
     ``1000 * step``); the pursuit stops when that atom is (up to sign) one
     it already holds, after ``_GREEDY_ATOMS`` steps, or once the residual's
-    l1 norm is at most ``_GREEDY_TOL``.  The pursuit runs on the residual
-    over ``||A||_F``, so that HOPM's stop rule, which is absolute below 1,
-    and with it the atoms do not depend on the scale of ``A``."""
-    l2 = holder_norm(A, 2)
+    l1 norm is at most ``_GREEDY_TOL``, relative to ``A``'s largest entry
+    (``nuclear_sandwich`` passes ``A`` over a power of two near it)."""
     t = A.ravel()
     atoms = []
     C, weights = np.zeros((t.size, 0)), np.zeros(0)
-    residual = A / l2
+    residual = A
     for it in range(_GREEDY_ATOMS):
         if holder_norm(residual, 1) <= _GREEDY_TOL:
             break
@@ -990,7 +991,7 @@ def _greedy_atoms(A):
         # view in another order.
         C = np.ascontiguousarray(rows.T)
         weights, *_ = np.linalg.lstsq(C, t, rcond=None)
-        residual = (A - (C @ weights).reshape(A.shape)) / l2
+        residual = A - (C @ weights).reshape(A.shape)
     return atoms, C, weights
 
 
@@ -1044,17 +1045,17 @@ def nuclear_sandwich(T):
     end, is the lower end; its witness and bound are ``dual_witness`` and
     ``witness_spectral_upper``.
     """
-    A = asarray(T)
-    if holder_norm(A, 2) == 0.0:
+    A, scale = _unit_scale(asarray(T))
+    if not A.any():
         empty = NuclearDecomposition((), A.shape)
         return NuclearSandwich(0.0, 0.0, empty, np.zeros(A.shape), 1.0)
     if A.ndim <= 2:
-        return _matrix_sandwich(A)
+        return _scaled_sandwich(_matrix_sandwich(A), scale)
     svals = _flattening_svds(A)
     core = _core(A, svals)
     if core is None:
         flat = min(float(s[0]) for s in svals)
-        return _sandwich(A, flat)
+        return _scaled_sandwich(_sandwich(A, flat), scale)
 
     G, bases = core
     if G.ndim <= 2:
@@ -1073,8 +1074,18 @@ def nuclear_sandwich(T):
               for a in sw.decomposition.atoms),
         A.shape,
     )
-    return NuclearSandwich(float(lower), float(upper), decomposition, W,
-                           float(w_up), flags)
+    return _scaled_sandwich(NuclearSandwich(
+        float(lower), float(upper), decomposition, W, float(w_up), flags), scale)
+
+
+def _scaled_sandwich(sw, scale):
+    """The sandwich ``sw`` of ``A / scale`` as one of ``A``: its ends and
+    atom weights times ``scale``, its witness and that witness's bound kept."""
+    atoms = tuple(RankOneAtom(a.weight * scale, a.factors)
+                  for a in sw.decomposition.atoms)
+    return replace(sw, lower=min(sw.lower * scale, _MAX),
+                   upper=sw.upper * scale,
+                   decomposition=replace(sw.decomposition, atoms=atoms))
 
 
 def _sandwich(A, flat):
@@ -1162,8 +1173,8 @@ def _pt_nuclear(A):
     order, back = _size_order(A.shape)
     B = A.transpose(order)
     n = B.shape[2]
-    # Unit Frobenius norm inside; the weights are scaled back, the witness is
-    # scale-free.
+    # Unit Frobenius norm inside, which fixes the program's floats (the range
+    # is _unit_scale's); the weights are scaled back, the witness scale-free.
     scale = float(np.linalg.norm(B))
     U = B.reshape(4, n) / scale
     lo, hi = -1.0 + 1e-12, 1.0 - 1e-12

@@ -56,7 +56,8 @@ from .subspace import (
     project,
     support_project,
 )
-from .tensor_core import _khatri_rao_rows, asarray, holder_norm, outer_atom
+from .tensor_core import (_khatri_rao_rows, _unit_scale, asarray,
+                          holder_norm, outer_atom)
 
 __all__ = [
     "RpcaInstance",
@@ -253,7 +254,7 @@ def incoherence_profile(L, rho=0.0):
     over all witnesses.
     """
     A = asarray(L)
-    if holder_norm(A, 2) == 0.0:
+    if not A.any():
         raise PreconditionError("ground truth must be nonzero")
     d = A.ndim
     family = family_from_tensor(A)
@@ -472,15 +473,13 @@ def solve_matrix_rpca(M, lam=None, tol=1e-9, max_iter=2000):
     ``(L_hat, S_hat, residuals)``; non-convergence raises with the last
     iterate attached.
 
-    The iteration runs on ``M`` over ``2^k``, the power of two at or below
-    ``max |M|``, which is exact in binary, and ``L`` and ``S`` are scaled
-    back.  On that scaled ``M`` it stops when both the primal residual
-    ``||M - L - S||_F / ||M||_F`` and the dual residual
-    ``mu ||S - S_prev||_F / ||M||_F`` are at most ``tol``; ``residuals``
-    lists the primal one per step.  The dual residual scales as one over
-    the scale of ``M``, so without the scaling the stop, and with it the
-    result, would depend on that scale; with it, the result and the
-    iteration count do not, from ``10^-300 M`` to ``10^300 M``.
+    The iteration runs on ``M`` over a power of two (``_unit_scale``, the
+    norm engines' scale policy), and ``L`` and ``S`` are scaled back.  There
+    it stops when both the primal residual ``||M - L - S||_F / ||M||_F`` and
+    the dual residual ``mu ||S - S_prev||_F / ||M||_F`` are at most ``tol``;
+    ``residuals`` lists the primal one per step.  The dual residual is not
+    dimensionless, so without the scaling the result would depend on the
+    scale of ``M``; with it, the result and the iteration count do not.
 
     Each singular-value thresholding (``_svt``) is one symmetric
     eigendecomposition of the smaller Gram matrix of ``X / tau``.  Its
@@ -495,11 +494,9 @@ def solve_matrix_rpca(M, lam=None, tol=1e-9, max_iter=2000):
     if lam is None:
         lam = default_lambda(M.shape)
     lam = float(lam)
-    peak = float(np.abs(M).max(initial=0.0))
-    if peak == 0.0:
+    M, scale = _unit_scale(M)
+    if not M.any():
         return np.zeros_like(M), np.zeros_like(M), [0.0]
-    scale = float(np.ldexp(1.0, np.frexp(peak)[1] - 1))
-    M = M / scale
     norm_M = np.linalg.norm(M)
     mu = float(M.size / (4.0 * np.abs(M).sum()))
     L = np.zeros_like(M)

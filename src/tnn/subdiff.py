@@ -100,7 +100,7 @@ def is_subgradient(G, T, tol=1e-3, sandwich=None):
     G, T = asarray(G), asarray(T)
     if G.shape != T.shape:
         raise ParameterError("shape mismatch between candidate and base point")
-    if holder_norm(T, 2) == 0.0:
+    if not T.any():
         raise ParameterError("base point must be nonzero")
     if sandwich is None:
         sandwich = nuclear_sandwich(T)
@@ -131,7 +131,7 @@ def find_z_witness(T, sandwich=None):
     sandwich's dual witness divided by its certified spectral bound; the
     sandwich certifies that witness inside the span subspace."""
     A = asarray(T)
-    if holder_norm(A, 2) == 0.0:
+    if not A.any():
         raise ParameterError("base point must be nonzero")
     if sandwich is None:
         sandwich = nuclear_sandwich(A)

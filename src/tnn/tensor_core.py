@@ -9,6 +9,7 @@ strings).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -89,7 +90,7 @@ class RankOneAtom:
         for f in factors:
             if f.ndim != 1 or f.size == 0:
                 raise ParameterError("factors must be nonempty vectors")
-            if abs(np.linalg.norm(f) - 1.0) > 1e-12:
+            if abs(math.sqrt(f @ f) - 1.0) > 1e-12:
                 raise ParameterError("atom factors must be unit vectors")
         object.__setattr__(self, "factors", factors)
         object.__setattr__(self, "weight", float(self.weight))
@@ -127,6 +128,17 @@ def normalize(v):
     """``v / ||v||``, or ``v`` unchanged when it is zero."""
     n = np.linalg.norm(v)
     return v / n if n > 0 else v
+
+
+def _unit_scale(A):
+    """``(A / scale, scale)``, ``scale`` the power of two at or below
+    ``max |A|`` (1 if ``A`` is 0): the norm engines' one scale policy, exact
+    wherever nothing over- or underflows."""
+    peak = float(np.abs(A).max(initial=0.0))
+    if not math.isfinite(peak):
+        raise ParameterError("tensor entries must be finite")
+    scale = math.ldexp(1.0, math.frexp(peak)[1] - 1) if peak else 1.0
+    return A / scale, scale
 
 
 def _khatri_rao_rows(factors):

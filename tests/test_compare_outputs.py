@@ -1,0 +1,91 @@
+"""``scripts/compare_outputs.py``: the gate for changes that move floats."""
+
+import importlib.util
+import json
+from pathlib import Path
+
+import pytest
+
+SCRIPT = (Path(__file__).resolve().parent.parent / "scripts"
+          / "compare_outputs.py")
+_spec = importlib.util.spec_from_file_location("compare_outputs", SCRIPT)
+compare_outputs = importlib.util.module_from_spec(_spec)
+_spec.loader.exec_module(compare_outputs)
+
+RECORDS = [
+    {"kind": "nuclear", "key": "1 weak_pair_0", "verdict": "ok",
+     "record": "('pass', '1.5')", "notes": "()"},
+    {"kind": "sandwich", "key": "0", "ends": [(2.0).hex(), (3.0).hex()],
+     "flags": ["witness_bound_flattening"]},
+    {"kind": "enclosure", "key": "0", "ends": [(1.0).hex(), (1.5).hex()],
+     "method": "bnb"},
+    {"kind": "hopm", "key": "0", "ends": [(1.0).hex()], "iterations": 4},
+]
+
+
+def write(path, records):
+    path.write_text("".join(json.dumps(r) + "\n" for r in records))
+    return str(path)
+
+
+def run(tmp_path, change, capsys):
+    base = write(tmp_path / "base.jsonl", RECORDS)
+    status = compare_outputs.main([base, write(tmp_path / "change.jsonl",
+                                               change)])
+    return status, capsys.readouterr().out
+
+
+def test_identical_files_pass(tmp_path, capsys):
+    status, out = run(tmp_path, RECORDS, capsys)
+    assert status == 0
+    assert out.splitlines()[-1] == "OK"
+    assert "lower ends that fell: 0" in out
+    assert "upper ends that rose: 0" in out
+
+
+def test_moved_ends_are_reported_not_failed(tmp_path, capsys):
+    change = [dict(r) for r in RECORDS]
+    change[1]["ends"] = [(2.0).hex(), (3.0 * (1 + 2 ** -20)).hex()]
+    change[2]["ends"] = [(1.0 - 2 ** -30).hex(), (1.5).hex()]
+    change[2]["method"] = "flattening"
+    status, out = run(tmp_path, change, capsys)
+    assert status == 0
+    assert "upper ends that rose: 1\n  sandwich 0:" in out
+    assert "lower ends that fell: 1\n  enclosure 0:" in out
+    assert "method 1" in out
+
+
+@pytest.mark.parametrize("kind", ["workload", "sandwich"])
+def test_a_flipped_verdict_fails(tmp_path, capsys, kind):
+    change = [dict(r) for r in RECORDS]
+    if kind == "workload":
+        change[0]["verdict"] = "wrong"
+    else:
+        change[1]["verdict"] = "fail"
+    status, out = run(tmp_path, change, capsys)
+    assert status == 1
+    assert "verdict changed" in out and out.splitlines()[-1] == "FAIL"
+
+
+def test_disjoint_intervals_fail(tmp_path, capsys):
+    change = [dict(r) for r in RECORDS]
+    change[1]["ends"] = [(3.5).hex(), (4.0).hex()]
+    status, out = run(tmp_path, change, capsys)
+    assert status == 1
+    assert "disjoint intervals: sandwich 0" in out
+
+
+@pytest.mark.parametrize("line", [
+    "sandwich 0 0x1p+1 0x1.8p+1\n",  # a printed line, not a record
+    '{"kind": "sandwich", "ends": ["0x1p+1"]}\n',  # no key
+    '{"kind": "hopm", "key": "0", "ends": ["2.0e0"]}\n',  # not float.hex
+    '{"kind": "hopm", "key": "1", "ends": ["0x1p+0", "0x1p+0", "0x1p+0"]}\n',
+    '{"kind": "hopm", "key": "0", "ends": ["0x1p+0"]}\n',  # repeated input
+])
+def test_a_malformed_line_fails(tmp_path, capsys, line):
+    base = write(tmp_path / "base.jsonl", RECORDS)
+    path = tmp_path / "change.jsonl"
+    write(path, RECORDS)
+    path.write_text(path.read_text() + line)
+    assert compare_outputs.main([base, str(path)]) == 2
+    assert capsys.readouterr().out.startswith("malformed:")

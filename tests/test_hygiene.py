@@ -99,6 +99,14 @@ def test_only_the_enclosure_calls_the_branch_and_bound():
     assert found == ["norms.spectral_enclosure"]
 
 
+def test_one_scale_policy():
+    """Only ``tensor_core._unit_scale`` picks a power of two to scale by."""
+    found = [f"{path.stem}.{owner}"
+             for path in sorted(SRC.glob("*.py"))
+             for _, owner in references(path.read_text(), "frexp")]
+    assert found == ["tensor_core._unit_scale"]
+
+
 def test_the_enclosure_is_the_one_lower_end_policy():
     """No module keeps a second lower-end policy beside
     ``spectral_enclosure``, and the decision modules run HOPM only to scale

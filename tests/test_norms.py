@@ -40,7 +40,7 @@ from tnn.norms import (
     _hopm_stack,
     _sign_witness,
 )
-from tnn.tensor_core import normalize
+from tnn.tensor_core import _unit_scale, normalize
 from conftest import e, rank_one
 
 SQ3 = np.sqrt(3.0)
@@ -263,6 +263,9 @@ class TestHopmKernel:
         else:
             A = asarray(np.random.default_rng(
                 _KERNEL_SHAPES.index(case)).standard_normal(case))
+        # The kernel runs on A over the power of two at or below its largest
+        # entry, where its stop is relative; so does the reference.
+        A = _unit_scale(A)[0]
         res = spectral_hopm(A, starts=starts, tol=tol)
         ref, X, vals, stops = _einsum_hopm(A, starts, tol)
         if ref.iterations > _HOPM_SWEEPS:
@@ -787,14 +790,17 @@ class TestPartialTransposeBound:
         # tests only.
         Z = two_peak_witness()
         hopm = spectral_hopm(Z, starts=64).value
-        attained, vectors, cap = tnn.norms._pt_primal(Z)
+        # The branch and bound runs on Z over a power of two near its
+        # largest entry; the stub returns the primal step's values there.
+        scaled, scale = _unit_scale(Z)
+        attained, vectors, cap = tnn.norms._pt_primal(scaled)
         loose = (attained, vectors, cap + 1e-3) if missed == "cap" else (
             attained - 1e-3, vectors, cap)
         monkeypatch.setattr(tnn.norms, "_pt_primal", lambda A: loose)
         calls = count_cell_batches(monkeypatch)
         lo, up = spectral_certified_upper(Z, tol=1e-5)
         assert calls
-        assert lo <= hopm + SLACK and hopm <= up <= loose[2]
+        assert lo <= hopm + SLACK and hopm <= up <= loose[2] * scale
         assert up - lo <= 1e-5
 
     def test_limitation_sandwich_gap(self):
@@ -870,7 +876,7 @@ PINNED_SANDWICHES = {
     "(2, 2, 3)": ("0x1.bff47fc2fefd4p+1", "0x1.bff47fc2ff015p+1"),
     "(2, 2, 4)": ("0x1.8cfeefbbb0af5p+2", "0x1.8cfeefbbb0b3bp+2"),
     "(2, 4, 2)": ("0x1.8d83185bcacf1p+2", "0x1.8d83185bcad7cp+2"),
-    "(3, 3, 3)": ("0x1.594d4aac66ab8p+2", "0x1.2198449dc7828p+3"),
+    "(3, 3, 3)": ("0x1.594d4aac66ab8p+2", "0x1.219844920f203p+3"),
     "pair0-T": ("0x1.ff7f6e1fbcb85p+0", "0x1.ff7f6e1fbcb97p+0"),
     "pair0-S": ("0x1.490b6321ee3e3p-2", "0x1.490b6321ee3ecp-2"),
     "pair0-T+S": ("0x1.28e123741c23bp+1", "0x1.28e123741c246p+1"),

@@ -347,6 +347,20 @@ class TestFindZWitness:
         Z = find_z_witness(T, sandwich=sw)
         assert inner(Z, T) == pytest.approx(sw.lower, rel=1e-12)
 
+    def test_base_point_whose_frobenius_norm_underflows(self):
+        # ||T||_F underflows to zero below about 1e-162: a nonzero base
+        # point is told from zero by its entries, and its sandwich, witness
+        # and verdict are those of T at unit scale.
+        T = gallery("notsingle")["T"]
+        tiny = T * 1e-170
+        sw, unit = nuclear_sandwich(tiny), nuclear_sandwich(T)
+        assert sw.lower == pytest.approx(1e-170 * unit.lower, rel=1e-6)
+        assert sw.upper == pytest.approx(1e-170 * unit.upper, rel=1e-6)
+        Z = find_z_witness(tiny)
+        np.testing.assert_allclose(Z, find_z_witness(T, sandwich=unit),
+                                   atol=1e-6)
+        assert is_subgradient(Z, tiny, sandwich=sw).verdict == "pass"
+
     def test_larger_shape_keeps_unit_ball(self, rng):
         L = sum(
             outer_atom([rng.standard_normal(8) for _ in range(3)])
