@@ -37,6 +37,7 @@ from .subspace import (
     lower_u,
     order_ge2_sum,
     project,
+    residual,
     upper_u,
 )
 from .tensor_core import asarray, holder_norm, outer_atom
@@ -87,12 +88,14 @@ def _normalize_index_set(index_set, d, minimum=1):
 
 
 def _require_membership(name, T, selector, family, tol=1e-10):
+    """``T`` as an array, after checking that its relative residual
+    (``subspace.residual``) is at most ``tol``."""
     A = asarray(T)
-    resid = holder_norm(A - project(selector, family, A), 2)
-    scale = max(1.0, holder_norm(A, 2))
-    if resid > tol * scale:
+    resid = residual(selector, family, A)
+    if resid > tol:
         raise PreconditionError(
-            f"{name} is not in the required subspace (residual {resid:.3e})"
+            f"{name} is not in the required subspace "
+            f"(relative residual {resid:.3e})"
         )
     return A
 

@@ -76,7 +76,7 @@ from functools import lru_cache
 import numpy as np
 
 from .errors import DimensionError, ParameterError, PreconditionError
-from .subspace import RANK_TOL, basic, family_from_tensor, project
+from .subspace import RANK_TOL, basic, family_from_tensor, residual
 from .tensor_core import (
     NuclearDecomposition,
     RankOneAtom,
@@ -971,11 +971,11 @@ def _greedy_atoms(A):
     t = A.ravel()
     atoms = []
     C, weights = np.zeros((t.size, 0)), np.zeros(0)
-    residual = A
+    rest = A
     for it in range(_GREEDY_ATOMS):
-        if holder_norm(residual, 1) <= _GREEDY_TOL:
+        if holder_norm(rest, 1) <= _GREEDY_TOL:
             break
-        res = spectral_hopm(residual, starts=_GREEDY_STARTS, tol=1e-13,
+        res = spectral_hopm(rest, starts=_GREEDY_STARTS, tol=1e-13,
                             seed=1000 * it)
         if res.value <= 1e-14:
             break
@@ -991,7 +991,7 @@ def _greedy_atoms(A):
         # view in another order.
         C = np.ascontiguousarray(rows.T)
         weights, *_ = np.linalg.lstsq(C, t, rcond=None)
-        residual = A - (C @ weights).reshape(A.shape)
+        rest = A - (C @ weights).reshape(A.shape)
     return atoms, C, weights
 
 
@@ -1335,10 +1335,12 @@ def restricted_norm_check(T, family, tol=1e-6):
     """Checks that the restricted-subspace facts hold for T in T((V_k)):
     HOPM's spectral maximizers lie inside the V_k (``maximizer_residuals``
     are their distances ``||x_k - P_k x_k||``), and the nuclear sandwich's
-    dual witness lies in T((V_k)) and sets its lower end."""
+    dual witness lies in T((V_k)) and sets its lower end, both within
+    ``tol`` relative.  ``T`` must lie in T((V_k)) to 1e-10 relative
+    (``subspace.residual``)."""
     A = family.check_shape(T)
     sel = basic(())
-    if holder_norm(A - project(sel, family, A), 2) > 1e-10 * max(1.0, holder_norm(A, 2)):
+    if residual(sel, family, A) > 1e-10:
         raise PreconditionError("T does not lie in T((V_k))")
 
     residuals = [float(np.linalg.norm(x - V.projector() @ x))
@@ -1349,11 +1351,10 @@ def restricted_norm_check(T, family, tol=1e-6):
     sand = nuclear_sandwich(A)
     W = sand.dual_witness
     pair = inner(A, W)
-    outside = holder_norm(W - project(sel, family, W), 2)
     ratio = min(pair / sand.witness_spectral_upper, sand.upper)
     witness_ok = (
-        outside <= tol * max(1.0, holder_norm(W, 2))
-        and abs(ratio - sand.lower) <= tol * max(1.0, sand.lower)
+        residual(sel, family, W) <= tol
+        and abs(ratio - sand.lower) <= tol * sand.lower
     )
     return {
         "maximizer_residuals": residuals,

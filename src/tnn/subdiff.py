@@ -31,6 +31,7 @@ from .subspace import (
     family_from_tensor,
     order_ge2_sum,
     project,
+    residual,
     upper_u,
 )
 from .tensor_core import (
@@ -144,15 +145,15 @@ def z_membership(Z, T, tol=1e-3, sandwich=None):
     (all within ``tol`` and certified bounds).  The pairing fails outside
     ``[lower - tol, upper + tol]`` of the nuclear sandwich, which proves it
     is more than ``tol`` away from ``||T||_*``.  Returns a report dict with
-    a three-way verdict; ``spectral_method`` names how the spectral upper
-    bound was certified ("bnb" or "flattening")."""
+    a three-way verdict; ``subspace_residual`` is ``Z``'s relative distance
+    from the span subspace (``subspace.residual``, the same at every scale
+    of ``Z``), compared with ``tol``; ``spectral_method`` names how the
+    spectral upper bound was certified ("bnb" or "flattening")."""
     Z, T = asarray(Z), asarray(T)
     if Z.shape != T.shape:
         raise ParameterError("shape mismatch")
-    family = family_from_tensor(T)
-    resid = holder_norm(Z - project(basic(()), family, Z), 2)
-    scale = max(1.0, holder_norm(Z, 2))
-    subspace_ok = resid <= tol * scale
+    resid = residual(basic(()), family_from_tensor(T), Z)
+    subspace_ok = resid <= tol
 
     if sandwich is None:
         sandwich = nuclear_sandwich(T)
@@ -215,10 +216,11 @@ def build_inclusion_member(T, family_kind, Z, X, index_set=None, tol=1e-3):
 
     def check_piece(Xp, selector, radius, rule):
         Xp = asarray(Xp)
-        resid = holder_norm(Xp - project(selector, family, Xp), 2)
-        if resid > 1e-10 * max(1.0, holder_norm(Xp, 2)):
+        resid = residual(selector, family, Xp)
+        if resid > 1e-10:
             raise PreconditionError(
-                f"{rule}: direction leaves its subspace (residual {resid:.3e})"
+                f"{rule}: direction leaves its subspace "
+                f"(relative residual {resid:.3e})"
             )
         lo, _, _ = _spectral_decision(Xp, radius, tol)
         if lo > radius + tol:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DimensionError, IndexRangeError, ParameterError
-from .tensor_core import _flattening_svds, asarray, mode_product
+from .tensor_core import _flattening_svds, _unit_scale, asarray, mode_product
 
 __all__ = [
     "ModeSubspace",
@@ -43,6 +43,7 @@ __all__ = [
     "family_from_tensor",
     "complement",
     "project",
+    "residual",
     "basic_split",
     "support_project",
     "operator_norm_chain",
@@ -86,13 +87,15 @@ class ModeSubspace:
 
     @classmethod
     def span(cls, vectors, ambient_dim=None):
-        """Subspace spanned by the given vectors (orthonormalized)."""
+        """Subspace spanned by the given vectors (orthonormalized); a
+        direction whose ``|R_ii|`` in their QR is at most ``RANK_TOL`` times
+        the largest ``|R|`` counts as dependent, at any scale."""
         V = np.atleast_2d(np.asarray(vectors, dtype=float))  # rows are vectors
         n = ambient_dim if ambient_dim is not None else V.shape[1]
         if V.size == 0:
             return cls(n, np.zeros((n, 0)))
         Q, R = np.linalg.qr(V.T)
-        keep = np.abs(np.diag(R)) > RANK_TOL * max(1.0, np.max(np.abs(R)))
+        keep = np.abs(np.diag(R)) > RANK_TOL * np.max(np.abs(R))
         return cls(n, Q[:, keep])
 
     @classmethod
@@ -277,6 +280,18 @@ def project(selector, family, T):
     for I in selector.sets:
         out += apply(["perp" if k in I else "V" for k in range(family.order)])
     return out
+
+
+def residual(selector, family, T):
+    """``||T - p(T)||_F / ||T||_F`` for the selected subspace's projector
+    ``p``, or 0 for a zero tensor: the membership rule every precondition
+    compares with its tolerance.  It runs on ``T`` over its power of two
+    (``_unit_scale``), so it does not depend on the input's exponent."""
+    A, _ = _unit_scale(family.check_shape(T))
+    if not A.any():
+        return 0.0
+    return float(np.linalg.norm(A - project(selector, family, A))
+                 / np.linalg.norm(A))
 
 
 def basic_split(family, T):

@@ -9,6 +9,11 @@ results by the rounding of the input only, from ``10^-300`` to ``10^300``,
 on subnormal entries and next to the largest float.  The decision checks
 reach the engines through these calls; their verdicts use an absolute
 ``tol`` and are not compared across scales.
+
+Their subspace preconditions are one relative rule,
+``subspace.residual``, computed on the tensor over its power of two: a
+non-member is refused, and ``z_membership`` reports the same residual,
+from ``10^-300`` to ``10^300`` and on subnormal entries.
 """
 
 import math
@@ -18,16 +23,25 @@ import numpy as np
 import pytest
 
 from tnn import (
+    PreconditionError,
+    basic,
+    build_inclusion_member,
     check_nuclear_decomp,
     check_weak_decomp,
+    family_from_tensor,
+    find_z_witness,
     nuclear_sandwich,
     outer_atom,
+    project,
+    restricted_norm_check,
     sample_pair,
     sample_weak_pair,
     spectral_certified_upper,
     spectral_enclosure,
     spectral_hopm,
+    z_membership,
 )
+from tnn.tensor_core import basis_vector
 
 
 def _draw(shape, seed=0):
@@ -170,3 +184,58 @@ def test_decision_checks_sweep_the_float_range(check):
         for side in ("lhs", "rhs"):
             _check(check, (side, scale), getattr(report, side),
                    getattr(ref, side), scale)
+
+
+def _refusals():
+    """Per check, ``(run, tensors, message)``: ``run(f)`` calls the check on
+    ``tensors`` scaled by ``f``, one of which lies outside its subspace, and
+    must raise ``PreconditionError`` matching ``message``."""
+    family, T, _ = sample_weak_pair((2, 2, 2), 0)
+    R = _draw((2, 2, 2), seed=7)  # outside the order->=2 sum
+    pair_family, T2, S2 = sample_pair((2, 2, 2), (1, 1, 2), (0, 1), 0)
+    e0, e1 = basis_vector(2, 0), basis_vector(2, 1)
+    atom = outer_atom([e0] * 3)
+    off = outer_atom([e1, e0, e0], weight=0.1)  # order 1
+    G = _draw((2, 2, 2), seed=8)
+    return {
+        "weak": (lambda f: check_weak_decomp(T * f, R * f, family),
+                 (T, R), "S is not in the required subspace"),
+        # Swapped: S is not in U_I and T is not in U^I.
+        "nuclear": (lambda f: check_nuclear_decomp(S2 * f, T2 * f,
+                                                   pair_family, (0, 1)),
+                    (S2, T2), "T is not in the required subspace"),
+        "inclusion": (lambda f: build_inclusion_member(atom, "D1", atom,
+                                                       off * f),
+                      (off,), "D1: direction leaves its subspace"),
+        "restricted": (lambda f: restricted_norm_check(G * f,
+                                                       family_from_tensor(atom)),
+                       (G,), "T does not lie in"),
+    }
+
+
+@pytest.mark.parametrize("check", ["weak", "nuclear", "inclusion",
+                                   "restricted"])
+def test_non_member_is_refused_at_every_scale(check):
+    run, tensors, message = _refusals()[check]
+    peak = max(float(np.abs(X).max()) for X in tensors)
+    for scale in SWEEP + [1e-310 / peak]:
+        with pytest.raises(PreconditionError, match=message):
+            run(scale)
+
+
+def test_z_membership_residual_is_scale_free():
+    """A dual certificate plus an order-1 component fails at every scale,
+    with the same relative subspace residual."""
+    T = _rank(2)
+    family = family_from_tensor(T)
+    sandwich = nuclear_sandwich(T)
+    order1 = project(basic({0}), family, _draw((3, 3, 3), seed=9))
+    Z = find_z_witness(T, sandwich) + 0.1 * order1
+    ref = z_membership(Z, T, sandwich=sandwich)["subspace_residual"]
+    assert ref == pytest.approx(
+        0.1 * np.linalg.norm(order1) / np.linalg.norm(Z), rel=1e-9)
+    for scale in SWEEP + [1e-310 / float(np.abs(Z).max())]:
+        report = z_membership(Z * scale, T, sandwich=sandwich)
+        assert report["verdict"] == "fail", scale
+        assert report["subspace_residual"] == pytest.approx(ref, rel=1e-9), \
+            scale

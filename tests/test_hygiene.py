@@ -136,8 +136,20 @@ def test_norms_reaches_the_span_bases_only_through_the_core():
     source = (SRC / "norms.py").read_text()
     owners = {name: {owner for _, owner in references(source, name)}
               for name in ("family_from_tensor", "project")}
-    assert owners == {"family_from_tensor": {"_core"},
-                      "project": {"restricted_norm_check"}}
+    assert owners == {"family_from_tensor": {"_core"}, "project": set()}
+
+
+def test_one_membership_rule():
+    """Every subspace precondition compares ``subspace.residual`` with its
+    tolerance; no module keeps a hand-rolled ``max(1, ||X||_F)`` floor."""
+    assert [path.name for path in sorted(SRC.glob("*.py"))
+            if "max(1.0, holder_norm(" in path.read_text()] == []
+    found = sorted({f"{path.stem}.{owner}"
+                    for path in sorted(SRC.glob("*.py"))
+                    for _, owner in references(path.read_text(), "residual")})
+    assert found == ["decomp._require_membership",
+                     "norms.restricted_norm_check",
+                     "subdiff.check_piece", "subdiff.z_membership"]
 
 
 def test_scipy_solvers_have_one_caller_each():

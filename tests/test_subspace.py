@@ -54,6 +54,13 @@ class TestModeSubspace:
         assert V.dim == 1
         assert np.allclose(V.projector() @ e(3, 0), e(3, 0))
 
+    def test_span_rank_is_relative(self):
+        # Directions count at any scale; zero vectors span nothing.
+        V = ModeSubspace.span([1e-12 * e(3, 0), 1e-12 * e(3, 1)])
+        assert V.dim == 2
+        assert np.allclose(V.projector(), np.diag([1.0, 1.0, 0.0]))
+        assert ModeSubspace.span([np.zeros(3), np.zeros(3)]).dim == 0
+
 
 class TestComplement:
     def test_e1_in_r2(self):
