@@ -63,6 +63,21 @@ _GALLERY_DEFAULT_PART = {
     "notsingle": "Z", "oneperp": "T", "yuan3": "X", "yuan33": "X",
     "yuan4": "X", "limitation": "TS",
 }
+_GALLERY_PIECES = ("T", "Z", "X", "Y", "S")
+
+
+def _gallery_part(name, t):
+    """The part lookup of the gallery entry ``name`` at ``t``: the entry's
+    piece ``key`` as an array, or an invalid-input error naming a piece the
+    entry lacks."""
+    entry = subdiff.gallery(name, t=t)
+
+    def piece(key):
+        if key not in _GALLERY_PIECES or key not in entry:
+            raise TnnError(f"gallery entry {name!r} has no part {key!r}")
+        return asarray(entry[key])
+
+    return piece
 
 
 def load_tensor(source):
@@ -79,14 +94,8 @@ def load_tensor(source):
     query = {k: v[-1] for k, v in parse_qs(parsed.query).items()}
     t = float(query["t"]) if "t" in query else None
     part = query.get("part", _GALLERY_DEFAULT_PART.get(name, "T"))
-    entry = subdiff.gallery(name, t=t)
-
-    def piece(key):
-        if key not in entry:
-            raise TnnError(f"gallery entry {name!r} has no part {key!r}")
-        return asarray(entry[key])
-
-    if part in ("T", "Z", "X", "Y", "S"):
+    piece = _gallery_part(name, t)
+    if part in _GALLERY_PIECES:
         return piece(part)
     if part == "ZX":
         return asarray(piece("Z") + piece("X"))
@@ -275,12 +284,8 @@ def check_weak(dims, trials, seed, alpha, tol, pretty):
 @adapter
 def check_subgrad(name, t, part, candidate, base, tol, pretty):
     if name is not None:
-        entry = subdiff.gallery(name, t=t)
-        direction = entry.get(part)
-        if direction is None:
-            raise TnnError(f"gallery entry {name!r} has no part {part!r}")
-        G = asarray(entry["Z"] + direction)
-        T = asarray(entry["T"])
+        piece = _gallery_part(name, t)
+        G, T = asarray(piece("Z") + piece(part)), piece("T")
     elif candidate and base:
         G, T = load_tensor(candidate), load_tensor(base)
     else:
@@ -305,8 +310,8 @@ def check_subgrad(name, t, part, candidate, base, tol, pretty):
 @adapter
 def check_zmember(name, t, z_source, t_source, tol, pretty):
     if name is not None:
-        entry = subdiff.gallery(name, t=t)
-        Z, T = asarray(entry["Z"]), asarray(entry["T"])
+        piece = _gallery_part(name, t)
+        Z, T = piece("Z"), piece("T")
     elif z_source and t_source:
         Z, T = load_tensor(z_source), load_tensor(t_source)
     else:

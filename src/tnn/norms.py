@@ -21,14 +21,11 @@ bound's limit the largest entry is raised to the multi-start HOPM value.
 The four engines run at one scale, the tensor over a power of two
 (``_unit_scale``), and multiply their results back.
 
-For a ``2 x 2 x n`` tensor the branch and bound first computes the
-partial-transpose cap (``_pt_primal``): with ``M`` the Gram matrix of the
-``4 x n`` unfolding, ``||T||_sigma^2 <= lambda_max(M + s W)`` for the one
-symmetric ``W`` that product vectors annihilate, and the least such bound is
-exact.  A closed-form primal step on the first mode's circle gives an
-attained value and the multiplier ``s``; the cap is one ``eigvalsh`` plus a
-rounding slack.  Where cap and attained value decide, no cell is
-evaluated; otherwise the cap enters the branch and bound's stop tests only.
+For a ``2 x 2 x n`` tensor the branch and bound first takes the
+partial-transpose cap and its primal step's attained value
+(``_partial_transpose``, whose object is the library's one test of that
+shape).  Where cap and attained value decide, no cell is evaluated;
+otherwise the cap enters the branch and bound's stop tests only.
 
 A tensor with a rank-deficient mode is first compressed to its
 multilinear-SVD core ``G = T x_k U_k^T`` (``_core``; ``U_k`` the mode-span
@@ -47,18 +44,16 @@ concentration experiment sends all its trials through one stack.  A run the
 sweeps have not settled within ``_HOPM_SWEEPS``, as at a degenerate
 maximum, is finished from its best start by BFGS on ``sigma_max(T x_fixed
 x)``, the function the branch and bound encloses.  On a ``2 x 2 x n``
-tensor HOPM first takes the partial-transpose primal step (``_pt_primal``);
-where the cap meets its value, that value is the norm, the same float the
-branch and bound reports there, and no sweep runs.
+tensor HOPM first takes the partial-transpose primal step; where the cap
+meets its value, that value is the norm, the same float the branch and
+bound reports there, and no sweep runs.
 
 The nuclear norm is enclosed in a sandwich ``[lower, upper]``
 (``nuclear_sandwich``): the upper end is a rank-one decomposition's total
 weight plus its l1 residual, the lower end a dual witness's pairing with
 ``T`` over a certified upper bound on its spectral norm.  A ``2 x 2 x n``
-tensor of full multilinear rank is sandwiched by an exact one-variable
-program (``_pt_nuclear``): ``||T||_*`` is the maximum over ``s`` in
-``[-1, 1]`` of the concave ``||(I - s W)^{1/2} U||_*`` (``U`` the ``4 x n``
-unfolding, ``W`` as for the cap above).  Other shapes of full multilinear
+tensor of full multilinear rank is sandwiched by the partial-transpose
+bound's exact one-variable program.  Other shapes of full multilinear
 rank get a greedy rank-one pursuit and the sign witness of its atoms.  The
 witnesses are built on a tensor of full multilinear rank, whose span
 subspace ``T(T)`` (the tensors whose mode-k spans lie inside those of
@@ -69,19 +64,21 @@ lifted by ``x_k U_k``, which lies in ``T(T)`` and keeps its spectral norm.
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field, replace
 from functools import lru_cache
 
 import numpy as np
 
+from ._partial_transpose import PartialTranspose
 from .errors import DimensionError, ParameterError, PreconditionError
 from .subspace import RANK_TOL, basic, family_from_tensor, residual
 from .tensor_core import (
+    _EPS,
     NuclearDecomposition,
     RankOneAtom,
     _flattening_svds,
     _khatri_rao_rows,
+    _size_order,
     _unit_scale,
     asarray,
     basis_vector,
@@ -152,9 +149,9 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     first.
 
     An order-3 tensor whose two smallest modes have size 2 gets the
-    partial-transpose primal step first (``_pt_primal``), with its cap
-    (``_pt_cap``).  Where ``cap - value <= tol * cap`` the value is the
-    norm to rounding, and it is returned with its vectors as
+    partial-transpose primal step first, with its cap
+    (``PartialTranspose.primal``).  Where ``cap - value <= tol * cap`` the
+    value is the norm to rounding, and it is returned with its vectors as
     ``SpectralResult(value, vectors, 1, 1)``: ``seed`` and ``max_iter``
     have no effect there, and ``starts`` none but its check (``>= 1``,
     at every shape).  ``value`` is then the float that
@@ -181,9 +178,10 @@ def _hopm_direct(A, tol, scale):
         U, s, Vt = np.linalg.svd(A)
         return SpectralResult(min(float(s[0]) * scale, _MAX),
                               (U[:, 0], Vt[0]), 1, 1)
-    if d == 3 and sorted(A.shape)[:2] == [2, 2]:
+    pt = PartialTranspose(A)
+    if pt is not None:
         # The partial-transpose primal step, exact where its cap meets it.
-        attained, vectors, cap = _pt_primal(A)
+        attained, vectors, cap = pt.primal()
         if cap - attained <= tol * cap:
             return SpectralResult(min(attained * scale, _MAX), vectors, 1, 1)
     return None
@@ -424,142 +422,7 @@ def _hopm_finish(A, vecs, budget):
 _BNB_BATCH = 64  # cells split per vectorized round
 _BNB_FINISH_STEPS = 2000  # steps of each _hopm_finish on the lower end
 
-# The one symmetric W (up to scale) with (x (x) y)^T W (x (x) y) = 0 for all
-# x, y in R^2: the partial-transpose difference S - S^Gamma for 2 x 2 modes.
-_PT_W = np.array([[0.0, 0.0, 0.0, 1.0], [0.0, 0.0, -1.0, 0.0],
-                  [0.0, -1.0, 0.0, 0.0], [1.0, 0.0, 0.0, 0.0]])
-_PT_NEWTON = 30  # Newton steps on the angle at most
-# I + W and I - W, of which R(s) = (I - s W)^{1/2} is a combination.
-_PT_I_PLUS_W, _PT_I_MINUS_W = np.eye(4) + _PT_W, np.eye(4) - _PT_W
-# The primal step's grid of 2t on the circle, with its cosines and sines.
-_PT_GRID = np.arange(64) * (np.pi / 32)
-_PT_COS, _PT_SIN = np.cos(_PT_GRID), np.sin(_PT_GRID)
-_EPS = np.finfo(float).eps
 _MAX = float(np.finfo(float).max)  # the cap of a lower end scaled back
-
-
-def _size_order(shape):
-    """The modes in increasing size, ties in mode order (a stable argsort of
-    ``shape``), and the inverse permutation, as lists."""
-    order = sorted(range(len(shape)), key=shape.__getitem__)
-    return order, sorted(range(len(shape)), key=order.__getitem__)
-
-
-def _pt_primal(A):
-    """``(attained, vectors, cap)`` for ``||A||_sigma``, ``A`` of shape
-    ``(2, 2, n)`` up to a permutation of its modes: an attained value, its
-    unit vectors and a certified cap.
-
-    With ``U`` the ``4 x n`` unfolding of the sorted tensor and
-    ``M = U U^T``, ``||A||_sigma^2 = max (x (x) y)^T M (x (x) y)`` over unit
-    ``x, y`` in ``R^2``.  Product vectors annihilate ``_PT_W``, so
-    ``||A||_sigma^2 <= lambda_max(M + s W)`` for every ``s`` (Doherty,
-    Parrilo & Spedalieri 2004; Ling, Nie, Qi & Ye 2009).  Nonnegative
-    biquadratic forms in ``2 + 2`` variables are sums of squares (Calderon
-    1973), so the least such bound is exact.  ``cap`` is
-    ``sqrt(lambda_max(M + s W) + slack)`` (``_pt_cap``) at the multiplier
-    ``s`` of the primal step below.  Where that step misses the maximum,
-    ``s`` is off the optimum and ``cap`` is still a bound, only looser.
-
-    Primal step: ``sigma_max(A x_0 x)^2`` with ``x = (cos t, sin t)`` is
-    the top eigenvalue of a ``2 x 2`` matrix affine in
-    ``(cos 2t, sin 2t)``, evaluated in closed form on a grid of ``2t``; each
-    local maximum on the grid is refined by Newton steps on the angle, and
-    with ``y`` the top eigenvector at the best one, ``attained`` is
-    ``||A x_0 x x_1 y||``, the form's value at the unit ``vectors`` ``x``,
-    ``y`` and ``z = A x_0 x x_1 y / attained``, given in ``A``'s mode order.
-
-    Dual multiplier: at the maximizer ``v = x (x) y`` with value ``g``,
-    ``v`` is a top eigenvector of ``M + s W`` for the optimal ``s``, so
-    ``(M - g I) v = -s W v``; as ``Wv`` has unit norm and is orthogonal to
-    ``v``, that ``s`` is ``-<Wv, Mv>``.
-
-    The steps run on ``A`` over its Frobenius norm ``scale``, and
-    ``attained`` and ``cap`` are scaled back: that fixes the program's
-    floats, while ``_unit_scale`` in the callers sets the range."""
-    scale = float(np.linalg.norm(A))
-    order, back = _size_order(A.shape)
-    B = A.transpose(order) / scale
-    n = B.shape[2]
-    U = B.reshape(4, n)
-    M = U @ U.T
-    # sigma_max(B x_0 x)^2 = lambda_max(x0^2 M00 + 2 x0 x1 sym(M01) + x1^2
-    # M11), with Mij the 2 x 2 blocks of M; at x = (cos t, sin t) this is
-    # [[h + e, b], [b, h - e]] with h, e, b affine in (1, cos 2t, sin 2t).
-    (m00, m01, m02, m03), (_, m11, m12, m13), (_, _, m22, m23), \
-        (_, _, _, m33) = M.tolist()
-    h0, h1, h2 = ((m00 + m11 + m22 + m33) / 4, (m00 + m11 - m22 - m33) / 4,
-                  (m02 + m13) / 2)
-    e0, e1, e2 = ((m00 - m11 + m22 - m33) / 4, (m00 - m11 - m22 + m33) / 4,
-                  (m02 - m13) / 2)
-    b0, b1, b2 = (m01 + m23) / 2, (m01 - m23) / 2, (m03 + m12) / 2
-    c, s = _PT_COS, _PT_SIN
-    g = h0 + h1 * c + h2 * s + np.hypot(e0 + e1 * c + e2 * s,
-                                        b0 + b1 * c + b2 * s)
-
-    def level(phi):
-        """``(h, e, b)`` at the angle ``phi``."""
-        c, s = math.cos(phi), math.sin(phi)
-        return (h0 + h1 * c + h2 * s, e0 + e1 * c + e2 * s,
-                b0 + b1 * c + b2 * s)
-
-    def climb(phi, value):
-        """Newton steps on the angle while the value rises."""
-        for _ in range(_PT_NEWTON):
-            c, s = math.cos(phi), math.sin(phi)
-            e, b = e0 + e1 * c + e2 * s, b0 + b1 * c + b2 * s
-            r = math.hypot(e, b)
-            if r == 0.0:
-                break
-            dh, de, db = h2 * c - h1 * s, e2 * c - e1 * s, b2 * c - b1 * s
-            ddh, dde, ddb = (-h1 * c - h2 * s, -e1 * c - e2 * s,
-                             -b1 * c - b2 * s)
-            slope = dh + (e * de + b * db) / r
-            curve = (ddh + (de * de + db * db + e * dde + b * ddb) / r
-                     - (e * de + b * db) ** 2 / r ** 3)
-            if curve >= 0.0:
-                break
-            trial = phi - slope / curve
-            h, e, b = level(trial)
-            rise = h + math.hypot(e, b)
-            if rise < value:
-                break
-            step, phi, value = abs(trial - phi), trial, rise
-            if step <= 1e-15:
-                break
-        return value, phi
-
-    # Every local maximum on the grid is climbed: two maxima closer in value
-    # than the grid resolves them can be ranked wrongly by the grid.
-    ring = np.concatenate((g[-1:], g, g[:1]))
-    peaks = {int(np.argmax(g)), *np.flatnonzero((g > ring[:-2])
-                                                 & (g >= ring[2:])).tolist()}
-    value, phi = max(climb(float(_PT_GRID[i]), float(g[i])) for i in peaks)
-    _, e, b = level(phi)
-    r = math.hypot(e, b)
-    # Top eigenvector of [[h + e, b], [b, h - e]], from its better column.
-    y = (r + e, b) if e >= 0.0 else (b, r - e)
-    ny = math.hypot(*y)
-    y = np.array(y) / ny if ny > 0.0 else np.array([1.0, 0.0])
-    x = np.array([math.cos(0.5 * phi), math.sin(0.5 * phi)])
-    v = np.outer(x, y).ravel()
-    w = v @ U
-    attained = float(np.linalg.norm(w))
-    vectors = (x, y, w / attained)
-    return (attained * scale, tuple(vectors[k] for k in back),
-            _pt_cap(M, -float(_PT_W @ v @ (M @ v)), n) * scale)
-
-
-def _pt_cap(M, s, n):
-    """``sqrt(lambda_max(M + s W) + slack)``: a certified upper bound on
-    ``||Z||_sigma`` for the ``2 x 2 x n`` tensor ``Z`` whose ``4 x n``
-    unfolding has the Gram matrix ``M``, whatever the multiplier ``s``.  The
-    slack ``4 (n + 4) eps (||M||_F + 2|s|)`` covers the backward errors of
-    forming ``M`` (``n eps tr(M) <= 2 n eps ||M||_F``), of adding ``s W``
-    and of the symmetric eigensolver."""
-    slack = 4.0 * (n + 4) * _EPS * (np.linalg.norm(M) + 2.0 * abs(s))
-    top = np.linalg.eigvalsh(M + s * _PT_W)[-1]
-    return math.sqrt(max(top, 0.0) + slack)
 
 
 def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
@@ -606,7 +469,8 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     does not depend on the finish.
 
     An order-3 tensor whose two smallest modes have size 2 gets the
-    partial-transpose cap and an attained value first (``_pt_primal``).
+    partial-transpose cap and an attained value first
+    (``PartialTranspose.primal``).
     Where they meet the stop tests, no cell is evaluated and the attained
     value is the lower end, unfinished.  Otherwise the branch and bound
     starts from the attained value and its vectors, and the cap enters only
@@ -637,8 +501,9 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     # Capping the cells' priorities by the partial-transpose cap would tie
     # them at the cap and turn best-first search into breadth-first search.
     cap, best, point = np.inf, 0.0, None
-    if d == 3 and sorted(dims)[:2] == [2, 2]:
-        best, vectors, cap = _pt_primal(A)
+    pt = PartialTranspose(A)
+    if pt is not None:
+        best, vectors, cap = pt.primal()
         if decided(cap, best):
             return min(best * scale, _MAX), max(best, cap) * scale
         point = [vectors[k] for k in fixed]
@@ -1031,8 +896,8 @@ def nuclear_sandwich(T):
     A tensor of full multilinear rank has the scaled base ``T`` as one
     candidate witness (certified by the flattening bound, so its ratio is at
     least ``||T||_F``).  A ``2 x 2 x n`` tensor (modes in any order) is
-    sandwiched by ``_pt_nuclear`` alone, to rounding (about 1e-12
-    relative): its witness is the other candidate, and its atoms are the
+    sandwiched by ``PartialTranspose.program`` alone, to rounding (about
+    1e-12 relative): its witness is the other candidate, and its atoms are the
     decomposition.  The upper end is the lesser of ``||T||_1`` and the
     atoms' total weight plus their l1 residual.  Every other tensor gets a
     greedy rank-one pursuit (``_greedy_atoms``) for the decomposition and
@@ -1095,8 +960,9 @@ def _sandwich(A, flat):
     # The scaled base: flat <= ||A||_F, so its ratio is at least ||A||_F.
     cands = [(inner(A, A) / flat, A, flat, "flattening")]
     upper = holder_norm(A, 1)
-    if A.ndim == 3 and sorted(A.shape)[:2] == [2, 2]:
-        Z, z_cap, atoms = _pt_nuclear(A)
+    pt = PartialTranspose(A)
+    if pt is not None:
+        Z, z_cap, atoms = pt.program()
         cand = _certified_witness(A, Z)
         if z_cap < cand[2]:
             cand = (inner(A, Z) / z_cap, Z, z_cap, "pt_dual")
@@ -1125,174 +991,6 @@ def _sandwich(A, flat):
     lower = min(ratio, upper)
     return NuclearSandwich(float(lower), float(upper), decomposition, Z,
                            float(w_up), tuple(flags))
-
-
-def _pt_nuclear(A):
-    """``(Z, cap, atoms)`` for a ``2 x 2 x n`` tensor ``A`` of full
-    multilinear rank, its modes in any order: a dual witness ``Z`` (unit
-    spectral norm up to rounding), a certified upper bound ``cap`` on
-    ``||Z||_sigma`` and a rank-one decomposition of ``A`` whose total weight
-    is at most the least weak-duality bound below, up to rounding.
-
-    With ``U`` the ``4 x n`` unfolding of the sorted tensor and
-    ``W = _PT_W``, a tensor ``Z`` with unfolding ``V`` has
-    ``||Z||_sigma <= 1`` exactly when ``V V^T + s W <= I`` for some ``s``
-    (``_pt_primal``; exact by Calderon 1973).  As ``W^2 = I``,
-    ``I - s W >= 0`` means ``s`` in ``[-1, 1]``, and
-    ``R(s) = (I - s W)^{1/2} = sqrt(1 - s) (I + W)/2 + sqrt(1 + s) (I - W)/2``,
-    so ``||A||_* = max_s g(s)`` with ``g(s) = ||R(s) U||_*``, a concave
-    function (the largest ``<U, V>`` over a convex set of ``(s, V)``).  With
-    ``R U = a Sigma b^T`` (thin SVD), ``Z = R a b^T`` attains ``g(s)``, and
-    ``V V^T = R a a^T R <= I - s W``, so ``lambda_max(V V^T + s W) <= 1``:
-    ``cap`` is ``_pt_cap(V V^T, s)``, the program's own proof, which needs
-    no primal step.
-
-    Weak duality (the nuclear norm's SDP form, Recht, Fazel & Parrilo,
-    SIAM Rev. 2010): for any ``F`` and ``G``, ``P = F F^T`` and
-    ``Q = G G^T`` make ``[[P, F G^T], [G F^T, Q]]`` positive semidefinite,
-    and adding ``|<P, W>|/4 (I - sign(<P, W>) W) >= 0`` to ``P`` zeroes
-    ``<P, W>``, so ``||A||_* <= (tr P + |<P, W>| + tr Q)/2
-    + ||U - F G^T||_1``.  This takes
-    ``F = R^{-1} a Sigma^{1/2} = U b Sigma^{-1/2}`` (which needs no
-    ``R^{-1}``) and ``G = b Sigma^{1/2}``, where ``tr Q = g(s)`` and the
-    derivative ``g'(s) = <a b^T, R'(s) U>`` is ``-<P, W>/2``: the bound
-    meets ``g`` at the maximum.  A slack ``4 (n + 4) eps (tr P + tr Q)``
-    covers the rounding of ``U``, ``F G^T`` and the sums.
-
-    The search is a safeguarded secant search (Illinois, with a bisection
-    fallback) on ``<P, W> sqrt(1 - s^2)``, whose sign is that of ``-g'``
-    and which, unlike ``<P, W>``, stays bounded at the ends, where ``R`` is
-    singular; ``s`` is kept ``1e-12`` inside them.  It evaluates both ends
-    first: a sign that does not change between them puts the maximum at an
-    end.  It stops when the bracket is ``1e-12`` wide, or when the least
-    bound is within twice its rounding slack of the largest ``g``.  The
-    atoms come from the step of least bound (``_pt_atoms``), and ``Z`` and
-    ``cap`` from the step of largest ``g``: the search sets the tightness,
-    never the correctness.  The bound itself is not returned, since it never
-    fell below the atoms' own end, their total weight plus l1 residual."""
-    order, back = _size_order(A.shape)
-    B = A.transpose(order)
-    n = B.shape[2]
-    # Unit Frobenius norm inside, which fixes the program's floats (the range
-    # is _unit_scale's); the weights are scaled back, the witness scale-free.
-    scale = float(np.linalg.norm(B))
-    U = B.reshape(4, n) / scale
-    lo, hi = -1.0 + 1e-12, 1.0 - 1e-12
-    steps = [_pt_step(U, lo), _pt_step(U, hi)]
-    h_lo, h_hi = steps[0].h, steps[1].h
-    # Illinois: an end kept twice in a row has its value halved, which
-    # moves the next secant point towards it.  A secant point that rounding
-    # puts outside the bracket falls back to the midpoint.
-    kept = 0
-    while h_lo < 0.0 < h_hi and hi - lo > 1e-12:
-        least = min(steps, key=lambda t: t.bound)
-        if least.bound - max(t.g for t in steps) <= 2.0 * least.slack:
-            break
-        s = (lo * h_hi - hi * h_lo) / (h_hi - h_lo)
-        if not lo < s < hi:
-            s = 0.5 * (lo + hi)
-        steps.append(_pt_step(U, s))
-        h = steps[-1].h
-        if h < 0.0:
-            lo, h_lo = s, h
-            h_hi, kept = (0.5 * h_hi if kept < 0 else h_hi), -1
-        else:
-            hi, h_hi = s, h
-            h_lo, kept = (0.5 * h_lo if kept > 0 else h_lo), 1
-    top = max(steps, key=lambda t: t.g)
-    least = min(steps, key=lambda t: t.bound)
-    V = top.witness()
-    return (V.reshape(B.shape).transpose(back),
-            _pt_cap(V @ V.T, top.s, n), _pt_atoms(least, back, scale))
-
-
-@dataclass(slots=True)
-class _PtStep:
-    """One step of ``_pt_nuclear``'s search at the multiplier ``s``, from
-    one SVD ``R(s) U = a Sigma b^T``.
-
-    A slotted record, not frozen: the search takes about ten steps per
-    sandwich on a ``4 x n`` matrix, where building a frozen dataclass cost
-    more than the arithmetic.  It keeps ``R``, ``a`` and ``b^T``, and the
-    witness's unfolding ``R a b^T`` is formed (``witness``) only for the
-    step that is returned."""
-
-    s: float
-    h: float  # <P, W> sqrt(1 - s^2), of the sign of -g'(s)
-    g: float  # ||R(s) U||_*
-    bound: float  # the weak-duality bound, slack included
-    slack: float
-    F: np.ndarray
-    G: np.ndarray
-    tilt: float  # <P, W> = <F F^T, W>
-    R: np.ndarray
-    a: np.ndarray
-    bt: np.ndarray
-
-    def witness(self):
-        """The witness's unfolding ``R a b^T``."""
-        return self.R @ self.a @ self.bt
-
-
-def _pt_step(U, s):
-    """``_pt_nuclear``'s quantities at ``s``: one SVD of ``R(s) U``."""
-    R = (math.sqrt(1.0 - s) * _PT_I_PLUS_W
-         + math.sqrt(1.0 + s) * _PT_I_MINUS_W) / 2
-    a, sig, bt = np.linalg.svd(R @ U, full_matrices=False)
-    root = np.sqrt(sig)
-    F = (U @ bt.T) / root
-    G = bt.T * root
-    # Reductions by method: np.sum adds a Python layer to the same reduce.
-    tilt = float((F * (_PT_W @ F)).sum())
-    trace = float((F * F).sum() + (G * G).sum())
-    slack = 4.0 * (U.shape[1] + 4) * _EPS * trace
-    bound = ((trace + abs(tilt)) / 2 + float(np.abs(U - F @ G.T).sum())
-             + slack)
-    return _PtStep(s, tilt * math.sqrt(1.0 - s * s), float(sig.sum()),
-                   bound, slack, F, G, tilt, R, a, bt)
-
-
-def _pt_atoms(step, back, scale):
-    """Rank-one atoms of the sorted ``2 x 2 x n`` tensor ``scale U`` from a
-    step's ``F`` and ``G`` (``U`` close to ``F G^T``), their factors put
-    back in the original mode order by the permutation ``back``.
-
-    One column of squared norm ``|tilt|``, in the eigenspace of ``W`` whose
-    eigenvalue has the sign opposite to the tilt, is appended to ``F`` and a
-    zero column to ``G``: ``F G^T`` is unchanged and ``F^T W F`` has trace 0.
-    Givens rotations of the columns of both zero the diagonal of
-    ``F^T W F`` one entry at a time, each against a later entry of the other
-    sign (they exist while the trace is 0).  A column ``f`` of ``F`` then has
-    ``f^T W f = 2 det(f)`` equal to 0 up to rounding, so as a ``2 x 2``
-    matrix it is ``sigma_1 x y^T`` up to its second singular value, which
-    the sandwich's residual term covers.  The atom is ``x (x) y (x) g/||g||``
-    with weight ``scale sigma_1 ||g||``.  By AM-GM the weights sum to at most
-    ``(||F||_F^2 + ||G||_F^2)/2 = (tr P + |tilt| + tr Q)/2``, the step's
-    bound without its residual and slack."""
-    eigen = (np.eye(4) - math.copysign(1.0, step.tilt) * _PT_W)[:, 0]
-    F = np.column_stack([step.F, math.sqrt(abs(step.tilt) / 2) * eigen])
-    G = np.column_stack([step.G, np.zeros(len(step.G))])
-    for i in range(F.shape[1] - 1):
-        d = (F * (_PT_W @ F)).sum(axis=0)
-        j = i + 1 + int(np.argmin(math.copysign(1.0, d[i]) * d[i + 1:]))
-        # Without a partner d[i] is zero up to rounding, and so is det.
-        if d[i] * d[j] >= 0.0:
-            continue
-        b = float(F[:, i] @ _PT_W @ F[:, j])
-        t = -d[i] / (b + math.copysign(math.sqrt(b * b - d[i] * d[j]), b))
-        c = 1.0 / math.sqrt(1.0 + t * t)
-        rot = np.array([[c, -t * c], [t * c, c]])
-        F[:, [i, j]] = F[:, [i, j]] @ rot
-        G[:, [i, j]] = G[:, [i, j]] @ rot
-    atoms = []
-    # Every column's 2 x 2 SVD in one stacked call.
-    for x, sv, yt, g in zip(*np.linalg.svd(F.T.reshape(-1, 2, 2)), G.T):
-        norm = np.linalg.norm(g)
-        weight = scale * sv[0] * norm
-        if weight > 0.0:
-            factors = (x[:, 0], yt[0], g / norm)
-            atoms.append(RankOneAtom(weight, tuple(factors[k] for k in back)))
-    return tuple(atoms)
 
 
 def _matrix_sandwich(A):

@@ -193,7 +193,7 @@ def _family_radius(kind, d, index_set):
     if kind == "D2":
         return 2.0 / (d * (d - 1))
     if kind == "DI":
-        if index_set is None or len(index_set) < 2:
+        if len(index_set) < 2:
             raise ParameterError("DI needs an index set with at least 2 modes")
         return 1.0
     raise ParameterError(f"unknown family kind {kind!r}")
@@ -246,7 +246,7 @@ def build_inclusion_member(T, family_kind, Z, X, index_set=None, tol=1e-3):
             )
         Xd = Xsum
     elif family_kind == "DI":
-        I = frozenset(int(i) for i in index_set)
+        I = frozenset(int(i) for i in index_set or ())
         radius = _family_radius("DI", d, I)
         Xd = check_piece(X, upper_u(I), radius, f"DI I={sorted(I)}")
     else:

@@ -130,6 +130,16 @@ def normalize(v):
     return v / n if n > 0 else v
 
 
+_EPS = np.finfo(float).eps
+
+
+def _size_order(shape):
+    """The modes in increasing size, ties in mode order (a stable argsort of
+    ``shape``), and the inverse permutation, as lists."""
+    order = sorted(range(len(shape)), key=shape.__getitem__)
+    return order, sorted(range(len(shape)), key=order.__getitem__)
+
+
 def _unit_scale(A):
     """``(A / scale, scale)``, ``scale`` the power of two at or below
     ``max |A|`` (1 if ``A`` is 0): the norm engines' one scale policy, exact

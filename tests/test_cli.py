@@ -72,6 +72,11 @@ class TestNormsCommands:
         res = run(runner, ["norms", "spectral", "gallery:yuan3?part=Q"])
         assert res.exit_code == 2
 
+    def test_missing_gallery_part(self, runner):
+        res = run(runner, ["norms", "spectral", "gallery:limitation?part=Z"])
+        assert res.exit_code == 2
+        assert "error: gallery entry 'limitation' has no part 'Z'" in res.output
+
 
 class TestGalleryUri:
     def test_default_parts(self, runner):
@@ -139,6 +144,20 @@ class TestCheckCommands:
                            "--t", "0.5", "--tol", "0.05"])
         assert res.exit_code == 0
         assert json.loads(res.output)["verdict"] == "pass"
+
+    @pytest.mark.parametrize("name, part, missing", [
+        ("limitation", "S", "Z"), ("yuan3", "Y", "Y"), ("yuan3", "t", "t")])
+    def test_subgrad_missing_gallery_part(self, runner, name, part, missing):
+        res = run(runner, ["check", "subgrad", "--gallery", name,
+                           "--part", part])
+        assert res.exit_code == 2
+        assert (f"error: gallery entry {name!r} has no part {missing!r}"
+                in res.output)
+
+    def test_zmember_missing_gallery_part(self, runner):
+        res = run(runner, ["check", "zmember", "--gallery", "limitation"])
+        assert res.exit_code == 2
+        assert "error: gallery entry 'limitation' has no part 'Z'" in res.output
 
     def test_decomp_spectral_suite(self, runner):
         res = run(runner, ["check", "decomp-spectral", "--dims", "2,2,2",

@@ -336,18 +336,79 @@ def test_nuclear_sandwich_signature_is_pinned():
 
 
 def test_partial_transpose_bound_stays_private():
-    """The 2x2xn cap and its primal step (``_pt_primal``) are reached only
-    through ``spectral_certified_upper`` and HOPM's direct path: no public
-    name of ``tnn`` or ``tnn.norms`` carries them."""
+    """The 2x2xn cap and its primal step are reached only through
+    ``spectral_certified_upper`` and HOPM's direct path, and the exact
+    nuclear program only through the sandwich: no public name of ``tnn`` or
+    ``tnn.norms`` carries them."""
     import tnn
     import tnn.norms
 
-    assert not hasattr(tnn, "_pt_primal")
+    assert not hasattr(tnn, "PartialTranspose")
     assert tnn.norms.__all__ == [
         "SpectralResult", "NuclearSandwich", "spectral_hopm",
         "spectral_certified_upper", "spectral_flattening_upper",
         "spectral_enclosure", "nuclear_sandwich", "duality_gap_check",
         "restricted_norm_check"]
-    found = [owner for _, owner in references(
-        (SRC / "norms.py").read_text(), "_pt_primal")]
-    assert found == ["_hopm_direct", "spectral_certified_upper"]
+    source = (SRC / "norms.py").read_text()
+    found = {name: [owner for _, owner in references(source, name)]
+             for name in ("primal", "program")}
+    assert found == {"primal": ["_hopm_direct", "spectral_certified_upper"],
+                     "program": ["_sandwich"]}
+
+
+def shape_tests(source):
+    """``(line, function)`` of every 2x2xn shape test, a comparison of the
+    two smallest sizes ``sorted(...)[:2]`` with ``[2, 2]``, with the
+    innermost enclosing function."""
+    found = []
+
+    def smallest_two(node):
+        return (isinstance(node, ast.Subscript)
+                and isinstance(node.value, ast.Call)
+                and getattr(node.value.func, "id", None) == "sorted")
+
+    def visit(node, owner):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Compare) and any(
+                    map(smallest_two, [child.left, *child.comparators])):
+                found.append((child.lineno, owner))
+            is_def = isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef))
+            visit(child, child.name if is_def else owner)
+
+    visit(ast.parse(source), None)
+    return found
+
+
+def test_shape_test_detector():
+    source = (
+        "def a(A):\n"
+        "    return A.ndim == 3 and sorted(A.shape)[:2] == [2, 2]\n"
+        "def b(dims):\n"
+        "    if (2, 2) != sorted(dims)[:2]:\n"
+        "        return X.shape[1:] == (2, 2)\n"
+    )
+    assert shape_tests(source) == [(2, "a"), (4, "b")]
+
+
+def test_one_partial_transpose_engine():
+    """The 2x2xn shape test is written once, in the partial-transpose
+    object's constructor, whose module does not import ``norms``; ``norms``
+    keeps no ``_pt_*`` or ``_PT_*`` name of its own and builds the object
+    only where it takes the cap, the primal step or the nuclear program."""
+    found = [f"{path.stem}.{owner}"
+             for path in sorted(SRC.glob("*.py"))
+             for _, owner in shape_tests(path.read_text())]
+    assert found == ["_partial_transpose.__new__"]
+    engine = ast.parse((SRC / "_partial_transpose.py").read_text())
+    assert "norms" not in {node.module for node in ast.walk(engine)
+                           if isinstance(node, ast.ImportFrom)}
+    source = (SRC / "norms.py").read_text()
+    defined = [getattr(node, "name", getattr(node, "id", ""))
+               for node in ast.walk(ast.parse(source))
+               if isinstance(node, (ast.FunctionDef, ast.ClassDef))
+               or isinstance(node, ast.Name)
+               and isinstance(node.ctx, ast.Store)]
+    assert [n for n in defined if n.lower().startswith("_pt")] == []
+    owners = sorted({owner for _, owner in references(source,
+                                                      "PartialTranspose")})
+    assert owners == ["_hopm_direct", "_sandwich", "spectral_certified_upper"]

@@ -31,6 +31,7 @@ from tnn import (
     spectral_flattening_upper,
     spectral_hopm,
 )
+from tnn._partial_transpose import PartialTranspose
 from tnn.norms import (
     _FINISH_FLOOR,
     _HOPM_SWEEPS,
@@ -337,13 +338,14 @@ class TestHopmStack:
 
     def test_exact_two_by_two_path_per_tensor(self, monkeypatch):
         seen = []
-        original = tnn.norms._pt_primal
+        original = PartialTranspose.primal
 
-        def recording(A):
-            seen.append(A.shape)
-            return original(A)
+        def recording(pt):
+            attained, vectors, cap = original(pt)
+            seen.append(tuple(len(v) for v in vectors))
+            return attained, vectors, cap
 
-        monkeypatch.setattr(tnn.norms, "_pt_primal", recording)
+        monkeypatch.setattr(PartialTranspose, "primal", recording)
         stack = np.random.default_rng(3).standard_normal((3, 2, 5, 2))
         results = _hopm_stack(stack)
         assert seen == [(2, 5, 2)] * 3
@@ -793,10 +795,10 @@ class TestPartialTransposeBound:
         # The branch and bound runs on Z over a power of two near its
         # largest entry; the stub returns the primal step's values there.
         scaled, scale = _unit_scale(Z)
-        attained, vectors, cap = tnn.norms._pt_primal(scaled)
+        attained, vectors, cap = PartialTranspose(scaled).primal()
         loose = (attained, vectors, cap + 1e-3) if missed == "cap" else (
             attained - 1e-3, vectors, cap)
-        monkeypatch.setattr(tnn.norms, "_pt_primal", lambda A: loose)
+        monkeypatch.setattr(PartialTranspose, "primal", lambda pt: loose)
         calls = count_cell_batches(monkeypatch)
         lo, up = spectral_certified_upper(Z, tol=1e-5)
         assert calls
@@ -918,10 +920,10 @@ class TestNuclearSandwich:
     def test_rank_one_atom(self, rng, monkeypatch):
         # A rank-one tensor is sandwiched exactly on its core, before any
         # program of full multilinear rank.
-        def refuse(A):
+        def refuse(pt):
             raise AssertionError("exact 2x2xn program reached")
 
-        monkeypatch.setattr(tnn.norms, "_pt_nuclear", refuse)
+        monkeypatch.setattr(PartialTranspose, "program", refuse)
         factors = [v / np.linalg.norm(v)
                    for v in (rng.standard_normal(2) for _ in range(3))]
         sw = nuclear_sandwich(outer_atom(factors))
@@ -1173,7 +1175,8 @@ _two_by_two_draws = st.builds(
 
 
 class TestExactTwoByTwoSandwich:
-    """The exact program for 2 x 2 x n sandwiches (``_pt_nuclear``)."""
+    """The exact program for 2 x 2 x n sandwiches
+    (``PartialTranspose.program``)."""
 
     @given(T=_two_by_two_draws)
     @settings(max_examples=60, deadline=None, derandomize=True)
@@ -1199,15 +1202,15 @@ class TestExactTwoByTwoSandwich:
             shapes.append(np.shape(a))
             return original(a, *args, **kwargs)
 
-        program = tnn.norms._pt_nuclear
+        program = PartialTranspose.program
 
-        def counted(A):
+        def counted(pt):
             with pytest.MonkeyPatch.context() as mp:
                 mp.setattr(np.linalg, "svd", recording)
-                return program(A)
+                return program(pt)
 
         with pytest.MonkeyPatch.context() as mp:
-            mp.setattr(tnn.norms, "_pt_nuclear", counted)
+            mp.setattr(PartialTranspose, "program", counted)
             nuclear_sandwich(T)
         steps = [s for s in shapes if s[0] == 4]
         assert steps and len(steps) <= 20
@@ -1266,7 +1269,7 @@ class TestExactTwoByTwoSandwich:
     def test_program_cap_bounds_its_witness(self):
         for seed in range(10):
             A = _random_2x2xn(seed, 3, (2, 0, 1))
-            Z, cap, *_ = tnn.norms._pt_nuclear(A)
+            Z, cap, *_ = PartialTranspose(A).program()
             assert spectral_hopm(Z, starts=64).value <= cap
             assert cap <= 1.0 + 1e-12
 

@@ -426,6 +426,13 @@ class TestBuildInclusionMember:
         with pytest.raises(ParameterError):
             build_inclusion_member(T, "D1", T, np.zeros((2, 2, 2, 2)))
 
+    @pytest.mark.parametrize("index_set", [None, (), (1,), (2, 2)])
+    def test_di_needs_two_modes(self, index_set):
+        T = outer_atom([e(2, 0)] * 3)
+        X = outer_atom([e(2, 0), e(2, 1), e(2, 1)], weight=0.5)
+        with pytest.raises(ParameterError, match="at least 2 modes"):
+            build_inclusion_member(T, "DI", T, X, index_set=index_set)
+
     def test_dfull_weights_checked(self):
         T = outer_atom([e(2, 0)] * 3)
         X = outer_atom([e(2, 0), e(2, 1), e(2, 1)], weight=0.5)
