@@ -10,13 +10,14 @@ Every run is recorded with its end-to-end metrics, its per-operation medians
 (``op_median_s``), the median of its reference timings (``ref_median_s``, the
 work ``wall_rel`` divides by) and its output digest.  Per workload, and per
 workload and seed, the summary gives each side's median and quartiles of every
-metric, the pairs the change won (ties count for neither side; the better
-direction is read from the change's ``BENCHMARK.json``), whether that meets
-the rule for claiming a gain, and per operation the median of the runs'
-medians, in seconds (``op_median_s``) and in units of each run's reference
-time (``op_median_rel``).  Raw seconds compare the machine's speed as well as
-the code's; the reference units divide the machine's speed out, as
-``wall_rel`` does.
+metric, whether base and change printed the same outputs at each seed
+(``outputs_equal``), the pairs the change won (ties count for neither side;
+the better direction is read from the change's ``BENCHMARK.json``), whether
+that meets the rule for claiming a gain, and per operation the median of the
+runs' medians, in seconds (``op_median_s``) and in units of each run's
+reference time (``op_median_rel``).  Raw seconds compare the machine's speed
+as well as the code's; the reference units divide the machine's speed out,
+as ``wall_rel`` does.
 
 The output file is rewritten after every run, so an interrupted invocation
 keeps what it measured; runs already in the file are kept, so several
@@ -62,6 +63,16 @@ def spread(values):
     return {"median": median(values), "q1": q1, "q3": q3}
 
 
+def outputs_equal(pairs):
+    """Whether, seed by seed, every run of both sides printed one output
+    digest; outputs that depend on the seed differ between seeds."""
+    digests = {}
+    for p in pairs:
+        for r in p.values():
+            digests.setdefault(r["seed"], set()).add(r["digest"]["outputs"])
+    return all(len(d) == 1 for d in digests.values())
+
+
 def summarise(runs, better):
     """Per workload, and per workload and seed: each side's spread of every
     metric, the change's wins over the pairs, and the per-operation
@@ -80,8 +91,7 @@ def summarise(runs, better):
             continue
         entry = {"pairs": len(pairs),
                  "seeds": sorted({p["base"]["seed"] for p in pairs}),
-                 "outputs_equal": len({p[s]["digest"]["outputs"]
-                                       for p in pairs for s in p}) == 1,
+                 "outputs_equal": outputs_equal(pairs),
                  "metrics": {}, "op_median_s": {}, "op_median_rel": {}}
         for name in pairs[0]["change"]["metrics"]:
             sides = {s: [p[s]["metrics"][name] for p in pairs]

@@ -6,7 +6,8 @@
 
 Records are matched on their ``kind`` and ``key``.  Per kind, the report
 gives the number of inputs, the largest relative movement of each end
-(``|change - base| / |base|``) and how many records changed each field that
+(``|change - base| / |base|``), how many lower ends rose and fell and how
+many upper ends rose and fell, and how many records changed each field that
 does not scale (verdict, flags, method, ...).  It then lists every lower
 end that fell and every upper end that rose, and the inputs found in one
 file only.
@@ -21,6 +22,11 @@ repeated input, and 0 otherwise.
 import argparse
 import json
 import sys
+
+
+# The directions an end can move in, counted per kind: (side, direction).
+MOVES = (("lower", "rose"), ("lower", "fell"), ("upper", "rose"),
+         ("upper", "fell"))
 
 
 class Malformed(Exception):
@@ -60,8 +66,9 @@ def compare(base, change):
     kinds, fell, rose, failures = {}, [], [], []
     for name in sorted(base.keys() & change.keys()):
         b, c = base[name], change[name]
-        kind = kinds.setdefault(name[0], {"inputs": 0, "lower": 0.0,
-                                          "upper": 0.0, "changed": {}})
+        kind = kinds.setdefault(name[0], {
+            "inputs": 0, "lower": 0.0, "upper": 0.0, "changed": {},
+            "moves": dict.fromkeys(MOVES, 0)})
         kind["inputs"] += 1
         label = " ".join(name)
         for field in sorted((b.keys() | c.keys()) - {"kind", "key", "ends"}):
@@ -72,6 +79,8 @@ def compare(base, change):
                                     f"{b.get(field)} -> {c.get(field)}")
         for side, x, y in zip(("lower", "upper"), b["ends"], c["ends"]):
             kind[side] = max(kind[side], movement(x, y))
+            if y != x:
+                kind["moves"][side, "rose" if y > x else "fell"] += 1
             if (y < x) if side == "lower" else (y > x):
                 (fell if side == "lower" else rose).append(
                     f"  {label}: {x.hex()} -> {y.hex()} "
@@ -82,12 +91,16 @@ def compare(base, change):
                             f"{c['ends']}")
 
     lines = [f"{'kind':<10} {'inputs':>6} {'lower moved':>11} "
-             f"{'upper moved':>11}  changed"]
+             f"{'upper moved':>11} "
+             + " ".join(f"{s[:2] + ' ' + d:>7}" for s, d in MOVES)
+             + "  changed"]
     for name, kind in sorted(kinds.items()):
         changed = ", ".join(f"{f} {n}" for f, n in sorted(
             kind["changed"].items())) or "-"
         lines.append(f"{name:<10} {kind['inputs']:>6} {kind['lower']:>11.3g} "
-                     f"{kind['upper']:>11.3g}  {changed}")
+                     f"{kind['upper']:>11.3g} "
+                     + " ".join(f"{kind['moves'][m]:>7}" for m in MOVES)
+                     + f"  {changed}")
     lines.append(f"lower ends that fell: {len(fell)}")
     lines += fell
     lines.append(f"upper ends that rose: {len(rose)}")

@@ -41,9 +41,11 @@ transposed unfolding, and the starts are ranked by the form at their vectors
 as one batched ``matmul`` per update (``_hopm_stack``), each tensor leaving
 at its own stop, so its result is the one it gets alone; ``rpca``'s
 concentration experiment sends all its trials through one stack.  A run the
-sweeps have not settled within ``_HOPM_SWEEPS``, as at a degenerate
+sweeps have not settled within ``_HOPM_SWEEPS`` (20), as at a degenerate
 maximum, is finished from its best start by BFGS on ``sigma_max(T x_fixed
-x)``, the function the branch and bound encloses.  On a ``2 x 2 x n``
+x)``, the function the branch and bound encloses.  The sweeps only pick the
+basin and the finish converges it, so a sweep past the basin is Python
+overhead the finish does not need.  On a ``2 x 2 x n``
 tensor HOPM first takes the partial-transpose primal step; where the cap
 meets its value, that value is the norm, the same float the branch and
 bound reports there, and no sweep runs.
@@ -139,11 +141,12 @@ def spectral_hopm(T, starts=32, tol=1e-12, max_iter=2000, seed=0):
     ``<KR(x_1, ..., x_{d-1}) T_(d)^T, x_d>``, the form at each start's final
     vectors, whose first factor is the last sweep's last update.
 
-    A run whose sweeps have not stopped after ``_HOPM_SWEEPS`` is finished
-    from its best start by ``_hopm_finish``; its vectors replace the best
-    start's when the form there is at least as large, up to rounding
+    A run whose sweeps have not stopped after ``_HOPM_SWEEPS`` (20) is
+    finished from its best start by ``_hopm_finish``; its vectors replace the
+    best start's when the form there is at least as large, up to rounding
     (``_FINISH_FLOOR`` relative), so ``value`` is always the form at the
-    returned unit vectors.
+    returned unit vectors.  The sweeps only have to pick the start's basin:
+    20 did on every draw tried, 10 not on all (``_HOPM_SWEEPS``).
     ``iterations`` counts sweeps plus finishing steps, both drawn from
     ``max_iter``, and ``converged`` is false only when that budget runs out
     first.
@@ -301,7 +304,12 @@ def _hopm_stack(stack, starts=32, tol=1e-12, max_iter=2000, seed=0):
 
 
 # Sweeps before a run that has not converged is finished by `_hopm_finish`.
-_HOPM_SWEEPS = 50
+# They only have to pick the basin: on 250 seeded draws (3x3x3 to 12^3 and
+# 3^4; Gaussian, sign and low-rank-plus-noise; 129 past 50 sweeps) budgets
+# 20 and 15 gave the 50-sweep value to 2e-15 relative.  At 10, some sign
+# tensors (6^3, 12^3) are handed over in a lower basin and finish up to
+# 0.3% low, so 20 keeps a 2x margin.
+_HOPM_SWEEPS = 20
 # Relative rounding level of the finish's values, a rise below which is
 # noise: a form summed over a few thousand entries rounds to about
 # sqrt(N) eps.
@@ -463,9 +471,11 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     attained point (a cell centre or a normalized corner) is finished by
     ``_hopm_finish`` to a local maximum, and so is the top open cell's
     centre when its bound exceeds the finished value by more than ``tol``
-    (the best point can sit on a lower peak).  The finished value, the form
-    at the finished unit vectors less its backward error
-    ``(N + sum_k n_k + d) eps ||A||_F``, is still attained.  The upper end
+    (the best point can sit on a lower peak).  Neither value is exact, so
+    the lower end, and the best value the stop tests and the cells' pruning
+    read, is the value less the backward error
+    ``(N + sum_k n_k + d) eps ||A||_F`` of the form at unit vectors, a
+    cell's top singular value as much as a finished form.  The upper end
     does not depend on the finish.
 
     An order-3 tensor whose two smallest modes have size 2 gets the
@@ -575,7 +585,7 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
         u = cells[:, 0]
         top = float(u.max(initial=-np.inf))
         upper = min(cap, max(top, resolved))
-        if not len(u) or evals >= max_evals or decided(upper, best):
+        if not len(u) or evals >= max_evals or decided(upper, best - rounding):
             # The lower end is the best attained value finished to a local
             # maximum, and the top open cell's centre finished too where
             # its bound (or the cap) leaves more than tol above that.
@@ -585,11 +595,12 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
                 ws = _face_points(cells[k:k + 1, None, cols[2]], offsets, ns)
                 centre = placed(cells[k:k + 1, cols[1]].astype(int), ws)
                 lower = max(lower, finished([x[0] for x in centre]))
-            return (min(max(best, lower - rounding) * scale, _MAX),
+            return (min((max(best, lower) - rounding) * scale, _MAX),
                     max(best, upper) * scale)
         # Dead cells are a down-set in u: the first _BNB_BATCH live ones in
         # (-u, push) order split, or all live ones and the dead are resolved.
-        dead = (u - best <= tol) | (threshold is not None and u <= threshold)
+        dead = ((u - (best - rounding) <= tol)
+                | (threshold is not None and u <= threshold))
         pick = np.argsort(-u, kind="stable")[:_BNB_BATCH]
         pick = pick[~dead[pick]]
         keep = np.full(len(u), len(pick) == _BNB_BATCH)

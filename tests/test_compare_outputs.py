@@ -55,6 +55,33 @@ def test_moved_ends_are_reported_not_failed(tmp_path, capsys):
     assert "method 1" in out
 
 
+def counts(out, kind):
+    """A kind's row of the report as ``{(side, direction): count}``."""
+    row = next(line.split() for line in out.splitlines()
+               if line.split()[:1] == [kind])
+    return dict(zip(compare_outputs.MOVES, map(int, row[4:8])))
+
+
+def test_moves_are_counted_per_direction(tmp_path, capsys):
+    change = [dict(r) for r in RECORDS]
+    change[1]["ends"] = [(2.0 + 2 ** -40).hex(), (3.0 - 2 ** -40).hex()]
+    change[2]["ends"] = [(1.0 - 2 ** -30).hex(), (1.5 + 2 ** -30).hex()]
+    change[3]["ends"] = [(1.0 + 2 ** -50).hex()]
+    status, out = run(tmp_path, change, capsys)
+    assert status == 0
+    assert "lo rose lo fell up rose up fell" in " ".join(out.split())
+    assert counts(out, "sandwich") == {
+        ("lower", "rose"): 1, ("lower", "fell"): 0,
+        ("upper", "rose"): 0, ("upper", "fell"): 1}
+    assert counts(out, "enclosure") == {
+        ("lower", "rose"): 0, ("lower", "fell"): 1,
+        ("upper", "rose"): 1, ("upper", "fell"): 0}
+    assert counts(out, "hopm") == {
+        ("lower", "rose"): 1, ("lower", "fell"): 0,
+        ("upper", "rose"): 0, ("upper", "fell"): 0}
+    assert set(counts(out, "nuclear").values()) == {0}
+
+
 @pytest.mark.parametrize("kind", ["workload", "sandwich"])
 def test_a_flipped_verdict_fails(tmp_path, capsys, kind):
     change = [dict(r) for r in RECORDS]
