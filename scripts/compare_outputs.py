@@ -9,14 +9,16 @@ gives the number of inputs, the largest relative movement of each end
 (``|change - base| / |base|``), how many lower ends rose and fell and how
 many upper ends rose and fell, and how many records changed each field that
 does not scale (verdict, flags, method, ...).  It then lists every lower
-end that fell and every upper end that rose, and the inputs found in one
-file only.
+end that fell and every upper end that rose, the base's inverted intervals
+(lower end above the upper) and the inputs found in one file only.
 
-The exit status is 1 when a verdict changed, or when the two certified
-intervals of one input are disjoint: both enclose the same number, so one
-of them is false.  It is 2 on a malformed line (not a JSON object with a
-string ``kind`` and ``key`` and at most two ``float.hex`` ends) or a
-repeated input, and 0 otherwise.
+The exit status is 1 when a verdict changed, when the change has an
+inverted interval, or when the two certified intervals of one input are
+disjoint: both enclose the same number, so one of them is false.  An
+inverted interval is no interval, so it is not tested for disjointness.
+It is 2 on a malformed line (not a JSON object with a string ``kind`` and
+``key`` and at most two ``float.hex`` ends) or a repeated input, and 0
+otherwise.
 """
 
 import argparse
@@ -61,9 +63,21 @@ def movement(base, change):
     return abs(change - base) / abs(base) if base else abs(change)
 
 
+def inverted(records):
+    """``{name: "kind key: lower > upper"}`` for the records whose lower end
+    is above their upper end, in name order."""
+    return {name: f"{' '.join(name)}: {r['ends'][0].hex()} > "
+                  f"{r['ends'][1].hex()}"
+            for name, r in sorted(records.items())
+            if len(r["ends"]) == 2 and r["ends"][0] > r["ends"][1]}
+
+
 def compare(base, change):
     """``(report lines, failures)`` for two loaded record sets."""
-    kinds, fell, rose, failures = {}, [], [], []
+    kinds, fell, rose = {}, [], []
+    base_inverted, change_inverted = inverted(base), inverted(change)
+    failures = [f"inverted interval: {line}"
+                for line in change_inverted.values()]
     for name in sorted(base.keys() & change.keys()):
         b, c = base[name], change[name]
         kind = kinds.setdefault(name[0], {
@@ -85,7 +99,10 @@ def compare(base, change):
                 (fell if side == "lower" else rose).append(
                     f"  {label}: {x.hex()} -> {y.hex()} "
                     f"({movement(x, y):.3g})")
-        if len(b["ends"]) == len(c["ends"]) == 2 and (
+        # An inverted pair of ends is no interval to test for disjointness.
+        intervals = len(b["ends"]) == len(c["ends"]) == 2 and not (
+            name in base_inverted or name in change_inverted)
+        if intervals and (
                 c["ends"][1] < b["ends"][0] or b["ends"][1] < c["ends"][0]):
             failures.append(f"disjoint intervals: {label}: {b['ends']} and "
                             f"{c['ends']}")
@@ -105,6 +122,8 @@ def compare(base, change):
     lines += fell
     lines.append(f"upper ends that rose: {len(rose)}")
     lines += rose
+    lines.append(f"inverted in base: {len(base_inverted)}")
+    lines += [f"  {line}" for line in base_inverted.values()]
     for side, only in (("base", base.keys() - change.keys()),
                        ("change", change.keys() - base.keys())):
         if only:

@@ -14,6 +14,9 @@ The lines are:
   through ``SHAPES``): ``float.hex`` of ``nuclear_sandwich``'s ends with its
   flags, of ``spectral_enclosure(T, tol=1e-6)`` with its method, and of
   ``spectral_hopm``'s value with its iterations;
+* on 600 seeded vectors and matrices (indices 200 to 799, the same seeds,
+  the shapes cycling through ``MATRIX_SHAPES``): the sandwich and enclosure
+  lines alone;
 * last, the number of lines above and their sha256.
 
 ``--out FILE`` also writes every line but the last as a JSON record, one a
@@ -52,6 +55,9 @@ SEEDS = (1, 2)
 SHAPES = ((2, 2, 2), (2, 3, 2), (2, 2, 4), (3, 3, 3), (2, 2, 2, 2),
           (2, 3, 4))
 TENSORS = 200
+# Square, rectangular and vector inputs: the order-<=2 engines.
+MATRIX_SHAPES = ((2, 2), (3, 3), (4, 4), (6, 6), (2, 5), (5, 3), (4,), (7,))
+MATRICES = 600
 
 
 def hexes(*values):
@@ -72,20 +78,28 @@ def lines():
     for i in range(TENSORS):
         T = np.random.default_rng(1000 + i).standard_normal(
             SHAPES[i % len(SHAPES)])
-        sw = tnn.nuclear_sandwich(T)
-        lo, up, method = tnn.spectral_enclosure(T, tol=1e-6)
+        yield from intervals(i, T)
         res = tnn.spectral_hopm(T)
-        key = str(i)
-        yield (f"sandwich {i} {hexes(sw.lower, sw.upper)} {sw.flags!r}",
-               {"kind": "sandwich", "key": key,
-                "ends": hexes(sw.lower, sw.upper).split(),
-                "flags": list(sw.flags)})
-        yield (f"enclosure {i} {hexes(lo, up)} {method}",
-               {"kind": "enclosure", "key": key,
-                "ends": hexes(lo, up).split(), "method": method})
         yield (f"hopm {i} {hexes(res.value)} {res.iterations}",
-               {"kind": "hopm", "key": key, "ends": [hexes(res.value)],
+               {"kind": "hopm", "key": str(i), "ends": [hexes(res.value)],
                 "iterations": res.iterations})
+    for i in range(TENSORS, TENSORS + MATRICES):
+        T = np.random.default_rng(1000 + i).standard_normal(
+            MATRIX_SHAPES[i % len(MATRIX_SHAPES)])
+        yield from intervals(i, T)
+
+
+def intervals(i, T):
+    """The sandwich and enclosure lines of input ``i``, the tensor ``T``."""
+    sw = tnn.nuclear_sandwich(T)
+    lo, up, method = tnn.spectral_enclosure(T, tol=1e-6)
+    yield (f"sandwich {i} {hexes(sw.lower, sw.upper)} {sw.flags!r}",
+           {"kind": "sandwich", "key": str(i),
+            "ends": hexes(sw.lower, sw.upper).split(),
+            "flags": list(sw.flags)})
+    yield (f"enclosure {i} {hexes(lo, up)} {method}",
+           {"kind": "enclosure", "key": str(i),
+            "ends": hexes(lo, up).split(), "method": method})
 
 
 def main(argv=None):

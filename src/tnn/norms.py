@@ -53,7 +53,10 @@ bound reports there, and no sweep runs.
 The nuclear norm is enclosed in a sandwich ``[lower, upper]``
 (``nuclear_sandwich``): the upper end is a rank-one decomposition's total
 weight plus its l1 residual, the lower end a dual witness's pairing with
-``T`` over a certified upper bound on its spectral norm.  A ``2 x 2 x n``
+``T`` over a certified upper bound on its spectral norm.  A vector or
+matrix, raw or a core, is sandwiched by its singular values
+(``_matrix_sandwich``): the upper end is their sum, every one counted, and
+the witness ``U V^T`` is bounded like every other witness.  A ``2 x 2 x n``
 tensor of full multilinear rank is sandwiched by the partial-transpose
 bound's exact one-variable program.  Other shapes of full multilinear
 rank get a greedy rank-one pursuit and the sign witness of its atoms.  The
@@ -73,7 +76,7 @@ import numpy as np
 
 from ._partial_transpose import PartialTranspose
 from .errors import DimensionError, ParameterError, PreconditionError
-from .subspace import RANK_TOL, basic, family_from_tensor, residual
+from .subspace import _rank, basic, family_from_tensor, residual
 from .tensor_core import (
     _EPS,
     NuclearDecomposition,
@@ -344,7 +347,7 @@ def _hopm_finish(A, vecs, budget):
     stopped before the budget ran out.  A start where the form is zero to
     rounding takes no step."""
     d = A.ndim
-    order = np.argsort(A.shape, kind="stable")
+    order = _size_order(A.shape)[0]
     fixed, free = sorted(order[:d - 2]), sorted(order[d - 2:])
     na, nb = A.shape[free[0]], A.shape[free[1]]
     flat = A.transpose(fixed + free).reshape(-1, na * nb)
@@ -466,6 +469,9 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     If ``threshold`` is given, it also stops as soon as either
     ``upper <= threshold`` or ``lower > threshold`` is established.
 
+    A vector or matrix is enclosed by its top singular value (LAPACK's),
+    the lower end less the rounding slack below.
+
     The stop tests use the cells' best attained value.  The lower end
     returned is that value or, where larger, a finished one: the best
     attained point (a cell centre or a normalized corner) is finished by
@@ -474,9 +480,9 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     (the best point can sit on a lower peak).  Neither value is exact, so
     the lower end, and the best value the stop tests and the cells' pruning
     read, is the value less the backward error
-    ``(N + sum_k n_k + d) eps ||A||_F`` of the form at unit vectors, a
-    cell's top singular value as much as a finished form.  The upper end
-    does not depend on the finish.
+    ``(N + sum_k n_k + d) eps ||A||_F`` of the form at unit vectors
+    (``_rounding``), a cell's top singular value as much as a finished
+    form.  The upper end does not depend on the finish.
 
     An order-3 tensor whose two smallest modes have size 2 gets the
     partial-transpose cap and an attained value first
@@ -492,7 +498,7 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     d = A.ndim
     if d <= 2:
         v = float(np.linalg.norm(A, 2))
-        return min(v * scale, _MAX), v * scale
+        return min((v - _rounding(A)) * scale, _MAX), v * scale
 
     dims = A.shape
     order = _size_order(dims)[0]
@@ -561,9 +567,7 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
         return float(_hopm_form([v[None] for v in vecs],
                                 A.reshape(-1, A.shape[-1]))[0])
 
-    # Backward error of the form at unit vectors: its N-term sum, and the
-    # norms and divisions that made the vectors unit.
-    rounding = float((A.size + sum(A.shape) + d) * _EPS * np.linalg.norm(A))
+    rounding = _rounding(A)
 
     # The open cells, a row each in push order (columns `cols`).  The first
     # batch is every face's centre and corners, lifted once for `price` and
@@ -623,6 +627,13 @@ def spectral_certified_upper(T, tol=1e-4, max_evals=2_000_000, threshold=None):
         faces, zh, caps = faces.repeat(2, 0), zh.repeat(2, 0), caps.repeat(2)
         points = _face_points(zc[:, None, :] + signs[None] * zh[:, None, :],
                               offsets, ns)
+
+
+def _rounding(A):
+    """The backward error ``(N + sum_k n_k + d) eps ||A||_F`` of the form
+    ``<A, x_1 (x) ... (x) x_d>`` at unit vectors: its N-term sum, and the
+    norms and divisions that made the vectors unit."""
+    return float((A.size + sum(A.shape) + A.ndim) * _EPS * np.linalg.norm(A))
 
 
 @lru_cache(maxsize=64)
@@ -701,16 +712,15 @@ def _core(A, svals):
     full rank (or ``A`` is zero).
 
     The ranks are read from ``svals``, ``A``'s mode singular values
-    (``_flattening_svds``): those at most ``RANK_TOL`` times the
-    largest count as zero, as in ``family_from_tensor``, which is only run
-    for a rank-deficient ``A``.  Returns ``(G, bases)``: ``bases[k]`` is the
+    (``_flattening_svds``), by the rule ``family_from_tensor`` reads
+    (``subspace._rank``); ``family_from_tensor`` is only run for a
+    rank-deficient ``A``.  Returns ``(G, bases)``: ``bases[k]`` is the
     orthonormal basis ``U_k`` of ``A``'s mode-k span and
     ``G = A x_k U_k^T``, with its size-1 modes dropped (one mode is always
     kept).  By the restricted-subspace facts ``G`` has the spectral and
     nuclear norms of ``_lift(G, bases)``, which differs from ``A`` only by
     the singular values the span bases drop."""
-    ranks = tuple(sum(v > RANK_TOL * vals[0] for v in vals)
-                  for vals in map(np.ndarray.tolist, svals))
+    ranks = tuple(map(_rank, svals))
     if ranks == A.shape or 0 in ranks:
         return None
     bases = [V.basis for V in family_from_tensor(A).subspaces]
@@ -901,8 +911,12 @@ def nuclear_sandwich(T):
     and atoms are lifted by ``x_k U_k``, which keeps the witness's spectral
     norm and bound, the upper end adds ``||T - lift(G)||_1`` (the part of
     ``T`` outside the span bases) and the lower end is the lifted witness's
-    ratio ``<T, W> / witness_spectral_upper``.  A core of order at most two
-    is sandwiched exactly and its witness bounded by ``_witness_bound``.
+    ratio ``<T, W> / witness_spectral_upper``.
+
+    A vector or matrix, and a core of order at most two, is sandwiched by
+    ``_matrix_sandwich``: the upper end sums every singular value, and the
+    witness ``U V^T`` is bounded by ``spectral_enclosure``
+    (``_witness_bound``).
 
     A tensor of full multilinear rank has the scaled base ``T`` as one
     candidate witness (certified by the flattening bound, so its ratio is at
@@ -934,16 +948,11 @@ def nuclear_sandwich(T):
         return _scaled_sandwich(_sandwich(A, flat), scale)
 
     G, bases = core
-    if G.ndim <= 2:
-        sw = _matrix_sandwich(G)
-        w_up, how = _witness_bound(sw.dual_witness)
-        flags = (f"witness_bound_{how}",)
-    else:
-        sw = _sandwich(G, spectral_flattening_upper(G))
-        w_up, flags = sw.witness_spectral_upper, sw.flags
+    sw = (_matrix_sandwich(G) if G.ndim <= 2
+          else _sandwich(G, spectral_flattening_upper(G)))
     W = _lift(sw.dual_witness, bases)
     upper = sw.upper + holder_norm(A - _lift(G, bases), 1)
-    lower = min(inner(A, W) / w_up, upper)
+    lower = min(inner(A, W) / sw.witness_spectral_upper, upper)
     decomposition = NuclearDecomposition(
         tuple(RankOneAtom.from_unnormalized(_lifted_factors(a.factors, bases),
                                             a.weight)
@@ -951,7 +960,8 @@ def nuclear_sandwich(T):
         A.shape,
     )
     return _scaled_sandwich(NuclearSandwich(
-        float(lower), float(upper), decomposition, W, float(w_up), flags), scale)
+        float(lower), float(upper), decomposition, W,
+        sw.witness_spectral_upper, sw.flags), scale)
 
 
 def _scaled_sandwich(sw, scale):
@@ -1005,20 +1015,24 @@ def _sandwich(A, flat):
 
 
 def _matrix_sandwich(A):
-    """Exact nuclear norm for vectors and matrices."""
+    """``nuclear_sandwich`` of a nonzero vector or matrix, whose nuclear norm
+    is the sum of its singular values: the upper end sums every one of them,
+    the atoms are the nonzero singular triplets (a vector is its one atom)
+    and the witness ``U V^T`` over all ``min(m, n)`` pairs, whose pairing
+    with ``A`` is that sum, is bounded by ``_witness_bound``."""
     if A.ndim == 1:
         v = float(np.linalg.norm(A))
-        atom = RankOneAtom(v, (A / v,))
-        return NuclearSandwich(v, v, NuclearDecomposition((atom,), A.shape),
-                               A / v, 1.0)
-    U, s, Vt = np.linalg.svd(A)
-    r = int(np.sum(s > 1e-14 * s[0])) if s.size else 0
-    atoms = tuple(
-        RankOneAtom(float(s[i]), (U[:, i], Vt[i])) for i in range(r)
-    )
-    Z = U[:, :r] @ Vt[:r]
-    v = float(np.sum(s[:r]))
-    return NuclearSandwich(v, v, NuclearDecomposition(atoms, A.shape), Z, 1.0)
+        atoms, Z = (RankOneAtom(v, (A / v,)),), A / v
+    else:
+        U, s, Vt = np.linalg.svd(A)
+        atoms = tuple(RankOneAtom(float(w), (U[:, i], Vt[i]))
+                      for i, w in enumerate(s) if w > 0)
+        Z = U[:, :s.size] @ Vt[:s.size]
+        v = float(np.sum(s))
+    w_up, how = _witness_bound(Z)
+    return NuclearSandwich(min(inner(A, Z) / w_up, v), v,
+                           NuclearDecomposition(atoms, A.shape), Z, w_up,
+                           (f"witness_bound_{how}",))
 
 
 def duality_gap_check(T, S):

@@ -216,18 +216,21 @@ def format_selector(sel):
     return f"{sel.kind}:{fmt(sel.sets[0])}"
 
 
+def _rank(s):
+    """The library's one rank rule: the number of the descending singular
+    values ``s`` above ``RANK_TOL`` times the largest (0 for an empty or zero
+    ``s``)."""
+    s = s.tolist()
+    return sum(v > RANK_TOL * s[0] for v in s) if s else 0
+
+
 def family_from_tensor(T):
     """Per-mode column spaces sp_k(T) of the mode-k matricizations; singular
-    values at most ``RANK_TOL`` times the largest count as zero."""
+    values at most ``RANK_TOL`` times the largest count as zero (``_rank``)."""
     A = asarray(T)
-    subspaces = []
-    for k, (U, s, _) in enumerate(_flattening_svds(A, compute_uv=True)):
-        if s.size == 0 or s[0] == 0.0:
-            subspaces.append(ModeSubspace.zero(A.shape[k]))
-            continue
-        r = int(np.sum(s > RANK_TOL * s[0]))
-        subspaces.append(ModeSubspace(A.shape[k], U[:, :r]))
-    return ModeFamily(tuple(subspaces))
+    svds = _flattening_svds(A, compute_uv=True)
+    return ModeFamily(tuple(ModeSubspace(n, U[:, :_rank(s)])
+                            for n, (U, s, _) in zip(A.shape, svds)))
 
 
 def complement(V):

@@ -56,7 +56,9 @@ def _rank(r, n=3, seed=0):
 
 
 # Full-rank (the 3x3x3 one greedy), rank-deficient, 2x2xn and flattening
-# shapes.
+# shapes, and a square matrix, a rectangular one and a vector.  `_scales`
+# divides 1.7e308 by the largest entry, which overflows below 0.946, so each
+# draw's is at least 0.95.
 TENSORS = {
     "full-3x3x3": _draw((3, 3, 3)),
     "rank-1-3x3x3": _rank(1),
@@ -64,6 +66,9 @@ TENSORS = {
     "2x3x2": _draw((2, 3, 2)),
     "2x2x2x2": _draw((2, 2, 2, 2)),
     "flattening-5x5x6": _draw((5, 5, 6)),
+    "3x3": _draw((3, 3)),
+    "4x2": _draw((4, 2)),
+    "5": _draw((5,)),
 }
 TOL = 1e-6  # absolute at unit scale; scaled with the tensor below
 
@@ -150,7 +155,10 @@ def _scales(T):
 # whole tensor, 6 ms, is left to the power-of-two test).
 SWEPT = {"rank-1-3x3x3": ("hopm", "enclosure", "sandwich"),
          "rank-2-3x3x3": ("hopm", "enclosure", "sandwich"),
-         "2x3x2": tuple(ENGINES)}
+         "2x3x2": tuple(ENGINES),
+         "3x3": tuple(ENGINES),
+         "4x2": tuple(ENGINES),
+         "5": tuple(ENGINES)}
 
 
 @pytest.mark.parametrize("name", list(SWEPT))

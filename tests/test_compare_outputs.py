@@ -102,6 +102,34 @@ def test_disjoint_intervals_fail(tmp_path, capsys):
     assert "disjoint intervals: sandwich 0" in out
 
 
+def test_an_inverted_interval_in_the_change_fails(tmp_path, capsys):
+    # [1.25, 1.2] meets the base's [1, 1.5]: only the inversion fails.
+    change = [dict(r) for r in RECORDS]
+    change[2]["ends"] = [(1.25).hex(), (1.2).hex()]
+    status, out = run(tmp_path, change, capsys)
+    assert status == 1
+    assert "inverted interval: enclosure 0: 0x1.4" in out
+    assert "disjoint" not in out
+    assert "inverted in base: 0\n" in out
+
+
+def test_an_inverted_interval_in_the_base_is_listed_not_compared(
+        tmp_path, capsys):
+    # The base's lower end is one ulp above its upper end, which the
+    # change's interval ends at: listed, and not called disjoint.
+    base = [dict(r) for r in RECORDS]
+    base[2]["ends"] = [(1.5 + 2 ** -52).hex(), (1.5).hex()]
+    change = [dict(r) for r in RECORDS]
+    change[2]["ends"] = [(1.5 - 2 ** -40).hex(), (1.5).hex()]
+    status = compare_outputs.main([write(tmp_path / "base.jsonl", base),
+                                   write(tmp_path / "change.jsonl", change)])
+    out = capsys.readouterr().out
+    assert status == 0
+    assert ("inverted in base: 1\n  enclosure 0: 0x1.8000000000001p+0 > "
+            "0x1.8000000000000p+0\n") in out
+    assert "disjoint" not in out and out.splitlines()[-1] == "OK"
+
+
 @pytest.mark.parametrize("line", [
     "sandwich 0 0x1p+1 0x1.8p+1\n",  # a printed line, not a record
     '{"kind": "sandwich", "ends": ["0x1p+1"]}\n',  # no key

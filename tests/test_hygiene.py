@@ -132,6 +132,30 @@ def test_only_the_sandwich_certifies_dual_witnesses():
         assert "find_z_witness" not in owners, name
 
 
+def test_one_rank_rule():
+    """Singular values are cut by one rule, ``subspace._rank``, read by the
+    span bases and the core; ``RANK_TOL``'s other reader is the QR-pivot
+    rule of ``ModeSubspace.span``.  The order-<=2 sandwich keeps no
+    threshold of its own and bounds its own witness, so ``nuclear_sandwich``
+    bounds none."""
+    found = {name: sorted({f"{path.stem}.{owner}"
+                           for path in sorted(SRC.glob("*.py"))
+                           for _, owner in references(path.read_text(), name)
+                           if owner})
+             for name in ("RANK_TOL", "_rank", "_witness_bound")}
+    assert found == {
+        "RANK_TOL": ["subspace._rank", "subspace.span"],
+        "_rank": ["norms._core", "subspace.family_from_tensor"],
+        "_witness_bound": ["norms._certified_witness",
+                           "norms._matrix_sandwich"]}
+    tree = ast.parse((SRC / "norms.py").read_text())
+    matrix = next(node for node in ast.walk(tree)
+                  if getattr(node, "name", None) == "_matrix_sandwich")
+    assert [node.value for node in ast.walk(matrix)
+            if isinstance(node, ast.Constant)
+            and isinstance(node.value, float)] == []
+
+
 def test_norms_reaches_the_span_bases_only_through_the_core():
     source = (SRC / "norms.py").read_text()
     owners = {name: {owner for _, owner in references(source, name)}

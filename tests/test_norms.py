@@ -1,4 +1,5 @@
 import sys
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -901,6 +902,16 @@ class TestSpectralEnclosure:
     def test_zero_tensor(self, shape, method):
         assert spectral_enclosure(np.zeros(shape)) == (0.0, 0.0, method)
 
+    @pytest.mark.parametrize("n", [2, 3, 4, 6])
+    def test_square_matrix_is_not_inverted(self, n):
+        # The lower end is LAPACK's sigma_1 of A, the flattening cap sigma_1
+        # of A^T, which can be one ulp lower; the rounding slack covers it.
+        for seed in range(50):
+            A = np.random.default_rng(seed).standard_normal((n, n))
+            lo, up, method = spectral_enclosure(A)
+            assert method == "bnb"
+            assert lo <= up, (seed, lo, up)
+
 
 # nuclear_sandwich's (lower, upper) as float.hex: default_rng(0) draws on
 # the exact 2 x 2 x n program (the size-n mode last or in the middle) and the
@@ -975,6 +986,16 @@ class TestNuclearSandwich:
         tn = np.linalg.svd(A, compute_uv=False).sum()
         assert sw.lower - 1e-8 <= tn <= sw.upper + 1e-8
         assert sw.gap <= 1e-8
+
+    @pytest.mark.parametrize("tail", [[9e-15] * 49, [1e-15]],
+                             ids=["50x50", "2x2"])
+    def test_matrix_upper_counts_every_singular_value(self, tail):
+        # The nuclear norm of diag(1, tail) is 1 + sum(tail), exactly in
+        # rationals; the upper end may not drop the small values.
+        sw = nuclear_sandwich(np.diag([1.0] + tail))
+        exact = 1 + sum(map(Fraction, tail))
+        assert sw.upper >= float(exact)
+        assert sw.lower <= sw.upper
 
     def test_upper_at_most_l1(self, rng):
         for _ in range(5):
