@@ -17,6 +17,8 @@ The lines are:
 * on 600 seeded vectors and matrices (indices 200 to 799, the same seeds,
   the shapes cycling through ``MATRIX_SHAPES``): the sandwich and enclosure
   lines alone;
+* per stretch probe of ``TAU_PROBES``: ``float.hex`` of ``probe_tau``'s
+  ``feasible_max`` and ``infeasible_min``, its trials and its notes;
 * last, the number of lines above and their sha256.
 
 ``--out FILE`` also writes every line but the last as a JSON record, one a
@@ -25,11 +27,13 @@ and ``key`` (seed and operation, or tensor index), its interval's ``ends``
 as ``float.hex`` (HOPM's value alone, a lower end), and what does not
 scale: a workload operation's ``verdict`` (its status) and ``record`` and
 ``notes`` as strings, a sandwich's ``flags``, an enclosure's ``method`` and
-HOPM's ``iterations``.
+HOPM's ``iterations``; a probe's record (kind ``tau``) keeps its two values
+as ``float.hex`` strings, not as ``ends``: they come from different
+directions and form no interval.
 
 Every BLAS thread variable is set to 1, as the benchmark sets them.  The
 whole script, the ``rpca`` workload's 16x16x17 ``certify`` included, ran in
-5.7-8.0 s with a 41 MB peak resident set on a shared 2-core Xeon.
+4.6-8.0 s with a 42 MB peak resident set on a shared 2-core Xeon.
 """
 
 import argparse
@@ -58,6 +62,18 @@ TENSORS = 200
 # Square, rectangular and vector inputs: the order-<=2 engines.
 MATRIX_SHAPES = ((2, 2), (3, 3), (4, 4), (6, 6), (2, 5), (5, 3), (4,), (7,))
 MATRICES = 600
+# Stretch probes: (name, selector, shape, trials, seed).
+TAU_PROBES = (
+    *((f"upperU{name}", tnn.upper_u(frozenset(I)), (2, 2, 2), 3, seed)
+      for name, I in (("01", {0, 1}), ("12", {1, 2}))
+      for seed in (0, 1, 2026)),
+    *(("ge2", tnn.order_ge2_sum(3), (2, 2, 2), 3, seed)
+      for seed in (0, 1, 2026)),
+    ("ge2", tnn.order_ge2_sum(3), (2, 2, 3), 3, 0),
+    ("ge2", tnn.order_ge2_sum(4), (2, 2, 2, 2), 3, 1),
+    ("upperU01", tnn.upper_u(frozenset({0, 1})), (5, 5, 6), 1, 0),
+    ("ge2", tnn.order_ge2_sum(3), (5, 5, 5), 2, 0),
+)
 
 
 def hexes(*values):
@@ -87,6 +103,14 @@ def lines():
         T = np.random.default_rng(1000 + i).standard_normal(
             MATRIX_SHAPES[i % len(MATRIX_SHAPES)])
         yield from intervals(i, T)
+    for name, selector, shape, trials, seed in TAU_PROBES:
+        est = tnn.probe_tau(selector, shape, trials=trials, seed=seed)
+        key = f"{name} {'x'.join(map(str, shape))} t{trials} s{seed}"
+        fm, im = est.feasible_max.hex(), est.infeasible_min.hex()
+        yield (f"tau {key} {fm} {im} {est.trials} {est.notes!r}",
+               {"kind": "tau", "key": key, "feasible_max": fm,
+                "infeasible_min": im, "trials": est.trials,
+                "notes": list(est.notes)})
 
 
 def intervals(i, T):

@@ -282,17 +282,87 @@ class TauEstimate:
     notes: tuple = ()
 
 
-def _feasible(Zs):
-    """Certified decision of ||Zs||_sigma <= 1 within a slack of 5e-4, by
-    ``spectral_enclosure`` in threshold mode at any size; ``None`` when its
-    bounds straddle ``1 + slack``."""
-    slack = 5e-4
+# The probe's decision: ``||Z + sU||_sigma <= 1 + _FEASIBLE_SLACK``.
+_FEASIBLE_SLACK = 5e-4
+# The relative accuracy to which an enclosure end is read as a value of the
+# exact line ``s -> ||Z + sU||_sigma`` (``_line_decision``).
+_LINE_TRUST = 1e-12
+
+
+def _line_decision(line, s, level):
+    """Decide ``f(s) <= level`` for the convex ``f(s) = ||Z + sU||_sigma``
+    from the enclosures ``line`` of ``(s_i, lower_i, upper_i)`` already
+    computed on the same line; ``None`` when convexity settles nothing.
+
+    Feasible: the chord through the upper ends of the nearest points on
+    either side of ``s`` is at most ``level``, since a convex ``f`` lies
+    below its chords.  Infeasible: the secant through the two nearest
+    points on one side, extended to ``s``, is above ``level``.  With ``n``
+    the nearer of the two and ``r`` the farther, convexity gives
+    ``f(s) >= (1 - w) f(n) + w f(r)`` for ``w = (s - n) / (r - n) < 0``, a
+    bound that rises with ``f(n)`` and falls with ``f(r)``, so it is taken
+    at ``lower_n`` and ``upper_r``.
+
+    Each combination ``(1 - w) y_1 + w y_2`` must clear ``level`` by the
+    margin ``_LINE_TRUST (|1 - w| |y_1| + |w| |y_2| + level)``.  An end
+    stands for the exact line's value at its point only to a few units of
+    roundoff ``u`` of the values involved: the tensor enclosed is
+    ``fl(Z + s_i U)``, whose distance from ``Z + s_i U`` is at most
+    ``u (||Z||_F + 2 s_i ||U||_F)`` in the Frobenius norm, which bounds the
+    spectral norm; an attained lower end can sit an ulp or two above the
+    norm of that tensor and an upper end capped by LAPACK's top singular
+    value a few ulps below it.  These errors enter with the weights
+    ``|1 - w|`` and ``|w|``, the combination adds a few roundings of its
+    terms, and the direct enclosure at ``s`` the decision stands in for is
+    off from ``f(s)`` by one such error again.  ``probe_tau``'s ``Z`` has
+    unit Frobenius norm, ``s_i <= 2``, ``||U||_sigma`` is near 1 (``U`` is
+    divided by its HOPM value), and
+    ``||U||_F <= sqrt(N / max_k n_k) ||U||_sigma`` for ``N`` entries, so the
+    forming error stays below ``1e-13`` of a unit level until
+    ``N / max_k n_k`` passes ``5e4``; every error above is well inside the
+    ``1e-12`` relative margin at the sizes the enclosure decides."""
+    below = sorted((p for p in line if p[0] < s), reverse=True)[:2]
+    above = sorted(p for p in line if p[0] > s)[:2]
+
+    def weighted(y1, y2, w):
+        """``(1 - w) y1 + w y2`` and its margin."""
+        return ((1.0 - w) * y1 + w * y2,
+                _LINE_TRUST * (abs(1.0 - w) * abs(y1) + abs(w) * abs(y2)
+                               + level))
+
+    if below and above:
+        (a, _, up_a), (b, _, up_b) = below[0], above[0]
+        chord, margin = weighted(up_a, up_b, (s - a) / (b - a))
+        if chord + margin <= level:
+            return True
+    for side in (below, above):
+        if len(side) == 2:
+            (n, lo_n, _), (r, _, up_r) = side
+            secant, margin = weighted(lo_n, up_r, (s - n) / (r - n))
+            if secant - margin > level:
+                return False
+    return None
+
+
+def _feasible(Z, U, s, line):
+    """Certified decision of ``||Z + sU||_sigma <= 1`` within a slack of
+    ``_FEASIBLE_SLACK``.  The enclosures already computed on the line
+    ``line`` decide ``s`` where convexity allows (``_line_decision``);
+    otherwise ``spectral_enclosure`` in threshold mode, at any size, decides
+    ``Z + sU``, and its ends join ``line``.  ``None`` when its bounds
+    straddle ``1 + slack``."""
+    level = 1.0 + _FEASIBLE_SLACK
+    decision = _line_decision(line, s, level)
+    if decision is not None:
+        return decision
     lo, up, _ = spectral_enclosure(
-        Zs, tol=slack / 2, threshold=1.0 + slack, max_evals=120_000
+        Z + s * U, tol=_FEASIBLE_SLACK / 2, threshold=level,
+        max_evals=120_000
     )
-    if up <= 1.0 + slack:
+    line.append((s, lo, up))
+    if up <= level:
         return True
-    if lo > 1.0 + slack:
+    if lo > level:
         return False
     return None
 
@@ -329,11 +399,15 @@ def probe_tau(selector, shape, trials=8, seed=0, bisect_tol=1e-3):
     where HOPM is exact (``2 x 2 x n`` shapes) and a norm of at least 1
     elsewhere: each recorded radius is at most the spectral norm of the
     additive part it stands for.  Each bisection step is a certified
-    decision from ``spectral_enclosure`` in threshold mode, so every shape
-    is accepted; where the branch and bound refuses the shape, the decision
-    rests on the flattening bound above and the multi-start HOPM value
-    below.  ``bisect_tol`` must be positive: a bisection to zero width never
-    ends once its ends are adjacent floats."""
+    decision (``_feasible``).  ``||Z + sU||_sigma`` is convex in ``s``, so a
+    midpoint is decided from the enclosures already computed on its line
+    when their chord or secant settles it (``_line_decision``), and by a
+    direct ``spectral_enclosure`` in threshold mode otherwise; a stored
+    feasible witness may rest on a chord bound.  Every shape is accepted;
+    where the branch and bound refuses the shape, an enclosure rests on the
+    flattening bound above and the multi-start HOPM value below.
+    ``bisect_tol`` must be positive: a bisection to zero width never ends
+    once its ends are adjacent floats."""
     shape = tuple(int(n) for n in shape)
     if trials < 1:
         raise ParameterError("need at least one trial")
@@ -363,7 +437,8 @@ def probe_tau(selector, shape, trials=8, seed=0, bisect_tol=1e-3):
             continue
         U = U / sig_u
         lo, hi = 0.0, 2.0
-        top = _feasible(Z + hi * U)
+        line = []
+        top = _feasible(Z, U, hi, line)
         if top is None:
             notes.append("ambiguous_at_smax")
             continue
@@ -377,7 +452,7 @@ def probe_tau(selector, shape, trials=8, seed=0, bisect_tol=1e-3):
             certain_bad = hi
             while hi - lo > bisect_tol:
                 mid = 0.5 * (lo + hi)
-                dec = _feasible(Z + mid * U)
+                dec = _feasible(Z, U, mid, line)
                 if dec is None:
                     notes.append("ambiguous_midpoint")
                     hi = mid

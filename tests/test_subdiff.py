@@ -1,10 +1,14 @@
 import dataclasses
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import tnn.norms
+import tnn.subdiff
 from tnn import (
     LookupError_,
     ParameterError,
@@ -485,6 +489,187 @@ class TestProbeTau:
         est = probe_tau(order_ge2_sum(3), (5, 5, 5), trials=2, seed=0)
         assert est.infeasible_min < 2.0
         assert est.infeasible_min >= est.feasible_max - 1e-9
+
+
+def _probe_tau_reference(selector, shape, trials=8, seed=0,
+                         bisect_tol=1e-3):
+    """``probe_tau`` as a plain bisection, the form the convexity decisions
+    replace: a threshold-mode enclosure of ``Z + mid U`` at every midpoint."""
+    sd = tnn.subdiff
+    slack = sd._FEASIBLE_SLACK
+
+    def feasible(Zs):
+        lo, up, _ = sd.spectral_enclosure(
+            Zs, tol=slack / 2, threshold=1.0 + slack, max_evals=120_000)
+        if up <= 1.0 + slack:
+            return True
+        if lo > 1.0 + slack:
+            return False
+        return None
+
+    shape = tuple(int(n) for n in shape)
+    rng = np.random.default_rng(np.random.SeedSequence([int(seed), *shape]))
+    candidates = sd._gallery_directions(selector, shape)
+    wanted = len(candidates) + trials
+    notes = []
+    while len(candidates) < wanted:
+        T = outer_atom([sd.normalize(rng.standard_normal(n)) for n in shape])
+        family = sd.family_from_tensor(T)
+        U = sd.project(selector, family, rng.standard_normal(shape))
+        if holder_norm(U, 2) < 1e-9:
+            continue
+        candidates.append((T, T, U))
+
+    feasible_max, infeasible_min = 0.0, np.inf
+    feas_wit = infeas_wit = None
+    for T, Z, U in candidates:
+        sig_u = spectral_hopm(U).value
+        if sig_u <= 0:
+            continue
+        U = U / sig_u
+        lo, hi = 0.0, 2.0
+        top = feasible(Z + hi * U)
+        if top is None:
+            notes.append("ambiguous_at_smax")
+            continue
+        if top:
+            found, first_bad = hi, None
+        else:
+            certain_bad = hi
+            while hi - lo > bisect_tol:
+                mid = 0.5 * (lo + hi)
+                dec = feasible(Z + mid * U)
+                if dec is None:
+                    notes.append("ambiguous_midpoint")
+                    hi = mid
+                elif dec:
+                    lo = mid
+                else:
+                    hi = mid
+                    certain_bad = mid
+            found, first_bad = lo, certain_bad
+        if found > feasible_max:
+            feasible_max, feas_wit = found, (T, Z, found * U)
+        if first_bad is not None and first_bad < infeasible_min:
+            infeasible_min, infeas_wit = first_bad, (T, Z, first_bad * U)
+    return sd.TauEstimate(selector, shape, float(feasible_max),
+                          float(infeasible_min), len(candidates), feas_wit,
+                          infeas_wit, tuple(notes))
+
+
+_U01, _U12 = upper_u(frozenset({0, 1})), upper_u(frozenset({1, 2}))
+# (selector, shape, trials, seed): the probes pinned to the plain bisection.
+REFERENCE_PROBES = [
+    *((sel, (2, 2, 2), 3, seed)
+      for sel in (_U01, _U12, order_ge2_sum(3)) for seed in (0, 1, 2026)),
+    (order_ge2_sum(3), (2, 2, 3), 3, 0),
+    # Four ambiguous midpoints.
+    (order_ge2_sum(4), (2, 2, 2, 2), 3, 1),
+    # Past the branch and bound's limit: flattening enclosures.
+    (_U01, (5, 5, 6), 1, 0),
+    (order_ge2_sum(3), (5, 5, 5), 2, 0),
+]
+
+
+def _probe_id(case):
+    sel, shape, trials, seed = case
+    name = ("ge2" if sel == order_ge2_sum(len(shape))
+            else "upperU" + "".join(map(str, sorted(sel.sets[0]))))
+    return f"{name}-{'x'.join(map(str, shape))}-t{trials}-s{seed}"
+
+
+# A convex piecewise-linear f on [0, 2]: the max of affine pieces a + b s.
+_PIECES = st.lists(st.tuples(st.floats(-1.0, 2.0), st.floats(-2.0, 2.0)),
+                   min_size=1, max_size=4)
+
+
+class TestProbeTauByConvexity:
+    @pytest.mark.parametrize("case", REFERENCE_PROBES, ids=_probe_id)
+    def test_bitwise_equal_to_plain_bisection(self, case):
+        sel, shape, trials, seed = case
+        got = probe_tau(sel, shape, trials=trials, seed=seed)
+        ref = _probe_tau_reference(sel, shape, trials=trials, seed=seed)
+        assert got.feasible_max.hex() == ref.feasible_max.hex()
+        assert got.infeasible_min.hex() == ref.infeasible_min.hex()
+        assert (got.trials, got.notes) == (ref.trials, ref.notes)
+        for mine, theirs in ((got.feasible_witness, ref.feasible_witness),
+                             (got.infeasible_witness,
+                              ref.infeasible_witness)):
+            assert (mine is None) == (theirs is None)
+            for a, b in zip(mine or (), theirs or ()):
+                assert np.asarray(a).tobytes() == np.asarray(b).tobytes()
+
+    @given(pieces=_PIECES,
+           points=st.lists(st.integers(1, 2 ** 10), min_size=1, max_size=6,
+                           unique=True),
+           widths=st.lists(st.sampled_from([0.0, 1e-15, 1e-9, 1e-4, 0.3]),
+                           min_size=12, max_size=12),
+           query=st.integers(1, 2 ** 10 - 1))
+    @settings(max_examples=300, deadline=None, derandomize=True)
+    def test_line_decision_never_contradicts_the_function(
+            self, pieces, points, widths, query):
+        level = 1.0 + tnn.subdiff._FEASIBLE_SLACK
+
+        def f(s):
+            return max(a + b * s for a, b in pieces)
+
+        def exact(s):
+            return max(Fraction(a) + Fraction(b) * Fraction(s)
+                       for a, b in pieces)
+
+        # Dyadic points in (0, 2], as the bisection visits them.
+        line = [(k / 2 ** 9, f(k / 2 ** 9) - widths[2 * i],
+                 f(k / 2 ** 9) + widths[2 * i + 1])
+                for i, k in enumerate(points)]
+        s = query / 2 ** 9
+        decision = tnn.subdiff._line_decision(line, s, level)
+        if decision is True:
+            assert exact(s) <= level
+        elif decision is False:
+            assert exact(s) > level
+
+    @pytest.mark.parametrize("selector", [_U01, order_ge2_sum(3)],
+                             ids=["upperU01", "ge2"])
+    def test_direct_enclosure_never_contradicts_a_line_decision(
+            self, selector, monkeypatch):
+        # The benchmark's two 2x2x2 probes, at both of its seeds.
+        sd = tnn.subdiff
+        level = 1.0 + sd._FEASIBLE_SLACK
+        original, decided = sd._feasible, []
+
+        def spy(Z, U, s, line):
+            decision = sd._line_decision(list(line), s, level)
+            out = original(Z, U, s, line)
+            if decision is not None:
+                assert out is decision
+                decided.append((Z + s * U, decision))
+            return out
+
+        monkeypatch.setattr(sd, "_feasible", spy)
+        for seed in (1, 2026):
+            probe_tau(selector, (2, 2, 2), trials=3, seed=seed)
+        assert decided
+        for Zs, decision in decided:
+            lo, up, _ = sd.spectral_enclosure(
+                Zs, tol=sd._FEASIBLE_SLACK / 2, threshold=level,
+                max_evals=120_000)
+            assert not (lo > level if decision else up <= level)
+
+    @pytest.mark.parametrize("selector,most", [(_U01, 12),
+                                               (order_ge2_sum(3), 44)],
+                             ids=["upperU01", "ge2"])
+    def test_enclosure_calls(self, selector, most, monkeypatch):
+        # The plain bisection makes 48 and 60.
+        calls = []
+        original = tnn.subdiff.spectral_enclosure
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return original(*args, **kwargs)
+
+        monkeypatch.setattr(tnn.subdiff, "spectral_enclosure", counting)
+        probe_tau(selector, (2, 2, 2), trials=3, seed=1)
+        assert 0 < len(calls) <= most
 
 
 class TestSphereParagraphs:
