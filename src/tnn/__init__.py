@@ -57,7 +57,6 @@ from .norms import (
     restricted_norm_check,
     spectral_certified_upper,
     spectral_enclosure,
-    spectral_flattening_upper,
     spectral_hopm,
 )
 from .decomp import (

@@ -10,7 +10,8 @@ cells are the rows of one array that keeps those corner values, so a split
 prices only the two child centres and the corners on the split plane.  Each
 value is a top singular value (``_sigma_max``: ``2 x 2`` blocks in closed
 form, larger ones from the smaller Gram matrix).  The flattening bound
-``min_k sigma_max(T_(k))`` is a cruder upper bound that holds at any size.
+``min_k sigma_max(T_(k))`` (``_flattening_cap``) is a cruder upper bound
+that holds at any size.
 ``spectral_enclosure``, the library's only caller of the branch and bound,
 sets both ends of every enclosure: the branch and bound, capped by the
 flattening bound, where it accepts the shape, and the flattening bound
@@ -28,7 +29,7 @@ shape).  Where cap and attained value decide, no cell is evaluated;
 otherwise the cap enters the branch and bound's stop tests only.
 
 A tensor with a rank-deficient mode is first compressed to its
-multilinear-SVD core ``G = T x_k U_k^T`` (``_core``; ``U_k`` the mode-span
+multilinear-SVD core ``G = T x_k U_k^T`` (``_reduce``; ``U_k`` the mode-span
 bases), whose spectral and nuclear norms are ``T``'s by the
 restricted-subspace facts.  ``spectral_enclosure`` and ``nuclear_sandwich``
 both work on ``G`` and widen their ends by the part of ``T`` outside the
@@ -53,13 +54,14 @@ bound reports there, and no sweep runs.
 The nuclear norm is enclosed in a sandwich ``[lower, upper]``
 (``nuclear_sandwich``): the upper end is a rank-one decomposition's total
 weight plus its l1 residual, the lower end a dual witness's pairing with
-``T`` over a certified upper bound on its spectral norm.  A vector or
-matrix, raw or a core, is sandwiched by its singular values
-(``_matrix_sandwich``): the upper end is their sum, every one counted, and
-the witness ``U V^T`` is bounded like every other witness.  A ``2 x 2 x n``
-tensor of full multilinear rank is sandwiched by the partial-transpose
-bound's exact one-variable program.  Other shapes of full multilinear
-rank get a greedy rank-one pursuit and the sign witness of its atoms.  The
+``T`` over a certified upper bound on its spectral norm (``_ratio``, on
+every path).  A vector or matrix, raw or a core, is sandwiched by its
+singular values (``_matrix_sandwich``): the upper end is their sum, every
+one counted, and the witness ``U V^T`` is bounded like every other witness.
+A ``2 x 2 x n`` tensor of full multilinear rank is sandwiched by the
+partial-transpose bound's exact one-variable program.  Other shapes of full
+multilinear rank get a greedy rank-one pursuit and the sign witness of its
+atoms.  The
 witnesses are built on a tensor of full multilinear rank, whose span
 subspace ``T(T)`` (the tensors whose mode-k spans lie inside those of
 ``T``) is the whole space; the witness of a compressed tensor is the core's
@@ -98,7 +100,6 @@ __all__ = [
     "NuclearSandwich",
     "spectral_hopm",
     "spectral_certified_upper",
-    "spectral_flattening_upper",
     "spectral_enclosure",
     "nuclear_sandwich",
     "duality_gap_check",
@@ -701,34 +702,40 @@ def _sigma_max(X):
     return np.sqrt(np.maximum(np.linalg.eigvalsh(G)[:, -1], 0.0))
 
 
-def spectral_flattening_upper(T):
-    """Certified spectral upper bound valid at any size: the smallest
-    flattening operator norm ``min_k sigma_max(T_(k))``."""
-    return min(float(s[0]) for s in _flattening_svds(asarray(T)))
+def _reduce(A):
+    """``(G, bases, svals)``: ``A`` reduced to the tensor both norms are
+    computed on.
 
-
-def _core(A, svals):
-    """The multilinear-SVD core of ``A``, or ``None`` when every mode has
-    full rank (or ``A`` is zero).
-
-    The ranks are read from ``svals``, ``A``'s mode singular values
-    (``_flattening_svds``), by the rule ``family_from_tensor`` reads
-    (``subspace._rank``); ``family_from_tensor`` is only run for a
-    rank-deficient ``A``.  Returns ``(G, bases)``: ``bases[k]`` is the
-    orthonormal basis ``U_k`` of ``A``'s mode-k span and
-    ``G = A x_k U_k^T``, with its size-1 modes dropped (one mode is always
-    kept).  By the restricted-subspace facts ``G`` has the spectral and
-    nuclear norms of ``_lift(G, bases)``, which differs from ``A`` only by
-    the singular values the span bases drop."""
+    ``A``'s mode singular values (``_flattening_svds``) give its ranks by
+    the rule ``family_from_tensor`` reads (``subspace._rank``).  Where every
+    mode has full rank (or ``A`` is zero), ``G`` is ``A``, ``bases`` is
+    ``None`` and ``svals`` are those singular values.  Otherwise
+    ``family_from_tensor`` runs, ``bases[k]`` is the orthonormal basis
+    ``U_k`` of ``A``'s mode-k span, ``G = A x_k U_k^T`` is the
+    multilinear-SVD core with its size-1 modes dropped (one mode is always
+    kept), and ``svals`` is ``None``: the core's are not yet known.  By the
+    restricted-subspace facts ``G`` has the spectral and nuclear norms of
+    ``_lift(G, bases)``, which differs from ``A`` only by the singular
+    values the span bases drop."""
+    svals = _flattening_svds(A)
     ranks = tuple(map(_rank, svals))
     if ranks == A.shape or 0 in ranks:
-        return None
+        return A, None, svals
     bases = [V.basis for V in family_from_tensor(A).subspaces]
     G = A
     for k, U in enumerate(bases):
         G = mode_product(G, k, U.T)
     kept = [U.shape[1] for U in bases if U.shape[1] > 1]
-    return G.reshape(kept or [1]), bases
+    return G.reshape(kept or [1]), bases, None
+
+
+def _flattening_cap(G, svals):
+    """The flattening bound ``min_k sigma_max(G_(k))`` on ``||G||_sigma``,
+    valid at any size, from ``G``'s mode singular values ``svals``; ``G`` is
+    factored here only where they are ``None``."""
+    if svals is None:
+        svals = _flattening_svds(G)
+    return min(float(s[0]) for s in svals)
 
 
 def _lift(X, bases):
@@ -750,35 +757,37 @@ def _lifted_factors(factors, bases):
 def spectral_enclosure(T, tol=1e-4, max_evals=2_000_000, threshold=None):
     """Certified ``(lower, upper, method)`` for the spectral norm, at any size.
 
-    ``lower`` is an attained value near a local maximum.  Where the branch
-    and bound accepts the shape (``method == "bnb"``), it is the branch and
-    bound's finished best value, and ``upper`` the smaller of its bound and
-    the flattening bound; ``tol``, ``max_evals`` and ``threshold`` are
-    passed to ``spectral_certified_upper``, whose ``tol`` is absolute (it
-    stops once ``upper - lower <= tol``).  Where it refuses the shape
-    (``method == "flattening"``), ``lower`` is the larger of the largest
-    entry magnitude (attained by basis vectors) and the multi-start HOPM
-    value ``spectral_hopm(T).value``, and ``upper`` the flattening bound.
+    ``lower`` is an attained value near a local maximum.  A vector or
+    matrix (``method == "exact"``) is enclosed by its top singular value,
+    the lower end less ``spectral_certified_upper``'s rounding slack; no
+    cell is evaluated.  Where the branch and bound accepts the shape
+    (``method == "bnb"``), ``lower`` is the branch and bound's finished best
+    value.  In both cases ``upper`` is the smaller of
+    ``spectral_certified_upper``'s upper end and the flattening bound;
+    ``tol``, ``max_evals`` and ``threshold`` are passed to it, and its
+    ``tol`` is absolute (it stops once ``upper - lower <= tol``).  Where it
+    refuses the shape (``method == "flattening"``), ``lower`` is the larger
+    of the largest entry magnitude (attained by basis vectors) and the
+    multi-start HOPM value ``spectral_hopm(T).value``, and ``upper`` the
+    flattening bound.
 
     A tensor with a rank-deficient mode is enclosed through its core
-    (``_core``), whose shape is the multilinear rank: the core's enclosure,
+    (``_reduce``), whose shape is the multilinear rank: the core's enclosure,
     widened on each side by ``||T - lift(G)||_F``, the part of ``T`` outside
-    the span bases.  HOPM runs on ``T`` itself.
+    the span bases.  The method is the core's, so a rank-one tensor of any
+    size is ``"exact"``.  HOPM runs on ``T`` itself.
     """
     A, scale = _unit_scale(asarray(T))
     tol = tol / scale
     threshold = None if threshold is None else threshold / scale
-    svals = _flattening_svds(A)
-    core = _core(A, svals)
-    if core is None:
-        G, slack, flat = A, 0.0, min(float(s[0]) for s in svals)
-    else:
-        G, slack = core[0], holder_norm(A - _lift(*core), 2)
-        flat = spectral_flattening_upper(G)
+    G, bases, svals = _reduce(A)
+    slack = 0.0 if bases is None else holder_norm(A - _lift(G, bases), 2)
+    flat = _flattening_cap(G, svals)
     try:
         lo, up = spectral_certified_upper(G, tol=tol, max_evals=max_evals,
                                           threshold=threshold)
-        lo, up, method = lo - slack, min(up, flat) + slack, "bnb"
+        lo, up = lo - slack, min(up, flat) + slack
+        method = "exact" if G.ndim <= 2 else "bnb"
     except ParameterError:
         lo = max(holder_norm(G, np.inf) - slack, spectral_hopm(A).value)
         up, method = flat + slack, "flattening"
@@ -828,14 +837,23 @@ def _witness_bound(Z):
                               max_evals=_WITNESS_MAX_EVALS)[1:]
 
 
-def _certified_witness(A, Z):
-    """``(ratio, Z, bound, method)`` for a candidate dual witness ``Z``: a
-    certified bound on ``||Z||_sigma`` and the lower bound ``<A, Z> / bound``
-    (``-inf`` unless both are positive)."""
-    w_up, how = _witness_bound(Z)
+def _ratio(A, Z, bound):
+    """The lower bound ``<A, Z> / bound`` on ``||A||_*`` of a dual witness
+    ``Z`` with ``||Z||_sigma <= bound`` (``-inf`` unless both are positive):
+    every sandwich's one pairing."""
     pairing = inner(A, Z)
-    ratio = pairing / w_up if w_up > 0 and pairing > 0 else -np.inf
-    return ratio, Z, w_up, how
+    return pairing / bound if bound > 0 and pairing > 0 else -np.inf
+
+
+def _certified_witness(A, Z, cap=np.inf):
+    """``(ratio, Z, bound, method)`` for a candidate dual witness ``Z``: a
+    certified bound on ``||Z||_sigma`` (``_witness_bound``, or ``cap``, a
+    bound already known, where that is smaller, method ``"pt_dual"``) and
+    its ratio ``_ratio(A, Z, bound)``."""
+    w_up, how = _witness_bound(Z)
+    if cap < w_up:
+        w_up, how = cap, "pt_dual"
+    return _ratio(A, Z, w_up), Z, w_up, how
 
 
 _GREEDY_STARTS = 16  # HOPM starts per greedy step
@@ -907,16 +925,16 @@ def nuclear_sandwich(T):
     """Certified interval ``[lower, upper]`` enclosing the nuclear norm.
 
     A tensor with a rank-deficient mode is sandwiched through its core
-    (``_core``), whose shape is the multilinear rank: the core's dual witness
-    and atoms are lifted by ``x_k U_k``, which keeps the witness's spectral
-    norm and bound, the upper end adds ``||T - lift(G)||_1`` (the part of
-    ``T`` outside the span bases) and the lower end is the lifted witness's
-    ratio ``<T, W> / witness_spectral_upper``.
+    (``_reduce``), whose shape is the multilinear rank: the core's dual
+    witness and atoms are lifted by ``x_k U_k``, which keeps the witness's
+    spectral norm and bound, the upper end adds ``||T - lift(G)||_1`` (the
+    part of ``T`` outside the span bases) and the lower end is the lifted
+    witness's ratio ``<T, W> / witness_spectral_upper``.
 
     A vector or matrix, and a core of order at most two, is sandwiched by
     ``_matrix_sandwich``: the upper end sums every singular value, and the
     witness ``U V^T`` is bounded by ``spectral_enclosure``
-    (``_witness_bound``).
+    (``_certified_witness``, flag ``witness_bound_exact``).
 
     A tensor of full multilinear rank has the scaled base ``T`` as one
     candidate witness (certified by the flattening bound, so its ratio is at
@@ -933,7 +951,7 @@ def nuclear_sandwich(T):
     cap instead where that is smaller, flagged ``witness_bound_pt_dual``.
     The best certified ratio ``<T, Z> / ||Z||_sigma``, capped by the upper
     end, is the lower end; its witness and bound are ``dual_witness`` and
-    ``witness_spectral_upper``.
+    ``witness_spectral_upper``.  Every ratio is taken by ``_ratio``.
     """
     A, scale = _unit_scale(asarray(T))
     if not A.any():
@@ -941,18 +959,15 @@ def nuclear_sandwich(T):
         return NuclearSandwich(0.0, 0.0, empty, np.zeros(A.shape), 1.0)
     if A.ndim <= 2:
         return _scaled_sandwich(_matrix_sandwich(A), scale)
-    svals = _flattening_svds(A)
-    core = _core(A, svals)
-    if core is None:
-        flat = min(float(s[0]) for s in svals)
-        return _scaled_sandwich(_sandwich(A, flat), scale)
-
-    G, bases = core
+    G, bases, svals = _reduce(A)
     sw = (_matrix_sandwich(G) if G.ndim <= 2
-          else _sandwich(G, spectral_flattening_upper(G)))
+          else _sandwich(G, _flattening_cap(G, svals)))
+    if bases is None:
+        return _scaled_sandwich(sw, scale)
+
     W = _lift(sw.dual_witness, bases)
     upper = sw.upper + holder_norm(A - _lift(G, bases), 1)
-    lower = min(inner(A, W) / sw.witness_spectral_upper, upper)
+    lower = min(_ratio(A, W, sw.witness_spectral_upper), upper)
     decomposition = NuclearDecomposition(
         tuple(RankOneAtom.from_unnormalized(_lifted_factors(a.factors, bases),
                                             a.weight)
@@ -979,15 +994,12 @@ def _sandwich(A, flat):
     full multilinear rank, given its flattening bound ``flat``."""
     flags = []
     # The scaled base: flat <= ||A||_F, so its ratio is at least ||A||_F.
-    cands = [(inner(A, A) / flat, A, flat, "flattening")]
+    cands = [(_ratio(A, A, flat), A, flat, "flattening")]
     upper = holder_norm(A, 1)
     pt = PartialTranspose(A)
     if pt is not None:
         Z, z_cap, atoms = pt.program()
-        cand = _certified_witness(A, Z)
-        if z_cap < cand[2]:
-            cand = (inner(A, Z) / z_cap, Z, z_cap, "pt_dual")
-        cands.append(cand)
+        cands.append(_certified_witness(A, Z, z_cap))
         decomposition = NuclearDecomposition(atoms, A.shape)
         upper = min(decomposition.weight_sum
                     + holder_norm(A - decomposition_sum(decomposition), 1),
@@ -1029,8 +1041,8 @@ def _matrix_sandwich(A):
                       for i, w in enumerate(s) if w > 0)
         Z = U[:, :s.size] @ Vt[:s.size]
         v = float(np.sum(s))
-    w_up, how = _witness_bound(Z)
-    return NuclearSandwich(min(inner(A, Z) / w_up, v), v,
+    ratio, Z, w_up, how = _certified_witness(A, Z)
+    return NuclearSandwich(min(ratio, v), v,
                            NuclearDecomposition(atoms, A.shape), Z, w_up,
                            (f"witness_bound_{how}",))
 

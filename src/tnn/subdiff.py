@@ -82,9 +82,9 @@ class SubgradientReport:
 
 def _spectral_decision(G, threshold, tol):
     """Bounds for ||G||_sigma sharp enough to compare against
-    ``threshold + tol``, and the method of the certified upper bound ("bnb"
-    or "flattening"): ``spectral_enclosure`` in threshold mode, whose lower
-    end is an attained value at every size."""
+    ``threshold + tol``, and the method of the certified upper bound
+    ("exact", "bnb" or "flattening"): ``spectral_enclosure`` in threshold
+    mode, whose lower end is an attained value at every size."""
     return spectral_enclosure(G, tol=tol / 2, max_evals=600_000,
                               threshold=threshold + tol / 2)
 
@@ -148,7 +148,7 @@ def z_membership(Z, T, tol=1e-3, sandwich=None):
     a three-way verdict; ``subspace_residual`` is ``Z``'s relative distance
     from the span subspace (``subspace.residual``, the same at every scale
     of ``Z``), compared with ``tol``; ``spectral_method`` names how the
-    spectral upper bound was certified ("bnb" or "flattening")."""
+    spectral upper bound was certified ("exact", "bnb" or "flattening")."""
     Z, T = asarray(Z), asarray(T)
     if Z.shape != T.shape:
         raise ParameterError("shape mismatch")

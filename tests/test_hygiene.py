@@ -134,10 +134,10 @@ def test_only_the_sandwich_certifies_dual_witnesses():
 
 def test_one_rank_rule():
     """Singular values are cut by one rule, ``subspace._rank``, read by the
-    span bases and the core; ``RANK_TOL``'s other reader is the QR-pivot
-    rule of ``ModeSubspace.span``.  The order-<=2 sandwich keeps no
-    threshold of its own and bounds its own witness, so ``nuclear_sandwich``
-    bounds none."""
+    span bases and the reduction to the core; ``RANK_TOL``'s other reader is
+    the QR-pivot rule of ``ModeSubspace.span``.  The order-<=2 sandwich
+    keeps no threshold of its own, and every witness is bounded through
+    ``_certified_witness``."""
     found = {name: sorted({f"{path.stem}.{owner}"
                            for path in sorted(SRC.glob("*.py"))
                            for _, owner in references(path.read_text(), name)
@@ -145,9 +145,8 @@ def test_one_rank_rule():
              for name in ("RANK_TOL", "_rank", "_witness_bound")}
     assert found == {
         "RANK_TOL": ["subspace._rank", "subspace.span"],
-        "_rank": ["norms._core", "subspace.family_from_tensor"],
-        "_witness_bound": ["norms._certified_witness",
-                           "norms._matrix_sandwich"]}
+        "_rank": ["norms._reduce", "subspace.family_from_tensor"],
+        "_witness_bound": ["norms._certified_witness"]}
     tree = ast.parse((SRC / "norms.py").read_text())
     matrix = next(node for node in ast.walk(tree)
                   if getattr(node, "name", None) == "_matrix_sandwich")
@@ -160,7 +159,24 @@ def test_norms_reaches_the_span_bases_only_through_the_core():
     source = (SRC / "norms.py").read_text()
     owners = {name: {owner for _, owner in references(source, name)}
               for name in ("family_from_tensor", "project")}
-    assert owners == {"family_from_tensor": {"_core"}, "project": set()}
+    assert owners == {"family_from_tensor": {"_reduce"}, "project": set()}
+
+
+def test_one_flattening_cap_and_one_pairing():
+    """``norms`` takes the flattening cap in ``_flattening_cap`` alone and
+    factors flattenings only there and in ``_reduce``; every sandwich pairs
+    a witness with the tensor in ``_ratio``, and the two checks pair their
+    own inputs."""
+    source = (SRC / "norms.py").read_text()
+    found = {name: sorted({owner for _, owner in references(source, name)})
+             for name in ("_flattening_svds", "inner")}
+    assert found == {
+        "_flattening_svds": ["_flattening_cap", "_reduce"],
+        "inner": ["_ratio", "duality_gap_check", "restricted_norm_check"]}
+    assert source.count("min(float(s[0]) for s in") == 1
+    import tnn
+
+    assert not hasattr(tnn, "spectral_flattening_upper")
 
 
 def test_one_membership_rule():
@@ -370,9 +386,8 @@ def test_partial_transpose_bound_stays_private():
     assert not hasattr(tnn, "PartialTranspose")
     assert tnn.norms.__all__ == [
         "SpectralResult", "NuclearSandwich", "spectral_hopm",
-        "spectral_certified_upper", "spectral_flattening_upper",
-        "spectral_enclosure", "nuclear_sandwich", "duality_gap_check",
-        "restricted_norm_check"]
+        "spectral_certified_upper", "spectral_enclosure",
+        "nuclear_sandwich", "duality_gap_check", "restricted_norm_check"]
     source = (SRC / "norms.py").read_text()
     found = {name: [owner for _, owner in references(source, name)]
              for name in ("primal", "program")}

@@ -29,7 +29,6 @@ from tnn import (
     sample_weak_pair,
     spectral_certified_upper,
     spectral_enclosure,
-    spectral_flattening_upper,
     spectral_hopm,
 )
 from tnn._partial_transpose import PartialTranspose
@@ -47,6 +46,13 @@ from conftest import e, rank_one
 
 SQ3 = np.sqrt(3.0)
 SLACK = 1e-12  # rounding allowance when two bounds are compared
+
+
+def flattening_cap(T):
+    """The flattening bound ``min_k sigma_max(T_(k))``, one flattening at a
+    time: the reference for the cap the enclosure and the sandwich take."""
+    T = asarray(T)
+    return min(np.linalg.norm(mode_matricize(T, k), 2) for k in range(T.ndim))
 
 
 def perm_sum_tensor(t):
@@ -854,7 +860,7 @@ class TestSpectralEnclosure:
         b_lo, b_up = spectral_certified_upper(T, tol=1e-3)
         assert method == "bnb"
         assert lo == b_lo
-        assert abs(up - min(b_up, spectral_flattening_upper(T))) <= SLACK
+        assert abs(up - min(b_up, flattening_cap(T))) <= SLACK
         assert lo <= up + SLACK
 
     def test_flattening_tightens_a_loose_branch_and_bound(self, rng):
@@ -862,7 +868,7 @@ class TestSpectralEnclosure:
                         for v in (rng.standard_normal(3) for _ in range(3))])
         _, b_up = spectral_certified_upper(T, tol=1e-9, max_evals=1)
         lo, up, method = spectral_enclosure(T, tol=1e-9, max_evals=1)
-        assert method == "bnb"
+        assert method == "exact"
         assert b_up > 1.0 + 1e-3
         assert abs(up - 1.0) <= SLACK
         assert lo <= 1.0 + SLACK
@@ -873,7 +879,7 @@ class TestSpectralEnclosure:
         assert method == "flattening"
         hopm = spectral_hopm(T).value
         assert lo == max(holder_norm(T, np.inf), hopm)
-        assert up == spectral_flattening_upper(T)
+        assert up == flattening_cap(T)
         assert hopm <= up + SLACK
 
     @pytest.mark.parametrize("seed", range(3))
@@ -892,7 +898,7 @@ class TestSpectralEnclosure:
     def test_rank_one_large_modes_enclosed_on_core(self, shape):
         T = rank_one(np.random.default_rng(1), shape)
         lo, up, method = spectral_enclosure(T, tol=1e-5)
-        assert method == "bnb"
+        assert method == "exact"
         assert up - lo <= 1e-5
         assert lo - SLACK <= 1.0 <= up + SLACK
 
@@ -909,7 +915,7 @@ class TestSpectralEnclosure:
         for seed in range(50):
             A = np.random.default_rng(seed).standard_normal((n, n))
             lo, up, method = spectral_enclosure(A)
-            assert method == "bnb"
+            assert method == "exact"
             assert lo <= up, (seed, lo, up)
 
 
@@ -942,6 +948,47 @@ def pinned_sandwich_tensor(name):
         return {"T": T, "S": S, "T+S": T + S}[part]
     shape = tuple(int(n) for n in name.strip("()").split(","))
     return np.random.default_rng(0).standard_normal(shape)
+
+
+def tucker_tensor(shape, ranks, seed=3):
+    """A seeded Gaussian core of shape ``ranks`` times orthonormal bases."""
+    rng = np.random.default_rng(seed)
+    Q = [np.linalg.qr(rng.standard_normal((n, r)))[0]
+         for n, r in zip(shape, ranks)]
+    return np.einsum("abc,ia,jb,kc->ijk", rng.standard_normal(ranks), *Q)
+
+
+def gaussian(shape, seed=0):
+    return lambda: np.random.default_rng(seed).standard_normal(shape)
+
+
+def odeco_333():
+    """Weights 3, 2, 1 on seeded orthonormal factors: the greedy sign
+    witness is the dual certificate, and beats the scaled base."""
+    Q = [np.linalg.qr(np.random.default_rng(k).standard_normal((3, 3)))[0]
+         for k in range(3)]
+    return sum(outer_atom([q[:, i] for q in Q], w)
+               for i, w in enumerate((3.0, 2.0, 1.0)))
+
+
+# One input per sandwich path, with the witness-bound flag that path sets:
+# the order-<=2 sandwich, the exact 2x2xn program's witness bounded by the
+# enclosure and by the program's own cap, the scaled base, the greedy sign
+# witness bounded by the branch and bound and by the flattening bound, and
+# cores of order one lifted back.
+PAIRING_CASES = {
+    "vector": (gaussian((4,)), "witness_bound_exact"),
+    "matrix": (gaussian((3, 4)), "witness_bound_exact"),
+    "2x2x2-bnb": (gaussian((2, 2, 2)), "witness_bound_bnb"),
+    "2x2x2-pt_dual": (gaussian((2, 2, 2), 3), "witness_bound_pt_dual"),
+    "3x3x3-base": (gaussian((3, 3, 3)), "witness_bound_flattening"),
+    "3x3x3-greedy": (odeco_333, "witness_bound_bnb"),
+    "5x5x6-flattening": (gaussian((5, 5, 6)), "witness_bound_flattening"),
+    "core-112": (lambda: tucker_tensor((3, 3, 3), (1, 1, 2)),
+                 "witness_bound_exact"),
+    "core-111": (lambda: tucker_tensor((5, 5, 6), (1, 1, 1)),
+                 "witness_bound_exact"),
+}
 
 
 class TestNuclearSandwich:
@@ -1017,6 +1064,19 @@ class TestNuclearSandwich:
         ratio = inner(T, sw.dual_witness) / sw.witness_spectral_upper
         assert sw.lower >= ratio - 1e-10
 
+    @pytest.mark.parametrize("power", [0, 40, -40, 300, -300])
+    @pytest.mark.parametrize("case", list(PAIRING_CASES))
+    def test_lower_end_is_the_pairing_rule(self, case, power):
+        # Bit for bit on every path: the lower end is the returned witness's
+        # pairing with T over its returned bound, capped by the upper end.
+        # A power-of-two scale moves the pairing by exactly that power.
+        make, flag = PAIRING_CASES[case]
+        T = make() * 2.0 ** power
+        sw = nuclear_sandwich(T)
+        assert flag in sw.flags
+        assert sw.lower == min(
+            inner(T, sw.dual_witness) / sw.witness_spectral_upper, sw.upper)
+
     def test_scale_equivariance(self, rng):
         T = rng.standard_normal((2, 2, 2))
         s1 = nuclear_sandwich(asarray(T))
@@ -1043,7 +1103,7 @@ class TestNuclearSandwich:
             T = asarray(rng.standard_normal(shape))
             sw = nuclear_sandwich(T)
             assert len(bounds) == 1, shape
-            bounds.append((T, spectral_flattening_upper(T)))
+            bounds.append((T, flattening_cap(T)))
             for i, (Z, ub) in enumerate(bounds):
                 assert sw.lower >= inner(T, Z) / ub - 1e-12
                 # Each candidate is certified once.
@@ -1055,8 +1115,7 @@ class TestNuclearSandwich:
         T = np.random.default_rng(0).standard_normal((5, 5, 6))
         sw = nuclear_sandwich(T)
         assert "witness_bound_flattening" in sw.flags
-        assert sw.witness_spectral_upper == spectral_flattening_upper(
-            sw.dual_witness)
+        assert sw.witness_spectral_upper == flattening_cap(sw.dual_witness)
         assert holder_norm(T, 2) - 1e-9 <= sw.lower <= sw.upper
 
     @pytest.mark.parametrize("shape, ranks", [
@@ -1073,7 +1132,7 @@ class TestNuclearSandwich:
         T = np.einsum("abc,ia,jb,kc->ijk", core, *Q)
         sw = nuclear_sandwich(T)
         assert [f for f in sw.flags if f.startswith("witness_bound_")] == [
-            "witness_bound_bnb"]
+            "witness_bound_exact"]
         nuc = np.linalg.svd(core.reshape(ranks[0], -1),
                             compute_uv=False).sum()
         assert sw.lower - 1e-12 * nuc <= nuc <= sw.upper + 1e-12 * nuc

@@ -301,7 +301,7 @@ class TestZMembership:
         report = z_membership(T, T)
         assert report["verdict"] == "pass"
         assert abs(report["spectral_interval"][1] - 1.0) <= 1e-12
-        assert report["spectral_method"] == "bnb"
+        assert report["spectral_method"] == "exact"
 
     def test_subspace_violation_fails(self):
         T = outer_atom([e(2, 0)] * 3)
