@@ -2,12 +2,17 @@
 
 Every command is a thin adapter over the library: it parses arguments,
 loads tensors (from files or the built-in ``gallery:`` scheme), calls one
-library operation, and prints a structured JSON report.  Exit codes:
-0 success, 1 a mathematical check produced a ``fail`` verdict, 2 invalid
-input, 3 convergence failure.  Mode indices on the command line are
-1-based.  To cap BLAS/OpenMP threads, set the standard variables
-(``OMP_NUM_THREADS``, ``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS``) in the
-environment before the process starts: numpy reads them when it is imported.
+library operation, and returns a structured report.  Every command but
+``reproduce`` is wrapped in ``reports``, the one report path: it adds
+``--pretty``, prints the report as JSON and picks the exit code.  Exit
+codes: 0 success, 1 a mathematical check produced a ``fail`` verdict (a
+report with ``"verdict": "fail"``, a suite with ``fail > 0`` or
+``"overall": false``), 2 invalid input (``adapter``, or click's usage
+error for a malformed ``--dims`` or ``--I`` list), 3 convergence failure
+(``adapter``).  Mode indices on the command line are 1-based.  To cap
+BLAS/OpenMP threads, set the standard variables (``OMP_NUM_THREADS``,
+``OPENBLAS_NUM_THREADS``, ``MKL_NUM_THREADS``) in the environment before
+the process starts: numpy reads them when it is imported.
 """
 
 from __future__ import annotations
@@ -59,6 +64,44 @@ def adapter(fn):
     return wrapped
 
 
+def reports(fn):
+    """Give the command ``fn`` a ``--pretty`` flag and print the report it
+    returns; the exit code is 1 when the report holds a failure (a ``fail``
+    verdict, a suite with failed trials or a false ``overall``), else 0.
+    Applied innermost, so ``--pretty`` is the last option on ``--help``."""
+
+    @click.option("--pretty", is_flag=True)
+    @functools.wraps(fn)
+    def wrapped(pretty, **kwargs):
+        doc = fn(**kwargs)
+        emit(doc, pretty)
+        return int(doc.get("verdict") == "fail" or doc.get("fail", 0) > 0
+                   or not doc.get("overall", True))
+
+    return wrapped
+
+
+def _ints(text):
+    return tuple(int(x) for x in text.split(","))
+
+
+def _int_list(ctx, param, text):
+    """The click callback of ``--dims`` (a tuple of sizes) and ``--I`` (a
+    frozenset of 0-based modes); text that is not comma-separated integers
+    is a usage error (exit 2)."""
+    try:
+        ints = _ints(text)
+    except ValueError:
+        raise click.BadParameter(
+            f"{text!r} is not a comma-separated list of integers") from None
+    return ints if param.name == "dims" else frozenset(i - 1 for i in ints)
+
+
+_DIMS = click.option("--dims", required=True, callback=_int_list)
+_INDEX_SET = click.option("--I", "index_set", required=True,
+                          callback=_int_list)
+
+
 _GALLERY_DEFAULT_PART = {
     "notsingle": "Z", "oneperp": "T", "yuan3": "X", "yuan33": "X",
     "yuan4": "X", "limitation": "TS",
@@ -97,13 +140,23 @@ def load_tensor(source):
     piece = _gallery_part(name, t)
     if part in _GALLERY_PIECES:
         return piece(part)
-    if part == "ZX":
-        return asarray(piece("Z") + piece("X"))
-    if part == "ZY":
-        return asarray(piece("Z") + piece("Y"))
-    if part == "TS":
-        return asarray(piece("T") + piece("S"))
+    if part in ("ZX", "ZY", "TS"):
+        return asarray(piece(part[0]) + piece(part[1]))
     raise TnnError(f"unknown gallery part {part!r}")
+
+
+def _gallery_or_files(name, t, part, files, flags):
+    """The pair ``(X, T)`` read from the gallery entry ``name`` at ``t``
+    (``X`` its piece ``Z``, plus its piece ``part`` unless that is
+    ``None``) or else from the two tensor files ``files``; invalid input
+    naming ``flags`` when neither is given."""
+    if name is not None:
+        piece = _gallery_part(name, t)
+        Z = piece("Z")
+        return (Z if part is None else asarray(Z + piece(part))), piece("T")
+    if all(files):
+        return tuple(load_tensor(f) for f in files)
+    raise TnnError(f"need either --gallery or {flags}")
 
 
 @click.group()
@@ -126,9 +179,9 @@ def norms_group():
 @click.option("--seed", default=0, show_default=True)
 @click.option("--starts", default=32, show_default=True)
 @click.option("--certify/--no-certify", default=True, show_default=True)
-@click.option("--pretty", is_flag=True)
 @adapter
-def norms_spectral(source, tol, seed, starts, certify, pretty):
+@reports
+def norms_spectral(source, tol, seed, starts, certify):
     T = load_tensor(source)
     result = norms.spectral_hopm(T, starts=starts, seed=seed)
     doc = {"kind": "spectral", "source": source, "value": result.value,
@@ -138,26 +191,22 @@ def norms_spectral(source, tol, seed, starts, certify, pretty):
         lo, up, method = norms.spectral_enclosure(T, tol=tol)
         doc["certified"] = {"lower": max(lo, result.value), "upper": up,
                             "tol": tol, "method": method}
-    emit(doc, pretty)
-    return 0
+    return doc
 
 
 @norms_group.command("nuclear")
 @click.argument("source")
-@click.option("--pretty", is_flag=True)
 @adapter
-def norms_nuclear(source, pretty):
-    T = load_tensor(source)
-    sw = norms.nuclear_sandwich(T)
-    doc = {
+@reports
+def norms_nuclear(source):
+    sw = norms.nuclear_sandwich(load_tensor(source))
+    return {
         "kind": "nuclear", "source": source,
         "lower": sw.lower, "upper": sw.upper, "mid": sw.mid, "gap": sw.gap,
         "atoms": len(sw.decomposition.atoms),
         "weight_sum": sw.decomposition.weight_sum,
         "flags": list(sw.flags),
     }
-    emit(doc, pretty)
-    return 0
 
 
 # ---------------------------------------------------------------------------
@@ -169,107 +218,71 @@ def check_group():
     """Decomposability, subdifferential, and sphere-program checks."""
 
 
-def _dims_option(text):
-    return tuple(int(x) for x in text.split(","))
-
-
-def _index_set(text):
-    return frozenset(int(x) - 1 for x in text.split(","))
-
-
-def _suite_doc(kind, reports):
-    verdicts = [r.verdict for r in reports]
+def _suite_doc(kind, results):
+    verdicts = [r.verdict for r in results]
     return {
         "kind": kind,
-        "trials": len(reports),
+        "trials": len(results),
         "pass": verdicts.count("pass"),
         "fail": verdicts.count("fail"),
         "inconclusive": verdicts.count("inconclusive"),
-        "max_discrepancy": max((r.discrepancy for r in reports), default=0.0),
+        "max_discrepancy": max((r.discrepancy for r in results), default=0.0),
     }
 
 
-def _decomp_suite(kind, check, dims, index_set, ranks, trials, seed, tol,
-                  pretty):
-    """Run ``check`` on ``trials`` seeded ``sample_pair`` draws and print
-    the suite's tallies; exit 1 if any trial fails."""
-    ranks = _dims_option(ranks) if ranks else tuple(
-        max(1, n - 1) if k in index_set else n
-        for k, n in enumerate(dims)
-    )
-    reports = []
-    for i in range(trials):
-        family, T, S = decomp.sample_pair(dims, ranks, index_set, seed + i)
-        reports.append(check(T, S, family, index_set, tol=tol))
-    doc = _suite_doc(kind, reports)
-    emit(doc, pretty)
-    return 0 if doc["fail"] == 0 else 1
+def _decomp_suite(kind, check, default_tol):
+    """Register the command ``check kind``: run ``check`` on ``trials``
+    seeded ``sample_pair`` draws and report the suite's tallies."""
+
+    @check_group.command(kind)
+    @_DIMS
+    @_INDEX_SET
+    @click.option("--ranks", default=None)
+    @click.option("--trials", default=10, show_default=True)
+    @click.option("--seed", default=0, show_default=True)
+    @click.option("--tol", default=default_tol, show_default=True)
+    @adapter
+    @reports
+    def suite(dims, index_set, ranks, trials, seed, tol):
+        ranks = _ints(ranks) if ranks else tuple(
+            max(1, n - 1) if k in index_set else n for k, n in enumerate(dims))
+        pairs = (decomp.sample_pair(dims, ranks, index_set, seed + i)
+                 for i in range(trials))
+        return _suite_doc(kind, [check(T, S, family, index_set, tol=tol)
+                                 for family, T, S in pairs])
 
 
-@check_group.command("decomp-spectral")
-@click.option("--dims", required=True, callback=lambda c, p, v: _dims_option(v))
-@click.option("--I", "index_set", required=True,
-              callback=lambda c, p, v: _index_set(v))
-@click.option("--ranks", default=None)
-@click.option("--trials", default=10, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--tol", default=1e-6, show_default=True)
-@click.option("--pretty", is_flag=True)
-@adapter
-def check_decomp_spectral(dims, index_set, ranks, trials, seed, tol, pretty):
-    return _decomp_suite("decomp-spectral", decomp.check_spectral_decomp,
-                         dims, index_set, ranks, trials, seed, tol, pretty)
-
-
-@check_group.command("decomp-nuclear")
-@click.option("--dims", required=True, callback=lambda c, p, v: _dims_option(v))
-@click.option("--I", "index_set", required=True,
-              callback=lambda c, p, v: _index_set(v))
-@click.option("--ranks", default=None)
-@click.option("--trials", default=10, show_default=True)
-@click.option("--seed", default=0, show_default=True)
-@click.option("--tol", default=1e-3, show_default=True)
-@click.option("--pretty", is_flag=True)
-@adapter
-def check_decomp_nuclear(dims, index_set, ranks, trials, seed, tol, pretty):
-    return _decomp_suite("decomp-nuclear", decomp.check_nuclear_decomp,
-                         dims, index_set, ranks, trials, seed, tol, pretty)
+_decomp_suite("decomp-spectral", decomp.check_spectral_decomp, 1e-6)
+_decomp_suite("decomp-nuclear", decomp.check_nuclear_decomp, 1e-3)
 
 
 @check_group.command("lower-bound")
 @click.argument("source")
-@click.option("--I", "index_set", required=True,
-              callback=lambda c, p, v: _index_set(v))
+@_INDEX_SET
 @click.option("--tol", default=1e-6, show_default=True)
-@click.option("--pretty", is_flag=True)
 @adapter
-def check_lower_bound(source, index_set, tol, pretty):
+@reports
+def check_lower_bound(source, index_set, tol):
     T = load_tensor(source)
     family = subspace.family_from_tensor(T)
     report = decomp.check_nuclear_lower_bound(T, family, index_set, tol=tol)
-    doc = {"kind": "lower-bound", "verdict": report.verdict,
-           "lhs": report.lhs, "rhs": report.rhs, "details": report.details}
-    emit(doc, pretty)
-    return 0 if report.verdict != "fail" else 1
+    return {"kind": "lower-bound", "verdict": report.verdict,
+            "lhs": report.lhs, "rhs": report.rhs, "details": report.details}
 
 
 @check_group.command("weak")
-@click.option("--dims", required=True, callback=lambda c, p, v: _dims_option(v))
+@_DIMS
 @click.option("--trials", default=10, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--alpha", default=None, type=float)
 @click.option("--tol", default=1e-6, show_default=True)
-@click.option("--pretty", is_flag=True)
 @adapter
-def check_weak(dims, trials, seed, alpha, tol, pretty):
-    reports = [
+@reports
+def check_weak(dims, trials, seed, alpha, tol):
+    pairs = (decomp.sample_weak_pair(dims, seed + i) for i in range(trials))
+    return _suite_doc("weak", [
         decomp.check_weak_decomp(T, S, family, alpha=alpha, tol=tol)
-        for family, T, S in (decomp.sample_weak_pair(dims, seed + i)
-                             for i in range(trials))
-    ]
-    doc = _suite_doc("weak", reports)
-    emit(doc, pretty)
-    return 0 if doc["fail"] == 0 else 1
+        for family, T, S in pairs])
 
 
 @check_group.command("subgrad")
@@ -280,24 +293,17 @@ def check_weak(dims, trials, seed, alpha, tol, pretty):
 @click.option("--candidate", default=None, help="tensor file for G")
 @click.option("--base", default=None, help="tensor file for T")
 @click.option("--tol", default=1e-3, show_default=True)
-@click.option("--pretty", is_flag=True)
 @adapter
-def check_subgrad(name, t, part, candidate, base, tol, pretty):
-    if name is not None:
-        piece = _gallery_part(name, t)
-        G, T = asarray(piece("Z") + piece(part)), piece("T")
-    elif candidate and base:
-        G, T = load_tensor(candidate), load_tensor(base)
-    else:
-        raise TnnError("need either --gallery or --candidate/--base")
+@reports
+def check_subgrad(name, t, part, candidate, base, tol):
+    G, T = _gallery_or_files(name, t, part, (candidate, base),
+                             "--candidate/--base")
     report = subdiff.is_subgradient(G, T, tol=tol)
-    doc = {"kind": "subgrad", "verdict": report.verdict,
-           "pairing": report.pairing,
-           "nuclear_interval": report.nuclear_interval,
-           "spectral_interval": report.spectral_interval,
-           "notes": list(report.notes)}
-    emit(doc, pretty)
-    return 0 if report.verdict != "fail" else 1
+    return {"kind": "subgrad", "verdict": report.verdict,
+            "pairing": report.pairing,
+            "nuclear_interval": report.nuclear_interval,
+            "spectral_interval": report.spectral_interval,
+            "notes": list(report.notes)}
 
 
 @check_group.command("zmember")
@@ -306,55 +312,41 @@ def check_subgrad(name, t, part, candidate, base, tol, pretty):
 @click.option("--Z", "z_source", default=None)
 @click.option("--T", "t_source", default=None)
 @click.option("--tol", default=1e-3, show_default=True)
-@click.option("--pretty", is_flag=True)
 @adapter
-def check_zmember(name, t, z_source, t_source, tol, pretty):
-    if name is not None:
-        piece = _gallery_part(name, t)
-        Z, T = piece("Z"), piece("T")
-    elif z_source and t_source:
-        Z, T = load_tensor(z_source), load_tensor(t_source)
-    else:
-        raise TnnError("need either --gallery or --Z/--T")
-    doc = subdiff.z_membership(Z, T, tol=tol)
-    doc["kind"] = "zmember"
-    emit(doc, pretty)
-    return 0 if doc["verdict"] != "fail" else 1
+@reports
+def check_zmember(name, t, z_source, t_source, tol):
+    Z, T = _gallery_or_files(name, t, None, (z_source, t_source), "--Z/--T")
+    return {**subdiff.z_membership(Z, T, tol=tol), "kind": "zmember"}
 
 
 @check_group.command("tau-probe")
 @click.option("--selector", required=True,
               help="e.g. 'upperU:1,2', 'sum:[1,2;1,3;2,3]', or 'sum:ge2'")
-@click.option("--dims", required=True, callback=lambda c, p, v: _dims_option(v))
+@_DIMS
 @click.option("--trials", default=8, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--bisect-tol", default=1e-3, show_default=True)
-@click.option("--pretty", is_flag=True)
 @adapter
-def check_tau_probe(selector, dims, trials, seed, bisect_tol, pretty):
-    if selector == "sum:ge2":
-        sel = subspace.order_ge2_sum(len(dims))
-    else:
-        sel = subspace.parse_selector(selector)
+@reports
+def check_tau_probe(selector, dims, trials, seed, bisect_tol):
+    sel = (subspace.order_ge2_sum(len(dims)) if selector == "sum:ge2"
+           else subspace.parse_selector(selector))
     sel.validate(len(dims))
     est = subdiff.probe_tau(sel, dims, trials=trials, seed=seed,
                             bisect_tol=bisect_tol)
-    doc = {"kind": "tau-probe", "selector": subspace.format_selector(sel),
-           "shape": list(est.shape), "feasible_max": est.feasible_max,
-           "infeasible_min": est.infeasible_min, "trials": est.trials,
-           "notes": sorted(set(est.notes))}
-    emit(doc, pretty)
-    return 0
+    return {"kind": "tau-probe", "selector": subspace.format_selector(sel),
+            "shape": list(est.shape), "feasible_max": est.feasible_max,
+            "infeasible_min": est.infeasible_min, "trials": est.trials,
+            "notes": sorted(set(est.notes))}
 
 
 @check_group.command("sphere")
 @click.option("--name", required=True)
-@click.option("--pretty", is_flag=True)
 @adapter
-def check_sphere(name, pretty):
+@reports
+def check_sphere(name):
     value = subdiff.solve_sphere_program(subdiff.sphere_program(name))
-    emit({"kind": "sphere", "name": name, "value": value}, pretty)
-    return 0
+    return {"kind": "sphere", "name": name, "value": value}
 
 
 # ---------------------------------------------------------------------------
@@ -367,7 +359,7 @@ def rpca_group():
 
 
 @rpca_group.command("gen")
-@click.option("--dims", required=True, callback=lambda c, p, v: _dims_option(v))
+@_DIMS
 @click.option("--r", default=1, show_default=True)
 @click.option("--rho", default=0.05, show_default=True)
 @click.option("--m", default=None, type=int)
@@ -375,9 +367,9 @@ def rpca_group():
 @click.option("--style", default="incoherent", show_default=True,
               type=click.Choice(["incoherent", "gaussian"]))
 @click.option("--out", required=True, help="archive path prefix")
-@click.option("--pretty", is_flag=True)
 @adapter
-def rpca_gen(dims, r, rho, m, seed, style, out, pretty):
+@reports
+def rpca_gen(dims, r, rho, m, seed, style, out):
     inst = rpca.generate_instance(dims, r, rho, m=m, factor_style=style,
                                   seed=seed)
     # Appended, not with_suffix: that replaces a dotted prefix's last part.
@@ -396,9 +388,8 @@ def rpca_gen(dims, r, rho, m, seed, style, out, pretty):
     arc_file.write_text(
         json.dumps(archive, sort_keys=True, default=_json_default)
     )
-    emit({"kind": "rpca-gen", "archive": str(arc_file),
-          "support_count": inst.support.count}, pretty)
-    return 0
+    return {"kind": "rpca-gen", "archive": str(arc_file),
+            "support_count": inst.support.count}
 
 
 def _load_instance(archive_path):
@@ -423,20 +414,17 @@ def _load_instance(archive_path):
 @rpca_group.command("certify")
 @click.option("--instance", "archive_path", required=True)
 @click.option("--lam", default=None, type=float)
-@click.option("--pretty", is_flag=True)
 @adapter
-def rpca_certify(archive_path, lam, pretty):
-    inst = _load_instance(archive_path)
-    report, cert, state = rpca.certify(inst, lam=lam)
-    doc = {
+@reports
+def rpca_certify(archive_path, lam):
+    report, cert, state = rpca.certify(_load_instance(archive_path), lam=lam)
+    return {
         "kind": "rpca-certify", "lambda": report.lam,
         "conditions": report.conditions, "overall": report.overall,
         "delta": cert.delta, "neumann_terms": cert.neumann_terms,
         "golfing_residuals_2": list(state.residuals_2),
         "notes": list(report.notes),
     }
-    emit(doc, pretty)
-    return 0 if report.overall else 1
 
 
 @rpca_group.command("solve2d")
@@ -445,9 +433,9 @@ def rpca_certify(archive_path, lam, pretty):
 @click.option("--rho", default=0.05, show_default=True)
 @click.option("--seed", default=0, show_default=True)
 @click.option("--tol", default=1e-9, show_default=True)
-@click.option("--pretty", is_flag=True)
 @adapter
-def rpca_solve2d(n, r, rho, seed, tol, pretty):
+@reports
+def rpca_solve2d(n, r, rho, seed, tol):
     inst = rpca.generate_instance((n, n), r, rho, factor_style="gaussian",
                                   seed=seed)
     L_hat, S_hat, residuals = rpca.solve_matrix_rpca(inst.M, tol=tol)
@@ -455,26 +443,23 @@ def rpca_solve2d(n, r, rho, seed, tol, pretty):
                   / max(np.linalg.norm(inst.L), 1e-300))
     rel_S = float(np.linalg.norm(S_hat - inst.S)
                   / max(np.linalg.norm(inst.S), 1e-300))
-    emit({"kind": "rpca-solve2d", "n": n, "r": r, "rho": rho, "seed": seed,
-          "rel_err_L": rel_L, "rel_err_S": rel_S,
-          "iterations": len(residuals)}, pretty)
-    return 0
+    return {"kind": "rpca-solve2d", "n": n, "r": r, "rho": rho, "seed": seed,
+            "rel_err_L": rel_L, "rel_err_S": rel_S,
+            "iterations": len(residuals)}
 
 
 @rpca_group.command("concentration")
-@click.option("--dims", required=True, callback=lambda c, p, v: _dims_option(v))
+@_DIMS
 @click.option("--r", default=1, show_default=True)
 @click.option("--q", default=0.9, show_default=True)
 @click.option("--trials", default=20, show_default=True)
 @click.option("--seed", default=0, show_default=True)
-@click.option("--pretty", is_flag=True)
 @adapter
-def rpca_concentration(dims, r, q, trials, seed, pretty):
+@reports
+def rpca_concentration(dims, r, q, trials, seed):
     L = rpca.generate_instance(dims, r, 0.0, m=1, seed=seed).L
-    doc = rpca.concentration_trial(L, q, trials=trials, seed=seed)
-    doc["kind"] = "rpca-concentration"
-    emit(doc, pretty)
-    return 0
+    return {**rpca.concentration_trial(L, q, trials=trials, seed=seed),
+            "kind": "rpca-concentration"}
 
 
 # ---------------------------------------------------------------------------

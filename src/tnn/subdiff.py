@@ -403,18 +403,30 @@ def probe_tau(selector, shape, trials=8, seed=0, bisect_tol=1e-3):
     midpoint is decided from the enclosures already computed on its line
     when their chord or secant settles it (``_line_decision``), and by a
     direct ``spectral_enclosure`` in threshold mode otherwise; a stored
-    feasible witness may rest on a chord bound.  Every shape is accepted;
-    where the branch and bound refuses the shape, an enclosure rests on the
-    flattening bound above and the multi-start HOPM value below.
+    feasible witness may rest on a chord bound.  Every shape of positive
+    mode sizes is accepted; where the branch and bound refuses the shape, an
+    enclosure rests on the flattening bound above and the multi-start HOPM
+    value below.  A selector that picks ``{0}`` at a rank-one base point (no
+    index set, or a mode of size 1 in each of its sets) is refused.
     ``bisect_tol`` must be positive: a bisection to zero width never ends
     once its ends are adjacent floats."""
     shape = tuple(int(n) for n in shape)
+    if any(n < 1 for n in shape):
+        raise ParameterError("mode sizes must be positive")
     if trials < 1:
         raise ParameterError("need at least one trial")
     if not bisect_tol > 0:
         raise ParameterError("bisect_tol must be > 0")
     if any(len(I) == 0 for I in selector.sets):
         raise ParameterError("selector must be orthogonal to the span part")
+    selector.validate(len(shape))
+    # At a rank-one T a mode of size 1 has no complement, so a set holding
+    # one selects {0}; no U could ever be drawn.
+    if selector.kind != "lowerU" and all(
+            any(shape[k] == 1 for k in I) for I in selector.sets):
+        raise ParameterError(
+            "selector picks {0} at a rank-one base point: it has no index "
+            "set, or each of its sets holds a mode of size 1")
     rng = np.random.default_rng(np.random.SeedSequence([int(seed), *shape]))
     candidates = _gallery_directions(selector, shape)
     wanted = len(candidates) + trials

@@ -1,13 +1,20 @@
+import ast
+import inspect
 import json
+from pathlib import Path
 
+import click
 import numpy as np
 import pytest
 from click.testing import CliRunner
 
+import tnn.subdiff
 from tnn import (asarray, gallery, is_subgradient, outer_atom, probe_tau,
                  spectral_hopm, write_tensor_file, z_membership)
 from tnn.cli import main
 from tnn.subspace import order_ge2_sum
+
+CLI = Path(__file__).resolve().parent.parent / "src" / "tnn" / "cli.py"
 
 
 @pytest.fixture
@@ -17,6 +24,50 @@ def runner():
 
 def run(runner, args):
     return runner.invoke(main, args, catch_exceptions=False)
+
+
+def leaf_commands(group=main, path=()):
+    """``(path, command)`` of every command under the click ``group`` that
+    is not itself a group, in name order; ``path`` is the words that call
+    it, e.g. ``("check", "weak")``."""
+    for name, cmd in sorted(group.commands.items()):
+        if isinstance(cmd, click.Group):
+            yield from leaf_commands(cmd, path + (name,))
+        else:
+            yield path + (name,), cmd
+
+
+def test_cli_reports_through_one_path():
+    """Every command but ``reproduce`` prints through ``cli.reports``:
+    ``emit`` is called only there and ``sys.exit`` only in ``adapter``; no
+    command body takes ``pretty``, and ``--pretty`` is the last option of
+    every report command."""
+    tree = ast.parse(CLI.read_text())
+
+    def owners(found):
+        # The module-level definitions that hold a match.
+        return sorted({getattr(top, "name", "<module>") for top in tree.body
+                       for node in ast.walk(top) if found(node)})
+
+    def calls(name):
+        return lambda node: isinstance(node, ast.Call) and name in (
+            getattr(node.func, "id", None), getattr(node.func, "attr", None))
+
+    assert owners(calls("emit")) == ["reports"]
+    assert owners(calls("exit")) == ["adapter"]
+    assert owners(lambda node: isinstance(node, ast.FunctionDef) and "pretty"
+                  in [a.arg for a in node.args.args + node.args.kwonlyargs]
+                  ) == ["emit", "reports"]
+    commands = list(leaf_commands())
+    assert len(commands) == 15
+    for path, cmd in commands:
+        names = [param.name for param in cmd.params]
+        body = inspect.signature(inspect.unwrap(cmd.callback))
+        assert "pretty" not in body.parameters, path
+        if path == ("reproduce",):
+            assert "pretty" not in names
+        else:
+            assert names[-1] == "pretty", path
 
 
 class TestNormsCommands:
@@ -238,7 +289,7 @@ class TestRpcaCommands:
         assert (tmp_path / "inst.S.tensor").exists()
 
         res = run(runner, ["rpca", "certify", "--instance", archive])
-        assert res.exit_code in (0, 1)
+        assert res.exit_code == 1
         doc = json.loads(res.output)
         assert set(doc["conditions"]) == {
             "span_distance", "off_span_spectral", "support_match",
@@ -288,6 +339,89 @@ class TestRpcaCommands:
         assert res.exit_code == 0
         doc = json.loads(res.output)
         assert len(doc["records"]) == 3
+
+
+class TestExitRule:
+    """Exit 1 exactly when the printed report holds a failure: a ``fail``
+    verdict, a suite with failed trials or a false ``overall``."""
+
+    @pytest.mark.parametrize("args, key, value, code", [
+        (["check", "weak", "--dims", "2,2,2", "--trials", "2",
+          "--alpha", "100"], "fail", 2, 1),
+        (["check", "weak", "--dims", "2,2,2", "--trials", "2",
+          "--alpha", "0.5"], "fail", 0, 0),
+        (["check", "zmember", "--gallery", "notsingle", "--t", "1.5"],
+         "verdict", "fail", 1),
+        (["check", "zmember", "--gallery", "notsingle", "--t", "0.5"],
+         "verdict", "pass", 0),
+    ], ids=["suite-fail", "suite-pass", "verdict-fail", "verdict-pass"])
+    def test_suite_and_verdict(self, runner, args, key, value, code):
+        res = run(runner, args)
+        assert res.exit_code == code
+        assert json.loads(res.output)[key] == value
+
+    @pytest.mark.parametrize("rho, overall, code", [("0.02", False, 1),
+                                                    ("0.01", True, 0)])
+    def test_certificate(self, runner, tmp_path, rho, overall, code):
+        run(runner, ["rpca", "gen", "--dims", "12,12,12", "--rho", rho,
+                     "--m", "3", "--seed", "1",
+                     "--out", str(tmp_path / "inst")])
+        res = run(runner, ["rpca", "certify",
+                           "--instance", str(tmp_path / "inst.json")])
+        assert res.exit_code == code
+        assert json.loads(res.output)["overall"] is overall
+
+    def test_pretty_keeps_report_and_code(self, runner):
+        args = ["check", "subgrad", "--gallery", "yuan3", "--t", "0.75"]
+        plain, pretty = run(runner, args), run(runner, args + ["--pretty"])
+        assert plain.exit_code == pretty.exit_code == 1
+        assert json.loads(pretty.output) == json.loads(plain.output)
+        assert pretty.output == json.dumps(json.loads(plain.output),
+                                           sort_keys=True, indent=2) + "\n"
+
+
+MALFORMED_LISTS = [
+    (["check", "weak", "--dims", "2,x,2"], "--dims"),
+    (["check", "decomp-spectral", "--dims", "2,,2", "--I", "1"], "--dims"),
+    (["check", "decomp-spectral", "--dims", "2,2,2", "--I", "1,x"], "--I"),
+    (["check", "decomp-nuclear", "--dims", "2;2", "--I", "1"], "--dims"),
+    (["check", "decomp-nuclear", "--dims", "2,2,2", "--I", ""], "--I"),
+    (["check", "lower-bound", "gallery:limitation", "--I", "1,2.0"], "--I"),
+    (["check", "tau-probe", "--selector", "upperU:1", "--dims", "2,a"],
+     "--dims"),
+    (["rpca", "gen", "--dims", "4,4,q", "--out", "never-written"], "--dims"),
+    (["rpca", "concentration", "--dims", "1.5,2"], "--dims"),
+]
+
+
+def test_malformed_lists_cover_every_list_option():
+    takers = {path for path, cmd in leaf_commands()
+              for param in cmd.params if param.name in ("dims", "index_set")}
+    assert {(args[0], args[1]) for args, _ in MALFORMED_LISTS} == takers
+
+
+@pytest.mark.parametrize("args, flag", MALFORMED_LISTS,
+                         ids=[" ".join(args) for args, _ in MALFORMED_LISTS])
+def test_malformed_list_is_invalid_input(runner, args, flag):
+    res = run(runner, args)
+    assert res.exit_code == 2
+    assert f"Invalid value for '{flag}'" in res.output
+    assert "is not a comma-separated list of integers" in res.output
+
+
+@pytest.mark.parametrize("selector, dims", [
+    ("sum:[]", "2,2,2"), ("upperU:1", "1,2,2"), ("sum:ge2", "3")])
+def test_tau_probe_refuses_zero_subspace(runner, monkeypatch, selector,
+                                         dims):
+    # Refused before any draw: a drawn direction would be zero forever.
+    def no_draw(*args):
+        raise AssertionError("drew a direction")
+
+    monkeypatch.setattr(tnn.subdiff, "project", no_draw)
+    res = run(runner, ["check", "tau-probe", "--selector", selector,
+                       "--dims", dims])
+    assert res.exit_code == 2
+    assert "error: selector picks {0} at a rank-one base point" in res.output
 
 
 class TestReproduce:

@@ -16,7 +16,9 @@ from tnn import (
     SPHERE_PROGRAMS,
     SpectralResult,
     asarray,
+    basic,
     build_inclusion_member,
+    direct_sum,
     find_z_witness,
     gallery,
     generate_instance,
@@ -468,10 +470,36 @@ class TestProbeTau:
         assert est.infeasible_min >= est.feasible_max - 1e-9
 
     def test_selector_must_avoid_span(self):
-        from tnn import basic
-
         with pytest.raises(ParameterError):
             probe_tau(basic(()), (2, 2, 2), trials=1)
+
+    @pytest.mark.parametrize("selector, shape", [
+        (direct_sum([]), (2, 2, 2)),
+        (upper_u(frozenset({0})), (1, 2, 2)),
+        (order_ge2_sum(1), (3,)),
+        (basic(frozenset({0, 1})), (2, 1, 2)),
+        (direct_sum([{0}, {1, 2}]), (1, 2, 1)),
+    ], ids=["no-set", "upperU-size1", "ge2-order1", "basic-size1",
+            "sum-size1-each"])
+    def test_zero_subspace_is_refused_before_any_draw(
+            self, monkeypatch, selector, shape):
+        # At a rank-one T such a selector picks {0}, where every drawn U is
+        # zero: the draw loop would never end.
+        def no_draw(*args):
+            raise AssertionError("drew a direction")
+
+        monkeypatch.setattr(tnn.subdiff, "project", no_draw)
+        with pytest.raises(ParameterError, match="picks"):
+            probe_tau(selector, shape, trials=1)
+
+    def test_one_set_free_of_size_one_modes_still_runs(self):
+        est = probe_tau(direct_sum([{0}, {1}]), (1, 2, 2), trials=1)
+        assert est.trials == 1
+
+    @pytest.mark.parametrize("shape", [(0, 2, 2), (2, -1, 2)], ids=str)
+    def test_mode_sizes_must_be_positive(self, shape):
+        with pytest.raises(ParameterError, match="positive"):
+            probe_tau(upper_u(frozenset({1})), shape, trials=1)
 
     @pytest.mark.parametrize("bisect_tol", [0.0, -1e-3, float("nan")],
                              ids=str)
